@@ -82,12 +82,12 @@ impl TxInput {
     /// arrays get element counts, addresses are masked to 160 bits.
     pub fn calldata(&self, abi: &FunctionAbi) -> Vec<u8> {
         if abi.all_static_words() {
-            let mut data = abi.selector.to_vec();
             let args = self.arg_bytes();
             let wanted = 32 * abi.inputs.len();
-            for i in 0..wanted {
-                data.push(args.get(i).copied().unwrap_or(0));
-            }
+            let mut data = Vec::with_capacity(abi.selector.len() + wanted);
+            data.extend_from_slice(&abi.selector);
+            data.extend_from_slice(&args[..wanted.min(args.len())]);
+            data.resize(abi.selector.len() + wanted, 0);
             return data;
         }
         let lanes: Vec<U256> = (0..abi.lane_count()).map(|i| self.arg_word(i)).collect();

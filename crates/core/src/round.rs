@@ -482,7 +482,8 @@ struct SlotCtx<'s> {
 /// Execute one mutant inside a slot: observe it in the slot monitor
 /// (capturing a replayable record for any fresh finding), merge its coverage
 /// into the slot-local bitmap and stage it as an admission candidate when it
-/// is locally novel. Returns the outcome and the local novelty count.
+/// is locally novel. Returns the outcome, whose world has moved into the
+/// slot's `last_world`, and the local novelty count.
 fn execute_observed(
     worker: &mut Worker,
     ctx: &CampaignContext,
@@ -496,7 +497,7 @@ fn execute_observed(
         seen,
         prov,
     } = slot;
-    let outcome = worker
+    let mut outcome = worker
         .harness
         .execute_sequence_with(sequence, &mut worker.frame);
     out.executed += 1;
@@ -539,7 +540,7 @@ fn execute_observed(
             seed,
         });
     }
-    out.last_world = Some(outcome.final_world.clone());
+    out.last_world = Some(std::mem::take(&mut outcome.final_world));
     (outcome, new_local)
 }
 

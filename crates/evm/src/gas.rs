@@ -8,10 +8,10 @@
 //! tracked by [`AccessSets`] — are charged by the dispatch loop at the
 //! instruction that incurs them and are *not* part of the static schedule.
 
+use crate::fxhash::FxHashSet;
 use crate::opcode::Opcode;
 use crate::types::Address;
 use crate::u256::U256;
-use std::collections::HashSet;
 
 /// Gas added per significant byte of an `EXP` exponent (dynamic part of the
 /// `EXP` price, charged on top of the static base cost).
@@ -86,7 +86,7 @@ enum JournalEntry {
     /// An address became warm.
     Address(Address),
     /// A storage slot became warm.
-    Slot(Address, [u8; 32]),
+    Slot(Address, U256),
     /// The refund counter grew by this much.
     Refund(u64),
 }
@@ -107,8 +107,8 @@ pub struct AccessCheckpoint(usize);
 /// the whole transaction.
 #[derive(Clone, Debug, Default)]
 pub struct AccessSets {
-    warm_addresses: HashSet<Address>,
-    warm_slots: HashSet<(Address, [u8; 32])>,
+    warm_addresses: FxHashSet<Address>,
+    warm_slots: FxHashSet<(Address, U256)>,
     journal: Vec<JournalEntry>,
     refund: u64,
 }
@@ -140,10 +140,9 @@ impl AccessSets {
 
     /// Touch a storage slot of an address; returns `true` when cold.
     pub fn touch_slot(&mut self, address: Address, slot: U256) -> bool {
-        let key = (address, slot.to_be_bytes());
-        let cold = self.warm_slots.insert(key);
+        let cold = self.warm_slots.insert((address, slot));
         if cold {
-            self.journal.push(JournalEntry::Slot(key.0, key.1));
+            self.journal.push(JournalEntry::Slot(address, slot));
         }
         cold
     }

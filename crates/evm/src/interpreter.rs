@@ -524,8 +524,7 @@ impl<'w> Evm<'w> {
         value: U256,
         constructor_args: Vec<u8>,
     ) -> ExecutionResult {
-        let account = self.world.account_mut(address);
-        account.code = Arc::new(runtime_code);
+        self.world.set_code(address, Arc::new(runtime_code));
         if !self.world.transfer(deployer, address, value) {
             return ExecutionResult {
                 success: false,
@@ -569,7 +568,9 @@ impl<'w> Evm<'w> {
         code: Arc<Vec<u8>>,
         scratch: &mut ExecFrame,
     ) -> ExecutionResult {
-        let snapshot = self.world.snapshot();
+        // Undo point for the whole transaction: every world write below is
+        // journaled and rolled back unless the outermost frame succeeds.
+        let checkpoint = self.world.checkpoint();
         let mut trace = ExecutionTrace::new();
         scratch.prime(&mut trace);
         trace.entered_selector = msg.selector();
@@ -582,6 +583,7 @@ impl<'w> Evm<'w> {
 
         // Value transfer first; a failed transfer aborts the transaction.
         if !self.world.transfer(msg.caller, msg.to, msg.value) {
+            self.world.revert_to(checkpoint);
             trace.halt = HaltReason::Fault("insufficient balance for value transfer".into());
             return ExecutionResult {
                 success: false,
@@ -628,8 +630,10 @@ impl<'w> Evm<'w> {
         }
         trace.gas_used = gas_used;
         trace.halt = result.halt.clone();
-        if !success {
-            *self.world = snapshot;
+        if success {
+            self.world.commit(checkpoint);
+        } else {
+            self.world.revert_to(checkpoint);
         }
         scratch.note(&trace);
         ExecutionResult {
@@ -1541,8 +1545,8 @@ impl<'w> Evm<'w> {
                                 out_of_gas!();
                             }
                             gas_left -= surcharge;
-                            let val = self.world.storage(storage_address, slot);
-                            let stored_taint = self.world.storage_taint(storage_address, slot);
+                            let (val, stored_taint) =
+                                self.world.storage_entry(storage_address, slot);
                             push!(val, Taint::STORAGE | stored_taint);
                             recharge_tail!();
                             cursor = instr.next;
@@ -1557,7 +1561,7 @@ impl<'w> Evm<'w> {
                                 out_of_gas!();
                             }
                             gas_left -= surcharge;
-                            let old = self.world.storage(storage_address, slot);
+                            let old = self.world.set_storage(storage_address, slot, val, tv);
                             if !old.is_zero() && val.is_zero() {
                                 // EIP-3529: clearing a slot earns a refund,
                                 // journaled so a reverting frame forfeits it.
@@ -1578,7 +1582,6 @@ impl<'w> Evm<'w> {
                                     }
                                 }
                             }
-                            self.world.set_storage(storage_address, slot, val, tv);
                             recharge_tail!();
                             cursor = instr.next;
                         }
@@ -1602,8 +1605,8 @@ impl<'w> Evm<'w> {
                                 out_of_gas!();
                             }
                             gas_left -= surcharge;
-                            let loaded = self.world.storage(storage_address, slot);
-                            let stored_taint = self.world.storage_taint(storage_address, slot);
+                            let (loaded, stored_taint) =
+                                self.world.storage_entry(storage_address, slot);
                             charge!(3);
                             let (val, tv) = fused_binop!(
                                 parts[3].op,
@@ -1622,7 +1625,7 @@ impl<'w> Evm<'w> {
                                 out_of_gas!();
                             }
                             gas_left -= surcharge;
-                            let old = self.world.storage(storage_address, out_slot);
+                            let old = self.world.set_storage(storage_address, out_slot, val, tv);
                             if !old.is_zero() && val.is_zero() {
                                 scratch.access.add_refund(SSTORE_CLEAR_REFUND);
                             }
@@ -1641,7 +1644,6 @@ impl<'w> Evm<'w> {
                                     }
                                 }
                             }
-                            self.world.set_storage(storage_address, out_slot, val, tv);
                             bulk!();
                             // Restore block billing exactly as `MapSlot*`
                             // does: re-charge the statics of the block's
@@ -1742,9 +1744,8 @@ impl<'w> Evm<'w> {
                                         out_of_gas!();
                                     }
                                     gas_left -= surcharge;
-                                    let val = self.world.storage(storage_address, digest);
-                                    let stored_taint =
-                                        self.world.storage_taint(storage_address, digest);
+                                    let (val, stored_taint) =
+                                        self.world.storage_entry(storage_address, digest);
                                     push!(val, Taint::STORAGE | stored_taint);
                                 }
                                 _ => {
@@ -1757,7 +1758,8 @@ impl<'w> Evm<'w> {
                                         out_of_gas!();
                                     }
                                     gas_left -= surcharge;
-                                    let old = self.world.storage(storage_address, digest);
+                                    let old =
+                                        self.world.set_storage(storage_address, digest, val, tv);
                                     if !old.is_zero() && val.is_zero() {
                                         scratch.access.add_refund(SSTORE_CLEAR_REFUND);
                                     }
@@ -1776,7 +1778,6 @@ impl<'w> Evm<'w> {
                                             }
                                         }
                                     }
-                                    self.world.set_storage(storage_address, digest, val, tv);
                                 }
                             }
                             bulk!();
@@ -2290,8 +2291,7 @@ impl<'w> Evm<'w> {
                         out_of_gas!();
                     }
                     gas_left -= surcharge;
-                    let val = self.world.storage(storage_address, slot);
-                    let stored_taint = self.world.storage_taint(storage_address, slot);
+                    let (val, stored_taint) = self.world.storage_entry(storage_address, slot);
                     push!(val, Taint::STORAGE | stored_taint);
                 }
                 Opcode::SStore => {
@@ -2302,7 +2302,7 @@ impl<'w> Evm<'w> {
                         out_of_gas!();
                     }
                     gas_left -= surcharge;
-                    let old = self.world.storage(storage_address, slot);
+                    let old = self.world.set_storage(storage_address, slot, val, tv);
                     if !old.is_zero() && val.is_zero() {
                         // EIP-3529: clearing a slot earns a (journaled,
                         // settlement-capped) refund.
@@ -2323,7 +2323,6 @@ impl<'w> Evm<'w> {
                             }
                         }
                     }
-                    self.world.set_storage(storage_address, slot, val, tv);
                 }
                 Opcode::Jump => {
                     let (dest, _t) = pop!();
@@ -2606,7 +2605,7 @@ impl<'w> Evm<'w> {
                     let beneficiary = Address::from_u256(beneficiary_word);
                     let balance = self.world.balance(storage_address);
                     self.world.transfer(storage_address, beneficiary, balance);
-                    self.world.account_mut(storage_address).destroyed = true;
+                    self.world.mark_destroyed(storage_address);
                     trace.self_destructs.push(SelfDestructEvent {
                         pc,
                         contract: storage_address,
@@ -2884,9 +2883,8 @@ impl<'w> Evm<'w> {
         };
         *gas_left = gas_left.saturating_sub(gas_spent);
         if success {
-            let acct = self.world.account_mut(created);
-            acct.code = Arc::new(result.output);
-            acct.nonce = 1;
+            self.world.set_code(created, Arc::new(result.output));
+            self.world.set_nonce(created, 1);
             (created.to_u256(), vec![])
         } else {
             // Undo the endowment, the access-set entries and any refunds the

@@ -1,9 +1,16 @@
 //! Keccak-256 implemented from scratch.
 //!
 //! The EVM uses Keccak-256 (the original Keccak padding, not NIST SHA3-256)
-//! for the `SHA3` opcode, function selectors and mapping storage slots. The
-//! round constants and rotation offsets are derived programmatically from the
-//! Keccak specification so there are no hand-copied magic tables to get wrong.
+//! for the `SHA3` opcode, function selectors and mapping storage slots.
+//! Mapping-heavy contracts hash on almost every storage access, so the
+//! implementation allocates nothing: the permutation runs on a flat
+//! `[u64; 25]` state, full 136-byte blocks are absorbed straight from the
+//! input and only the padded final block is staged, in a stack buffer.
+//!
+//! The round constants and the rho/pi lane walk are `const` tables. The
+//! tests re-derive them from the Keccak specification (the round-constant
+//! LFSR and the `(x, y) → (y, 2x + 3y)` lane walk) and pin every digest
+//! against the original 5×5-state, byte-copying implementation.
 
 /// Output size in bytes of Keccak-256.
 pub const KECCAK256_OUTPUT: usize = 32;
@@ -11,113 +18,118 @@ pub const KECCAK256_OUTPUT: usize = 32;
 /// Rate in bytes for Keccak-256 (1088 bits).
 const RATE: usize = 136;
 
-/// Number of Keccak-f[1600] rounds.
-const ROUNDS: usize = 24;
+/// Iota round constants, one per Keccak-f[1600] round.
+const ROUND_CONSTANTS: [u64; 24] = [
+    0x0000_0000_0000_0001,
+    0x0000_0000_0000_8082,
+    0x8000_0000_0000_808a,
+    0x8000_0000_8000_8000,
+    0x0000_0000_0000_808b,
+    0x0000_0000_8000_0001,
+    0x8000_0000_8000_8081,
+    0x8000_0000_0000_8009,
+    0x0000_0000_0000_008a,
+    0x0000_0000_0000_0088,
+    0x0000_0000_8000_8009,
+    0x0000_0000_8000_000a,
+    0x0000_0000_8000_808b,
+    0x8000_0000_0000_008b,
+    0x8000_0000_0000_8089,
+    0x8000_0000_0000_8003,
+    0x8000_0000_0000_8002,
+    0x8000_0000_0000_0080,
+    0x0000_0000_0000_800a,
+    0x8000_0000_8000_000a,
+    0x8000_0000_8000_8081,
+    0x8000_0000_0000_8080,
+    0x0000_0000_8000_0001,
+    0x8000_0000_8000_8008,
+];
 
-/// Compute the 24 round constants via the LFSR defined in the Keccak spec.
-fn round_constants() -> [u64; ROUNDS] {
-    let mut rc = [0u64; ROUNDS];
-    let mut lfsr: u8 = 0x01;
-    for constant in rc.iter_mut() {
-        let mut c: u64 = 0;
-        for j in 0..7 {
-            // Bit position 2^j - 1.
-            let bit_pos = (1u32 << j) - 1;
-            if lfsr & 1 == 1 {
-                c |= 1u64 << bit_pos;
-            }
-            // Advance LFSR: x^8 + x^6 + x^5 + x^4 + 1.
-            let high = lfsr & 0x80 != 0;
-            lfsr <<= 1;
-            if high {
-                lfsr ^= 0x71;
-            }
-        }
-        *constant = c;
-    }
-    rc
-}
+/// Rho rotation of each lane along the pi walk: step `t` rotates the lane
+/// it carries by `(t + 1)(t + 2) / 2 mod 64`.
+const RHO: [u32; 24] = [
+    1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14, 27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44,
+];
 
-/// Compute the rho rotation offsets for each lane.
-fn rotation_offsets() -> [[u32; 5]; 5] {
-    let mut offsets = [[0u32; 5]; 5];
-    let (mut x, mut y) = (1usize, 0usize);
-    for t in 0..24u32 {
-        offsets[x][y] = ((t + 1) * (t + 2) / 2) % 64;
-        let new_x = y;
-        let new_y = (2 * x + 3 * y) % 5;
-        x = new_x;
-        y = new_y;
-    }
-    offsets
-}
+/// Pi destinations along the lane walk starting at lane `(1, 0)`: step `t`
+/// writes the lane it carries to flat index `PI[t]` (lane `(x, y)` lives at
+/// `x + 5y`).
+const PI: [usize; 24] = [
+    10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1,
+];
 
-fn keccak_f(state: &mut [[u64; 5]; 5]) {
-    let rc = round_constants();
-    let rot = rotation_offsets();
-    for round in rc.iter().take(ROUNDS) {
+/// The Keccak-f[1600] permutation on a flat state (lane `(x, y)` at
+/// `x + 5y`).
+fn keccak_f(a: &mut [u64; 25]) {
+    for &rc in &ROUND_CONSTANTS {
         // Theta
         let mut c = [0u64; 5];
         for (x, cx) in c.iter_mut().enumerate() {
-            *cx = state[x][0] ^ state[x][1] ^ state[x][2] ^ state[x][3] ^ state[x][4];
+            *cx = a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20];
         }
-        let mut d = [0u64; 5];
         for x in 0..5 {
-            d[x] = c[(x + 4) % 5] ^ c[(x + 1) % 5].rotate_left(1);
-        }
-        for (plane, dx) in state.iter_mut().zip(&d) {
-            for lane in plane.iter_mut() {
-                *lane ^= dx;
-            }
-        }
-        // Rho and Pi
-        let mut b = [[0u64; 5]; 5];
-        for x in 0..5 {
+            let d = c[(x + 4) % 5] ^ c[(x + 1) % 5].rotate_left(1);
             for y in 0..5 {
-                b[y][(2 * x + 3 * y) % 5] = state[x][y].rotate_left(rot[x][y]);
+                a[x + 5 * y] ^= d;
             }
+        }
+        // Rho and Pi: one in-place walk over the 24 moving lanes.
+        let mut carried = a[1];
+        for (&dest, &rot) in PI.iter().zip(&RHO) {
+            let next = a[dest];
+            a[dest] = carried.rotate_left(rot);
+            carried = next;
         }
         // Chi
-        for x in 0..5 {
-            for y in 0..5 {
-                state[x][y] = b[x][y] ^ ((!b[(x + 1) % 5][y]) & b[(x + 2) % 5][y]);
+        for y in 0..5 {
+            let row = [
+                a[5 * y],
+                a[5 * y + 1],
+                a[5 * y + 2],
+                a[5 * y + 3],
+                a[5 * y + 4],
+            ];
+            for x in 0..5 {
+                a[5 * y + x] = row[x] ^ (!row[(x + 1) % 5] & row[(x + 2) % 5]);
             }
         }
         // Iota
-        state[0][0] ^= round;
+        a[0] ^= rc;
     }
+}
+
+/// XOR one rate-sized block into the state (input lane `i` is lane `i` of
+/// the flat state) and permute.
+#[inline]
+fn absorb_block(state: &mut [u64; 25], block: &[u8]) {
+    for (lane, bytes) in state.iter_mut().zip(block.chunks_exact(8)) {
+        *lane ^= u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    }
+    keccak_f(state);
 }
 
 /// Compute the Keccak-256 digest of `data`.
 pub fn keccak256(data: &[u8]) -> [u8; KECCAK256_OUTPUT] {
-    let mut state = [[0u64; 5]; 5];
-
-    // Absorb phase with Keccak padding (0x01 .. 0x80).
-    let mut padded = data.to_vec();
-    padded.push(0x01);
-    while !padded.len().is_multiple_of(RATE) {
-        padded.push(0x00);
-    }
-    let last = padded.len() - 1;
-    padded[last] |= 0x80;
-
-    for block in padded.chunks(RATE) {
-        for (i, lane_bytes) in block.chunks(8).enumerate() {
-            let mut lane = [0u8; 8];
-            lane.copy_from_slice(lane_bytes);
-            let x = i % 5;
-            let y = i / 5;
-            state[x][y] ^= u64::from_le_bytes(lane);
-        }
-        keccak_f(&mut state);
+    let mut state = [0u64; 25];
+    let mut blocks = data.chunks_exact(RATE);
+    for block in &mut blocks {
+        absorb_block(&mut state, block);
     }
 
-    // Squeeze phase: 32 bytes fit in the first rate block; lane order matches
-    // the absorb phase (lane index i maps to column i % 5, row i / 5).
+    // Keccak padding (0x01 .. 0x80) of the tail; a 135-byte tail gets the
+    // single byte 0x81, an empty one a whole padding block.
+    let tail = blocks.remainder();
+    let mut last = [0u8; RATE];
+    last[..tail.len()].copy_from_slice(tail);
+    last[tail.len()] ^= 0x01;
+    last[RATE - 1] ^= 0x80;
+    absorb_block(&mut state, &last);
+
+    // Squeeze: 32 bytes fit in the first four lanes of one rate block.
     let mut out = [0u8; KECCAK256_OUTPUT];
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
-        let lane = state[i % 5][i / 5].to_le_bytes();
-        chunk.copy_from_slice(&lane[..chunk.len()]);
+    for (chunk, lane) in out.chunks_exact_mut(8).zip(&state) {
+        chunk.copy_from_slice(&lane.to_le_bytes());
     }
     out
 }
@@ -135,6 +147,150 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The Keccak specification's definitions, kept as the reference the
+    /// `const` tables and the flat-state permutation are checked against.
+    mod spec {
+        use super::super::RATE;
+
+        /// The 24 round constants from the LFSR `x^8 + x^6 + x^5 + x^4 + 1`.
+        pub fn round_constants() -> [u64; 24] {
+            let mut rc = [0u64; 24];
+            let mut lfsr: u8 = 0x01;
+            for constant in rc.iter_mut() {
+                let mut c: u64 = 0;
+                for j in 0..7 {
+                    // Bit position 2^j - 1.
+                    let bit_pos = (1u32 << j) - 1;
+                    if lfsr & 1 == 1 {
+                        c |= 1u64 << bit_pos;
+                    }
+                    let high = lfsr & 0x80 != 0;
+                    lfsr <<= 1;
+                    if high {
+                        lfsr ^= 0x71;
+                    }
+                }
+                *constant = c;
+            }
+            rc
+        }
+
+        /// The rho rotation offset of every lane, indexed `[x][y]`.
+        pub fn rotation_offsets() -> [[u32; 5]; 5] {
+            let mut offsets = [[0u32; 5]; 5];
+            let (mut x, mut y) = (1usize, 0usize);
+            for t in 0..24u32 {
+                offsets[x][y] = ((t + 1) * (t + 2) / 2) % 64;
+                let new_x = y;
+                let new_y = (2 * x + 3 * y) % 5;
+                x = new_x;
+                y = new_y;
+            }
+            offsets
+        }
+
+        /// The lane walk `(x, y) → (y, 2x + 3y)` from `(1, 0)`: the rho
+        /// offset applied at each step and the flat index it lands on.
+        pub fn rho_pi_walk() -> ([u32; 24], [usize; 24]) {
+            let offsets = rotation_offsets();
+            let (mut rho, mut pi) = ([0u32; 24], [0usize; 24]);
+            let (mut x, mut y) = (1usize, 0usize);
+            for (r, p) in rho.iter_mut().zip(pi.iter_mut()) {
+                *r = offsets[x][y];
+                let (nx, ny) = (y, (2 * x + 3 * y) % 5);
+                *p = nx + 5 * ny;
+                x = nx;
+                y = ny;
+            }
+            (rho, pi)
+        }
+
+        fn keccak_f(state: &mut [[u64; 5]; 5]) {
+            let rc = round_constants();
+            let rot = rotation_offsets();
+            for round in rc.iter() {
+                let mut c = [0u64; 5];
+                for (x, cx) in c.iter_mut().enumerate() {
+                    *cx = state[x][0] ^ state[x][1] ^ state[x][2] ^ state[x][3] ^ state[x][4];
+                }
+                let mut d = [0u64; 5];
+                for x in 0..5 {
+                    d[x] = c[(x + 4) % 5] ^ c[(x + 1) % 5].rotate_left(1);
+                }
+                for (plane, dx) in state.iter_mut().zip(&d) {
+                    for lane in plane.iter_mut() {
+                        *lane ^= dx;
+                    }
+                }
+                let mut b = [[0u64; 5]; 5];
+                for x in 0..5 {
+                    for y in 0..5 {
+                        b[y][(2 * x + 3 * y) % 5] = state[x][y].rotate_left(rot[x][y]);
+                    }
+                }
+                for x in 0..5 {
+                    for y in 0..5 {
+                        state[x][y] = b[x][y] ^ ((!b[(x + 1) % 5][y]) & b[(x + 2) % 5][y]);
+                    }
+                }
+                state[0][0] ^= round;
+            }
+        }
+
+        /// The original implementation: a `[x][y]` state and a heap copy of
+        /// the padded message.
+        pub fn keccak256(data: &[u8]) -> [u8; 32] {
+            let mut state = [[0u64; 5]; 5];
+            let mut padded = data.to_vec();
+            padded.push(0x01);
+            while !padded.len().is_multiple_of(RATE) {
+                padded.push(0x00);
+            }
+            let last = padded.len() - 1;
+            padded[last] |= 0x80;
+            for block in padded.chunks(RATE) {
+                for (i, lane_bytes) in block.chunks(8).enumerate() {
+                    let mut lane = [0u8; 8];
+                    lane.copy_from_slice(lane_bytes);
+                    state[i % 5][i / 5] ^= u64::from_le_bytes(lane);
+                }
+                keccak_f(&mut state);
+            }
+            let mut out = [0u8; 32];
+            for (i, chunk) in out.chunks_mut(8).enumerate() {
+                let lane = state[i % 5][i / 5].to_le_bytes();
+                chunk.copy_from_slice(&lane[..chunk.len()]);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn const_tables_match_the_spec_derivation() {
+        assert_eq!(ROUND_CONSTANTS, spec::round_constants());
+        let (rho, pi) = spec::rho_pi_walk();
+        assert_eq!(RHO, rho);
+        assert_eq!(PI, pi);
+    }
+
+    #[test]
+    fn digests_match_the_reference_across_rate_boundaries() {
+        // Seeded splitmix64 bytes; lengths 0..=409 cross the 136-, 272- and
+        // 408-byte rate boundaries.
+        let mut seed = 0x6d75_6675_7a7a_u64;
+        let mut next_byte = || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u8
+        };
+        for len in 0..=409usize {
+            let data: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+            assert_eq!(keccak256(&data), spec::keccak256(&data), "length {len}");
+        }
     }
 
     #[test]
@@ -173,7 +329,7 @@ mod tests {
         let mut data2 = data.clone();
         data2[999] = 0xac;
         assert_ne!(d1, keccak256(&data2));
-        assert_eq!(d1.len(), 32);
+        assert_eq!(d1, spec::keccak256(&data));
     }
 
     #[test]

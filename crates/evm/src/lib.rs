@@ -9,6 +9,7 @@
 //! * [`keccak256`] — Keccak-256 (function selectors, mapping slots, `SHA3`),
 //! * [`Opcode`] / [`disassemble`] — the instruction set and a disassembler,
 //! * [`WorldState`] / [`Account`] — accounts, balances and persistent storage,
+//!   with an undo journal for transaction rollback,
 //! * [`Evm`] — the interpreter, producing an [`ExecutionTrace`] per
 //!   transaction with branch decisions, coverage edges, taint-annotated
 //!   events and everything the bug oracles need.
@@ -36,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod env;
+mod fxhash;
 pub mod gas;
 pub mod interpreter;
 pub mod keccak;
@@ -55,7 +57,7 @@ pub use opcode::{disassemble, Instruction, Opcode};
 pub use program::{
     BlockInfo, BlockProgram, BlockUnit, DecodedInstr, DecodedProgram, Fused, ProgramCache,
 };
-pub use state::{Account, HostBehaviour, WorldState};
+pub use state::{Account, HostBehaviour, WorldCheckpoint, WorldState};
 pub use trace::{
     ArithEvent, BranchEdge, BranchRecord, CallEvent, CallKind, CmpKind, Comparison,
     ConformanceEvent, ExecutionTrace, HaltReason, SelfDestructEvent, StorageWrite, Taint,

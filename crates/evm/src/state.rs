@@ -1,25 +1,48 @@
 //! World state: accounts, balances, code and persistent storage.
 //!
-//! Smart contracts are stateful programs; the fuzzer repeatedly replays
-//! transaction sequences against a snapshot of the deployed world state, so
-//! cloning and snapshot/revert need to be cheap and correct.
+//! Smart contracts are stateful programs; the fuzzer replays transaction
+//! sequences against the deployed world millions of times, so two kinds of
+//! rollback have to be cheap: restoring the deployed world before every
+//! sequence execution, and undoing a failed transaction inside one.
 //!
-//! The state is copy-on-write: a frozen **base** map of accounts (shared
-//! behind an `Arc` by every snapshot) plus a small **overlay** of accounts
-//! created or modified since. Reads consult the overlay first; the first
-//! write to an account clones it from the base into the overlay. A
-//! [`WorldState::snapshot`] therefore costs one `Arc` clone plus a clone of
-//! the overlay — O(accounts *changed*), not O(world) — which is what lets
-//! the interpreter keep full EVM revert semantics (snapshot before every
-//! transaction, restore on failure) at fuzzing throughput. The harness
+//! **Per-execution restore: a frozen base plus an overlay.** The state is
+//! copy-on-write: a frozen **base** map of accounts (shared behind an `Arc`
+//! by every snapshot) plus a small **overlay** of accounts created or
+//! modified since. Reads consult the overlay first; the first write to an
+//! account copies it from the base into the overlay. The harness
 //! [freezes](WorldState::freeze) the post-constructor world once, so every
-//! sequence execution starts from an O(1) restore of that constructor
-//! snapshot.
+//! sequence execution starts from an O(1) [`WorldState::snapshot`] of it:
+//! one `Arc` clone and an empty overlay.
+//!
+//! **Per-transaction revert: an undo journal.** [`WorldState::checkpoint`]
+//! opens an undo point. While one is open, every write through the
+//! journaled setters ([`set_storage`](WorldState::set_storage),
+//! [`transfer`](WorldState::transfer), [`set_balance`](WorldState::set_balance),
+//! [`mark_destroyed`](WorldState::mark_destroyed),
+//! [`set_code`](WorldState::set_code), [`set_nonce`](WorldState::set_nonce))
+//! logs the value it overwrote, and an account's arrival in the overlay is
+//! logged too. [`WorldState::revert_to`] replays the log backwards;
+//! [`WorldState::commit`] keeps the changes. A transaction's revert point
+//! therefore costs one log entry per field it writes, where a snapshot
+//! would copy every account changed so far in the sequence. Checkpoints
+//! nest and close in LIFO order. Field writes made through
+//! [`WorldState::account_mut`] are not logged, so code that runs under a
+//! checkpoint uses the setters; the set-up calls
+//! ([`put_account`](WorldState::put_account),
+//! [`remove_account`](WorldState::remove_account),
+//! [`freeze`](WorldState::freeze)) refuse to run under one.
+//!
+//! Storage is one map per account from slot to `(value, taint)`, so an
+//! `SLOAD` is one lookup and an `SSTORE` gets the overwritten entry back from
+//! its insert. Every map here hashes with the crate's multiply-rotate Fx
+//! hasher instead of SipHash.
 
+use crate::fxhash::FxHashMap;
 use crate::trace::Taint;
 use crate::types::Address;
 use crate::u256::U256;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Host-implemented behaviour for accounts that are not plain bytecode
@@ -43,6 +66,13 @@ pub enum HostBehaviour {
     RejectingSink,
 }
 
+/// Persistent storage of one account: slot → `(value, taint)`.
+///
+/// The taint is the label set of the last value stored (analysis-only
+/// metadata; it does not affect execution semantics). A slot is present
+/// while its value is non-zero or its taint non-empty.
+pub type StorageMap = FxHashMap<U256, (U256, Taint)>;
+
 /// A single account in the world state.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Account {
@@ -50,11 +80,8 @@ pub struct Account {
     pub balance: U256,
     /// Deployed runtime bytecode (empty for externally-owned accounts).
     pub code: Arc<Vec<u8>>,
-    /// Persistent key-value storage.
-    pub storage: HashMap<U256, U256>,
-    /// Taint labels remembered for stored values (analysis-only metadata;
-    /// it does not affect execution semantics).
-    pub storage_taint: HashMap<U256, Taint>,
+    /// Persistent storage with each slot's taint label.
+    pub storage: StorageMap,
     /// Transaction count / deployment nonce.
     pub nonce: u64,
     /// Host behaviour override (attacker harness, rejecting sink, ...).
@@ -87,21 +114,67 @@ impl Account {
     }
 }
 
-/// The full world state: a copy-on-write map from address to account.
+/// One entry of the undo journal: what a journaled write overwrote.
+#[derive(Clone, Debug)]
+enum Change {
+    /// The account entered the overlay: copied from the base, created
+    /// empty, or re-created after [`WorldState::remove_account`].
+    Entered {
+        address: Address,
+        was_erased: bool,
+    },
+    /// A storage entry (`None`: the slot was absent).
+    Storage {
+        address: Address,
+        slot: U256,
+        prev: Option<(U256, Taint)>,
+    },
+    Balance {
+        address: Address,
+        prev: U256,
+    },
+    Destroyed {
+        address: Address,
+        prev: bool,
+    },
+    Code {
+        address: Address,
+        prev: Arc<Vec<u8>>,
+    },
+    Nonce {
+        address: Address,
+        prev: u64,
+    },
+}
+
+/// An undo point returned by [`WorldState::checkpoint`] and closed by
+/// [`WorldState::commit`] or [`WorldState::revert_to`]. Both take it by
+/// value, so a checkpoint closes exactly once.
+#[derive(Debug, PartialEq, Eq)]
+#[must_use = "a checkpoint must be committed or reverted"]
+pub struct WorldCheckpoint(usize);
+
+/// The full world state: a copy-on-write map from address to account, with
+/// an undo journal for transaction-scoped rollback.
 ///
-/// See the [module documentation](self) for the base/overlay split and its
-/// cost model. The external API is a plain address → account map; all
-/// copy-on-write bookkeeping is internal.
+/// See the [module documentation](self) for the base/overlay split, the
+/// journal and their cost model. The external API is a plain address →
+/// account map; all bookkeeping is internal.
 #[derive(Clone, Debug, Default)]
 pub struct WorldState {
     /// Accounts frozen at the last [`WorldState::freeze`], shared by every
     /// snapshot taken since.
-    base: Arc<HashMap<Address, Account>>,
+    base: Arc<FxHashMap<Address, Account>>,
     /// Accounts created or modified since the freeze; shadows `base`.
-    overlay: HashMap<Address, Account>,
+    overlay: FxHashMap<Address, Account>,
     /// Accounts removed since the freeze; shadows both maps. Empty in
     /// ordinary execution (nothing on the EVM path deletes accounts).
     erased: BTreeSet<Address>,
+    /// Undo log of the writes made since the outermost open checkpoint.
+    journal: Vec<Change>,
+    /// Number of open checkpoints; writes are logged only while it is
+    /// non-zero.
+    open: usize,
 }
 
 impl WorldState {
@@ -110,14 +183,18 @@ impl WorldState {
         Self::default()
     }
 
-    /// Insert or replace an account.
+    /// Insert or replace an account. A set-up call: panics under an open
+    /// checkpoint.
     pub fn put_account(&mut self, address: Address, account: Account) {
+        self.assert_no_checkpoint("put_account");
         self.erased.remove(&address);
         self.overlay.insert(address, account);
     }
 
-    /// Remove an account entirely, returning it if present.
+    /// Remove an account entirely, returning it if present. A set-up call:
+    /// panics under an open checkpoint.
     pub fn remove_account(&mut self, address: Address) -> Option<Account> {
+        self.assert_no_checkpoint("remove_account");
         let was_erased = self.erased.contains(&address);
         let from_overlay = self.overlay.remove(&address);
         if self.base.contains_key(&address) {
@@ -145,18 +222,29 @@ impl WorldState {
 
     /// Mutable access, creating an empty account on demand. The first write
     /// to a frozen account copies it into the overlay (copy-on-write).
+    ///
+    /// Under an open checkpoint the account's arrival in the overlay is
+    /// journaled, but field writes through the returned reference are not:
+    /// use the journaled setters there.
     pub fn account_mut(&mut self, address: Address) -> &mut Account {
-        if !self.overlay.contains_key(&address) {
-            let seed = if self.erased.remove(&address) {
-                Account::default()
-            } else {
-                self.base.get(&address).cloned().unwrap_or_default()
-            };
-            self.overlay.insert(address, seed);
+        match self.overlay.entry(address) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let was_erased = self.erased.remove(&address);
+                let seed = if was_erased {
+                    Account::default()
+                } else {
+                    self.base.get(&address).cloned().unwrap_or_default()
+                };
+                if self.open > 0 {
+                    self.journal.push(Change::Entered {
+                        address,
+                        was_erased,
+                    });
+                }
+                entry.insert(seed)
+            }
         }
-        self.overlay
-            .get_mut(&address)
-            .expect("account was just inserted into the overlay")
     }
 
     /// Balance of an account (zero if absent).
@@ -175,35 +263,63 @@ impl WorldState {
 
     /// Storage slot value of an account (zero if absent).
     pub fn storage(&self, address: Address, slot: U256) -> U256 {
+        self.storage_entry(address, slot).0
+    }
+
+    /// Storage slot value and the taint label recorded with it, in one
+    /// lookup (zero and untainted if absent).
+    #[inline]
+    pub fn storage_entry(&self, address: Address, slot: U256) -> (U256, Taint) {
         self.account(address)
             .and_then(|a| a.storage.get(&slot).copied())
-            .unwrap_or(U256::ZERO)
+            .unwrap_or((U256::ZERO, Taint::NONE))
     }
 
-    /// Taint label recorded for a storage slot.
-    pub fn storage_taint(&self, address: Address, slot: U256) -> Taint {
-        self.account(address)
-            .and_then(|a| a.storage_taint.get(&slot).copied())
-            .unwrap_or_default()
+    /// Write a storage slot with its taint label and return the value it
+    /// overwrote. A zero value with an empty taint removes the slot.
+    /// Journaled.
+    #[inline]
+    pub fn set_storage(&mut self, address: Address, slot: U256, value: U256, taint: Taint) -> U256 {
+        let storage = &mut self.account_mut(address).storage;
+        let prev = if value.is_zero() && taint.is_empty() {
+            storage.remove(&slot)
+        } else {
+            storage.insert(slot, (value, taint))
+        };
+        self.record(Change::Storage {
+            address,
+            slot,
+            prev,
+        });
+        prev.map_or(U256::ZERO, |(old, _)| old)
     }
 
-    /// Write a storage slot, recording its taint label.
-    pub fn set_storage(&mut self, address: Address, slot: U256, value: U256, taint: Taint) {
-        let account = self.account_mut(address);
-        if value.is_zero() {
-            account.storage.remove(&slot);
-        } else {
-            account.storage.insert(slot, value);
-        }
-        if taint.is_empty() {
-            account.storage_taint.remove(&slot);
-        } else {
-            account.storage_taint.insert(slot, taint);
-        }
+    /// Set an account's balance. Journaled.
+    pub fn set_balance(&mut self, address: Address, balance: U256) {
+        let prev = std::mem::replace(&mut self.account_mut(address).balance, balance);
+        self.record(Change::Balance { address, prev });
+    }
+
+    /// Flag an account as self-destructed. Journaled.
+    pub fn mark_destroyed(&mut self, address: Address) {
+        let prev = std::mem::replace(&mut self.account_mut(address).destroyed, true);
+        self.record(Change::Destroyed { address, prev });
+    }
+
+    /// Install an account's code. Journaled.
+    pub fn set_code(&mut self, address: Address, code: Arc<Vec<u8>>) {
+        let prev = std::mem::replace(&mut self.account_mut(address).code, code);
+        self.record(Change::Code { address, prev });
+    }
+
+    /// Set an account's nonce. Journaled.
+    pub fn set_nonce(&mut self, address: Address, nonce: u64) {
+        let prev = std::mem::replace(&mut self.account_mut(address).nonce, nonce);
+        self.record(Change::Nonce { address, prev });
     }
 
     /// Transfer value between two accounts. Returns false (and leaves the
-    /// state untouched) if the sender balance is insufficient.
+    /// state untouched) if the sender balance is insufficient. Journaled.
     pub fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
         if value.is_zero() {
             return true;
@@ -212,10 +328,100 @@ impl WorldState {
         if from_balance < value {
             return false;
         }
-        self.account_mut(from).balance = from_balance.wrapping_sub(value);
+        self.set_balance(from, from_balance.wrapping_sub(value));
         let to_balance = self.balance(to);
-        self.account_mut(to).balance = to_balance.wrapping_add(value);
+        self.set_balance(to, to_balance.wrapping_add(value));
         true
+    }
+
+    /// Open an undo point. Every journaled write from here on can be undone
+    /// with [`WorldState::revert_to`] or kept with [`WorldState::commit`].
+    /// Checkpoints nest and must be closed in LIFO order.
+    pub fn checkpoint(&mut self) -> WorldCheckpoint {
+        self.open += 1;
+        WorldCheckpoint(self.journal.len())
+    }
+
+    /// Keep every change made since `checkpoint`. Closing the outermost
+    /// checkpoint drops the journal; closing a nested one leaves its entries
+    /// for the enclosing checkpoint to undo.
+    pub fn commit(&mut self, checkpoint: WorldCheckpoint) {
+        self.close(&checkpoint);
+        if self.open == 0 {
+            self.journal.clear();
+        }
+    }
+
+    /// Undo every change made since `checkpoint`, newest first, leaving the
+    /// world logically equal to what it was when the checkpoint was taken.
+    pub fn revert_to(&mut self, checkpoint: WorldCheckpoint) {
+        self.close(&checkpoint);
+        while self.journal.len() > checkpoint.0 {
+            let change = self.journal.pop().expect("journal length checked");
+            self.undo(change);
+        }
+    }
+
+    fn close(&mut self, checkpoint: &WorldCheckpoint) {
+        assert!(
+            self.open > 0 && checkpoint.0 <= self.journal.len(),
+            "world checkpoint closed twice or out of order"
+        );
+        self.open -= 1;
+    }
+
+    #[inline]
+    fn record(&mut self, change: Change) {
+        if self.open > 0 {
+            self.journal.push(change);
+        }
+    }
+
+    fn undo(&mut self, change: Change) {
+        match change {
+            Change::Entered {
+                address,
+                was_erased,
+            } => {
+                self.overlay.remove(&address);
+                if was_erased {
+                    self.erased.insert(address);
+                }
+            }
+            Change::Storage {
+                address,
+                slot,
+                prev,
+            } => {
+                let storage = &mut self.journaled_account(address).storage;
+                match prev {
+                    Some(entry) => storage.insert(slot, entry),
+                    None => storage.remove(&slot),
+                };
+            }
+            Change::Balance { address, prev } => self.journaled_account(address).balance = prev,
+            Change::Destroyed { address, prev } => {
+                self.journaled_account(address).destroyed = prev;
+            }
+            Change::Code { address, prev } => self.journaled_account(address).code = prev,
+            Change::Nonce { address, prev } => self.journaled_account(address).nonce = prev,
+        }
+    }
+
+    /// The overlay copy of an account a journal entry refers to. A
+    /// journaled write always lands in the overlay, and the account stays
+    /// there until its own `Entered` entry (older than the write) is undone.
+    fn journaled_account(&mut self, address: Address) -> &mut Account {
+        self.overlay
+            .get_mut(&address)
+            .expect("a journaled account stays in the overlay until its arrival is undone")
+    }
+
+    fn assert_no_checkpoint(&self, call: &str) {
+        assert!(
+            self.open == 0,
+            "WorldState::{call} is a set-up call and cannot run under an open checkpoint"
+        );
     }
 
     /// Iterate over all accounts (overlay entries shadow frozen ones).
@@ -242,10 +448,11 @@ impl WorldState {
         self.len() == 0
     }
 
-    /// Snapshot the whole world. Transaction execution clones the state and
-    /// commits only on success, matching EVM revert semantics. Cost:
-    /// O(accounts changed since the last [`WorldState::freeze`]) — the
-    /// frozen base is shared, only the overlay is copied.
+    /// Snapshot the whole world: one `Arc` clone of the frozen base plus a
+    /// copy of the overlay, i.e. O(accounts changed since the last
+    /// [`WorldState::freeze`]). The harness restores the post-constructor
+    /// world this way once per sequence execution; transactions inside an
+    /// execution roll back through [`WorldState::checkpoint`] instead.
     pub fn snapshot(&self) -> WorldState {
         self.clone()
     }
@@ -254,8 +461,10 @@ impl WorldState {
     /// snapshots, making [`WorldState::snapshot`] on the frozen state O(1).
     /// The harness calls this once on the post-constructor world so each
     /// sequence execution restarts from the constructor snapshot without
-    /// copying (or re-executing) anything.
+    /// copying (or re-executing) anything. A set-up call: panics under an
+    /// open checkpoint.
     pub fn freeze(&mut self) {
+        self.assert_no_checkpoint("freeze");
         let mut merged = (*self.base).clone();
         for address in std::mem::take(&mut self.erased) {
             merged.remove(&address);
@@ -269,8 +478,9 @@ impl WorldState {
 
 /// Logical equality: two worlds are equal when they map the same addresses
 /// to equal accounts, regardless of how the accounts are split between the
-/// frozen base and the overlay. Used by the decoder differential suite to
-/// assert that the pre-decoded pipeline commits identical state.
+/// frozen base and the overlay, and of any open checkpoints. Used by the
+/// decoder differential suite to assert that the pre-decoded pipeline
+/// commits identical state.
 impl PartialEq for WorldState {
     fn eq(&self, other: &WorldState) -> bool {
         let view = |w: &'_ WorldState| -> BTreeMap<Address, Account> {
@@ -283,6 +493,7 @@ impl PartialEq for WorldState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn addr(n: u64) -> Address {
         Address::from_low_u64(n)
@@ -427,8 +638,146 @@ mod tests {
         let mut world = WorldState::new();
         let a = addr(9);
         world.set_storage(a, U256::ONE, U256::from_u64(5), Taint::BLOCK);
-        assert!(world.storage_taint(a, U256::ONE).contains(Taint::BLOCK));
-        assert!(world.storage_taint(a, U256::from_u64(2)).is_empty());
+        assert!(world.storage_entry(a, U256::ONE).1.contains(Taint::BLOCK));
+        assert!(world.storage_entry(a, U256::from_u64(2)).1.is_empty());
+    }
+
+    #[test]
+    fn zero_value_with_taint_keeps_its_slot() {
+        let mut world = WorldState::new();
+        let a = addr(9);
+        let slot = U256::from_u64(4);
+        assert_eq!(
+            world.set_storage(a, slot, U256::from_u64(5), Taint::BLOCK),
+            U256::ZERO
+        );
+        // A tainted zero is remembered; the value it overwrote comes back.
+        assert_eq!(
+            world.set_storage(a, slot, U256::ZERO, Taint::CALLER),
+            U256::from_u64(5)
+        );
+        assert_eq!(world.storage_entry(a, slot), (U256::ZERO, Taint::CALLER));
+        assert_eq!(world.account(a).unwrap().storage.len(), 1);
+        // An untainted zero removes the slot.
+        world.set_storage(a, slot, U256::ZERO, Taint::NONE);
+        assert!(world.account(a).unwrap().storage.is_empty());
+    }
+
+    #[test]
+    fn revert_undoes_writes_and_new_accounts() {
+        let mut world = WorldState::new();
+        world.put_account(addr(1), Account::eoa(U256::from_u64(100)));
+        world.set_storage(addr(1), U256::ONE, U256::from_u64(7), Taint::NONE);
+        world.freeze();
+        let before = world.snapshot();
+        let cp = world.checkpoint();
+        world.set_storage(addr(1), U256::ONE, U256::from_u64(8), Taint::BLOCK);
+        assert!(world.transfer(addr(1), addr(2), U256::from_u64(40)));
+        world.mark_destroyed(addr(1));
+        world.set_code(addr(3), Arc::new(vec![0x00]));
+        world.set_nonce(addr(3), 1);
+        assert_eq!(world.len(), 3);
+        world.revert_to(cp);
+        assert_eq!(world, before);
+        assert_eq!(world.len(), 1);
+        assert!(world.account(addr(2)).is_none());
+        // Nothing stays in the overlay: the next write copies from the base
+        // again.
+        assert!(world.overlay.is_empty());
+        assert!(world.journal.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "set-up call")]
+    fn set_up_calls_refuse_an_open_checkpoint() {
+        let mut world = WorldState::new();
+        let _cp = world.checkpoint();
+        world.put_account(addr(1), Account::eoa(U256::ONE));
+    }
+
+    /// Frozen accounts (one with a tainted zero slot), an erased frozen
+    /// account (3), an overlay-only account (4) and absent ones (5, 6).
+    fn seeded_world() -> WorldState {
+        let mut world = WorldState::new();
+        world.put_account(addr(1), Account::eoa(U256::from_u64(100)));
+        world.put_account(addr(2), Account::contract(vec![0x00], U256::from_u64(50)));
+        world.set_storage(addr(2), U256::ONE, U256::from_u64(7), Taint::BLOCK);
+        world.set_storage(addr(2), U256::from_u64(2), U256::ZERO, Taint::CALLER);
+        world.put_account(addr(3), Account::eoa(U256::from_u64(10)));
+        world.freeze();
+        world.remove_account(addr(3));
+        world.put_account(addr(4), Account::eoa(U256::from_u64(20)));
+        world
+    }
+
+    /// Apply the world op encoded in `word`'s low bits.
+    fn apply(world: &mut WorldState, word: u64) {
+        let a = addr(1 + word % 6);
+        let b = addr(1 + (word >> 3) % 6);
+        let n = (word >> 6) % 4;
+        let taint = [Taint::NONE, Taint::BLOCK, Taint::CALLER][((word >> 9) % 3) as usize];
+        match (word >> 12) % 6 {
+            0 => {
+                // Values 0..3, so zero values with a non-empty taint occur.
+                let value = U256::from_u64((word >> 16) % 3);
+                world.set_storage(a, U256::from_u64(n), value, taint);
+            }
+            1 => {
+                world.transfer(a, b, U256::from_u64(n * 7));
+            }
+            2 => world.mark_destroyed(a),
+            3 => world.set_code(a, Arc::new(vec![n as u8])),
+            4 => world.set_nonce(a, n),
+            _ => {
+                world.account_mut(a);
+            }
+        }
+    }
+
+    proptest! {
+        /// Random world ops under randomly nested checkpoints, each closed
+        /// by a commit or a revert, against a model that never checkpoints:
+        /// a revert restores the clone the model saved at the checkpoint,
+        /// and a commit leaves the model as it is. So after every step
+        /// `revert_to` must equal a clone taken at the checkpoint, and
+        /// committed work must equal running the same ops with no
+        /// checkpoint open.
+        #[test]
+        fn journal_matches_clone_and_restore(
+            script in proptest::collection::vec(any::<u64>(), 1..64)
+        ) {
+            let mut world = seeded_world();
+            let mut model = seeded_world();
+            let mut open: Vec<(WorldCheckpoint, WorldState)> = Vec::new();
+            for &word in &script {
+                match word >> 61 {
+                    0 => open.push((world.checkpoint(), model.clone())),
+                    1 => {
+                        if let Some((cp, saved)) = open.pop() {
+                            if word & 1 == 0 {
+                                world.commit(cp);
+                            } else {
+                                world.revert_to(cp);
+                                model = saved;
+                            }
+                        }
+                    }
+                    _ => {
+                        apply(&mut world, word);
+                        apply(&mut model, word);
+                    }
+                }
+                prop_assert_eq!(&world, &model);
+            }
+            while let Some((cp, _)) = open.pop() {
+                world.commit(cp);
+            }
+            prop_assert_eq!(&world, &model);
+            // Closing the outermost checkpoint drops the journal, and
+            // writes with none open are never journaled.
+            prop_assert!(world.journal.is_empty());
+            prop_assert!(model.journal.is_empty());
+        }
     }
 
     #[test]

@@ -476,10 +476,16 @@ fn note_branch(m: &mut Machine<'_, '_>, pc: usize, dest: usize, taken: bool, tc:
 }
 
 /// `SSTORE` bookkeeping shared by the plain handler and every fused storage
-/// arm: the write record, truncation-reached-storage marking, and the write
-/// itself.
+/// arm, after the gas checks: the write itself (which hands back the value
+/// it overwrote), the EIP-3529 clear refund, the write record and
+/// truncation-reached-storage marking.
 fn store_slot(m: &mut Machine<'_, '_>, pc: usize, slot: U256, val: U256, tv: Taint) {
-    let old = m.evm.world.storage(m.storage_address, slot);
+    let old = m.evm.world.set_storage(m.storage_address, slot, val, tv);
+    if !old.is_zero() && val.is_zero() {
+        // EIP-3529: clearing a slot earns a refund, journaled so a
+        // reverting frame forfeits it.
+        m.scratch.access.add_refund(SSTORE_CLEAR_REFUND);
+    }
     m.trace.storage_writes.push(crate::trace::StorageWrite {
         pc,
         contract: m.storage_address,
@@ -495,7 +501,6 @@ fn store_slot(m: &mut Machine<'_, '_>, pc: usize, slot: U256, val: U256, tv: Tai
             }
         }
     }
-    m.evm.world.set_storage(m.storage_address, slot, val, tv);
 }
 
 /// Resolve the handler for a `(fused, opcode)` pair, once at lowering time.
@@ -1469,8 +1474,7 @@ fn h_sload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let val = m.evm.world.storage(m.storage_address, slot);
-    let stored_taint = m.evm.world.storage_taint(m.storage_address, slot);
+    let (val, stored_taint) = m.evm.world.storage_entry(m.storage_address, slot);
     t_push!(m, val, Taint::STORAGE | stored_taint);
     t_recharge!(m, u);
     Step::Next
@@ -1486,12 +1490,6 @@ fn h_sstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let old = m.evm.world.storage(m.storage_address, slot);
-    if !old.is_zero() && val.is_zero() {
-        // EIP-3529: clearing a slot earns a (journaled, settlement-capped)
-        // refund.
-        m.scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-    }
     store_slot(m, u.pc as usize, slot, val, tv);
     t_recharge!(m, u);
     Step::Next
@@ -1815,7 +1813,7 @@ fn h_selfdestruct(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
     m.evm
         .world
         .transfer(m.storage_address, beneficiary, balance);
-    m.evm.world.account_mut(m.storage_address).destroyed = true;
+    m.evm.world.mark_destroyed(m.storage_address);
     m.trace.self_destructs.push(SelfDestructEvent {
         pc: u.pc as usize,
         contract: m.storage_address,
@@ -2364,8 +2362,7 @@ fn hf_push_sload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let val = m.evm.world.storage(m.storage_address, slot);
-    let stored_taint = m.evm.world.storage_taint(m.storage_address, slot);
+    let (val, stored_taint) = m.evm.world.storage_entry(m.storage_address, slot);
     t_push!(m, val, Taint::STORAGE | stored_taint);
     t_recharge!(m, u);
     Step::Next
@@ -2383,12 +2380,6 @@ fn hf_push_sstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let old = m.evm.world.storage(m.storage_address, slot);
-    if !old.is_zero() && val.is_zero() {
-        // EIP-3529: clearing a slot earns a refund, journaled so a
-        // reverting frame forfeits it.
-        m.scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-    }
     store_slot(m, parts[1].pc as usize, slot, val, tv);
     t_recharge!(m, u);
     Step::Next
@@ -2413,8 +2404,7 @@ fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> 
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let loaded = m.evm.world.storage(m.storage_address, slot);
-    let stored_taint = m.evm.world.storage_taint(m.storage_address, slot);
+    let (loaded, stored_taint) = m.evm.world.storage_entry(m.storage_address, slot);
     t_charge!(m, parts, 3);
     let (val, tv) = t_binop!(
         m,
@@ -2433,10 +2423,6 @@ fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> 
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let old = m.evm.world.storage(m.storage_address, out_slot);
-    if !old.is_zero() && val.is_zero() {
-        m.scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-    }
     store_slot(m, parts[5].pc as usize, out_slot, val, tv);
     t_bulk!(m, u);
     // Restore block billing exactly as `MapSlot*` does: re-charge the
@@ -2523,8 +2509,7 @@ fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
                 t_oog!(m);
             }
             m.gas_left -= surcharge;
-            let val = m.evm.world.storage(m.storage_address, digest);
-            let stored_taint = m.evm.world.storage_taint(m.storage_address, digest);
+            let (val, stored_taint) = m.evm.world.storage_entry(m.storage_address, digest);
             t_push!(m, val, Taint::STORAGE | stored_taint);
         }
         _ => {
@@ -2536,10 +2521,6 @@ fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
                 t_oog!(m);
             }
             m.gas_left -= surcharge;
-            let old = m.evm.world.storage(m.storage_address, digest);
-            if !old.is_zero() && val.is_zero() {
-                m.scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-            }
             store_slot(m, parts[8].pc as usize, digest, val, tv);
         }
     }

@@ -397,19 +397,26 @@ fn concurrent_campaigns_on_one_pool_stay_deterministic() {
         .map(|s| {
             let compiled = compile_source(s).unwrap();
             service
-                .submit(compiled, FuzzerConfig::mufuzz(250).with_rng_seed(5))
+                .submit(
+                    compiled,
+                    FuzzerConfig::mufuzz(250).with_rng_seed(5).with_workers(1),
+                )
                 .unwrap()
         })
         .collect();
     let concurrent: Vec<CampaignReport> = handles.into_iter().map(|h| h.wait()).collect();
 
-    // A fresh single-thread service produces the same reports: campaign
-    // determinism is independent of pool size and co-tenants.
+    // A fresh single-thread service produces the same reports: the
+    // `workers == 1` determinism contract is independent of pool size and
+    // co-tenants.
     let serial_service = CampaignService::new(1);
     for (source, parallel_report) in sources.iter().zip(&concurrent) {
         let compiled = compile_source(source).unwrap();
         let serial = serial_service
-            .submit(compiled, FuzzerConfig::mufuzz(250).with_rng_seed(5))
+            .submit(
+                compiled,
+                FuzzerConfig::mufuzz(250).with_rng_seed(5).with_workers(1),
+            )
             .unwrap()
             .wait();
         assert_eq!(serial.contract, parallel_report.contract);
