@@ -252,6 +252,9 @@ fn draining_callee_leaves_the_caller_a_64th() {
         result.halt
     );
     assert_eq!(world.storage(addr(0x100), U256::ONE), U256::from_u64(42));
+    // A failed subcall undoes only its access-set entries, refunds and call
+    // value, not its storage writes: the callee's loop left slot 0 set.
+    assert_eq!(world.storage(addr(0x200), U256::ZERO), U256::ONE);
 
     // Exact accounting: the callee consumed all forwarded gas, the caller
     // paid its own instructions on top, and what is left is the retention
