@@ -91,17 +91,6 @@ fn bench_interpreter(c: &mut Criterion) {
             black_box(result.trace.instruction_count())
         })
     });
-
-    // The legacy byte-at-a-time decoder, allocating scratch per execution.
-    c.bench_function("evm_execute_invest_tx_legacy_decode", |bencher| {
-        bencher.iter(|| {
-            let mut w = world.snapshot();
-            let mut evm = Evm::new(&mut w, BlockEnv::default());
-            evm.config.legacy_decode = true;
-            let result = evm.execute(&msg);
-            black_box(result.trace.instruction_count())
-        })
-    });
 }
 
 criterion_group!(

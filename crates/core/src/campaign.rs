@@ -34,8 +34,7 @@
 //!   shape log — stays in a `SharedCampaignState` behind one mutex, held
 //!   only to admit new seeds (and periodically cull dominated ones), to
 //!   resync shard mirrors, to claim mask-probe passes, and to append
-//!   timeline points. (With `FuzzerConfig::sharded_scheduler()` off, seed
-//!   draws themselves also take this lock, as the pre-shard engine did.)
+//!   timeline points.
 //!
 //! Sequence executions run unlocked against lane-local [`ContractHarness`]
 //! clones, and bug oracles observe into lane-local [`CampaignMonitor`]s
@@ -658,9 +657,7 @@ pub(crate) struct Worker {
     /// Final world of the last mutant this worker executed (feeds the
     /// campaign-level oracles at finalisation).
     pub(crate) last_world: Option<WorldState>,
-    /// Local mirror of the scheduling state for the sharded draw path
-    /// (unused — and empty — when `FuzzerConfig::sharded_scheduler()` is
-    /// off).
+    /// Local mirror of the scheduling state that seed draws read.
     shard: CorpusShard,
 }
 
@@ -827,9 +824,8 @@ impl Worker {
     }
 
     /// One lane scheduling step — the unit of fleet-pool work: check the
-    /// stop and pause conditions, then draw a seed batch (off-lock from the
-    /// local shard by default, under the state lock with the historical
-    /// global scheduler otherwise), optionally probe its mutation mask, and
+    /// stop and pause conditions, then draw a seed batch off-lock from the
+    /// local shard, optionally probe its mutation mask, and
     /// generate and execute the allotted mutants, merging feedback after
     /// every execution. The historical `run_loop` was exactly this body
     /// iterated to exhaustion; splitting it at the draw boundary lets the
@@ -852,11 +848,7 @@ impl Worker {
             self.retire(shared);
             return LaneStep::Paused;
         }
-        let (seed_snapshot, seed_uid, energy, compute) = if self.ctx.config.sharded_scheduler() {
-            self.draw_sharded(shared)
-        } else {
-            self.draw_global(shared)
-        };
+        let (seed_snapshot, seed_uid, energy, compute) = self.draw_sharded(shared);
         if self
             .run_batch(shared, params, seed_snapshot, seed_uid, energy, compute)
             .is_break()
@@ -875,61 +867,11 @@ impl Worker {
     /// consume randomness — so a resumed lane rebuilding it from the global
     /// corpus continues the exact same campaign.
     fn retire(&mut self, shared: &CampaignShared) {
-        if self.ctx.config.sharded_scheduler() && !self.shard.seeds.is_empty() {
+        if !self.shard.seeds.is_empty() {
             let mut s = shared.state.lock().expect("campaign state poisoned");
             self.flush_selections_locked(&mut s);
         }
         self.shard = CorpusShard::default();
-    }
-
-    /// Draw a seed batch under the state lock against the global corpus (the
-    /// pre-shard scheduler, kept behind `sharded_scheduler = false` for
-    /// equivalence tests and A/B comparisons).
-    fn draw_global(&mut self, shared: &CampaignShared) -> (Seed, u64, usize, bool) {
-        let mut s = shared.state.lock().expect("campaign state poisoned");
-        let seed_index = select_seed(&self.ctx.config, &mut self.rng, &s.corpus);
-        s.corpus[seed_index].selections += 1;
-
-        // Energy allocation (Algorithm 3) against the global corpus.
-        let mean_weight = corpus_mean_weight(&s.corpus);
-        let energy = allocate_energy(
-            s.corpus[seed_index].weight,
-            mean_weight,
-            self.ctx.config.scheduler.base_energy,
-            self.ctx.config.enable_dynamic_energy,
-        );
-
-        let remaining = self
-            .ctx
-            .config
-            .max_executions()
-            .saturating_sub(shared.executions());
-        let seed = &mut s.corpus[seed_index];
-        let compute = Self::wants_masks(&self.ctx.config, seed, remaining);
-        if compute {
-            // Claim the probe work so no other worker duplicates it.
-            seed.masks_pending = true;
-        }
-        // Snapshot only the fields the unlocked batch reads; the
-        // covered-edges list (the potentially large part) is needed
-        // solely as the nested-branch baseline of a probe pass.
-        let snapshot = Seed {
-            uid: seed.uid,
-            sequence: seed.sequence.clone(),
-            covered_edge_ids: if compute {
-                seed.covered_edge_ids.clone()
-            } else {
-                Vec::new()
-            },
-            new_edges: seed.new_edges,
-            hits_nested_branch: seed.hits_nested_branch,
-            weight: seed.weight,
-            best_distance: seed.best_distance,
-            selections: seed.selections,
-            masks: seed.masks.clone(),
-            masks_pending: seed.masks_pending,
-        };
-        (snapshot, seed.uid, energy, compute)
     }
 
     /// Draw a seed batch from the worker's corpus shard: selection, energy
@@ -940,10 +882,10 @@ impl Worker {
     ///
     /// Because every corpus change bumps the epoch *before* the changing
     /// worker's next draw, a fresh mirror is always content-identical to the
-    /// global corpus — the sharded and global schedulers make the same
-    /// decisions from the same RNG stream, which is what keeps `workers ==
+    /// global corpus, so a draw decides exactly what a draw from the global
+    /// corpus would from the same RNG stream. That is what keeps `workers ==
     /// 1` campaigns bit-identical to the historical engine (the snapshot
-    /// test holds with either draw path).
+    /// test pins it).
     fn draw_sharded(&mut self, shared: &CampaignShared) -> (Seed, u64, usize, bool) {
         if self.shard.epoch != shared.epoch.current()
             || self.shard.draws >= self.ctx.config.scheduler.shard_resync_draws
@@ -1006,9 +948,9 @@ impl Worker {
         } else {
             false
         };
-        // Snapshot only the fields the batch reads, exactly like the global
-        // path: the covered-edges list (the potentially large part) is
-        // needed solely as the nested-branch baseline of a probe pass.
+        // Snapshot only the fields the batch reads: the covered-edges list
+        // (the potentially large part) is needed solely as the
+        // nested-branch baseline of a probe pass.
         let seed = &self.shard.seeds[seed_index];
         let snapshot = Seed {
             uid: seed.uid,

@@ -49,23 +49,22 @@ impl Default for BudgetConfig {
     }
 }
 
-/// Seed-scheduler tuning: the draw path, its resync cadence, corpus culling
-/// and the base mutation energy.
+/// Seed-scheduler tuning: the shard resync cadence, corpus culling and the
+/// base mutation energy.
+///
+/// Free-running workers draw seed batches from a per-worker corpus shard (a
+/// local mirror of the scheduling state, refreshed when the campaign's epoch
+/// counter moves), so steady-state seed draws and energy allocation touch no
+/// lock at all; the mutex is taken only for admissions, shard resyncs and
+/// timeline points. The shard resyncs before any draw that would observe a
+/// corpus change, so scheduling decisions — and, at `workers == 1`, the
+/// entire campaign — are what one shared corpus would give.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Draw seed batches from a per-worker corpus shard (a local mirror of
-    /// the scheduling state, refreshed when the campaign's epoch counter
-    /// moves) instead of under the shared state lock. Steady-state seed
-    /// draws and energy allocation then touch no lock at all; the mutex is
-    /// taken only for admissions, shard resyncs and timeline points. On by
-    /// default. The shard resyncs before any draw that would observe a
-    /// corpus change, so scheduling decisions — and, at `workers == 1`, the
-    /// entire campaign — are bit-identical to the global draw path.
-    pub sharded: bool,
     /// Force a shard resync every `n` draws even when the epoch counter has
     /// not moved, so locally accumulated selection counts flow back into the
     /// global corpus view at a bounded staleness. The amortised lock cost of
-    /// the sharded scheduler is one acquisition per `n` draws.
+    /// the shard mirror is one acquisition per `n` draws.
     pub shard_resync_draws: usize,
     /// Corpus culling: every `n` admissions (counted inside the campaign
     /// state lock), drop seeds whose covered-edge set is a subset of another
@@ -99,7 +98,6 @@ pub const DEFAULT_ROUND_CULL_INTERVAL: usize = 32;
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            sharded: true,
             shard_resync_draws: 64,
             corpus_cull_interval: None,
             base_energy: 8,
@@ -129,7 +127,6 @@ impl Default for SchedulerConfig {
 /// assert_eq!(config.budget.max_executions, 50_000);
 /// assert_eq!(config.workers, 4);
 /// assert_eq!(config.scheduler.corpus_cull_interval, Some(64));
-/// assert!(config.scheduler.sharded); // lock-free seed draws by default
 /// // Ablations switch one component off at a time.
 /// assert!(!config.without_mask_guidance().enable_mask_guidance);
 /// ```
@@ -187,18 +184,12 @@ pub struct FuzzerConfig {
     /// observed (exercises the unhandled-exception oracle).
     pub install_rejecting_sink: bool,
     /// Execute through the block-lowered interpreter fast path (per-block
-    /// static gas and stack validation, fused superinstructions). On by
-    /// default; execution is bit-identical either way, so the knob exists
-    /// for the three-way decoder differential and A/B throughput
-    /// comparisons. Maps to `EvmConfig::block_lowering`.
+    /// static gas and stack validation, fused superinstructions, direct
+    /// threaded dispatch). On by default; execution is bit-identical either
+    /// way, so turning it off selects the pre-decoded reference tier for the
+    /// decoder differential suite and A/B throughput comparisons. Maps to
+    /// `EvmConfig::block_lowering`.
     pub block_lowering: bool,
-    /// Dispatch block units through pre-resolved handler function pointers
-    /// (direct threading) instead of the two-level `match`. On by default;
-    /// only effective when [`block_lowering`](Self::block_lowering) is on.
-    /// Execution is bit-identical either way, so the knob exists for the
-    /// four-way decoder differential and dispatch A/B comparisons. Maps to
-    /// `EvmConfig::direct_threaded`.
-    pub direct_threaded: bool,
 }
 
 impl Default for FuzzerConfig {
@@ -221,7 +212,6 @@ impl Default for FuzzerConfig {
             install_attacker: true,
             install_rejecting_sink: true,
             block_lowering: true,
-            direct_threaded: true,
         }
     }
 }
@@ -246,12 +236,6 @@ impl FuzzerConfig {
     /// The wall-clock budget (shorthand for `self.budget.time_budget_ms`).
     pub fn time_budget_ms(&self) -> Option<u64> {
         self.budget.time_budget_ms
-    }
-
-    /// Whether the sharded seed scheduler is on (shorthand for
-    /// `self.scheduler.sharded`).
-    pub fn sharded_scheduler(&self) -> bool {
-        self.scheduler.sharded
     }
 
     /// Whether the campaign runs under the reproducible round profile.
@@ -315,16 +299,6 @@ impl FuzzerConfig {
         self
     }
 
-    /// Choose the seed-draw path (builder style): `true` (the default) draws
-    /// from per-worker corpus shards without taking the state lock, `false`
-    /// restores the historical global draw under the mutex. Both paths make
-    /// identical scheduling decisions; the knob exists for the equivalence
-    /// tests and for A/B throughput comparisons.
-    pub fn with_sharded_scheduler(mut self, sharded: bool) -> Self {
-        self.scheduler.sharded = sharded;
-        self
-    }
-
     /// Choose the interpreter tier (builder style): `true` (the default)
     /// executes through the block-lowered fast path, `false` restores
     /// instruction-at-a-time billing over the pre-decoded stream. Both
@@ -332,17 +306,6 @@ impl FuzzerConfig {
     /// decoder differential suite and A/B throughput comparisons.
     pub fn with_block_lowering(mut self, block_lowering: bool) -> Self {
         self.block_lowering = block_lowering;
-        self
-    }
-
-    /// Choose the block-tier dispatch strategy (builder style): `true` (the
-    /// default) calls through per-unit handler pointers resolved at lowering
-    /// time, `false` restores the `match`-based dispatcher. No effect unless
-    /// block lowering is on; both strategies halt, trace and bill
-    /// identically, so the knob exists for the decoder differential suite
-    /// and dispatch A/B comparisons.
-    pub fn with_direct_threaded(mut self, direct_threaded: bool) -> Self {
-        self.direct_threaded = direct_threaded;
         self
     }
 
@@ -454,14 +417,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scheduler_defaults_on_and_toggles() {
-        let cfg = FuzzerConfig::default();
-        assert!(cfg.scheduler.sharded);
-        assert_eq!(cfg.scheduler.shard_resync_draws, 64);
-        let off = FuzzerConfig::mufuzz(10).with_sharded_scheduler(false);
-        assert!(!off.sharded_scheduler());
-        let on = off.with_sharded_scheduler(true);
-        assert!(on.scheduler.sharded);
+    fn shard_resync_draws_defaults_and_clamps_to_one() {
+        assert_eq!(FuzzerConfig::default().scheduler.shard_resync_draws, 64);
         assert_eq!(
             FuzzerConfig::mufuzz(10)
                 .with_shard_resync_draws(0)
@@ -477,14 +434,6 @@ mod tests {
         let off = FuzzerConfig::mufuzz(10).with_block_lowering(false);
         assert!(!off.block_lowering);
         assert!(off.with_block_lowering(true).block_lowering);
-    }
-
-    #[test]
-    fn direct_threaded_defaults_on_and_toggles() {
-        assert!(FuzzerConfig::default().direct_threaded);
-        let off = FuzzerConfig::mufuzz(10).with_direct_threaded(false);
-        assert!(!off.direct_threaded);
-        assert!(off.with_direct_threaded(true).direct_threaded);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! mutex-guarded overflow set so no coverage is ever silently dropped.
 //!
 //! The module also hosts [`SchedulerEpoch`], the atomic generation counter
-//! the sharded seed scheduler uses to publish corpus changes to the workers'
+//! the seed scheduler uses to publish corpus changes to the workers'
 //! local shard mirrors — the other half of keeping the campaign's per-batch
 //! feedback loop lock-free.
 

@@ -58,10 +58,10 @@ pub fn seed_weight(traces: &[ExecutionTrace], cfg: &ControlFlowGraph) -> f64 {
 
 /// Mean seed weight of a corpus view — Algorithm 3's normalisation base.
 ///
-/// The "view" may be the global corpus (the mutex-guarded draw path), a
-/// worker's shard mirror of it (the lock-free sharded scheduler), or a round
-/// slot's frozen [`RoundView`](crate::config::DeterminismProfile::Round)
-/// snapshot — all paths call this so the normalisation arithmetic — a plain
+/// The "view" may be a free-running worker's shard mirror of the corpus, or
+/// the global corpus a round barrier freezes into a
+/// [`RoundView`](crate::config::DeterminismProfile::Round) — both paths call
+/// this so the normalisation arithmetic — a plain
 /// sum-then-divide, kept deliberately order-dependent-free — is identical to
 /// the bit. Round mode computes the mean once per round at the barrier and
 /// freezes it into the view, so every slot allocates energy from the same

@@ -87,9 +87,6 @@ pub struct ContractHarness {
     /// Whether executions run through the block-lowered interpreter tier
     /// (mirrors [`FuzzerConfig::block_lowering`]).
     block_lowering: bool,
-    /// Whether the block tier dispatches through pre-resolved handler
-    /// pointers (mirrors [`FuzzerConfig::direct_threaded`]).
-    direct_threaded: bool,
     base_world: WorldState,
     base_block: BlockEnv,
 }
@@ -189,7 +186,6 @@ impl ContractHarness {
             edge_index,
             programs: Arc::new(programs),
             block_lowering: config.block_lowering,
-            direct_threaded: config.direct_threaded,
             base_world: world,
             base_block,
         })
@@ -305,7 +301,6 @@ impl ContractHarness {
 
         let mut evm = Evm::new(world, block).with_programs(&self.programs);
         evm.config.block_lowering = self.block_lowering;
-        evm.config.direct_threaded = self.direct_threaded;
         let result = evm.execute_in(
             &Message::new(sender, self.contract_address, value, calldata),
             frame,

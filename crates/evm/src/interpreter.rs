@@ -8,31 +8,27 @@
 //!
 //! # Execution pipeline
 //!
-//! The dispatch loop is generic over a `CodeView`, the (private) abstraction
-//! that feeds it instructions:
+//! Two tiers execute code, and both read the same lowered program:
 //!
-//! * the **block** view walks a [`BlockProgram`] — the decoded stream
-//!   lowered once more into basic blocks with a pre-summed static gas cost
-//!   and stack envelope, validated once per block instead of per
-//!   instruction, plus fused superinstructions for common compiler idioms.
-//!   This is the default fuzzing fast path ([`EvmConfig::block_lowering`]).
-//!   A block whose envelope cannot be prevalidated (near-OOG, stack near
-//!   the limits) *deopts*: the frame resumes per-instruction from the block
-//!   entry, so faults and out-of-gas halts are bit-identical to
-//!   per-instruction billing by construction.
-//! * the **pre-decoded** view walks a [`DecodedProgram`] — bytecode is
+//! * the **block** tier walks a [`BlockProgram`] — the decoded stream
+//!   lowered into basic blocks with a pre-summed static gas cost and stack
+//!   envelope, validated once per block instead of per instruction, plus
+//!   fused superinstructions for common compiler idioms. Every unit carries
+//!   a handler pointer resolved at lowering time, and `threaded.rs` runs the
+//!   units as a chain of indirect calls. This is the default fuzzing fast
+//!   path ([`EvmConfig::block_lowering`]). A block whose envelope cannot be
+//!   prevalidated (near-OOG, stack near the limits) *deopts*: the frame
+//!   resumes per-instruction from the block entry, so faults and
+//!   out-of-gas halts are bit-identical to per-instruction billing by
+//!   construction.
+//! * the **pre-decoded** tier walks a [`DecodedProgram`] — bytecode is
 //!   lowered once (per harness, shared via a [`ProgramCache`]) into a dense
 //!   instruction stream with materialised `PUSH` immediates and O(1)
-//!   `JUMP` resolution. Instruction-at-a-time billing; also the deopt
-//!   target of the block view.
-//! * the **legacy** view ([`EvmConfig::legacy_decode`]) re-decodes the raw
-//!   bytes on the fly, exactly like the original interpreter: one opcode
-//!   match per instruction and a fresh `JUMPDEST` scan per call frame.
-//!
-//! All views drive the *same* loop body, so they halt, trace and spend gas
-//! identically by construction; `tests/decoder_differential.rs` asserts
-//! bit-identical results (including gas remaining) across the whole corpus
-//! three ways anyway.
+//!   `JUMP` resolution, one `match` arm per opcode with instruction-at-a-time
+//!   billing. It is the deopt target of the block tier, runs every blob the
+//!   cache does not hold, and is the reference the block tier is checked
+//!   against: `tests/decoder_differential.rs` and the conformance vectors
+//!   assert bit-identical results (including gas remaining) on both.
 //!
 //! Per-execution scratch (operand stacks, memory buffers, call-argument
 //! staging) lives in a reusable [`ExecFrame`] so a fuzzing campaign executes
@@ -45,15 +41,14 @@ use crate::gas::{
 };
 use crate::keccak::keccak256;
 use crate::opcode::Opcode;
-use crate::program::{BlockInfo, BlockProgram, DecodedInstr, DecodedProgram, Fused, ProgramCache};
+use crate::program::{BlockProgram, DecodedProgram, ProgramCache};
 use crate::state::{HostBehaviour, WorldState};
 use crate::trace::{
     ArithEvent, BranchRecord, CallEvent, CallKind, CmpKind, Comparison, ConformanceEvent,
-    ExecutionTrace, HaltReason, OpcodeSet, SelfDestructEvent, StorageWrite, Taint,
+    ExecutionTrace, HaltReason, SelfDestructEvent, StorageWrite, Taint,
 };
 use crate::types::Address;
 use crate::u256::U256;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Configuration knobs for the interpreter.
@@ -68,27 +63,14 @@ pub struct EvmConfig {
     pub max_instructions: usize,
     /// Gas stipend forwarded on value-bearing `transfer`/`send` style calls.
     pub call_stipend: u64,
-    /// Decode bytecode a byte at a time on every execution (the historical
-    /// decoder) instead of through the pre-decoded instruction stream.
-    /// Execution semantics are identical — the knob exists for the decoder
-    /// differential suite and performance comparisons. Takes precedence over
-    /// [`EvmConfig::block_lowering`].
-    pub legacy_decode: bool,
     /// Execute cached programs through the block-lowered fast path: static
     /// gas and the stack envelope validated once per basic block, fused
-    /// superinstructions for common idioms. Execution semantics are
-    /// identical to instruction-at-a-time billing (blocks that cannot be
-    /// prevalidated deopt to it); the knob exists for the three-way decoder
-    /// differential suite and A/B benchmarks.
+    /// superinstructions for common idioms, dispatched direct-threaded.
+    /// Execution semantics are identical to instruction-at-a-time billing
+    /// (blocks that cannot be prevalidated deopt to it); turning the knob off
+    /// selects the pre-decoded per-instruction tier, the reference the
+    /// differential suites and A/B benchmarks compare against.
     pub block_lowering: bool,
-    /// Drive the block-lowered tier through the direct-threaded dispatch
-    /// table: every [`crate::BlockUnit`] carries a handler function pointer
-    /// pre-resolved at lowering time, so the hot loop is an indirect call
-    /// chain instead of a `match` over the unit tag. Semantics are identical
-    /// to the `match` dispatcher by construction (both are asserted
-    /// bit-identical by the differential suite); the knob selects which one
-    /// runs. No effect unless [`EvmConfig::block_lowering`] is on.
-    pub direct_threaded: bool,
 }
 
 impl Default for EvmConfig {
@@ -98,9 +80,7 @@ impl Default for EvmConfig {
             max_memory: 1 << 20,
             max_instructions: 400_000,
             call_stipend: 2_300,
-            legacy_decode: false,
             block_lowering: true,
-            direct_threaded: true,
         }
     }
 }
@@ -147,13 +127,13 @@ impl LoopState {
     }
 }
 
-/// How one pass of the dispatch loop ended.
+/// How a pass of the block dispatcher ended.
 pub(crate) enum FrameOutcome {
     /// The frame halted (normally or otherwise).
     Done(FrameResult),
-    /// The block-billed fast path reached a block whose static-gas/stack
-    /// envelope could not be prevalidated (near-OOG or near the stack
-    /// limits); resume per-instruction from the block entry with this state.
+    /// The block dispatcher reached code whose gas or stack bounds it could
+    /// not settle in advance (near-OOG or near the stack limits); resume
+    /// per-instruction at the state's cursor.
     Deopt(LoopState),
 }
 
@@ -162,198 +142,6 @@ pub(crate) enum FrameOutcome {
 #[derive(Clone, Copy)]
 pub(crate) struct FrameInfo {
     pub(crate) code_address: Address,
-}
-
-/// One dispatch unit as the loop sees it, independent of how the code is
-/// decoded: a single instruction for the raw/pre-decoded views, possibly a
-/// superinstruction plus block metadata for the block view.
-#[derive(Clone, Copy)]
-struct Fetched<'a> {
-    op: Opcode,
-    /// Byte offset of the opcode in the code (what the trace records).
-    pc: usize,
-    /// Pre-materialised immediate for `PUSH*` (zero otherwise).
-    imm: U256,
-    /// Cursor of the next sequential unit.
-    next: usize,
-    /// Set when this unit starts a basic block (block view only): the
-    /// block's pre-summed static gas and stack envelope to settle at entry.
-    block: Option<&'a BlockInfo>,
-    /// Static-gas residual of the block's remaining instructions (block view
-    /// only, non-zero only for gas-exact ops): un-charged around the arm so
-    /// it observes and bills against the exact per-instruction counter.
-    tail: u64,
-    /// Static-gas residual of the block from this unit (inclusive) to the
-    /// block's end (block view only): re-charged when a fused arm bails
-    /// before touching any state and deopts from the unit's start.
-    head: u64,
-    /// Instruction index one past this unit (block view only) — the cursor a
-    /// mid-block deopt hands to the per-instruction view.
-    instr_next: u32,
-    /// Opcode-presence mask of the unit's constituents, precomputed at
-    /// lowering time (block view only): fused arms record the whole unit
-    /// into the trace with one bulk OR instead of one insert per
-    /// constituent.
-    mask: OpcodeSet,
-    /// Set for superinstructions (block view only): the fused tag and the
-    /// constituent instructions, in code order.
-    fused: Option<(Fused, &'a [DecodedInstr])>,
-}
-
-/// How the dispatch loop reads a code blob. Cursor values are opaque to the
-/// loop: the raw view uses byte offsets, the decoded view instruction
-/// indices, the block view unit indices. All views must decode identically —
-/// the loop body is shared, so any divergence is a decode bug (caught by the
-/// differential suite).
-trait CodeView {
-    /// Whether gas and the stack envelope are settled once per basic block
-    /// (with deopt on failure) instead of charged per instruction.
-    const BLOCK_BILLED: bool = false;
-    /// Byte length of the underlying code (`CODESIZE`).
-    fn code_len(&self) -> usize;
-    /// Dispatch unit at `cursor`, or `None` once execution runs off the end
-    /// of the code (implicit `STOP`).
-    fn fetch(&self, cursor: usize) -> Option<Fetched<'_>>;
-    /// Cursor for a jump destination, if `dest` is a valid `JUMPDEST`.
-    fn jump_cursor(&self, dest: usize) -> Option<usize>;
-}
-
-/// The legacy byte-at-a-time decoder: one opcode match per fetch and a
-/// `JUMPDEST` scan per frame.
-struct RawCode<'a> {
-    code: &'a [u8],
-    jumpdests: HashSet<usize>,
-}
-
-impl<'a> RawCode<'a> {
-    fn new(code: &'a [u8]) -> Self {
-        // Valid JUMPDEST positions of the blob (not inside push data).
-        let mut jumpdests = HashSet::new();
-        let mut pc = 0usize;
-        while pc < code.len() {
-            let op = Opcode::from_byte(code[pc]);
-            if op == Opcode::JumpDest {
-                jumpdests.insert(pc);
-            }
-            pc += 1 + op.immediate_size();
-        }
-        RawCode { code, jumpdests }
-    }
-}
-
-impl CodeView for RawCode<'_> {
-    fn code_len(&self) -> usize {
-        self.code.len()
-    }
-
-    #[inline]
-    fn fetch(&self, pc: usize) -> Option<Fetched<'_>> {
-        if pc >= self.code.len() {
-            return None;
-        }
-        let op = Opcode::from_byte(self.code[pc]);
-        let imm_len = op.immediate_size();
-        let imm = if imm_len > 0 {
-            let end = (pc + 1 + imm_len).min(self.code.len());
-            U256::from_be_slice(&self.code[pc + 1..end])
-        } else {
-            U256::ZERO
-        };
-        Some(Fetched {
-            op,
-            pc,
-            imm,
-            next: pc + 1 + imm_len,
-            block: None,
-            tail: 0,
-            head: 0,
-            instr_next: 0,
-            mask: OpcodeSet::default(),
-            fused: None,
-        })
-    }
-
-    #[inline]
-    fn jump_cursor(&self, dest: usize) -> Option<usize> {
-        self.jumpdests.contains(&dest).then_some(dest)
-    }
-}
-
-/// The pre-decoded fast path: cursors are instruction indices into a
-/// [`DecodedProgram`].
-struct PredecodedCode<'a>(&'a DecodedProgram);
-
-impl CodeView for PredecodedCode<'_> {
-    fn code_len(&self) -> usize {
-        self.0.code_len()
-    }
-
-    #[inline]
-    fn fetch(&self, cursor: usize) -> Option<Fetched<'_>> {
-        self.0.instructions().get(cursor).map(|i| Fetched {
-            op: i.op,
-            pc: i.pc as usize,
-            imm: i.imm,
-            next: cursor + 1,
-            block: None,
-            tail: 0,
-            head: 0,
-            instr_next: 0,
-            mask: OpcodeSet::default(),
-            fused: None,
-        })
-    }
-
-    #[inline]
-    fn jump_cursor(&self, dest: usize) -> Option<usize> {
-        self.0.jump_cursor(dest)
-    }
-}
-
-/// The block-lowered fast path: cursors are unit indices into a
-/// [`BlockProgram`]. Static gas and the stack envelope are settled once per
-/// block; fused units carry their superinstruction tag and constituents.
-struct BlockCode<'a>(&'a BlockProgram);
-
-impl CodeView for BlockCode<'_> {
-    const BLOCK_BILLED: bool = true;
-
-    fn code_len(&self) -> usize {
-        self.0.base().code_len()
-    }
-
-    #[inline]
-    fn fetch(&self, cursor: usize) -> Option<Fetched<'_>> {
-        let unit = self.0.units().get(cursor)?;
-        let fused = if matches!(unit.fused, Fused::None) {
-            None
-        } else {
-            let start = unit.instr_start as usize;
-            let end = start + unit.instr_count as usize;
-            Some((unit.fused, &self.0.base().instructions()[start..end]))
-        };
-        Some(Fetched {
-            op: unit.op,
-            pc: unit.pc as usize,
-            imm: unit.imm,
-            next: cursor + 1,
-            block: if unit.leader == u32::MAX {
-                None
-            } else {
-                Some(&self.0.blocks()[unit.leader as usize])
-            },
-            tail: unit.tail,
-            head: unit.head,
-            instr_next: unit.instr_start + unit.instr_count,
-            mask: unit.mask,
-            fused,
-        })
-    }
-
-    #[inline]
-    fn jump_cursor(&self, dest: usize) -> Option<usize> {
-        self.0.jump_unit(dest)
-    }
 }
 
 /// Per-call-depth scratch buffers.
@@ -455,7 +243,7 @@ pub(crate) struct FrameCtx<'a> {
     pub(crate) value: U256,
     pub(crate) calldata: &'a [u8],
     /// The executing code blob (`CODECOPY`'s source; `CODESIZE` reads the
-    /// view's length, which is the same bytes).
+    /// program's length, which is the same bytes).
     pub(crate) code: &'a [u8],
     pub(crate) gas: u64,
     pub(crate) depth: usize,
@@ -645,10 +433,9 @@ impl<'w> Evm<'w> {
         }
     }
 
-    /// Run a call frame through the appropriate code view: the block-lowered
-    /// program on a cache hit (default), the pre-decoded stream when block
-    /// mode is off or the blob is uncached, or the legacy byte-at-a-time
-    /// decoder when configured.
+    /// Run a call frame on the right tier: the block-lowered program through
+    /// the direct-threaded dispatcher on a cache hit (default), the
+    /// pre-decoded stream when block lowering is off or the blob is uncached.
     fn dispatch_frame(
         &mut self,
         code: &Arc<Vec<u8>>,
@@ -657,34 +444,24 @@ impl<'w> Evm<'w> {
         trace: &mut ExecutionTrace,
         scratch: &mut ExecFrame,
     ) -> FrameResult {
-        if self.config.legacy_decode {
-            let view = RawCode::new(code);
-            return self.run_frame(&view, ctx, frames, trace, scratch);
-        }
         let programs = self.programs;
         if self.config.block_lowering {
             if let Some(blocks) = programs.and_then(|cache| cache.get_block(code)) {
                 return self.run_block_frame(blocks.as_ref(), ctx, frames, trace, scratch);
             }
         } else if let Some(program) = programs.and_then(|cache| cache.get(code)) {
-            return self.run_frame(
-                &PredecodedCode(program.as_ref()),
-                ctx,
-                frames,
-                trace,
-                scratch,
-            );
+            return self.run_frame(program.as_ref(), ctx, frames, trace, scratch);
         }
         let program = DecodedProgram::decode(code);
-        self.run_frame(&PredecodedCode(&program), ctx, frames, trace, scratch)
+        self.run_frame(&program, ctx, frames, trace, scratch)
     }
 
-    /// Execute one call frame: borrow the depth's scratch buffers, run the
-    /// dispatch loop, and return the buffers for reuse whatever way the
-    /// frame halts.
-    fn run_frame<V: CodeView>(
+    /// Execute one call frame on the per-instruction tier: borrow the depth's
+    /// scratch buffers, run the dispatch loop, and return the buffers for
+    /// reuse whatever way the frame halts.
+    fn run_frame(
         &mut self,
-        view: &V,
+        program: &DecodedProgram,
         ctx: FrameCtx<'_>,
         frames: &mut Vec<FrameInfo>,
         trace: &mut ExecutionTrace,
@@ -699,18 +476,16 @@ impl<'w> Evm<'w> {
             trace: &mut *trace,
             scratch: &mut *scratch,
         };
-        let outcome = self.run_frame_inner(view, ctx, env, &mut owned, LoopState::start(ctx.gas));
+        let result = self.run_frame_inner(program, ctx, env, &mut owned, LoopState::start(ctx.gas));
         scratch.put(ctx.depth, owned);
-        match outcome {
-            FrameOutcome::Done(result) => result,
-            FrameOutcome::Deopt(_) => unreachable!("only the block view deopts"),
-        }
+        result
     }
 
-    /// Execute one call frame through the block-billed fast path, falling
-    /// back to per-instruction execution mid-frame if a block's envelope
-    /// cannot be prevalidated. The scratch buffers are borrowed once around
-    /// both passes (returning them in between would clear live frame state).
+    /// Execute one call frame through the direct-threaded block dispatcher,
+    /// falling back to per-instruction execution mid-frame if a block's
+    /// envelope cannot be prevalidated. The scratch buffers are borrowed once
+    /// around both passes (returning them in between would clear live frame
+    /// state).
     fn run_block_frame(
         &mut self,
         program: &BlockProgram,
@@ -723,76 +498,52 @@ impl<'w> Evm<'w> {
         if owned.stack.capacity() == 0 {
             owned.stack.reserve(64);
         }
-        // Two dispatch strategies drive the same block program: the
-        // direct-threaded handler chain (default) and the `match` dispatcher
-        // (`run_frame_inner` over `BlockCode`). They are semantically
-        // identical by construction; the knob exists so the differential
-        // suite can pin them against each other.
-        let outcome = if self.config.direct_threaded {
-            let env = ExecEnv {
-                frames: &mut *frames,
-                trace: &mut *trace,
-                scratch: &mut *scratch,
-            };
-            crate::threaded::run(
-                self,
-                program,
-                ctx,
-                env,
-                &mut owned,
-                LoopState::start(ctx.gas),
-            )
-        } else {
-            let env = ExecEnv {
-                frames: &mut *frames,
-                trace: &mut *trace,
-                scratch: &mut *scratch,
-            };
-            self.run_frame_inner(
-                &BlockCode(program),
-                ctx,
-                env,
-                &mut owned,
-                LoopState::start(ctx.gas),
-            )
+        let env = ExecEnv {
+            frames: &mut *frames,
+            trace: &mut *trace,
+            scratch: &mut *scratch,
         };
+        let outcome = crate::threaded::run(
+            self,
+            program,
+            ctx,
+            env,
+            &mut owned,
+            LoopState::start(ctx.gas),
+        );
         let result = match outcome {
             FrameOutcome::Done(result) => result,
             FrameOutcome::Deopt(state) => {
                 // The deopt state points at the instruction where block
                 // billing bailed — a leader whose envelope failed to settle,
                 // or a mid-block unit whose pre-validation or dynamic
-                // billing fell through. The per-instruction view replays
+                // billing fell through. The per-instruction loop replays
                 // from there (through the rest of the frame), reproducing
                 // the exact fault or out-of-gas point the block's envelope
                 // could not rule out.
-                let view = PredecodedCode(program.base().as_ref());
                 let env = ExecEnv {
                     frames: &mut *frames,
                     trace: &mut *trace,
                     scratch: &mut *scratch,
                 };
-                match self.run_frame_inner(&view, ctx, env, &mut owned, state) {
-                    FrameOutcome::Done(result) => result,
-                    FrameOutcome::Deopt(_) => unreachable!("per-instruction view cannot deopt"),
-                }
+                self.run_frame_inner(program.base(), ctx, env, &mut owned, state)
             }
         };
         scratch.put(ctx.depth, owned);
         result
     }
 
-    /// The dispatch loop. `state` is fresh at frame entry and carries the
-    /// live loop variables across a block-mode deopt (the cursor is a view
-    /// cursor, so a deopt state's cursor addresses the per-instruction view).
-    fn run_frame_inner<V: CodeView>(
+    /// The per-instruction dispatch loop over a [`DecodedProgram`]. `state`
+    /// is fresh at frame entry and carries the live loop variables across a
+    /// deopt from the block dispatcher (its cursor is an instruction index).
+    fn run_frame_inner(
         &mut self,
-        view: &V,
+        program: &DecodedProgram,
         ctx: FrameCtx<'_>,
         env: ExecEnv<'_>,
         owned: &mut DepthScratch,
         state: LoopState,
-    ) -> FrameOutcome {
+    ) -> FrameResult {
         let ExecEnv {
             frames,
             trace,
@@ -824,24 +575,25 @@ impl<'w> Evm<'w> {
             mut truncated_events,
             mut return_data,
         } = state;
+        let instrs = program.instructions();
 
         macro_rules! fault {
             ($msg:expr) => {
-                return FrameOutcome::Done(FrameResult {
+                return FrameResult {
                     halt: HaltReason::Fault($msg.to_string()),
                     output: vec![],
                     gas_left,
-                })
+                }
             };
         }
 
         macro_rules! out_of_gas {
             () => {
-                return FrameOutcome::Done(FrameResult {
+                return FrameResult {
                     halt: HaltReason::OutOfGas,
                     output: vec![],
                     gas_left: 0,
-                })
+                }
             };
         }
 
@@ -877,964 +629,32 @@ impl<'w> Evm<'w> {
 
         loop {
             if trace.instr_count as usize >= self.config.max_instructions {
-                return FrameOutcome::Done(FrameResult {
-                    halt: HaltReason::OutOfGas,
-                    output: vec![],
-                    gas_left: 0,
-                });
+                out_of_gas!();
             }
-            let Some(instr) = view.fetch(cursor) else {
+            let Some(instr) = instrs.get(cursor) else {
                 // Running off the end of the code is an implicit STOP.
-                return FrameOutcome::Done(FrameResult {
+                return FrameResult {
                     halt: HaltReason::Normal,
                     output: vec![],
                     gas_left,
-                });
+                };
             };
-            if V::BLOCK_BILLED {
-                if let Some(block) = instr.block {
-                    // Settle the whole block at its leader: pre-summed
-                    // static gas and the stack envelope, validated once. If
-                    // any part could fail mid-block, deopt and let the
-                    // per-instruction view reproduce the exact halt.
-                    if gas_left < block.static_gas
-                        || stack.len() < block.stack_needed as usize
-                        || stack.len() + block.max_growth as usize > 1024
-                    {
-                        return FrameOutcome::Deopt(LoopState {
-                            cursor: block.instr_start as usize,
-                            gas_left,
-                            last_cmp,
-                            caller_guard_seen,
-                            unchecked_calls,
-                            truncated_events,
-                            return_data,
-                        });
-                    }
-                    gas_left -= block.static_gas;
-                }
-                if let Some((fused, parts)) = instr.fused {
-                    // Bail out of the unit before anything mutates: re-charge
-                    // the pre-paid statics of the block's unexecuted
-                    // remainder (the unit's `head`) and hand the
-                    // per-instruction tier the unit's first instruction, so
-                    // it replays the cap hit / expansion / fault with an
-                    // exact counter and trace.
-                    macro_rules! deopt_unit {
-                        () => {{
-                            gas_left += instr.head;
-                            return FrameOutcome::Deopt(LoopState {
-                                cursor: instr.instr_next as usize - parts.len(),
-                                gas_left,
-                                last_cmp,
-                                caller_guard_seen,
-                                unchecked_calls,
-                                truncated_events,
-                                return_data,
-                            });
-                        }};
-                    }
-                    // Superinstruction dispatch. The instruction cap is
-                    // checked once for the whole unit — if any constituent
-                    // would cross it, deopt untouched and let the
-                    // per-instruction tier halt at the exact instruction.
-                    if trace.instr_count as usize + parts.len() > self.config.max_instructions {
-                        deopt_unit!();
-                    }
-                    // Fused units ending in a gas-exact op (MLOAD/MSTORE/
-                    // SHA3) carry a tail residual just like plain units: the
-                    // arm un-charges it up front so dynamic billing sees the
-                    // exact counter, then re-charges it here — deopting to
-                    // the next instruction if the dynamic cost consumed the
-                    // budget the rest of the block had pre-paid.
-                    macro_rules! recharge_tail {
-                        () => {{
-                            if gas_left < instr.tail {
-                                return FrameOutcome::Deopt(LoopState {
-                                    cursor: instr.instr_next as usize,
-                                    gas_left,
-                                    last_cmp,
-                                    caller_guard_seen,
-                                    unchecked_calls,
-                                    truncated_events,
-                                    return_data,
-                                });
-                            }
-                            gas_left -= instr.tail;
-                        }};
-                    }
-                    // The binop core shared by every fused pattern ending in
-                    // an arithmetic/comparison/bitwise op — delegates to
-                    // `fused_binop_eval`, the same function the
-                    // direct-threaded handlers call.
-                    macro_rules! fused_binop {
-                        ($op:expr, $pc:expr, $a:expr, $b:expr, $taint:expr) => {
-                            fused_binop_eval(
-                                $op,
-                                $a,
-                                $b,
-                                $taint,
-                                BinopSite {
-                                    pc: $pc,
-                                    depth,
-                                    trace: &mut *trace,
-                                    last_cmp: &mut last_cmp,
-                                    truncated_events: &mut truncated_events,
-                                },
-                            )
-                        };
-                    }
-                    // Record the whole unit's constituents at once: the
-                    // per-unit opcode mask and count were precomputed at
-                    // lowering time, so this is one counter bump plus four
-                    // word ORs however long the pattern is. Used on every
-                    // path where all constituents execute (or where the
-                    // faulting constituent is the unit's last — the
-                    // per-instruction tier records an instruction *before*
-                    // its arm can fault, so the full unit is recorded there
-                    // too).
-                    macro_rules! bulk {
-                        () => {
-                            trace.record_unit(instr.mask, parts.len() as u32)
-                        };
-                    }
-                    // A fault/OOG at constituent `$k` with later constituents
-                    // never reached: record exactly the prefix the
-                    // per-instruction tier would have recorded (each
-                    // instruction up to and including the faulting one).
-                    macro_rules! prefix {
-                        ($k:expr) => {
-                            for di in &parts[..=$k] {
-                                trace.record_instr(di.op);
-                            }
-                        };
-                    }
-                    macro_rules! unit_fault {
-                        ($k:expr, $msg:expr) => {{
-                            prefix!($k);
-                            fault!($msg);
-                        }};
-                    }
-                    // Memory operation at constituent `$k` of a pattern with
-                    // constituents after it: fault/OOG paths record the
-                    // prefix before halting.
-                    macro_rules! unit_mem {
-                        ($k:expr, $res:expr) => {
-                            match $res {
-                                Ok(value) => value,
-                                Err(MemFail::Fault(msg)) => {
-                                    prefix!($k);
-                                    fault!(msg)
-                                }
-                                Err(MemFail::OutOfGas) => {
-                                    prefix!($k);
-                                    out_of_gas!()
-                                }
-                            }
-                        };
-                    }
-                    // Per-constituent static charge for arms that replay
-                    // billing exactly from the unit's `head` (the `MapSlot*`
-                    // family): by the time a charge can fail, an earlier
-                    // dynamic bill has drained the counter, and the
-                    // per-instruction tier would record constituent `$k` and
-                    // halt out-of-gas exactly here.
-                    macro_rules! charge {
-                        ($k:expr) => {{
-                            let cost = static_gas(parts[$k].op);
-                            if gas_left < cost {
-                                prefix!($k);
-                                out_of_gas!();
-                            }
-                            gas_left -= cost;
-                        }};
-                    }
-                    match fused {
-                        Fused::None => unreachable!("plain units carry no fused tag"),
-                        Fused::PushPushBinop => {
-                            bulk!();
-                            let (result, taint) = fused_binop!(
-                                parts[2].op,
-                                parts[2].pc as usize,
-                                parts[1].imm,
-                                parts[0].imm,
-                                Taint::empty()
-                            );
-                            push!(result, taint);
-                            cursor = instr.next;
-                        }
-                        Fused::PushJump { target } => {
-                            bulk!();
-                            // The push/pop pair cancels: no stack traffic.
-                            if target == u32::MAX {
-                                fault!("invalid jump destination");
-                            }
-                            cursor = target as usize;
-                        }
-                        Fused::PushJumpI { target } => {
-                            bulk!();
-                            let (cond, tc) = pop!();
-                            let taken = !cond.is_zero();
-                            let pc = parts[1].pc as usize;
-                            let dest_usize = parts[0].imm.to_usize().unwrap_or(usize::MAX);
-                            if tc.intersects(Taint::CALLER | Taint::ORIGIN) {
-                                caller_guard_seen = true;
-                            }
-                            if tc.contains(Taint::CALL_RESULT) {
-                                if let Some(idx) = unchecked_calls.pop() {
-                                    if let Some(ev) = trace.calls.get_mut(idx) {
-                                        ev.result_checked = true;
-                                    }
-                                }
-                            }
-                            let record = BranchRecord {
-                                pc,
-                                dest: dest_usize,
-                                taken,
-                                cond_taint: tc,
-                                comparison: last_cmp,
-                                depth,
-                                code_address,
-                            };
-                            trace.covered_edges.insert(record.edge());
-                            trace.branches.push(record);
-                            last_cmp = None;
-                            if taken {
-                                if target == u32::MAX {
-                                    fault!("invalid jump destination");
-                                }
-                                cursor = target as usize;
-                            } else {
-                                cursor = instr.next;
-                            }
-                        }
-                        Fused::IsZeroPushJumpI { target } => {
-                            bulk!();
-                            let (x, tx) = pop!();
-                            // ISZERO's comparison bookkeeping, at its own pc.
-                            let is_bool = x.is_zero() || x == U256::ONE;
-                            if !(is_bool && last_cmp.is_some()) {
-                                last_cmp = Some(Comparison {
-                                    pc: parts[0].pc as usize,
-                                    kind: CmpKind::IsZero,
-                                    lhs: x,
-                                    rhs: U256::ZERO,
-                                    taint: tx,
-                                });
-                            }
-                            // The JUMPI condition is ISZERO's output: taken
-                            // iff x is zero, tainted like x.
-                            let taken = x.is_zero();
-                            let tc = tx;
-                            let pc = parts[2].pc as usize;
-                            let dest_usize = parts[1].imm.to_usize().unwrap_or(usize::MAX);
-                            if tc.intersects(Taint::CALLER | Taint::ORIGIN) {
-                                caller_guard_seen = true;
-                            }
-                            if tc.contains(Taint::CALL_RESULT) {
-                                if let Some(idx) = unchecked_calls.pop() {
-                                    if let Some(ev) = trace.calls.get_mut(idx) {
-                                        ev.result_checked = true;
-                                    }
-                                }
-                            }
-                            let record = BranchRecord {
-                                pc,
-                                dest: dest_usize,
-                                taken,
-                                cond_taint: tc,
-                                comparison: last_cmp,
-                                depth,
-                                code_address,
-                            };
-                            trace.covered_edges.insert(record.edge());
-                            trace.branches.push(record);
-                            last_cmp = None;
-                            if taken {
-                                if target == u32::MAX {
-                                    fault!("invalid jump destination");
-                                }
-                                cursor = target as usize;
-                            } else {
-                                cursor = instr.next;
-                            }
-                        }
-                        Fused::DupSwap => {
-                            let n = match parts[0].op {
-                                Opcode::Dup(n) => n as usize,
-                                _ => unreachable!("DupSwap starts with DUP"),
-                            };
-                            if stack.len() < n {
-                                unit_fault!(0, "stack underflow");
-                            }
-                            if stack.len() >= 1024 {
-                                unit_fault!(0, "stack overflow");
-                            }
-                            let item = stack[stack.len() - n];
-                            stack.push(item);
-                            let m = match parts[1].op {
-                                Opcode::Swap(m) => m as usize,
-                                _ => unreachable!("DupSwap ends with SWAP"),
-                            };
-                            if stack.len() < m + 1 {
-                                unit_fault!(1, "stack underflow");
-                            }
-                            bulk!();
-                            let top = stack.len() - 1;
-                            stack.swap(top, top - m);
-                            cursor = instr.next;
-                        }
-                        Fused::PushPush => {
-                            bulk!();
-                            push!(parts[0].imm, Taint::empty());
-                            push!(parts[1].imm, Taint::empty());
-                            cursor = instr.next;
-                        }
-                        Fused::PushMLoad => {
-                            bulk!();
-                            gas_left += instr.tail;
-                            let offset = match parts[0].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mload out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[offset..offset + 32]);
-                            // The offset taint is the push's: empty.
-                            push!(U256::from_be_bytes(word), Taint::empty());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushMStore => {
-                            bulk!();
-                            gas_left += instr.tail;
-                            // The pushed offset cancels against MSTORE's
-                            // first pop; only the value crosses the stack.
-                            let (val, _tv) = pop!();
-                            let offset = match parts[0].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mstore out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushCallDataLoad => {
-                            bulk!();
-                            let word = calldata_word(calldata, parts[0].imm);
-                            push!(word, Taint::CALLDATA);
-                            cursor = instr.next;
-                        }
-                        Fused::PushPushSha3 => {
-                            bulk!();
-                            gas_left += instr.tail;
-                            // Pop order mirrors the generic arm: offset is
-                            // the later push, length the earlier one.
-                            let (offset, len) = (parts[1].imm, parts[0].imm);
-                            let (offset, len) = match (offset.to_usize(), len.to_usize()) {
-                                (Some(o), Some(l)) if l <= self.config.max_memory => (o, l),
-                                _ => fault!("sha3 out of bounds"),
-                            };
-                            let span = match mem_span(offset, len) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            let digest = keccak256(&memory[offset..offset + len]);
-                            push!(U256::from_be_bytes(digest), Taint::empty());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushPushMLoadBinop => {
-                            gas_left += instr.tail;
-                            let offset = match parts[1].imm.to_usize() {
-                                Some(o) => o,
-                                None => unit_fault!(2, "mload out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(2, e),
-                            };
-                            unit_mem!(
-                                2,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            bulk!();
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[offset..offset + 32]);
-                            // `a` is the loaded local (taint: the pushed
-                            // offset's, empty), `b` the pushed constant.
-                            let (result, taint) = fused_binop!(
-                                parts[3].op,
-                                parts[3].pc as usize,
-                                U256::from_be_bytes(word),
-                                parts[0].imm,
-                                Taint::empty()
-                            );
-                            push!(result, taint);
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushMLoadBinop => {
-                            gas_left += instr.tail;
-                            let offset = match parts[0].imm.to_usize() {
-                                Some(o) => o,
-                                None => unit_fault!(1, "mload out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(1, e),
-                            };
-                            unit_mem!(
-                                1,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            bulk!();
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[offset..offset + 32]);
-                            // The loaded local is the binop's first pop; the
-                            // second operand was already on the stack.
-                            let (b, tb) = pop!();
-                            let (result, taint) = fused_binop!(
-                                parts[2].op,
-                                parts[2].pc as usize,
-                                U256::from_be_bytes(word),
-                                b,
-                                tb
-                            );
-                            push!(result, taint);
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushMLoadPushBinop => {
-                            gas_left += instr.tail;
-                            let offset = match parts[0].imm.to_usize() {
-                                Some(o) => o,
-                                None => unit_fault!(1, "mload out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(1, e),
-                            };
-                            unit_mem!(
-                                1,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            bulk!();
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[offset..offset + 32]);
-                            // `a` is the pushed constant (the later push),
-                            // `b` the loaded local.
-                            let (result, taint) = fused_binop!(
-                                parts[3].op,
-                                parts[3].pc as usize,
-                                parts[2].imm,
-                                U256::from_be_bytes(word),
-                                Taint::empty()
-                            );
-                            push!(result, taint);
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushBinopPushMStore => {
-                            bulk!();
-                            let (b, tb) = pop!();
-                            let (val, _tv) = fused_binop!(
-                                parts[1].op,
-                                parts[1].pc as usize,
-                                parts[0].imm,
-                                b,
-                                tb
-                            );
-                            gas_left += instr.tail;
-                            let offset = match parts[2].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mstore out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushBinop => {
-                            bulk!();
-                            let (b, tb) = pop!();
-                            let (result, taint) = fused_binop!(
-                                parts[1].op,
-                                parts[1].pc as usize,
-                                parts[0].imm,
-                                b,
-                                tb
-                            );
-                            push!(result, taint);
-                            cursor = instr.next;
-                        }
-                        Fused::BinopPushMStore => {
-                            bulk!();
-                            let (a, ta) = pop!();
-                            let (b, tb) = pop!();
-                            let (val, _tv) =
-                                fused_binop!(parts[0].op, parts[0].pc as usize, a, b, ta | tb);
-                            gas_left += instr.tail;
-                            let offset = match parts[1].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mstore out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::LocalExprStore => {
-                            // A whole `local = (local ⊕ c1) ⊕ c2` statement:
-                            // load, fold two constants, store — no stack
-                            // traffic. The mid-unit MLOAD is pre-validated
-                            // before anything mutates: unless its offset is
-                            // statically inside already-expanded memory,
-                            // deopt untouched and let the per-instruction
-                            // tier replay the expansion or fault with its
-                            // exact counter. Compiled preambles expand the
-                            // locals region before any statement runs, so
-                            // that deopt is cold.
-                            let load_off = match parts[2].imm.to_usize() {
-                                Some(o) if memory.len() >= 32 && o <= memory.len() - 32 => o,
-                                _ => deopt_unit!(),
-                            };
-                            bulk!();
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[load_off..load_off + 32]);
-                            // Operand roles mirror the unfused 3-unit chain:
-                            // binop1 folds c1 (the later push) into the
-                            // loaded local, binop2 folds c2 into the result.
-                            let (mid, mid_taint) = fused_binop!(
-                                parts[4].op,
-                                parts[4].pc as usize,
-                                U256::from_be_bytes(word),
-                                parts[1].imm,
-                                Taint::empty()
-                            );
-                            let (val, _tv) = fused_binop!(
-                                parts[5].op,
-                                parts[5].pc as usize,
-                                mid,
-                                parts[0].imm,
-                                mid_taint
-                            );
-                            gas_left += instr.tail;
-                            let offset = match parts[6].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mstore out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::LocalPairStore => {
-                            // A whole `local = local_a ⊕ local_b` statement.
-                            // Both mid-unit MLOADs are pre-validated like
-                            // `LocalExprStore`'s: any offset not statically
-                            // inside already-expanded memory deopts untouched
-                            // to the per-instruction tier.
-                            let (off_b, off_a) =
-                                match (parts[0].imm.to_usize(), parts[2].imm.to_usize()) {
-                                    (Some(b), Some(a))
-                                        if memory.len() >= 32
-                                            && b <= memory.len() - 32
-                                            && a <= memory.len() - 32 =>
-                                    {
-                                        (b, a)
-                                    }
-                                    _ => deopt_unit!(),
-                                };
-                            bulk!();
-                            let mut word = [0u8; 32];
-                            word.copy_from_slice(&memory[off_b..off_b + 32]);
-                            let b = U256::from_be_bytes(word);
-                            word.copy_from_slice(&memory[off_a..off_a + 32]);
-                            let a = U256::from_be_bytes(word);
-                            // `a` is the later load (the binop's first pop),
-                            // `b` the earlier one; both carry their offset
-                            // pushes' empty taint.
-                            let (val, _tv) = fused_binop!(
-                                parts[4].op,
-                                parts[4].pc as usize,
-                                a,
-                                b,
-                                Taint::empty()
-                            );
-                            gas_left += instr.tail;
-                            let offset = match parts[5].imm.to_usize() {
-                                Some(o) => o,
-                                None => fault!("mstore out of bounds"),
-                            };
-                            let span = match mem_span(offset, 32) {
-                                Ok(s) => s,
-                                Err(e) => fault!(e),
-                            };
-                            mem_try!(ensure_memory(
-                                memory,
-                                span,
-                                self.config.max_memory,
-                                &mut gas_left
-                            ));
-                            memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushSLoad => {
-                            bulk!();
-                            gas_left += instr.tail;
-                            let slot = parts[0].imm;
-                            // EIP-2929: the first touch of the slot this
-                            // transaction pays the cold surcharge, billed on
-                            // the exact counter the tail anchor exposes.
-                            let surcharge = scratch.access.slot_surcharge(storage_address, slot);
-                            if gas_left < surcharge {
-                                out_of_gas!();
-                            }
-                            gas_left -= surcharge;
-                            let (val, stored_taint) =
-                                self.world.storage_entry(storage_address, slot);
-                            push!(val, Taint::STORAGE | stored_taint);
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::PushSStore => {
-                            bulk!();
-                            gas_left += instr.tail;
-                            let slot = parts[0].imm;
-                            let (val, tv) = pop!();
-                            let surcharge = scratch.access.slot_surcharge(storage_address, slot);
-                            if gas_left < surcharge {
-                                out_of_gas!();
-                            }
-                            gas_left -= surcharge;
-                            let old = self.world.set_storage(storage_address, slot, val, tv);
-                            if !old.is_zero() && val.is_zero() {
-                                // EIP-3529: clearing a slot earns a refund,
-                                // journaled so a reverting frame forfeits it.
-                                scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-                            }
-                            trace.storage_writes.push(StorageWrite {
-                                pc: parts[1].pc as usize,
-                                contract: storage_address,
-                                slot,
-                                old,
-                                new: val,
-                                taint: tv,
-                            });
-                            if tv.contains(Taint::TRUNCATED) {
-                                for &idx in &truncated_events {
-                                    if let Some(ev) = trace.arith_events.get_mut(idx) {
-                                        ev.reached_storage = true;
-                                    }
-                                }
-                            }
-                            recharge_tail!();
-                            cursor = instr.next;
-                        }
-                        Fused::StorageExprStore => {
-                            // A whole `storage_var = storage_var ⊕ c`
-                            // statement: load, fold, store back with no
-                            // stack traffic. Both storage ops carry a
-                            // dynamic EIP-2929 surcharge, so (like the
-                            // `MapSlot*` family) the arm rewinds to the
-                            // exact per-instruction counter at the unit's
-                            // start and replays every constituent's billing
-                            // in order.
-                            gas_left += instr.head;
-                            charge!(0);
-                            charge!(1);
-                            charge!(2);
-                            let slot = parts[1].imm;
-                            let surcharge = scratch.access.slot_surcharge(storage_address, slot);
-                            if gas_left < surcharge {
-                                prefix!(2);
-                                out_of_gas!();
-                            }
-                            gas_left -= surcharge;
-                            let (loaded, stored_taint) =
-                                self.world.storage_entry(storage_address, slot);
-                            charge!(3);
-                            let (val, tv) = fused_binop!(
-                                parts[3].op,
-                                parts[3].pc as usize,
-                                loaded,
-                                parts[0].imm,
-                                Taint::STORAGE | stored_taint
-                            );
-                            charge!(4);
-                            charge!(5);
-                            let out_slot = parts[4].imm;
-                            let surcharge =
-                                scratch.access.slot_surcharge(storage_address, out_slot);
-                            if gas_left < surcharge {
-                                prefix!(5);
-                                out_of_gas!();
-                            }
-                            gas_left -= surcharge;
-                            let old = self.world.set_storage(storage_address, out_slot, val, tv);
-                            if !old.is_zero() && val.is_zero() {
-                                scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-                            }
-                            trace.storage_writes.push(StorageWrite {
-                                pc: parts[5].pc as usize,
-                                contract: storage_address,
-                                slot: out_slot,
-                                old,
-                                new: val,
-                                taint: tv,
-                            });
-                            if tv.contains(Taint::TRUNCATED) {
-                                for &idx in &truncated_events {
-                                    if let Some(ev) = trace.arith_events.get_mut(idx) {
-                                        ev.reached_storage = true;
-                                    }
-                                }
-                            }
-                            bulk!();
-                            // Restore block billing exactly as `MapSlot*`
-                            // does: re-charge the statics of the block's
-                            // instructions after this unit, deopting with
-                            // the exact counter if the surcharges drained
-                            // what the block had pre-paid.
-                            let unit_statics: u64 = parts.iter().map(|di| static_gas(di.op)).sum();
-                            let after = instr.head - unit_statics;
-                            if gas_left < after {
-                                return FrameOutcome::Deopt(LoopState {
-                                    cursor: instr.instr_next as usize,
-                                    gas_left,
-                                    last_cmp,
-                                    caller_guard_seen,
-                                    unchecked_calls,
-                                    truncated_events,
-                                    return_data,
-                                });
-                            }
-                            gas_left -= after;
-                            cursor = instr.next;
-                        }
-                        Fused::MapSlotSha3 | Fused::MapSlotSLoad | Fused::MapSlotSStore => {
-                            // Mapping-slot addressing: stage the key and the
-                            // mapping's slot constant in memory, hash the
-                            // window, then (optionally) read or write the
-                            // derived slot. The pattern carries several
-                            // dynamic bills (two MSTORE expansions plus the
-                            // SHA3 span), so one tail anchor cannot make them
-                            // all exact: instead the arm rewinds to the exact
-                            // per-instruction counter at the unit's start
-                            // (re-charging `head`) and replays every
-                            // constituent's billing in order, recording the
-                            // executed prefix on any mid-pattern halt.
-                            gas_left += instr.head;
-                            charge!(0);
-                            charge!(1);
-                            let (key, _tk) = pop!();
-                            let off1 = match parts[0].imm.to_usize() {
-                                Some(o) => o,
-                                None => unit_fault!(1, "mstore out of bounds"),
-                            };
-                            let span = match mem_span(off1, 32) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(1, e),
-                            };
-                            unit_mem!(
-                                1,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            memory[off1..off1 + 32].copy_from_slice(&key.to_be_bytes());
-                            charge!(2);
-                            charge!(3);
-                            charge!(4);
-                            let off2 = match parts[3].imm.to_usize() {
-                                Some(o) => o,
-                                None => unit_fault!(4, "mstore out of bounds"),
-                            };
-                            let span = match mem_span(off2, 32) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(4, e),
-                            };
-                            unit_mem!(
-                                4,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            memory[off2..off2 + 32].copy_from_slice(&parts[2].imm.to_be_bytes());
-                            charge!(5);
-                            charge!(6);
-                            charge!(7);
-                            let (sha_off, sha_len) =
-                                match (parts[6].imm.to_usize(), parts[5].imm.to_usize()) {
-                                    (Some(o), Some(l)) if l <= self.config.max_memory => (o, l),
-                                    _ => unit_fault!(7, "sha3 out of bounds"),
-                                };
-                            let span = match mem_span(sha_off, sha_len) {
-                                Ok(s) => s,
-                                Err(e) => unit_fault!(7, e),
-                            };
-                            unit_mem!(
-                                7,
-                                ensure_memory(memory, span, self.config.max_memory, &mut gas_left)
-                            );
-                            let digest =
-                                U256::from_be_bytes(keccak256(&memory[sha_off..sha_off + sha_len]));
-                            match fused {
-                                Fused::MapSlotSha3 => {
-                                    // SHA3's push: both popped offsets carry
-                                    // the pushes' empty taint.
-                                    push!(digest, Taint::empty());
-                                }
-                                Fused::MapSlotSLoad => {
-                                    charge!(8);
-                                    let surcharge =
-                                        scratch.access.slot_surcharge(storage_address, digest);
-                                    if gas_left < surcharge {
-                                        prefix!(8);
-                                        out_of_gas!();
-                                    }
-                                    gas_left -= surcharge;
-                                    let (val, stored_taint) =
-                                        self.world.storage_entry(storage_address, digest);
-                                    push!(val, Taint::STORAGE | stored_taint);
-                                }
-                                _ => {
-                                    charge!(8);
-                                    let (val, tv) = pop!();
-                                    let surcharge =
-                                        scratch.access.slot_surcharge(storage_address, digest);
-                                    if gas_left < surcharge {
-                                        prefix!(8);
-                                        out_of_gas!();
-                                    }
-                                    gas_left -= surcharge;
-                                    let old =
-                                        self.world.set_storage(storage_address, digest, val, tv);
-                                    if !old.is_zero() && val.is_zero() {
-                                        scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-                                    }
-                                    trace.storage_writes.push(StorageWrite {
-                                        pc: parts[8].pc as usize,
-                                        contract: storage_address,
-                                        slot: digest,
-                                        old,
-                                        new: val,
-                                        taint: tv,
-                                    });
-                                    if tv.contains(Taint::TRUNCATED) {
-                                        for &idx in &truncated_events {
-                                            if let Some(ev) = trace.arith_events.get_mut(idx) {
-                                                ev.reached_storage = true;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            bulk!();
-                            // Restore block billing: re-charge the statics of
-                            // the block's instructions after this unit. If
-                            // the dynamic bills drained what the block had
-                            // pre-paid, the per-instruction tier would halt a
-                            // few instructions later — hand it the exact
-                            // counter at the next instruction.
-                            let unit_statics: u64 = parts.iter().map(|di| static_gas(di.op)).sum();
-                            let after = instr.head - unit_statics;
-                            if gas_left < after {
-                                return FrameOutcome::Deopt(LoopState {
-                                    cursor: instr.instr_next as usize,
-                                    gas_left,
-                                    last_cmp,
-                                    caller_guard_seen,
-                                    unchecked_calls,
-                                    truncated_events,
-                                    return_data,
-                                });
-                            }
-                            gas_left -= after;
-                            cursor = instr.next;
-                        }
-                    }
-                    continue;
-                }
-            }
             let op = instr.op;
-            let pc = instr.pc;
+            let pc = instr.pc as usize;
             trace.record_instr(op);
-            if !V::BLOCK_BILLED {
-                let cost = static_gas(op);
-                if gas_left < cost {
-                    return FrameOutcome::Done(FrameResult {
-                        halt: HaltReason::OutOfGas,
-                        output: vec![],
-                        gas_left: 0,
-                    });
-                }
-                gas_left -= cost;
-            } else if instr.tail > 0 {
-                // Gas-exact op mid-block: un-charge the pre-paid static gas
-                // of the block's remaining instructions, so the arm below
-                // observes, bills and faults against the exact counter the
-                // per-instruction tiers would hold here.
-                gas_left += instr.tail;
+            let cost = static_gas(op);
+            if gas_left < cost {
+                out_of_gas!();
             }
+            gas_left -= cost;
 
             match op {
                 Opcode::Stop => {
-                    return FrameOutcome::Done(FrameResult {
+                    return FrameResult {
                         halt: HaltReason::Normal,
                         output: vec![],
                         gas_left,
-                    })
+                    }
                 }
                 Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Exp => {
                     let (a, ta) = pop!();
@@ -2144,7 +964,9 @@ impl<'w> Evm<'w> {
                         memory[dst + i] = calldata.get(src + i).copied().unwrap_or(0);
                     }
                 }
-                Opcode::CodeSize => push!(U256::from_u64(view.code_len() as u64), Taint::empty()),
+                Opcode::CodeSize => {
+                    push!(U256::from_u64(program.code_len() as u64), Taint::empty())
+                }
                 Opcode::CodeCopy => {
                     let (dst, _) = pop!();
                     let (src, _) = pop!();
@@ -2326,7 +1148,7 @@ impl<'w> Evm<'w> {
                 }
                 Opcode::Jump => {
                     let (dest, _t) = pop!();
-                    let target = dest.to_usize().and_then(|d| view.jump_cursor(d));
+                    let target = dest.to_usize().and_then(|d| program.jump_cursor(d));
                     match target {
                         Some(t) => {
                             cursor = t;
@@ -2363,7 +1185,7 @@ impl<'w> Evm<'w> {
                     trace.branches.push(record);
                     last_cmp = None;
                     if taken {
-                        match view.jump_cursor(dest_usize) {
+                        match program.jump_cursor(dest_usize) {
                             Some(t) => {
                                 cursor = t;
                                 continue;
@@ -2571,11 +1393,11 @@ impl<'w> Evm<'w> {
                         self.config.max_memory,
                         &mut gas_left
                     ));
-                    return FrameOutcome::Done(FrameResult {
+                    return FrameResult {
                         halt: HaltReason::Normal,
                         output: out,
                         gas_left,
-                    });
+                    };
                 }
                 Opcode::Revert => {
                     let (offset, _) = pop!();
@@ -2587,18 +1409,18 @@ impl<'w> Evm<'w> {
                         self.config.max_memory,
                         &mut gas_left
                     ));
-                    return FrameOutcome::Done(FrameResult {
+                    return FrameResult {
                         halt: HaltReason::Revert,
                         output: out,
                         gas_left,
-                    });
+                    };
                 }
                 Opcode::Invalid => {
-                    return FrameOutcome::Done(FrameResult {
+                    return FrameResult {
                         halt: HaltReason::Invalid,
                         output: vec![],
                         gas_left: 0,
-                    });
+                    };
                 }
                 Opcode::SelfDestruct => {
                     let (beneficiary_word, tb) = pop!();
@@ -2613,11 +1435,11 @@ impl<'w> Evm<'w> {
                         caller_guarded: caller_guard_seen,
                         beneficiary_taint: tb,
                     });
-                    return FrameOutcome::Done(FrameResult {
+                    return FrameResult {
                         halt: HaltReason::Normal,
                         output: vec![],
                         gas_left,
-                    });
+                    };
                 }
                 Opcode::Unknown(b) => {
                     // Conformance-tagged exceptional halt: record which byte
@@ -2630,25 +1452,7 @@ impl<'w> Evm<'w> {
                     fault!(format!("unknown opcode 0x{b:02x}"));
                 }
             }
-            if V::BLOCK_BILLED && instr.tail > 0 {
-                // Re-charge the residual. If a dynamic bill ate into it, the
-                // per-instruction tiers would run a few more instructions and
-                // halt mid-block; hand the exact state over at the next
-                // instruction and let the pre-decoded view reproduce that.
-                if gas_left < instr.tail {
-                    return FrameOutcome::Deopt(LoopState {
-                        cursor: instr.instr_next as usize,
-                        gas_left,
-                        last_cmp,
-                        caller_guard_seen,
-                        unchecked_calls,
-                        truncated_events,
-                        return_data,
-                    });
-                }
-                gas_left -= instr.tail;
-            }
-            cursor = instr.next;
+            cursor += 1;
         }
     }
 
@@ -3052,93 +1856,6 @@ pub(crate) fn exp_u256(base: U256, exponent: U256) -> (U256, bool) {
     (result, overflowed)
 }
 
-/// The frame-local bookkeeping a fused binop mutates: where the op sits
-/// (pc/depth, for events) and the trace / comparison / truncation state it
-/// writes into. Bundled so [`fused_binop_eval`] can be shared between the
-/// `match` dispatcher and the direct-threaded handlers.
-pub(crate) struct BinopSite<'a> {
-    pub(crate) pc: usize,
-    pub(crate) depth: usize,
-    pub(crate) trace: &'a mut ExecutionTrace,
-    pub(crate) last_cmp: &'a mut Option<Comparison>,
-    pub(crate) truncated_events: &'a mut Vec<usize>,
-}
-
-/// The binop core shared by every fused pattern ending in an arithmetic /
-/// comparison / bitwise op: replicates the generic arms' truncation events
-/// and comparison bookkeeping and evaluates to `(result, taint)`. Operand
-/// roles mirror the generic arms: `a` is the first pop (the later push),
-/// `b` the second.
-#[inline(always)]
-pub(crate) fn fused_binop_eval(
-    op: Opcode,
-    a: U256,
-    b: U256,
-    taint: Taint,
-    site: BinopSite<'_>,
-) -> (U256, Taint) {
-    match op {
-        Opcode::Add | Opcode::Sub | Opcode::Mul => {
-            let (result, truncated) = match op {
-                Opcode::Add => a.overflowing_add(b),
-                Opcode::Sub => a.overflowing_sub(b),
-                _ => a.overflowing_mul(b),
-            };
-            if truncated {
-                site.truncated_events.push(site.trace.arith_events.len());
-                site.trace.arith_events.push(ArithEvent {
-                    pc: site.pc,
-                    opcode: op,
-                    truncated: true,
-                    taint,
-                    reached_storage: false,
-                    depth: site.depth,
-                });
-            }
-            let result_taint = if truncated {
-                taint | Taint::TRUNCATED
-            } else {
-                taint
-            };
-            (result, result_taint)
-        }
-        Opcode::Div | Opcode::Mod => {
-            let (q, r) = a.div_rem(b);
-            (if op == Opcode::Div { q } else { r }, taint)
-        }
-        Opcode::Sdiv | Opcode::Smod => {
-            let (q, r) = a.signed_div_rem(b);
-            (if op == Opcode::Sdiv { q } else { r }, taint)
-        }
-        Opcode::Lt | Opcode::Gt | Opcode::Slt | Opcode::Sgt | Opcode::Eq => {
-            let result = match op {
-                Opcode::Lt => a < b,
-                Opcode::Gt => a > b,
-                Opcode::Slt => a.signed_cmp(&b) == std::cmp::Ordering::Less,
-                Opcode::Sgt => a.signed_cmp(&b) == std::cmp::Ordering::Greater,
-                _ => a == b,
-            };
-            let kind = match op {
-                Opcode::Lt | Opcode::Slt => CmpKind::Lt,
-                Opcode::Gt | Opcode::Sgt => CmpKind::Gt,
-                _ => CmpKind::Eq,
-            };
-            *site.last_cmp = Some(Comparison {
-                pc: site.pc,
-                kind,
-                lhs: a,
-                rhs: b,
-                taint,
-            });
-            (U256::from(result), taint)
-        }
-        Opcode::And => (a & b, taint),
-        Opcode::Or => (a | b, taint),
-        Opcode::Xor => (a ^ b, taint),
-        _ => unreachable!("non-fusable binop"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3485,7 +2202,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_decoder_produces_identical_results() {
+    fn block_tier_matches_the_predecoded_reference() {
         // A program exercising pushes, jumps, storage, memory and a call.
         let code = vec![
             0x60, 0x2a, 0x60, 0x01, 0x55, // SSTORE slot 1 <- 42
@@ -3496,19 +2213,24 @@ mod tests {
             0x60, 0x00, 0x52, // MSTORE
             0x60, 0x20, 0x60, 0x00, 0xf3, // RETURN 32 bytes
         ];
-        let exec = |legacy: bool| {
+        let exec = |block_lowering: bool| {
             let mut world = world_with_code(code.clone());
-            let mut evm = Evm::new(&mut world, BlockEnv::default());
-            evm.config.legacy_decode = legacy;
+            // Cache the blob: without a cache entry both settings fall
+            // through to the pre-decoded tier.
+            let blob = world.code(addr(0x100));
+            let mut cache = ProgramCache::new();
+            cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+            let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
+            evm.config.block_lowering = block_lowering;
             let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
             (result, world)
         };
-        let (decoded, world_decoded) = exec(false);
-        let (legacy, world_legacy) = exec(true);
-        assert_eq!(decoded, legacy);
-        assert_eq!(world_decoded, world_legacy);
-        assert!(decoded.success);
-        assert_eq!(output_as_u256(&decoded), U256::from_u64(42));
+        let (threaded, world_threaded) = exec(true);
+        let (reference, world_reference) = exec(false);
+        assert_eq!(threaded, reference);
+        assert_eq!(world_threaded, world_reference);
+        assert!(threaded.success);
+        assert_eq!(output_as_u256(&threaded), U256::from_u64(42));
     }
 
     #[test]

@@ -46,9 +46,9 @@ pub struct DecodedInstr {
     pub op: Opcode,
     /// Byte offset of the opcode in the original code (what traces record).
     pub pc: u32,
-    /// Pre-materialised immediate for `PUSH*` (zero for everything else;
-    /// truncated pushes at the end of the code zero-pad exactly like the
-    /// byte-at-a-time decoder).
+    /// Pre-materialised immediate for `PUSH*` (zero for everything else; a
+    /// push truncated by the end of the code takes the bytes present as a
+    /// big-endian number, the immediate [`crate::disassemble`] reports).
     pub imm: U256,
 }
 
@@ -184,9 +184,9 @@ fn needs_exact_gas(op: Opcode) -> bool {
     )
 }
 
-/// Binops eligible for [`Fused::PushPushBinop`]: pure two-operand stack ops
-/// whose dispatch arm touches nothing but the stack and the comparison /
-/// arithmetic trace. `EXP` is excluded (dynamic gas, ends its block).
+/// Binops eligible for fusion: pure two-operand stack ops whose dispatch arm
+/// touches nothing but the stack and the comparison / arithmetic trace.
+/// `EXP` is excluded (dynamic gas).
 fn fusable_binop(op: Opcode) -> bool {
     use Opcode::*;
     matches!(
@@ -259,8 +259,6 @@ impl BlockInfo {
 pub enum Fused {
     /// Not a superinstruction: dispatch the unit's single opcode generically.
     None,
-    /// `PUSH a; PUSH b; <binop>` — both operands known statically.
-    PushPushBinop,
     /// `PUSH dest; JUMP` — unconditional jump with a static destination.
     PushJump {
         /// Unit cursor of the destination block leader.
@@ -276,8 +274,6 @@ pub enum Fused {
         /// Unit cursor of the destination block leader.
         target: u32,
     },
-    /// `DUPn; SWAPm` — adjacent stack-shuffle pair.
-    DupSwap,
     /// `PUSH a; PUSH b` — two adjacent immediates, one dispatch.
     PushPush,
     /// `PUSH offset; MLOAD` — memory read at a static offset.
@@ -292,27 +288,11 @@ pub enum Fused {
     /// `PUSH b; PUSH offset; MLOAD; binop` — "constant ⊕ local", the
     /// compiler's dominant expression step for memory-resident locals.
     PushPushMLoadBinop,
-    /// `PUSH offset; MLOAD; PUSH a; binop` — "local ⊕ constant", the
-    /// mirrored operand order.
-    PushMLoadPushBinop,
-    /// `PUSH offset; MLOAD; binop` — fold a local into the running operand.
-    PushMLoadBinop,
-    /// `PUSH a; binop; PUSH offset; MSTORE` — fold a constant into the
-    /// running operand and store the statement result to a local slot.
-    PushBinopPushMStore,
     /// `binop; PUSH offset; MSTORE` — compute and store a statement result
     /// to a static local slot.
     BinopPushMStore,
     /// `PUSH a; binop` — fold a constant into the running operand.
     PushBinop,
-    /// `PUSH c2; PUSH c1; PUSH off; MLOAD; binop1; binop2; PUSH off';
-    /// MSTORE` — a whole `local = (local ⊕ c1) ⊕ c2` statement: load,
-    /// fold two constants, store, with no stack traffic at all.
-    LocalExprStore,
-    /// `PUSH off_b; MLOAD; PUSH off_a; MLOAD; binop; PUSH off'; MSTORE` — a
-    /// whole `local = local_a ⊕ local_b` statement: load both operands,
-    /// fold, store, with no stack traffic at all.
-    LocalPairStore,
     /// `PUSH slot; SLOAD` — storage read at a static slot (the compiler's
     /// scalar-storage-variable read idiom).
     PushSLoad,
@@ -323,14 +303,13 @@ pub enum Fused {
     /// slot, fold the constant, store back, with no stack traffic at all.
     StorageExprStore,
     /// `PUSH o1; MSTORE; PUSH slot; PUSH o2; MSTORE; PUSH len; PUSH off;
-    /// SHA3` — the compiler's mapping-slot addressing tail: stage the key
-    /// (already on the stack) and the mapping's slot constant in memory,
-    /// hash the window. Contains several dynamic bills, so the arm replays
-    /// per-constituent gas exactly from the unit's `head`.
-    MapSlotSha3,
-    /// [`Fused::MapSlotSha3`] followed by `SLOAD` — a whole mapping read.
+    /// SHA3; SLOAD` — a whole mapping read: stage the key (already on the
+    /// stack) and the mapping's slot constant in memory, hash the window and
+    /// load the derived slot. Contains several dynamic bills, so the arm
+    /// replays per-constituent gas exactly from the unit's `head`.
     MapSlotSLoad,
-    /// [`Fused::MapSlotSha3`] followed by `SSTORE` — a whole mapping write.
+    /// The [`Fused::MapSlotSLoad`] addressing tail followed by `SSTORE`
+    /// instead — a whole mapping write.
     MapSlotSStore,
 }
 
@@ -360,11 +339,11 @@ pub struct BlockUnit {
     pub tail: u64,
     /// Static gas of the block's instructions from this unit (inclusive) to
     /// the block's end — already pre-charged at block entry. A fused arm
-    /// that must bail *before* touching any state (instruction-cap hit, or a
-    /// pre-validation failure) re-charges this and deopts to `instr_start`,
-    /// handing the per-instruction tier an exact counter to replay from.
-    /// Arms with several dynamic bills (the `MapSlot*` family) also re-charge
-    /// it up front and replay per-constituent billing exactly.
+    /// that hits the instruction cap re-charges this and deopts to
+    /// `instr_start` before touching any state, handing the per-instruction
+    /// tier an exact counter to replay from. Arms with several dynamic bills
+    /// (`StorageExprStore` and the `MapSlot*` pair) also re-charge it up
+    /// front and replay per-constituent billing exactly.
     pub head: u64,
     /// Superinstruction tag.
     pub fused: Fused,
@@ -453,11 +432,9 @@ impl BlockProgram {
                 // The tail residual is anchored at the unit's *last*
                 // gas-exact constituent: pure constituents after it
                 // contribute their statics back. A pattern may contain an
-                // *earlier* gas-exact constituent only if its arm either
-                // pre-validates that op and deopts before mutating anything
-                // (`LocalExprStore`'s MLOAD) or replays per-constituent
-                // billing exactly from the unit's `head` (the `MapSlot*`
-                // family).
+                // *earlier* gas-exact constituent only if its arm replays
+                // per-constituent billing exactly from the unit's `head`
+                // (`StorageExprStore` and the `MapSlot*` pair).
                 let head = remaining;
                 let mut tail_extra = 0u64;
                 let mut has_exact = false;
@@ -557,41 +534,6 @@ impl BlockProgram {
                     },
                 )
             }
-            [a, b, c, d, e, f, g, h, ..]
-                if matches!(a.op, Push(_))
-                    && b.op == MStore
-                    && matches!(c.op, Push(_))
-                    && matches!(d.op, Push(_))
-                    && e.op == MStore
-                    && matches!(f.op, Push(_))
-                    && matches!(g.op, Push(_))
-                    && h.op == Sha3 =>
-            {
-                (8, Fused::MapSlotSha3)
-            }
-            [a, b, c, d, e, f, g, h, ..]
-                if matches!(a.op, Push(_))
-                    && matches!(b.op, Push(_))
-                    && matches!(c.op, Push(_))
-                    && d.op == MLoad
-                    && fusable_binop(e.op)
-                    && fusable_binop(f.op)
-                    && matches!(g.op, Push(_))
-                    && h.op == MStore =>
-            {
-                (8, Fused::LocalExprStore)
-            }
-            [a, b, c, d, e, f, g, ..]
-                if matches!(a.op, Push(_))
-                    && b.op == MLoad
-                    && matches!(c.op, Push(_))
-                    && d.op == MLoad
-                    && fusable_binop(e.op)
-                    && matches!(f.op, Push(_))
-                    && g.op == MStore =>
-            {
-                (7, Fused::LocalPairStore)
-            }
             [a, b, c, d, e, f, ..]
                 if matches!(a.op, Push(_))
                     && matches!(b.op, Push(_))
@@ -610,32 +552,8 @@ impl BlockProgram {
             {
                 (4, Fused::PushPushMLoadBinop)
             }
-            [a, b, c, d, ..]
-                if matches!(a.op, Push(_))
-                    && b.op == MLoad
-                    && matches!(c.op, Push(_))
-                    && fusable_binop(d.op) =>
-            {
-                (4, Fused::PushMLoadPushBinop)
-            }
-            [a, b, c, d, ..]
-                if matches!(a.op, Push(_))
-                    && fusable_binop(b.op)
-                    && matches!(c.op, Push(_))
-                    && d.op == MStore =>
-            {
-                (4, Fused::PushBinopPushMStore)
-            }
-            [a, b, c, ..]
-                if matches!(a.op, Push(_)) && matches!(b.op, Push(_)) && fusable_binop(c.op) =>
-            {
-                (3, Fused::PushPushBinop)
-            }
             [a, b, c, ..] if matches!(a.op, Push(_)) && matches!(b.op, Push(_)) && c.op == Sha3 => {
                 (3, Fused::PushPushSha3)
-            }
-            [a, b, c, ..] if matches!(a.op, Push(_)) && b.op == MLoad && fusable_binop(c.op) => {
-                (3, Fused::PushMLoadBinop)
             }
             [a, b, c, ..] if fusable_binop(a.op) && matches!(b.op, Push(_)) && c.op == MStore => {
                 (3, Fused::BinopPushMStore)
@@ -673,7 +591,6 @@ impl BlockProgram {
             {
                 (2, Fused::PushPush)
             }
-            [a, b, ..] if matches!(a.op, Dup(_)) && matches!(b.op, Swap(_)) => (2, Fused::DupSwap),
             _ => (1, Fused::None),
         }
     }
@@ -835,21 +752,69 @@ mod tests {
     use super::*;
     use crate::opcode::disassemble;
 
+    /// Check `decode` against the disassembler instruction by instruction —
+    /// opcode, pc and immediate — and check that `jump_cursor` accepts
+    /// exactly the `JUMPDEST`s the disassembler finds.
+    fn assert_decodes_like_disassembler(code: &[u8]) {
+        let program = DecodedProgram::decode(code);
+        let reference = disassemble(code);
+        assert_eq!(program.code_len(), code.len());
+        assert_eq!(program.instructions().len(), reference.len(), "{code:02x?}");
+        for (decoded, instr) in program.instructions().iter().zip(&reference) {
+            assert_eq!(decoded.op, instr.opcode, "{code:02x?}");
+            assert_eq!(decoded.pc as usize, instr.pc, "{code:02x?}");
+            assert_eq!(
+                decoded.imm,
+                U256::from_be_slice(&instr.immediate),
+                "{code:02x?}"
+            );
+        }
+        for pc in 0..=code.len() + 1 {
+            let expected = reference
+                .iter()
+                .position(|instr| instr.pc == pc && instr.opcode == Opcode::JumpDest);
+            assert_eq!(program.jump_cursor(pc), expected, "{code:02x?} at {pc}");
+        }
+    }
+
     #[test]
     fn decode_matches_disassembler() {
         // PUSH1 2, PUSH2 0x0304, ADD, JUMPDEST, PUSH32 (truncated), implicit end
         let mut code = vec![0x60, 0x02, 0x61, 0x03, 0x04, 0x01, 0x5b];
         code.push(0x7f);
         code.extend_from_slice(&[0xaa, 0xbb]);
-        let program = DecodedProgram::decode(&code);
-        let instrs = disassemble(&code);
-        assert_eq!(program.instructions().len(), instrs.len());
-        for (decoded, reference) in program.instructions().iter().zip(&instrs) {
-            assert_eq!(decoded.op, reference.opcode);
-            assert_eq!(decoded.pc as usize, reference.pc);
-            assert_eq!(decoded.imm, U256::from_be_slice(&reference.immediate));
+        assert_decodes_like_disassembler(&code);
+        // 0x5b inside push data is data; the one after the immediate is a
+        // JUMPDEST.
+        assert_decodes_like_disassembler(&[0x61, 0x5b, 0x5b, 0x5b, 0x00]);
+        // A truncated trailing PUSH swallows a 0x5b that would otherwise be
+        // a JUMPDEST.
+        assert_decodes_like_disassembler(&[0x5b, 0x62, 0x5b]);
+
+        // Seeded random byte strings (xorshift64), biased toward JUMPDEST and
+        // PUSH bytes so push data hides 0x5b bytes and strings often end in
+        // a truncated PUSH.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..2_000 {
+            let len = (next() % 160) as usize;
+            let code: Vec<u8> = (0..len)
+                .map(|_| {
+                    let r = next();
+                    match r % 4 {
+                        0 => 0x5b,
+                        1 => 0x60 + (r >> 8) as u8 % 32,
+                        _ => (r >> 16) as u8,
+                    }
+                })
+                .collect();
+            assert_decodes_like_disassembler(&code);
         }
-        assert_eq!(program.code_len(), code.len());
     }
 
     #[test]

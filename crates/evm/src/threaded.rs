@@ -1,30 +1,28 @@
-//! Direct-threaded dispatch for the block-lowered tier.
+//! Direct-threaded dispatch: the block tier's only dispatcher.
 //!
-//! The `match` dispatcher in `interpreter.rs` decides what a unit does twice:
-//! once on the fused tag, then (for plain units) on the opcode — a two-level
-//! branch the CPU mispredicts on branchy programs. This module replaces it
-//! with classic direct threading: [`select_handler`] resolves every
-//! `(fused, opcode)` pair to a handler function pointer *once at lowering
-//! time* (stored in [`BlockUnit::handler`]), and [`run`] is a tight loop of
+//! [`select_handler`] resolves every `(fused, opcode)` pair of a
+//! [`BlockProgram`] to a handler function pointer *once at lowering time*
+//! (stored in [`BlockUnit::handler`]), and [`run`] is a tight loop of
 //! indirect calls — fetch unit, settle the block envelope at leaders, call
 //! the handler. Each call site's target correlates with the unit stream, so
-//! the indirect-branch predictor learns the program's shape instead of
-//! fighting a single shared `match`.
+//! the indirect-branch predictor learns the program's shape, and handlers
+//! for fused binops and `DUP`/`SWAP` depths are monomorphized so their
+//! operands constant-fold.
 //!
-//! Every handler is a line-for-line mirror of the corresponding `match` arm:
-//! same trace records (bulk per-unit masks, prefix records on mid-pattern
-//! faults), same gas discipline (block pre-charge, tail un-charge/re-charge
-//! around gas-exact ops, per-constituent replay in the `MapSlot*` family),
-//! same deopt points, same fault messages. The differential suite pins the
-//! two dispatchers bit-identical across the corpus; the
-//! [`EvmConfig::direct_threaded`](crate::EvmConfig) knob selects which one
-//! runs.
+//! The reference for every handler is the per-instruction loop in
+//! `interpreter.rs` (`run_frame_inner`), which is also the deopt target.
+//! Handlers produce the same trace records (bulk per-unit masks, prefix
+//! records on mid-pattern faults), spend gas the same way (block
+//! pre-charge, tail un-charge/re-charge around gas-exact ops,
+//! per-constituent replay in the storage-statement and `MapSlot*` arms) and
+//! halt with the same fault messages. `tests/decoder_differential.rs` and
+//! the conformance vectors pin the two tiers bit-identical.
 
 use crate::gas::{static_gas, COPY_WORD_GAS, EXP_BYTE_GAS, SHA3_WORD_GAS, SSTORE_CLEAR_REFUND};
 use crate::interpreter::{
-    calldata_word, ensure_memory, exp_u256, fused_binop_eval, mem_span, read_memory_into,
-    read_memory_range, BinopSite, CallContext, CreateSite, DepthScratch, Evm, ExecEnv, ExecFrame,
-    FrameCtx, FrameInfo, FrameOutcome, FrameResult, LoopState, MemFail,
+    calldata_word, ensure_memory, exp_u256, mem_span, read_memory_into, read_memory_range,
+    CallContext, CreateSite, DepthScratch, Evm, ExecEnv, ExecFrame, FrameCtx, FrameInfo,
+    FrameOutcome, FrameResult, LoopState, MemFail,
 };
 use crate::keccak::keccak256;
 use crate::opcode::Opcode;
@@ -57,8 +55,8 @@ pub(crate) enum Step {
     Deopt(u32),
 }
 
-/// A pre-resolved unit handler: the direct-threaded analogue of one `match`
-/// arm, selected at lowering time by [`select_handler`].
+/// A pre-resolved unit handler, selected at lowering time by
+/// [`select_handler`].
 pub(crate) type UnitHandler = fn(&mut Machine<'_, '_>, &BlockUnit) -> Step;
 
 /// The interpreter state a handler operates on: the frame context by value,
@@ -95,8 +93,7 @@ pub(crate) struct Machine<'m, 'w> {
 
 impl Machine<'_, '_> {
     /// Snapshot the live loop variables for a deopt hand-off. `cursor` is an
-    /// instruction index addressing the per-instruction view, exactly like
-    /// the `match` dispatcher's deopt states.
+    /// instruction index into the per-instruction tier's stream.
     fn state_at(&mut self, cursor: usize) -> LoopState {
         LoopState {
             cursor,
@@ -231,22 +228,16 @@ macro_rules! t_charge {
     }};
 }
 
-/// Bail out of a fused unit before anything mutates: re-charge the unit's
-/// `head` and deopt to its first instruction.
-macro_rules! t_deopt_unit {
-    ($m:expr, $u:expr) => {{
-        $m.gas_left += $u.head;
-        return Step::Deopt($u.instr_start);
-    }};
-}
-
 /// Whole-unit instruction-cap check for fused handlers (the driver's loop-top
-/// check only covers the first constituent).
+/// check only covers the first constituent). On a hit the unit bails before
+/// anything mutates: it re-charges its `head` and deopts to its first
+/// instruction.
 macro_rules! t_cap_check {
     ($m:expr, $u:expr) => {
         if $m.trace.instr_count as usize + $u.instr_count as usize > $m.evm.config.max_instructions
         {
-            t_deopt_unit!($m, $u);
+            $m.gas_left += $u.head;
+            return Step::Deopt($u.instr_start);
         }
     };
 }
@@ -270,10 +261,8 @@ macro_rules! t_binop {
     };
 }
 
-/// Run one call frame through the direct-threaded dispatch chain.
-/// Semantically a line-for-line mirror of `run_frame_inner` over the block
-/// view — same per-unit instruction cap, same per-block envelope settle with
-/// deopt — but structured as two nested loops: the outer loop runs once per
+/// Run one call frame through the direct-threaded dispatch chain, as two
+/// nested loops: the outer loop runs once per
 /// *block* (control only enters at leaders: frame entry, jump targets and
 /// block fall-through all land on one), where the instruction cap and the
 /// envelope are settled; the inner loop then drives the block's units
@@ -352,9 +341,9 @@ pub(crate) fn run(
                 gas_left: m.gas_left,
             });
         };
-        // Settle the whole block at its leader, exactly like the `match`
-        // dispatcher: pre-summed static gas and the stack envelope,
-        // validated once, deopting when any part could fail mid-block.
+        // Settle the whole block at its leader: pre-summed static gas and
+        // the stack envelope, validated once, deopting when any part could
+        // fail mid-block.
         // Control flow only lands on leaders, so this runs once per block.
         let end = if unit.leader != u32::MAX {
             let block = &blocks[unit.leader as usize];
@@ -413,7 +402,7 @@ enum ControlFlow {
 
 /// The cold twin of the driver's inner loop, for blocks that might cross the
 /// instruction cap: identical dispatch, but the per-unit cap check stays in
-/// place, exactly like the `match` dispatcher's loop top.
+/// place, exactly like the per-instruction loop's top.
 #[cold]
 fn run_capped(
     m: &mut Machine<'_, '_>,
@@ -503,16 +492,96 @@ fn store_slot(m: &mut Machine<'_, '_>, pc: usize, slot: U256, val: U256, tv: Tai
     }
 }
 
-/// Resolve the handler for a `(fused, opcode)` pair, once at lowering time.
-/// Fused tags dispatch to their dedicated handler; plain units dispatch on
-/// the opcode. This is the *only* place the two-level decision is made — the
-/// hot loop just calls through the stored pointer.
+/// The frame-local bookkeeping a fused binop mutates: where the op sits
+/// (pc/depth, for events) and the trace / comparison / truncation state it
+/// writes into, bundled for [`fused_binop_eval`].
+struct BinopSite<'a> {
+    pc: usize,
+    depth: usize,
+    trace: &'a mut ExecutionTrace,
+    last_cmp: &'a mut Option<Comparison>,
+    truncated_events: &'a mut Vec<usize>,
+}
+
+/// The binop core shared by every fused pattern ending in an arithmetic /
+/// comparison / bitwise op: replicates the generic arms' truncation events
+/// and comparison bookkeeping and evaluates to `(result, taint)`. Operand
+/// roles mirror the generic arms: `a` is the first pop (the later push),
+/// `b` the second.
+#[inline(always)]
+fn fused_binop_eval(
+    op: Opcode,
+    a: U256,
+    b: U256,
+    taint: Taint,
+    site: BinopSite<'_>,
+) -> (U256, Taint) {
+    match op {
+        Opcode::Add | Opcode::Sub | Opcode::Mul => {
+            let (result, truncated) = match op {
+                Opcode::Add => a.overflowing_add(b),
+                Opcode::Sub => a.overflowing_sub(b),
+                _ => a.overflowing_mul(b),
+            };
+            if truncated {
+                site.truncated_events.push(site.trace.arith_events.len());
+                site.trace.arith_events.push(ArithEvent {
+                    pc: site.pc,
+                    opcode: op,
+                    truncated: true,
+                    taint,
+                    reached_storage: false,
+                    depth: site.depth,
+                });
+            }
+            let result_taint = if truncated {
+                taint | Taint::TRUNCATED
+            } else {
+                taint
+            };
+            (result, result_taint)
+        }
+        Opcode::Div | Opcode::Mod => {
+            let (q, r) = a.div_rem(b);
+            (if op == Opcode::Div { q } else { r }, taint)
+        }
+        Opcode::Sdiv | Opcode::Smod => {
+            let (q, r) = a.signed_div_rem(b);
+            (if op == Opcode::Sdiv { q } else { r }, taint)
+        }
+        Opcode::Lt | Opcode::Gt | Opcode::Slt | Opcode::Sgt | Opcode::Eq => {
+            let result = match op {
+                Opcode::Lt => a < b,
+                Opcode::Gt => a > b,
+                Opcode::Slt => a.signed_cmp(&b) == std::cmp::Ordering::Less,
+                Opcode::Sgt => a.signed_cmp(&b) == std::cmp::Ordering::Greater,
+                _ => a == b,
+            };
+            let kind = match op {
+                Opcode::Lt | Opcode::Slt => CmpKind::Lt,
+                Opcode::Gt | Opcode::Sgt => CmpKind::Gt,
+                _ => CmpKind::Eq,
+            };
+            *site.last_cmp = Some(Comparison {
+                pc: site.pc,
+                kind,
+                lhs: a,
+                rhs: b,
+                taint,
+            });
+            (U256::from(result), taint)
+        }
+        Opcode::And => (a & b, taint),
+        Opcode::Or => (a | b, taint),
+        Opcode::Xor => (a ^ b, taint),
+        _ => unreachable!("non-fusable binop"),
+    }
+}
+
 /// Expand one lowering-time selector for a fused shape whose body takes the
 /// constituent binop as a parameter: `$select(op)` returns a wrapper
 /// monomorphized for that op, so [`fused_binop_eval`]'s dispatch — and the
-/// arithmetic behind it — constant-folds inside the handler. This is the
-/// payoff of resolving handlers at lowering time: the `match` dispatcher has
-/// to re-inspect the constituent opcode on every execution.
+/// arithmetic behind it — constant-folds inside the handler.
 macro_rules! binop_specialized {
     ($select:ident, $body:ident) => {
         fn $select(op: Opcode) -> UnitHandler {
@@ -583,11 +652,7 @@ macro_rules! binop_specialized {
     };
 }
 
-binop_specialized!(sel_push_push_binop, hf_push_push_binop);
 binop_specialized!(sel_push_push_mload_binop, hf_push_push_mload_binop);
-binop_specialized!(sel_push_mload_binop, hf_push_mload_binop);
-binop_specialized!(sel_push_mload_push_binop, hf_push_mload_push_binop);
-binop_specialized!(sel_push_binop_push_mstore, hf_push_binop_push_mstore);
 binop_specialized!(sel_binop_push_mstore, hf_binop_push_mstore);
 binop_specialized!(sel_push_binop, hf_push_binop);
 binop_specialized!(sel_storage_expr_store, hf_storage_expr_store);
@@ -636,11 +701,14 @@ fn sel_swap(n: u8) -> UnitHandler {
     }
 }
 
-/// Resolve one dispatch unit to its handler, at lowering time.
+/// Resolve one dispatch unit to its handler, at lowering time. Fused tags
+/// dispatch to their dedicated handler; plain units dispatch on the opcode.
+/// This is the *only* place the two-level decision is made — the hot loop
+/// just calls through the stored pointer.
 ///
 /// `parts` is the unit's constituent instruction window, so the selector can
-/// specialize on operands the `match` dispatcher must re-inspect at run time:
-/// the binop inside a fused pattern, or a DUP/SWAP depth.
+/// specialize on operands once instead of at every execution: the binop
+/// inside a fused pattern, or a DUP/SWAP depth.
 pub(crate) fn select_handler(fused: Fused, parts: &[DecodedInstr]) -> UnitHandler {
     use Opcode::*;
     let op = parts[parts.len() - 1].op;
@@ -723,38 +791,28 @@ pub(crate) fn select_handler(fused: Fused, parts: &[DecodedInstr]) -> UnitHandle
             SelfDestruct => h_selfdestruct,
             Unknown(_) => h_unknown,
         },
-        Fused::PushPushBinop => sel_push_push_binop(parts[2].op),
         Fused::PushJump { .. } => hf_push_jump,
         Fused::PushJumpI { .. } => hf_push_jumpi,
         Fused::IsZeroPushJumpI { .. } => hf_iszero_push_jumpi,
-        Fused::DupSwap => match (parts[0].op, parts[1].op) {
-            (Opcode::Dup(n), Opcode::Swap(sw)) => sel_dup_swap(n, sw),
-            _ => unreachable!("DupSwap is DUP;SWAP"),
-        },
         Fused::PushPush => hf_push_push,
         Fused::PushMLoad => hf_push_mload,
         Fused::PushMStore => hf_push_mstore,
         Fused::PushCallDataLoad => hf_push_calldataload,
         Fused::PushPushSha3 => hf_push_push_sha3,
         Fused::PushPushMLoadBinop => sel_push_push_mload_binop(parts[3].op),
-        Fused::PushMLoadPushBinop => sel_push_mload_push_binop(parts[3].op),
-        Fused::PushMLoadBinop => sel_push_mload_binop(parts[2].op),
-        Fused::PushBinopPushMStore => sel_push_binop_push_mstore(parts[1].op),
         Fused::BinopPushMStore => sel_binop_push_mstore(parts[0].op),
         Fused::PushBinop => sel_push_binop(parts[1].op),
-        Fused::LocalExprStore => hf_local_expr_store,
-        Fused::LocalPairStore => hf_local_pair_store,
         Fused::PushSLoad => hf_push_sload,
         Fused::PushSStore => hf_push_sstore,
         Fused::StorageExprStore => sel_storage_expr_store(parts[3].op),
-        Fused::MapSlotSha3 | Fused::MapSlotSLoad | Fused::MapSlotSStore => hf_map_slot,
+        Fused::MapSlotSLoad | Fused::MapSlotSStore => hf_map_slot,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Plain handlers: one per `match` arm of the generic dispatcher. Each starts
-// by recording its instruction (before the arm can fault, like the
-// per-instruction tiers); gas-exact ops un-charge their tail around the body.
+// Plain handlers: one per `match` arm of the per-instruction loop. Each
+// starts by recording its instruction (before the arm can fault, like the
+// per-instruction tier); gas-exact ops un-charge their tail around the body.
 // ---------------------------------------------------------------------------
 
 fn h_stop(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
@@ -1835,7 +1893,7 @@ fn h_unknown(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         Opcode::Unknown(b) => b,
         _ => unreachable!("h_unknown dispatches Unknown"),
     };
-    // Conformance-tagged exceptional halt (see the `match` arm).
+    // Conformance-tagged exceptional halt (see the per-instruction arm).
     m.trace.conformance.push(ConformanceEvent {
         pc: u.pc as usize,
         byte: b,
@@ -1845,27 +1903,11 @@ fn h_unknown(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 // ---------------------------------------------------------------------------
-// Fused handlers: one per superinstruction tag, mirroring the fused `match`
-// arms. Each checks the whole-unit instruction cap first (deopting untouched
-// on a hit), then follows the arm's bulk/prefix trace discipline.
+// Fused handlers: one per superinstruction tag. Each checks the whole-unit
+// instruction cap first (deopting untouched on a hit), then records the
+// whole unit with one bulk OR, or only the executed prefix when a
+// constituent halts before the unit's last.
 // ---------------------------------------------------------------------------
-
-#[inline(always)]
-fn hf_push_push_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    t_bulk!(m, u);
-    let (result, taint) = t_binop!(
-        m,
-        op,
-        parts[2].pc as usize,
-        parts[1].imm,
-        parts[0].imm,
-        Taint::empty()
-    );
-    t_push!(m, result, taint);
-    Step::Next
-}
 
 fn hf_push_jump(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
     t_cap_check!(m, u);
@@ -1928,86 +1970,6 @@ fn hf_iszero_push_jumpi(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         }
         return Step::Jump(target);
     }
-    Step::Next
-}
-
-/// `DUPn;SWAPm` with both depths resolved at lowering time (the common
-/// compiler range gets monomorphized wrappers; deeper pairs fall back to the
-/// runtime-depth version).
-#[inline(always)]
-fn dup_swap_body(m: &mut Machine<'_, '_>, u: &BlockUnit, n: usize, sw: usize) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    if m.stack.len() < n {
-        t_unit_fault!(m, parts, 0, "stack underflow");
-    }
-    if m.stack.len() >= 1024 {
-        t_unit_fault!(m, parts, 0, "stack overflow");
-    }
-    let item = m.stack[m.stack.len() - n];
-    m.stack.push(item);
-    if m.stack.len() < sw + 1 {
-        t_unit_fault!(m, parts, 1, "stack underflow");
-    }
-    t_bulk!(m, u);
-    let top = m.stack.len() - 1;
-    m.stack.swap(top, top - sw);
-    Step::Next
-}
-
-fn hf_dup_swap_c<const N: usize, const M: usize>(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    dup_swap_body(m, u, N, M)
-}
-
-/// Resolve a `DUPn;SWAPm` pair to a depth-monomorphized handler when both
-/// depths sit in the compiler's hot range.
-fn sel_dup_swap(n: u8, sw: u8) -> UnitHandler {
-    match (n, sw) {
-        (1, 1) => hf_dup_swap_c::<1, 1>,
-        (1, 2) => hf_dup_swap_c::<1, 2>,
-        (1, 3) => hf_dup_swap_c::<1, 3>,
-        (1, 4) => hf_dup_swap_c::<1, 4>,
-        (2, 1) => hf_dup_swap_c::<2, 1>,
-        (2, 2) => hf_dup_swap_c::<2, 2>,
-        (2, 3) => hf_dup_swap_c::<2, 3>,
-        (2, 4) => hf_dup_swap_c::<2, 4>,
-        (3, 1) => hf_dup_swap_c::<3, 1>,
-        (3, 2) => hf_dup_swap_c::<3, 2>,
-        (3, 3) => hf_dup_swap_c::<3, 3>,
-        (3, 4) => hf_dup_swap_c::<3, 4>,
-        (4, 1) => hf_dup_swap_c::<4, 1>,
-        (4, 2) => hf_dup_swap_c::<4, 2>,
-        (4, 3) => hf_dup_swap_c::<4, 3>,
-        (4, 4) => hf_dup_swap_c::<4, 4>,
-        _ => hf_dup_swap,
-    }
-}
-
-fn hf_dup_swap(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    let n = match parts[0].op {
-        Opcode::Dup(n) => n as usize,
-        _ => unreachable!("DupSwap starts with DUP"),
-    };
-    if m.stack.len() < n {
-        t_unit_fault!(m, parts, 0, "stack underflow");
-    }
-    if m.stack.len() >= 1024 {
-        t_unit_fault!(m, parts, 0, "stack overflow");
-    }
-    let item = m.stack[m.stack.len() - n];
-    m.stack.push(item);
-    let sw = match parts[1].op {
-        Opcode::Swap(sw) => sw as usize,
-        _ => unreachable!("DupSwap ends with SWAP"),
-    };
-    if m.stack.len() < sw + 1 {
-        t_unit_fault!(m, parts, 1, "stack underflow");
-    }
-    t_bulk!(m, u);
-    let top = m.stack.len() - 1;
-    m.stack.swap(top, top - sw);
     Step::Next
 }
 
@@ -2136,102 +2098,6 @@ fn hf_push_push_mload_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) 
 }
 
 #[inline(always)]
-fn hf_push_mload_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    m.gas_left += u.tail;
-    let offset = match parts[0].imm.to_usize() {
-        Some(o) => o,
-        None => t_unit_fault!(m, parts, 1, "mload out of bounds"),
-    };
-    let span = match mem_span(offset, 32) {
-        Ok(s) => s,
-        Err(e) => t_unit_fault!(m, parts, 1, e),
-    };
-    t_unit_mem!(
-        m,
-        parts,
-        1,
-        ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
-    );
-    t_bulk!(m, u);
-    let mut word = [0u8; 32];
-    word.copy_from_slice(&m.memory[offset..offset + 32]);
-    let (b, tb) = t_pop!(m);
-    let (result, taint) = t_binop!(
-        m,
-        op,
-        parts[2].pc as usize,
-        U256::from_be_bytes(word),
-        b,
-        tb
-    );
-    t_push!(m, result, taint);
-    t_recharge!(m, u);
-    Step::Next
-}
-
-#[inline(always)]
-fn hf_push_mload_push_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    m.gas_left += u.tail;
-    let offset = match parts[0].imm.to_usize() {
-        Some(o) => o,
-        None => t_unit_fault!(m, parts, 1, "mload out of bounds"),
-    };
-    let span = match mem_span(offset, 32) {
-        Ok(s) => s,
-        Err(e) => t_unit_fault!(m, parts, 1, e),
-    };
-    t_unit_mem!(
-        m,
-        parts,
-        1,
-        ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
-    );
-    t_bulk!(m, u);
-    let mut word = [0u8; 32];
-    word.copy_from_slice(&m.memory[offset..offset + 32]);
-    let (result, taint) = t_binop!(
-        m,
-        op,
-        parts[3].pc as usize,
-        parts[2].imm,
-        U256::from_be_bytes(word),
-        Taint::empty()
-    );
-    t_push!(m, result, taint);
-    t_recharge!(m, u);
-    Step::Next
-}
-
-#[inline(always)]
-fn hf_push_binop_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    t_bulk!(m, u);
-    let (b, tb) = t_pop!(m);
-    let (val, _tv) = t_binop!(m, op, parts[1].pc as usize, parts[0].imm, b, tb);
-    m.gas_left += u.tail;
-    let offset = match parts[2].imm.to_usize() {
-        Some(o) => o,
-        None => t_fault!(m, "mstore out of bounds"),
-    };
-    let span = match mem_span(offset, 32) {
-        Ok(s) => s,
-        Err(e) => t_fault!(m, e),
-    };
-    t_mem!(
-        m,
-        ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
-    );
-    m.memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-    t_recharge!(m, u);
-    Step::Next
-}
-
-#[inline(always)]
 fn hf_binop_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
     t_cap_check!(m, u);
     let parts = unit_parts(m, u);
@@ -2265,86 +2131,6 @@ fn hf_push_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
     let (b, tb) = t_pop!(m);
     let (result, taint) = t_binop!(m, op, parts[1].pc as usize, parts[0].imm, b, tb);
     t_push!(m, result, taint);
-    Step::Next
-}
-
-fn hf_local_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    let load_off = match parts[2].imm.to_usize() {
-        Some(o) if m.memory.len() >= 32 && o <= m.memory.len() - 32 => o,
-        _ => t_deopt_unit!(m, u),
-    };
-    t_bulk!(m, u);
-    let mut word = [0u8; 32];
-    word.copy_from_slice(&m.memory[load_off..load_off + 32]);
-    let (mid, mid_taint) = t_binop!(
-        m,
-        parts[4].op,
-        parts[4].pc as usize,
-        U256::from_be_bytes(word),
-        parts[1].imm,
-        Taint::empty()
-    );
-    let (val, _tv) = t_binop!(
-        m,
-        parts[5].op,
-        parts[5].pc as usize,
-        mid,
-        parts[0].imm,
-        mid_taint
-    );
-    m.gas_left += u.tail;
-    let offset = match parts[6].imm.to_usize() {
-        Some(o) => o,
-        None => t_fault!(m, "mstore out of bounds"),
-    };
-    let span = match mem_span(offset, 32) {
-        Ok(s) => s,
-        Err(e) => t_fault!(m, e),
-    };
-    t_mem!(
-        m,
-        ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
-    );
-    m.memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-    t_recharge!(m, u);
-    Step::Next
-}
-
-fn hf_local_pair_store(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
-    let parts = unit_parts(m, u);
-    let (off_b, off_a) = match (parts[0].imm.to_usize(), parts[2].imm.to_usize()) {
-        (Some(b), Some(a))
-            if m.memory.len() >= 32 && b <= m.memory.len() - 32 && a <= m.memory.len() - 32 =>
-        {
-            (b, a)
-        }
-        _ => t_deopt_unit!(m, u),
-    };
-    t_bulk!(m, u);
-    let mut word = [0u8; 32];
-    word.copy_from_slice(&m.memory[off_b..off_b + 32]);
-    let b = U256::from_be_bytes(word);
-    word.copy_from_slice(&m.memory[off_a..off_a + 32]);
-    let a = U256::from_be_bytes(word);
-    let (val, _tv) = t_binop!(m, parts[4].op, parts[4].pc as usize, a, b, Taint::empty());
-    m.gas_left += u.tail;
-    let offset = match parts[5].imm.to_usize() {
-        Some(o) => o,
-        None => t_fault!(m, "mstore out of bounds"),
-    };
-    let span = match mem_span(offset, 32) {
-        Ok(s) => s,
-        Err(e) => t_fault!(m, e),
-    };
-    t_mem!(
-        m,
-        ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
-    );
-    m.memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-    t_recharge!(m, u);
     Step::Next
 }
 
@@ -2389,10 +2175,11 @@ fn hf_push_sstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
     t_cap_check!(m, u);
     let parts = unit_parts(m, u);
-    // Both storage ops carry a dynamic EIP-2929 surcharge, so (like the
-    // `MapSlot*` family) the arm rewinds to the exact per-instruction
-    // counter at the unit's start and replays every constituent's billing in
-    // order (see the `match` arm).
+    // A whole `storage_var = storage_var ⊕ c` statement: load, fold, store
+    // back with no stack traffic. Both storage ops carry a dynamic EIP-2929
+    // surcharge, so (like the `MapSlot*` family) the arm rewinds to the exact
+    // per-instruction counter at the unit's start and replays every
+    // constituent's billing in order.
     m.gas_left += u.head;
     t_charge!(m, parts, 0);
     t_charge!(m, parts, 1);
@@ -2440,8 +2227,13 @@ fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> 
 fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
     t_cap_check!(m, u);
     let parts = unit_parts(m, u);
-    // Rewind to the exact per-instruction counter at the unit's start and
-    // replay every constituent's billing in order (see the `match` arm).
+    // Mapping-slot addressing: stage the key and the mapping's slot constant
+    // in memory, hash the window, then read or write the derived slot. The
+    // pattern carries several dynamic bills (two MSTORE expansions plus the
+    // SHA3 span), so one tail anchor cannot make them all exact: instead the
+    // arm rewinds to the exact per-instruction counter at the unit's start
+    // (re-charging `head`) and replays every constituent's billing in order,
+    // recording the executed prefix on any mid-pattern halt.
     m.gas_left += u.head;
     t_charge!(m, parts, 0);
     t_charge!(m, parts, 1);
@@ -2497,12 +2289,9 @@ fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
     );
     let digest = U256::from_be_bytes(keccak256(&m.memory[sha_off..sha_off + sha_len]));
+    t_charge!(m, parts, 8);
     match u.fused {
-        Fused::MapSlotSha3 => {
-            t_push!(m, digest, Taint::empty());
-        }
         Fused::MapSlotSLoad => {
-            t_charge!(m, parts, 8);
             let surcharge = m.scratch.access.slot_surcharge(m.storage_address, digest);
             if m.gas_left < surcharge {
                 t_prefix!(m, parts, 8);
@@ -2513,7 +2302,6 @@ fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
             t_push!(m, val, Taint::STORAGE | stored_taint);
         }
         _ => {
-            t_charge!(m, parts, 8);
             let (val, tv) = t_pop!(m);
             let surcharge = m.scratch.access.slot_surcharge(m.storage_address, digest);
             if m.gas_left < surcharge {

@@ -402,9 +402,9 @@ pub struct ConformanceEvent {
 
 /// Instrumentation record of a single top-level transaction execution.
 ///
-/// `PartialEq` compares every recorded event — the decoder differential
-/// suite relies on it to assert that the pre-decoded pipeline traces
-/// bit-identically to the legacy byte-at-a-time decoder.
+/// `PartialEq` compares every recorded event — the tier differential suite
+/// relies on it to assert that the block tier traces bit-identically to the
+/// pre-decoded reference.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// Number of executed instructions across all frames. A plain counter:

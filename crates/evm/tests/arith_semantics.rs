@@ -11,8 +11,11 @@
 //!    for the signed opcodes, and a limb-wise `% u64` reduction for the
 //!    wide modular opcodes.
 
-use mufuzz_evm::{Account, Address, BlockEnv, Evm, Message, WorldState, U256};
+use mufuzz_evm::{
+    Account, Address, BlockEnv, DecodedProgram, Evm, Message, ProgramCache, WorldState, U256,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Bytecode-level execution
@@ -26,20 +29,20 @@ const SIGNEXTEND: u8 = 0x0b;
 const SAR: u8 = 0x1d;
 
 /// Execute `op` on operands pushed so the first listed operand ends on top
-/// of the stack, and return the single result word. Runs through both
-/// decoders (pre-decoded stream and legacy byte-at-a-time) and asserts they
-/// agree before returning the value.
+/// of the stack, and return the single result word. Runs on both
+/// interpreter tiers (direct-threaded block tier and pre-decoded reference)
+/// and asserts they agree before returning the value.
 fn eval_op(op: u8, operands: &[U256]) -> U256 {
-    let decoded = eval_op_with(op, operands, false);
-    let legacy = eval_op_with(op, operands, true);
+    let threaded = eval_op_with(op, operands, true);
+    let reference = eval_op_with(op, operands, false);
     assert_eq!(
-        decoded, legacy,
-        "decoder divergence on opcode 0x{op:02x} over {operands:?}"
+        threaded, reference,
+        "tier divergence on opcode 0x{op:02x} over {operands:?}"
     );
-    decoded
+    threaded
 }
 
-fn eval_op_with(op: u8, operands: &[U256], legacy_decode: bool) -> U256 {
+fn eval_op_with(op: u8, operands: &[U256], block_lowering: bool) -> U256 {
     let mut code = Vec::new();
     // Push in reverse so operands[0] is popped first.
     for word in operands.iter().rev() {
@@ -60,8 +63,12 @@ fn eval_op_with(op: u8, operands: &[U256], legacy_decode: bool) -> U256 {
     let mut world = WorldState::new();
     world.put_account(sender, Account::eoa(U256::from_u64(1)));
     world.put_account(contract, Account::contract(code, U256::ZERO));
-    let mut evm = Evm::new(&mut world, BlockEnv::default());
-    evm.config.legacy_decode = legacy_decode;
+    // Cache the blob: an uncached one always runs on the pre-decoded tier.
+    let blob = world.code(contract);
+    let mut cache = ProgramCache::new();
+    cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+    let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
+    evm.config.block_lowering = block_lowering;
     let result = evm.execute(&Message::new(sender, contract, U256::ZERO, vec![]));
     assert!(
         result.success,

@@ -2,10 +2,10 @@
 //! blobs, the blocks must partition the decoded stream, every `JUMPDEST`
 //! must lead a block, the precomputed per-block envelope must equal an
 //! independent instruction-by-instruction fold, and the dispatch units must
-//! tile the stream exactly. A final property executes random code four
-//! ways (direct-threaded / block-lowered `match` / pre-decoded / legacy)
-//! and demands bit-identical results, and targeted gas sweeps drive every
-//! fused storage arm through each possible mid-pattern halt.
+//! tile the stream exactly. A final property executes random code on both
+//! tiers (the direct-threaded block tier and the pre-decoded reference) and
+//! demands bit-identical results, and targeted gas sweeps drive every fused
+//! storage arm through each possible mid-pattern halt.
 
 use mufuzz_evm::{
     static_gas, Account, Address, BlockEnv, BlockProgram, DecodedProgram, Evm, Message, Opcode,
@@ -127,7 +127,7 @@ proptest! {
     }
 
     #[test]
-    fn random_code_executes_identically_across_all_four_tiers(
+    fn random_code_executes_identically_on_both_tiers(
         code in proptest::collection::vec(any::<u8>(), 0..300),
         calldata in proptest::collection::vec(any::<u8>(), 0..40),
     ) {
@@ -142,33 +142,24 @@ proptest! {
         base.freeze();
         let msg = Message::new(sender, contract, U256::ZERO, calldata);
 
-        let run = |legacy: bool, block_lowering: bool, direct_threaded: bool| {
+        let run = |block_lowering: bool| {
             let mut world = base.snapshot();
             let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
-            evm.config.legacy_decode = legacy;
             evm.config.block_lowering = block_lowering;
-            evm.config.direct_threaded = direct_threaded;
             (evm.execute(&msg), world)
         };
-        let (threaded, world_threaded) = run(false, true, true);
-        let (block, world_block) = run(false, true, false);
-        let (pre, world_pre) = run(false, false, false);
-        let (legacy, world_legacy) = run(true, false, false);
+        let (threaded, world_threaded) = run(true);
+        let (pre, world_pre) = run(false);
 
-        prop_assert_eq!(threaded.gas_used, legacy.gas_used);
-        prop_assert_eq!(&threaded, &block);
-        prop_assert_eq!(&block, &pre);
-        prop_assert_eq!(&pre, &legacy);
-        prop_assert_eq!(&world_threaded, &world_block);
-        prop_assert_eq!(&world_block, &world_pre);
-        prop_assert_eq!(&world_pre, &world_legacy);
+        prop_assert_eq!(threaded.gas_used, pre.gas_used);
+        prop_assert_eq!(&threaded, &pre);
+        prop_assert_eq!(&world_threaded, &world_pre);
     }
 }
 
-/// Run `code` with the given gas limit and call value under the
-/// direct-threaded, block-`match` and pre-decoded tiers and demand
-/// bit-identical results (including the trace, hence the instruction count)
-/// and committed state.
+/// Run `code` with the given gas limit and call value on the direct-threaded
+/// and pre-decoded tiers and demand bit-identical results (including the
+/// trace, hence the instruction count) and committed state.
 fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
     let sender = Address::from_low_u64(1);
     let contract = Address::from_low_u64(0x42);
@@ -184,24 +175,17 @@ fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
     base.freeze();
     let mut msg = Message::new(sender, contract, U256::from_u64(value), vec![]);
     msg.gas = gas;
-    let run = |block_lowering: bool, direct_threaded: bool| {
+    let run = |block_lowering: bool| {
         let mut world = base.snapshot();
         let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
         evm.config.block_lowering = block_lowering;
-        evm.config.direct_threaded = direct_threaded;
         (evm.execute(&msg), world)
     };
-    let (threaded, world_threaded) = run(true, true);
-    let (matched, world_matched) = run(true, false);
-    let (pre, world_pre) = run(false, false);
-    assert_eq!(threaded, matched, "dispatch divergence at gas {gas}");
-    assert_eq!(matched, pre, "block-tier divergence at gas {gas}");
+    let (threaded, world_threaded) = run(true);
+    let (pre, world_pre) = run(false);
+    assert_eq!(threaded, pre, "block-tier divergence at gas {gas}");
     assert_eq!(
-        world_threaded, world_matched,
-        "dispatch state divergence at gas {gas}"
-    );
-    assert_eq!(
-        world_matched, world_pre,
+        world_threaded, world_pre,
         "block-tier state divergence at gas {gas}"
     );
 }
@@ -244,15 +228,15 @@ fn mid_unit_mload_fault_keeps_the_trace_exact() {
     code.extend([0x51, 0x01, 0x00]);
     assert_tiers_agree(code);
 
-    // PUSH1 0; PUSH32 <huge>; MLOAD; PUSH1 1; ADD; STOP — fuses to
-    // `PushMLoadPushBinop` after the guarded leading pair.
+    // PUSH1 0; PUSH32 <huge>; MLOAD; PUSH1 1; ADD; STOP — the MLOAD faults
+    // as the last constituent of a `PushMLoad` unit.
     let mut code = vec![0x60, 0x00, 0x7f];
     code.extend([0xff; 32]);
     code.extend([0x51, 0x60, 0x01, 0x01, 0x00]);
     assert_tiers_agree(code);
 
     // CALLVALUE; PUSH32 <huge>; MLOAD; ADD; STOP — the stack operand keeps
-    // the longer patterns from matching, so this fuses to `PushMLoadBinop`.
+    // the longer patterns from matching; `PushMLoad` again.
     let mut code = vec![0x34, 0x7f];
     code.extend([0xff; 32]);
     code.extend([0x51, 0x01, 0x00]);
@@ -263,8 +247,8 @@ fn mid_unit_mload_fault_keeps_the_trace_exact() {
 //   CALLVALUE; PUSH1 0; MSTORE; PUSH1 1; PUSH1 0x20; MSTORE;
 //   PUSH1 0x40; PUSH1 0; SHA3
 // which fuses the nine-instruction window into `MapSlotSLoad` /
-// `MapSlotSStore` (or the eight-instruction `MapSlotSha3` without the
-// trailing storage op).
+// `MapSlotSStore` when a storage op follows, and into shorter units ending
+// in `PushPushSha3` when none does.
 const MAP_SLOT_PREFIX: [u8; 14] = [
     0x34, 0x60, 0x00, 0x52, 0x60, 0x01, 0x60, 0x20, 0x52, 0x60, 0x40, 0x60, 0x00, 0x20,
 ];

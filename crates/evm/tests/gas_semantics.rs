@@ -12,36 +12,51 @@
 //!    the caller pays the callee's actual consumption, so a draining callee
 //!    always leaves the outer frame at least `gas_left / 64` to finish.
 //!
-//! Every vector executes through both decoders (the pre-decoded stream and
-//! the legacy byte-at-a-time path) and asserts bit-identical results; the
-//! decoder differential suite covers the corpus contracts, this file covers
-//! the gas-edge programs.
+//! Every vector executes on both interpreter tiers (the direct-threaded
+//! block tier and the pre-decoded per-instruction reference) and asserts
+//! bit-identical results; the decoder differential suite covers the corpus
+//! contracts, this file covers the gas-edge programs.
 
 use mufuzz_evm::{
-    Account, Address, BlockEnv, Evm, ExecutionResult, HaltReason, Message, WorldState, U256,
+    Account, Address, BlockEnv, DecodedProgram, Evm, ExecutionResult, HaltReason, Message,
+    ProgramCache, WorldState, U256,
 };
+use std::sync::Arc;
 
 fn addr(n: u64) -> Address {
     Address::from_low_u64(n)
 }
 
+/// A program cache holding every code blob deployed at `addresses`, so both
+/// tiers run them (an uncached blob always falls through to the pre-decoded
+/// tier).
+fn cache_code(world: &WorldState, addresses: &[Address]) -> ProgramCache {
+    let mut cache = ProgramCache::new();
+    for &address in addresses {
+        let blob = world.code(address);
+        cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+    }
+    cache
+}
+
 /// Run `code` at address 0x100 from a funded sender with the given gas
-/// budget, through both decoders, asserting they agree bit for bit.
+/// budget, on both tiers, asserting they agree bit for bit.
 fn run_with_gas(code: &[u8], gas: u64) -> ExecutionResult {
-    let exec = |legacy: bool| {
+    let exec = |block_lowering: bool| {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u128(1 << 100)));
         world.put_account(addr(0x100), Account::contract(code.to_vec(), U256::ZERO));
-        let mut evm = Evm::new(&mut world, BlockEnv::default());
-        evm.config.legacy_decode = legacy;
+        let cache = cache_code(&world, &[addr(0x100)]);
+        let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
+        evm.config.block_lowering = block_lowering;
         let mut msg = Message::new(addr(1), addr(0x100), U256::ZERO, vec![]);
         msg.gas = gas;
         evm.execute(&msg)
     };
-    let decoded = exec(false);
-    let legacy = exec(true);
-    assert_eq!(decoded, legacy, "decoder divergence on a gas vector");
-    decoded
+    let threaded = exec(true);
+    let reference = exec(false);
+    assert_eq!(threaded, reference, "tier divergence on a gas vector");
+    threaded
 }
 
 /// `C_mem(words)`: the interpreter's quadratic memory schedule.
@@ -183,7 +198,7 @@ fn outer_caller() -> Vec<u8> {
 }
 
 fn run_call_pair(callee_code: Vec<u8>, gas: u64) -> (ExecutionResult, WorldState) {
-    let exec = |legacy: bool| {
+    let exec = |block_lowering: bool| {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u128(1 << 100)));
         world.put_account(addr(0x100), Account::contract(outer_caller(), U256::ZERO));
@@ -191,17 +206,18 @@ fn run_call_pair(callee_code: Vec<u8>, gas: u64) -> (ExecutionResult, WorldState
             addr(0x200),
             Account::contract(callee_code.clone(), U256::ZERO),
         );
-        let mut evm = Evm::new(&mut world, BlockEnv::default());
-        evm.config.legacy_decode = legacy;
+        let cache = cache_code(&world, &[addr(0x100), addr(0x200)]);
+        let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
+        evm.config.block_lowering = block_lowering;
         let mut msg = Message::new(addr(1), addr(0x100), U256::ZERO, vec![]);
         msg.gas = gas;
         (evm.execute(&msg), world)
     };
-    let (decoded, world_decoded) = exec(false);
-    let (legacy, world_legacy) = exec(true);
-    assert_eq!(decoded, legacy, "decoder divergence on a call vector");
-    assert_eq!(world_decoded, world_legacy);
-    (decoded, world_decoded)
+    let (threaded, world_threaded) = exec(true);
+    let (reference, world_reference) = exec(false);
+    assert_eq!(threaded, reference, "tier divergence on a call vector");
+    assert_eq!(world_threaded, world_reference);
+    (threaded, world_threaded)
 }
 
 /// Gas remaining in the outer frame at the moment of forwarding: the message

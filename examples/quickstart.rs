@@ -51,16 +51,17 @@ fn main() {
     );
 
     // 2. Fuzz with the full MuFuzz configuration for 1,000 sequence
-    //    executions. The campaign runs on `workers` threads (default: the
-    //    machine's available parallelism; `MUFUZZ_WORKERS` overrides it —
-    //    pin it to 1 for a deterministic run).
-    let mut config = FuzzerConfig::mufuzz(1_000).with_rng_seed(42);
-    if let Some(workers) = std::env::var("MUFUZZ_WORKERS")
+    //    executions on one worker, which makes the run deterministic: the
+    //    same seed prints the same report on any machine. `MUFUZZ_WORKERS`
+    //    overrides the worker count; more than one worker runs free and
+    //    the report may vary from run to run.
+    let workers = std::env::var("MUFUZZ_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
-    {
-        config = config.with_workers(workers);
-    }
+        .unwrap_or(1);
+    let config = FuzzerConfig::mufuzz(1_000)
+        .with_rng_seed(42)
+        .with_workers(workers);
     let mut fuzzer = Fuzzer::new(compiled, config).expect("deployment should succeed");
     let report = fuzzer.run();
 

@@ -1,20 +1,17 @@
 //! Throughput benchmark of the campaign engine: fuzz the quickstart
-//! PiggyBank contract with 1 worker and with N workers — the N-worker
-//! campaign both on the sharded seed scheduler (the default: lock-free
-//! steady-state draws) and on the historical global draw under the state
-//! lock — then sweep three corpus contracts through one `CampaignService`
-//! fleet pool, sequentially and concurrently. A raw-harness interpreter
-//! A/B isolates the execution tiers from scheduler effects: three kernels
-//! — a straight-line local-arithmetic mixer, a branchy unrolled
-//! Collatz-style router, and a storage-heavy mapping ledger — each
-//! executed through `ContractHarness` directly under three tiers
-//! (pre-decoded instruction-at-a-time, block-lowered `match` dispatch,
-//! and block-lowered direct-threaded dispatch), measured best-of-N
-//! interleaved to shrug off scheduler noise. Reports execs/sec for each
-//! and emits a machine-readable `BENCH_throughput.json` so CI can track
-//! the performance trajectory, the sharded-vs-global scaling claim, the
-//! fleet-concurrency claim, the block-lowering speedup and the
-//! direct-threading speedup across PRs.
+//! PiggyBank contract with 1 worker and with N workers (free-running and
+//! under the round profile), then sweep three corpus contracts through one
+//! `CampaignService` fleet pool, sequentially and concurrently. A
+//! raw-harness interpreter A/B isolates the execution tiers from scheduler
+//! effects: four kernels — a straight-line local-arithmetic mixer, a
+//! branchy unrolled Collatz-style router, a storage-heavy mapping ledger
+//! and the ingested real-bytecode fixture — each executed through
+//! `ContractHarness` directly on both tiers (pre-decoded
+//! instruction-at-a-time and block-lowered direct-threaded dispatch),
+//! measured best-of-N interleaved to shrug off scheduler noise. Reports
+//! execs/sec for each and emits a machine-readable `BENCH_throughput.json`
+//! so CI can track the performance trajectory, the scaling claim, the
+//! fleet-concurrency claim and the block-tier speedup across PRs.
 //!
 //! Run with:
 //! ```text
@@ -24,8 +21,8 @@
 //! cargo run --release --example throughput -- --kernel branchy
 //! ```
 //!
-//! `--kernel <straight_line|branchy|storage|all>` restricts the
-//! interpreter A/B to one kernel (default: all three).
+//! `--kernel <straight_line|branchy|storage|ingested|all>` restricts the
+//! interpreter A/B to one kernel (default: all four).
 
 use mufuzz::{
     CampaignReport, CampaignService, ContractHarness, Fuzzer, FuzzerConfig, Sequence, TxInput,
@@ -65,12 +62,11 @@ contract PiggyBank {
 }
 "#;
 
-fn campaign(workers: usize, executions: usize, sharded: bool) -> CampaignReport {
+fn campaign(workers: usize, executions: usize) -> CampaignReport {
     let compiled = compile_source(SOURCE).expect("contract should compile");
     let config = FuzzerConfig::mufuzz(executions)
         .with_rng_seed(42)
-        .with_workers(workers)
-        .with_sharded_scheduler(sharded);
+        .with_workers(workers);
     Fuzzer::new(compiled, config)
         .expect("deployment should succeed")
         .run()
@@ -102,11 +98,11 @@ const KERNELS: [&str; 4] = ["straight_line", "branchy", "storage", "ingested"];
 /// kernels isolate it, each from a different angle:
 ///
 /// * `straight_line` — an unrolled run of `x = x * c1 + c2` over
-///   memory-resident locals: pure fused-arithmetic throughput, the best
-///   case for block settlement and superinstructions.
+///   memory-resident locals: pure arithmetic throughput, the best case for
+///   block settlement.
 /// * `branchy` — an unrolled Collatz-style router whose every step takes a
 ///   data-dependent branch: short blocks and dense `JUMPI`s, the workload
-///   where `match` dispatch mispredicts and direct threading should win.
+///   where per-instruction dispatch mispredicts most.
 /// * `storage` — a mapping-and-counter ledger dominated by
 ///   `balances[msg.sender] +=` / `total +=` idioms: the `MapSlot*`,
 ///   `PushSLoad`/`PushSStore` and `StorageExprStore` fusion arms.
@@ -202,11 +198,9 @@ fn kernel_tx(kernel: &str) -> TxInput {
 
 /// One timed chunk of the interpreter A/B: `iters` transactions of the
 /// kernel through `ContractHarness` pinned to one tier. Returns tx/sec.
-fn tier_chunk(kernel: &str, block_lowering: bool, direct_threaded: bool, iters: usize) -> f64 {
+fn tier_chunk(kernel: &str, block_lowering: bool, iters: usize) -> f64 {
     let compiled = kernel_compiled(kernel);
-    let config = FuzzerConfig::default()
-        .with_block_lowering(block_lowering)
-        .with_direct_threaded(direct_threaded);
+    let config = FuzzerConfig::default().with_block_lowering(block_lowering);
     let harness = ContractHarness::new(compiled, &config).expect("kernel should deploy");
     let seq = Sequence::new(vec![kernel_tx(kernel)]);
     let mut frame = ExecFrame::new();
@@ -220,27 +214,24 @@ fn tier_chunk(kernel: &str, block_lowering: bool, direct_threaded: bool, iters: 
     iters as f64 / elapsed
 }
 
-/// Best-of-N rates for one kernel under all three tiers, interleaved so a
-/// machine-noise spike hits every side instead of biasing one. Returns
-/// `(predecoded, block_match, direct_threaded)` tx/sec.
-fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64, f64) {
-    tier_chunk(kernel, true, true, iters / 2); // warm-up: page in all tiers
-    tier_chunk(kernel, true, false, iters / 2);
-    tier_chunk(kernel, false, false, iters / 2);
-    let (mut pre, mut blk, mut thr) = (0.0f64, 0.0f64, 0.0f64);
+/// Best-of-N rates for one kernel on both tiers, interleaved so a
+/// machine-noise spike hits both sides instead of biasing one. Returns
+/// `(predecoded, threaded)` tx/sec.
+fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64) {
+    tier_chunk(kernel, true, iters / 2); // warm-up: page in both tiers
+    tier_chunk(kernel, false, iters / 2);
+    let (mut pre, mut thr) = (0.0f64, 0.0f64);
     for _ in 0..rounds {
-        pre = pre.max(tier_chunk(kernel, false, false, iters));
-        blk = blk.max(tier_chunk(kernel, true, false, iters));
-        thr = thr.max(tier_chunk(kernel, true, true, iters));
+        pre = pre.max(tier_chunk(kernel, false, iters));
+        thr = thr.max(tier_chunk(kernel, true, iters));
     }
-    (pre, blk, thr)
+    (pre, thr)
 }
 
-fn print_report(report: &CampaignReport, sharded: bool) {
+fn print_report(report: &CampaignReport) {
     println!(
-        "workers={} scheduler={}: {} execs in {} ms -> {:.0} execs/sec ({:.1}% coverage)",
+        "workers={}: {} execs in {} ms -> {:.0} execs/sec ({:.1}% coverage)",
         report.workers,
-        if sharded { "sharded" } else { "global" },
         report.executions,
         report.elapsed_ms,
         report.execs_per_sec(),
@@ -249,14 +240,13 @@ fn print_report(report: &CampaignReport, sharded: bool) {
 }
 
 /// One JSON record per measured configuration.
-fn json_entry(report: &CampaignReport, sharded: bool) -> String {
+fn json_entry(report: &CampaignReport) -> String {
     format!(
         concat!(
-            "{{\"workers\": {}, \"sharded_scheduler\": {}, \"executions\": {}, ",
+            "{{\"workers\": {}, \"executions\": {}, ",
             "\"elapsed_ms\": {}, \"execs_per_sec\": {:.1}, \"coverage_percent\": {:.2}}}"
         ),
         report.workers,
-        sharded,
         report.executions,
         report.elapsed_ms,
         report.execs_per_sec(),
@@ -273,14 +263,11 @@ fn tier_json(block_lowering: bool, rate: f64) -> String {
     )
 }
 
-/// JSON record for one kernel: all three tiers side by side.
-fn kernel_json(kernel: &str, pre: f64, blk: f64, thr: f64) -> String {
+/// JSON record for one kernel: both tiers side by side.
+fn kernel_json(kernel: &str, pre: f64, thr: f64) -> String {
     format!(
-        concat!(
-            "\"{}\": {{\"predecoded\": {:.1}, \"block_match\": {:.1}, ",
-            "\"direct_threaded\": {:.1}}}"
-        ),
-        kernel, pre, blk, thr
+        "\"{}\": {{\"predecoded\": {:.1}, \"threaded\": {:.1}}}",
+        kernel, pre, thr
     )
 }
 
@@ -369,28 +356,24 @@ fn main() {
 
     // Warm-up run so page faults and lazy allocations do not skew the
     // single-worker number.
-    campaign(1, executions / 10, true);
+    campaign(1, executions / 10);
 
-    let single = campaign(1, executions, true);
-    print_report(&single, true);
+    let single = campaign(1, executions);
+    print_report(&single);
 
-    // The scaling A/B: the same N-worker campaign drawn from per-worker
-    // corpus shards (lock-free steady state) vs under the state lock.
-    let sharded = campaign(workers, executions, true);
-    print_report(&sharded, true);
-    let global = campaign(workers, executions, false);
-    print_report(&global, false);
+    // The scaling A/B: the same campaign on N workers, each drawing seeds
+    // from its own corpus shard (lock-free in steady state).
+    let sharded = campaign(workers, executions);
+    print_report(&sharded);
     println!(
-        "speedup vs single: sharded {:.2}x, global {:.2}x; sharded vs global {:.2}x",
-        sharded.execs_per_sec() / single.execs_per_sec(),
-        global.execs_per_sec() / single.execs_per_sec(),
-        sharded.execs_per_sec() / global.execs_per_sec()
+        "speedup vs single: {:.2}x",
+        sharded.execs_per_sec() / single.execs_per_sec()
     );
 
     // The determinism A/B: the same N-worker campaign under the round
     // profile. The barriers and frozen corpus views buy cross-worker-count
     // reproducibility; the contract is that they cost at most 25% of the
-    // free-running throughput.
+    // free-running throughput (asserted after the JSON record is written).
     let round = round_campaign(workers, executions);
     let round_cost = 1.0 - round.execs_per_sec() / sharded.execs_per_sec();
     println!(
@@ -400,33 +383,26 @@ fn main() {
         round.execs_per_sec(),
         round_cost * 100.0
     );
-    assert!(
-        round.execs_per_sec() >= 0.75 * sharded.execs_per_sec(),
-        "round mode costs {:.1}% throughput vs free-running (budget is 25%)",
-        round_cost * 100.0
-    );
 
-    // The interpreter A/B: each kernel through the raw harness under all
-    // three tiers. Every per-instruction gas charge, stack bounds check
-    // and dispatch decision the lowering, its superinstructions and the
+    // The interpreter A/B: each kernel through the raw harness on both
+    // tiers. Every per-instruction gas charge, stack bounds check and
+    // dispatch decision the lowering, its superinstructions and the
     // threaded handler chain remove shows up directly here.
     let mut kernel_entries = Vec::new();
     let mut legacy_keys: Option<(f64, f64)> = None;
     let mut block_tier_rates: Vec<(&str, f64)> = Vec::new();
     for kernel in &kernels {
-        let (pre, blk, thr) = kernel_rates(kernel, 12, 5000);
+        let (pre, thr) = kernel_rates(kernel, 12, 5000);
         println!(
-            "interpreter A/B ({kernel}): predecoded {pre:.0}, block-match {blk:.0} \
-             ({:.2}x), direct-threaded {thr:.0} ({:.2}x vs match)",
-            blk / pre,
-            thr / blk
+            "interpreter A/B ({kernel}): predecoded {pre:.0}, threaded {thr:.0} ({:.2}x)",
+            thr / pre
         );
-        kernel_entries.push(kernel_json(kernel, pre, blk, thr));
+        kernel_entries.push(kernel_json(kernel, pre, thr));
         block_tier_rates.push((kernel, thr));
         // The historical top-level keys track the straight-line kernel
         // (falling back to whatever ran when the suite is filtered).
         if *kernel == "straight_line" || legacy_keys.is_none() {
-            legacy_keys = Some((pre, blk));
+            legacy_keys = Some((pre, thr));
         }
     }
     let (predecoded, block_lowered) = legacy_keys.expect("at least one kernel runs");
@@ -434,25 +410,24 @@ fn main() {
     // Ingestion guardrail: the real-bytecode kernel pays for per-transaction
     // head/tail ABI encoding on top of dispatch, but its block-tier
     // throughput must stay within 5% of the storage kernel's — the encoding
-    // layer is not allowed to become the bottleneck of ingested campaigns.
+    // layer is not allowed to become the bottleneck of ingested campaigns
+    // (asserted after the JSON record is written).
     let rate_of = |name: &str| {
         block_tier_rates
             .iter()
             .find(|(k, _)| *k == name)
             .map(|(_, r)| *r)
     };
-    if let (Some(storage), Some(ingested)) = (rate_of("storage"), rate_of("ingested")) {
-        println!(
-            "ingested vs storage (block tier): {ingested:.0} vs {storage:.0} tx/sec ({:.2}x)",
-            ingested / storage
-        );
-        assert!(
-            ingested >= 0.95 * storage,
-            "ingested kernel runs at {:.2}x the storage kernel's block-tier \
-             throughput (floor is 0.95x)",
-            ingested / storage
-        );
-    }
+    let ingested_ratio = match (rate_of("storage"), rate_of("ingested")) {
+        (Some(storage), Some(ingested)) => {
+            println!(
+                "ingested vs storage (block tier): {ingested:.0} vs {storage:.0} tx/sec ({:.2}x)",
+                ingested / storage
+            );
+            Some(ingested / storage)
+        }
+        _ => None,
+    };
 
     // The fleet sweep: three corpus contracts through one CampaignService,
     // sequentially on one pool thread vs concurrently on `workers` threads.
@@ -467,21 +442,21 @@ fn main() {
         conc_rate / seq_rate
     );
 
-    // Machine-readable record for the CI perf-smoke artifact.
+    // Machine-readable record for the CI perf-smoke artifact, written
+    // before the in-process checks so one noisy sample cannot lose it.
     let json = format!(
         concat!(
             "{{\n  \"benchmark\": \"piggybank\",\n  \"budget\": {},\n",
-            "  \"single\": {},\n  \"parallel_sharded\": {},\n  \"parallel_global\": {},\n",
+            "  \"single\": {},\n  \"parallel_sharded\": {},\n",
             "  \"round_mode\": {},\n",
             "  \"predecoded\": {},\n  \"block_lowered\": {},\n",
             "  \"kernels\": {{{}}},\n",
             "  \"fleet_sequential\": {},\n  \"fleet_concurrent\": {}\n}}\n"
         ),
         executions,
-        json_entry(&single, true),
-        json_entry(&sharded, true),
-        json_entry(&global, false),
-        json_entry(&round, true),
+        json_entry(&single),
+        json_entry(&sharded),
+        json_entry(&round),
         tier_json(false, predecoded),
         tier_json(true, block_lowered),
         kernel_entries.join(", "),
@@ -493,5 +468,18 @@ fn main() {
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+
+    assert!(
+        round.execs_per_sec() >= 0.75 * sharded.execs_per_sec(),
+        "round mode costs {:.1}% throughput vs free-running (budget is 25%)",
+        round_cost * 100.0
+    );
+    if let Some(ratio) = ingested_ratio {
+        assert!(
+            ratio >= 0.95,
+            "ingested kernel runs at {ratio:.2}x the storage kernel's block-tier \
+             throughput (floor is 0.95x)"
+        );
     }
 }

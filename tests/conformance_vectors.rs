@@ -1,15 +1,14 @@
-//! Conformance vectors: fixture-driven VM tests executed through all four
-//! dispatch tiers.
+//! Conformance vectors: fixture-driven VM tests executed on both
+//! interpreter tiers.
 //!
 //! Each JSON file under `tests/fixtures/conformance/` holds an array of
 //! vectors. A vector describes a pre-state (accounts with code, balance and
 //! storage), one top-level message, and the expected outcome: halt
 //! classification, exact `gas_used`, return data, post-storage and the
 //! number of conformance events (unimplemented-opcode halts). Every vector
-//! is executed through the legacy decoder, the pre-decoded stream, the
-//! block-lowered `match` dispatcher and the direct-threaded tier; the four
-//! results and post-worlds must be bit-identical *and* match the committed
-//! expectations.
+//! is executed on the direct-threaded block tier and on the pre-decoded
+//! reference tier; the two results and post-worlds must be bit-identical
+//! *and* match the committed expectations.
 //!
 //! The committed vectors pin the semantics the ingestion path depends on:
 //! EIP-2929 warm/cold account and storage-slot pricing, EIP-3529
@@ -223,31 +222,22 @@ fn parse_vector(path: &str, v: &JsonValue) -> Vector {
     }
 }
 
-/// The four execution tiers under comparison (mirrors the decoder
-/// differential suite).
-#[derive(Clone, Copy)]
-enum Tier {
-    Legacy,
-    Predecoded,
-    BlockMatch,
-    Block,
-}
-
-fn run_tier(vector: &Vector, cache: &ProgramCache, tier: Tier) -> (ExecutionResult, WorldState) {
+/// Execute `vector` on the block tier (`block_lowering`, the default) or
+/// the pre-decoded reference tier.
+fn run_tier(
+    vector: &Vector,
+    cache: &ProgramCache,
+    block_lowering: bool,
+) -> (ExecutionResult, WorldState) {
     let mut world = vector.world.snapshot();
     let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(cache);
-    match tier {
-        Tier::Legacy => evm.config.legacy_decode = true,
-        Tier::Predecoded => evm.config.block_lowering = false,
-        Tier::BlockMatch => evm.config.direct_threaded = false,
-        Tier::Block => {}
-    }
+    evm.config.block_lowering = block_lowering;
     let result = evm.execute(&vector.msg);
     (result, world)
 }
 
-/// Execute one vector through all four tiers: assert bit-identity between
-/// the tiers, then check the committed expectations (or print the observed
+/// Execute one vector on both tiers: assert bit-identity between the
+/// tiers, then check the committed expectations (or print the observed
 /// values under `MUFUZZ_CONFORMANCE_PRINT=1`).
 fn check_vector(file: &str, vector: &Vector, print_mode: bool) {
     // Pre-decode every code blob present in the pre-state, mirroring the
@@ -262,26 +252,20 @@ fn check_vector(file: &str, vector: &Vector, print_mode: bool) {
     }
 
     let ctx = format!("{file}: {}", vector.name);
-    let (block, world_block) = run_tier(vector, &cache, Tier::Block);
-    for (tier_name, tier) in [
-        ("block-match", Tier::BlockMatch),
-        ("predecoded", Tier::Predecoded),
-        ("legacy", Tier::Legacy),
-    ] {
-        let (result, world) = run_tier(vector, &cache, tier);
-        assert_eq!(
-            block.gas_used, result.gas_used,
-            "{ctx}: gas divergence between direct-threaded and {tier_name}"
-        );
-        assert_eq!(
-            block, result,
-            "{ctx}: result divergence between direct-threaded and {tier_name}"
-        );
-        assert_eq!(
-            world_block, world,
-            "{ctx}: post-state divergence between direct-threaded and {tier_name}"
-        );
-    }
+    let (block, world_block) = run_tier(vector, &cache, true);
+    let (result, world) = run_tier(vector, &cache, false);
+    assert_eq!(
+        block.gas_used, result.gas_used,
+        "{ctx}: gas divergence between the block and pre-decoded tiers"
+    );
+    assert_eq!(
+        block, result,
+        "{ctx}: result divergence between the block and pre-decoded tiers"
+    );
+    assert_eq!(
+        world_block, world,
+        "{ctx}: post-state divergence between the block and pre-decoded tiers"
+    );
 
     if print_mode {
         println!("{ctx}:");

@@ -1,42 +1,45 @@
-//! Decoder differential suite: every execution pipeline must be observably
-//! identical to the legacy byte-at-a-time decoder.
+//! Tier differential suite: the production interpreter tier must be
+//! observably identical to the reference tier.
 //!
-//! For every corpus contract, 256 seeded calldata inputs (a mix of valid
-//! selectors with random argument words and entirely random byte strings)
-//! are executed **four ways** from identical post-constructor world
-//! snapshots — through the direct-threaded block tier (per-unit handler
-//! pointers — the production default), through the same block tier under
-//! `match` dispatch, through the pre-decoded instruction stream with block
-//! lowering disabled, and through the legacy decoder. The full
-//! [`ExecutionResult`] (success, output, gas remaining, halt reason and the
-//! complete instrumentation trace with its branch records) and the resulting
-//! world state must match bit for bit across all four.
+//! The production tier runs the block-lowered program through the
+//! direct-threaded dispatcher (the default); the reference tier runs the
+//! pre-decoded instruction stream one instruction at a time
+//! (`block_lowering = false`). Decoding itself is pinned against
+//! `opcode::disassemble` by the unit tests in `program.rs` and by
+//! [`corpus_runtimes_decode_like_the_disassembler`].
+//!
+//! Two input sources drive the comparison:
+//!
+//! * for every corpus contract (and one ingested real-bytecode contract),
+//!   256 seeded calldata inputs — a mix of valid selectors with random
+//!   argument words and entirely random byte strings — each executed from
+//!   an identical post-constructor world snapshot;
+//! * transaction sequences generated the way a campaign generates them:
+//!   the initial corpus, structural mutation and mask-guided byte mutation.
+//!
+//! The full [`ExecutionResult`] (success, output, gas remaining, halt reason
+//! and the complete instrumentation trace with its branch records) and the
+//! resulting world state must match bit for bit.
 
-use mufuzz::{ContractHarness, FuzzerConfig};
+use mufuzz::mutation::mutate_masked;
+use mufuzz::{
+    ContractHarness, FuzzerConfig, InterestingValues, MutationMask, Sequence, SequenceGenerator,
+};
+use mufuzz_analysis::{analyze_contract, plan_sequence};
 use mufuzz_corpus::contracts;
-use mufuzz_evm::{DecodedProgram, Evm, ExecutionResult, Message, ProgramCache, WorldState, U256};
-use mufuzz_lang::compile_source;
+use mufuzz_evm::{
+    disassemble, DecodedProgram, Evm, ExecFrame, ExecutionResult, Message, Opcode, ProgramCache,
+    WorldState, U256,
+};
+use mufuzz_lang::{compile_source, CompiledContract};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
 
 const INPUTS_PER_CONTRACT: usize = 256;
 
-/// The four execution tiers under comparison.
-#[derive(Clone, Copy, Debug)]
-enum Tier {
-    /// Byte-at-a-time decoding in the hot loop (`legacy_decode = true`).
-    Legacy,
-    /// Pre-decoded instruction stream, instruction-at-a-time billing
-    /// (`block_lowering = false`).
-    Predecoded,
-    /// Block-lowered program under the `match` dispatcher
-    /// (`direct_threaded = false`).
-    BlockMatch,
-    /// Block-lowered program dispatched through per-unit handler pointers
-    /// (the default).
-    Block,
-}
+/// Mutants generated per contract by the campaign-shaped sequence sweep.
+const MUTANTS_PER_CONTRACT: usize = 96;
 
 /// Derive one fuzzed calldata input: either a valid function selector with
 /// random argument words, or raw random bytes.
@@ -70,34 +73,34 @@ fn random_calldata(harness: &ContractHarness, rng: &mut SmallRng) -> Vec<u8> {
     }
 }
 
-/// Execute one message from a fresh snapshot of the harness base world,
-/// through the given tier. Returns the result and the post-execution world.
+/// Execute one message from a fresh snapshot of the harness base world, on
+/// the block tier (`block_lowering`) or the pre-decoded reference. Returns
+/// the result and the post-execution world.
 fn run_once(
     harness: &ContractHarness,
     cache: &ProgramCache,
     msg: &Message,
-    tier: Tier,
+    block_lowering: bool,
 ) -> (ExecutionResult, WorldState) {
     let mut world = harness.base_world().snapshot();
     let mut block = harness.base_block();
     block.advance();
     let mut evm = Evm::new(&mut world, block).with_programs(cache);
-    match tier {
-        Tier::Legacy => evm.config.legacy_decode = true,
-        Tier::Predecoded => evm.config.block_lowering = false,
-        Tier::BlockMatch => evm.config.direct_threaded = false,
-        Tier::Block => {
-            debug_assert!(evm.config.block_lowering);
-            debug_assert!(evm.config.direct_threaded);
-        }
-    }
+    evm.config.block_lowering = block_lowering;
     let result = evm.execute(msg);
     (result, world)
 }
 
-/// Run the full 4-tier × [`INPUTS_PER_CONTRACT`] bit-identity sweep over one
+/// A deterministic per-contract RNG seed, derived from the contract's name.
+fn name_seed(name: &str) -> u64 {
+    name.bytes().fold(0xD1FFu64, |acc, b| {
+        acc.wrapping_mul(31).wrapping_add(b as u64)
+    })
+}
+
+/// Run the two-tier × [`INPUTS_PER_CONTRACT`] bit-identity sweep over one
 /// compiled (or ingested) contract.
-fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
+fn sweep_both_tiers(name: &str, compiled: CompiledContract) {
     let harness =
         ContractHarness::new(compiled, &FuzzerConfig::default()).expect("contract must deploy");
 
@@ -110,103 +113,195 @@ fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
         Arc::new(DecodedProgram::decode(&runtime)),
     );
 
-    // One deterministic stream per contract, derived from its name.
-    let seed = name.bytes().fold(0xD1FFu64, |acc, b| {
-        acc.wrapping_mul(31).wrapping_add(b as u64)
-    });
-    let mut rng = SmallRng::seed_from_u64(seed);
-
+    let mut rng = SmallRng::seed_from_u64(name_seed(name));
     for case in 0..INPUTS_PER_CONTRACT {
         let calldata = random_calldata(&harness, &mut rng);
         let sender = harness.senders[rng.gen_range(0..harness.senders.len())];
         let value = U256::from_u64(rng.gen_range(0..4u64) * 1_000_000_000);
         let msg = Message::new(sender, harness.contract_address, value, calldata);
 
-        let (block, world_block) = run_once(&harness, &cache, &msg, Tier::Block);
-        let (matched, world_matched) = run_once(&harness, &cache, &msg, Tier::BlockMatch);
-        let (decoded, world_decoded) = run_once(&harness, &cache, &msg, Tier::Predecoded);
-        let (legacy, world_legacy) = run_once(&harness, &cache, &msg, Tier::Legacy);
+        let (block, world_block) = run_once(&harness, &cache, &msg, true);
+        let (decoded, world_decoded) = run_once(&harness, &cache, &msg, false);
 
         // Gas first: with a fixed gas limit, equal `gas_used` is equal
         // gas remaining — the sharpest signal when block settlement or a
         // fused arm misbills, so it gets its own assertion.
         assert_eq!(
-            block.gas_used, matched.gas_used,
-            "{name}: dispatch gas divergence on input #{case}"
-        );
-        assert_eq!(
             block.gas_used, decoded.gas_used,
-            "{name}: block-lowered gas divergence on input #{case}"
-        );
-        assert_eq!(
-            decoded.gas_used, legacy.gas_used,
-            "{name}: pre-decoded gas divergence on input #{case}"
-        );
-        assert_eq!(
-            block,
-            matched,
-            "{name}: dispatch divergence on input #{case} ({} calldata bytes)",
-            msg.data.len()
+            "{name}: block-tier gas divergence on input #{case}"
         );
         assert_eq!(
             block,
             decoded,
-            "{name}: block-lowered divergence on input #{case} ({} calldata bytes)",
+            "{name}: block-tier divergence on input #{case} ({} calldata bytes)",
             msg.data.len()
-        );
-        assert_eq!(
-            decoded,
-            legacy,
-            "{name}: decoder divergence on input #{case} ({} calldata bytes)",
-            msg.data.len()
-        );
-        assert_eq!(
-            block.trace.branches, legacy.trace.branches,
-            "{name}: branch trace divergence on input #{case}"
-        );
-        assert_eq!(
-            world_block, world_matched,
-            "{name}: dispatch committed state divergence on input #{case}"
         );
         assert_eq!(
             world_block, world_decoded,
-            "{name}: block-lowered committed state divergence on input #{case}"
-        );
-        assert_eq!(
-            world_decoded, world_legacy,
-            "{name}: committed state divergence on input #{case}"
+            "{name}: block-tier committed state divergence on input #{case}"
         );
     }
 }
 
 #[test]
-fn direct_threaded_pipeline_is_bit_identical_to_all_slower_tiers() {
+fn threaded_pipeline_is_bit_identical_to_the_predecoded_reference() {
     for bench in contracts::all_handwritten() {
         let compiled = compile_source(&bench.source).expect("corpus contract must compile");
-        sweep_four_tiers(&bench.name, compiled);
+        sweep_both_tiers(&bench.name, compiled);
     }
 }
 
-/// An ingested real-bytecode contract (ABI JSON + runtime hex, no
-/// toy-language source) goes through the identical 4-tier × 256-input
-/// sweep: the conformance surface added for arbitrary bytecode must stay
-/// bit-identical across every dispatch tier too.
-#[test]
-fn ingested_real_bytecode_is_bit_identical_across_all_tiers() {
+/// The committed real-bytecode fixture (ABI JSON + runtime hex).
+fn vault_token() -> CompiledContract {
     let abi_json = std::fs::read_to_string("tests/fixtures/vault_token.abi.json").unwrap();
     let bytecode_hex = std::fs::read_to_string("tests/fixtures/vault_token.hex").unwrap();
     let ingested =
         mufuzz_corpus::ingest("VaultToken", &abi_json, &bytecode_hex).expect("fixture must ingest");
     assert!(ingested.skipped.is_empty());
-    sweep_four_tiers("VaultToken", ingested.compiled);
+    ingested.compiled
+}
+
+/// An ingested real-bytecode contract (ABI JSON + runtime hex, no
+/// toy-language source) goes through the identical two-tier × 256-input
+/// sweep: the conformance surface added for arbitrary bytecode must stay
+/// bit-identical on both tiers too.
+#[test]
+fn ingested_real_bytecode_is_bit_identical_across_all_tiers() {
+    sweep_both_tiers("VaultToken", vault_token());
+}
+
+/// Every hand-written corpus contract, compiled, plus the ingested fixture.
+fn corpus_and_fixture() -> Vec<(String, CompiledContract)> {
+    let mut out: Vec<(String, CompiledContract)> = contracts::all_handwritten()
+        .into_iter()
+        .map(|bench| {
+            let compiled = compile_source(&bench.source).expect("corpus contract must compile");
+            (bench.name, compiled)
+        })
+        .collect();
+    out.push(("VaultToken".into(), vault_token()));
+    out
+}
+
+/// The decoder every tier shares, checked instruction by instruction against
+/// the disassembler on every corpus runtime and the ingested fixture: same
+/// opcode, pc and immediate, and `jump_cursor` accepts exactly the
+/// `JUMPDEST`s the disassembler finds.
+#[test]
+fn corpus_runtimes_decode_like_the_disassembler() {
+    for (name, compiled) in corpus_and_fixture() {
+        let code = &compiled.runtime;
+        let program = DecodedProgram::decode(code);
+        let reference = disassemble(code);
+        assert_eq!(program.instructions().len(), reference.len(), "{name}");
+        for (index, (decoded, instr)) in program.instructions().iter().zip(&reference).enumerate() {
+            assert_eq!(decoded.op, instr.opcode, "{name}: opcode #{index}");
+            assert_eq!(decoded.pc as usize, instr.pc, "{name}: pc #{index}");
+            assert_eq!(
+                decoded.imm,
+                U256::from_be_slice(&instr.immediate),
+                "{name}: immediate #{index}"
+            );
+        }
+        let jumpdests: Vec<usize> = reference
+            .iter()
+            .filter(|instr| instr.opcode == Opcode::JumpDest)
+            .map(|instr| instr.pc)
+            .collect();
+        let accepted: Vec<usize> = (0..=code.len())
+            .filter(|&pc| program.jump_cursor(pc).is_some())
+            .collect();
+        assert_eq!(accepted, jumpdests, "{name}: jump destinations");
+    }
+}
+
+/// Assert that two harness outcomes of the same sequence agree in every
+/// field a campaign consumes.
+fn assert_outcomes_agree(
+    name: &str,
+    case: usize,
+    threaded: &mufuzz::SequenceOutcome,
+    reference: &mufuzz::SequenceOutcome,
+) {
+    assert_eq!(
+        threaded.traces, reference.traces,
+        "{name}: trace divergence on sequence #{case}"
+    );
+    assert_eq!(
+        threaded.successes, reference.successes,
+        "{name}: success count divergence on sequence #{case}"
+    );
+    assert_eq!(
+        threaded.covered_edge_ids, reference.covered_edge_ids,
+        "{name}: coverage divergence on sequence #{case}"
+    );
+    assert_eq!(
+        threaded.final_world, reference.final_world,
+        "{name}: final world divergence on sequence #{case}"
+    );
+}
+
+/// Campaign-shaped inputs: the plan-derived initial corpus, then mutants
+/// built the way a campaign builds them (an occasional structural mutation,
+/// then mask-guided byte mutation of one or two transactions), each run
+/// through a default harness and a `with_block_lowering(false)` harness.
+#[test]
+fn fuzzer_generated_sequences_are_bit_identical_on_both_tiers() {
+    let config = FuzzerConfig::default();
+    for (name, compiled) in corpus_and_fixture() {
+        let threaded = ContractHarness::new(compiled.clone(), &config).unwrap();
+        let reference =
+            ContractHarness::new(compiled, &config.clone().with_block_lowering(false)).unwrap();
+
+        let abi = &threaded.compiled.abi;
+        let plan = plan_sequence(&analyze_contract(&threaded.compiled.contract));
+        let mut interesting = InterestingValues::harvest(&threaded.compiled.runtime);
+        for address in threaded.interesting_addresses() {
+            interesting.add(address.to_u256());
+        }
+        let generator = SequenceGenerator::new(abi, plan, true, threaded.senders.len());
+        let mut rng = SmallRng::seed_from_u64(name_seed(&name));
+        let (mut frame_a, mut frame_b) = (ExecFrame::new(), ExecFrame::new());
+        let mut run = |case: usize, sequence: &Sequence| {
+            let a = threaded.execute_sequence_with(sequence, &mut frame_a);
+            let b = reference.execute_sequence_with(sequence, &mut frame_b);
+            assert_outcomes_agree(&name, case, &a, &b);
+        };
+
+        let mut pool =
+            generator.initial_sequences(abi, config.initial_seeds, &mut rng, &interesting);
+        for (case, sequence) in pool.iter().enumerate() {
+            run(case, sequence);
+        }
+        for case in pool.len()..pool.len() + MUTANTS_PER_CONTRACT {
+            let parent = &pool[rng.gen_range(0..pool.len())];
+            let mut sequence = if rng.gen_bool(0.3) {
+                generator.mutate_structure(parent, abi, &mut rng, &interesting)
+            } else {
+                parent.clone()
+            };
+            if !sequence.txs.is_empty() {
+                for _ in 0..1 + rng.gen_range(0..2usize) {
+                    let idx = rng.gen_range(0..sequence.txs.len());
+                    let stream = &sequence.txs[idx].stream;
+                    let mask = MutationMask::allow_all(stream.len());
+                    if let Some(mutated) = mutate_masked(stream, &mask, &mut rng, &interesting) {
+                        sequence.txs[idx].stream = mutated;
+                    }
+                }
+            }
+            run(case, &sequence);
+            pool.push(sequence);
+        }
+    }
 }
 
 /// Whole-sequence equivalence: the harness's production path (block-lowered,
-/// cached, frame-reusing) produces the same traces as a legacy re-execution
-/// of the same transactions.
+/// cached, frame-reusing) produces the same traces as a manual re-execution
+/// of the same transactions on the pre-decoded tier.
 #[test]
-fn harness_sequences_replay_identically_through_the_legacy_decoder() {
-    use mufuzz::{Sequence, TxInput};
+fn harness_sequences_replay_identically_on_the_predecoded_tier() {
+    use mufuzz::TxInput;
 
     let compiled = compile_source(&contracts::crowdsale().source).unwrap();
     let harness = ContractHarness::new(compiled, &FuzzerConfig::default()).unwrap();
@@ -217,7 +312,7 @@ fn harness_sequences_replay_identically_through_the_legacy_decoder() {
     ]);
     let outcome = harness.execute_sequence(&sequence);
 
-    // Replay the same messages manually through the legacy decoder.
+    // Replay the same messages manually on the reference tier.
     let mut world = harness.base_world().snapshot();
     let mut block = harness.base_block();
     for (tx, trace) in sequence.txs.iter().zip(&outcome.traces) {
@@ -225,7 +320,7 @@ fn harness_sequences_replay_identically_through_the_legacy_decoder() {
         let abi = harness.compiled.abi.function(&tx.function).unwrap();
         let sender = harness.senders[tx.sender_index % harness.senders.len()];
         let mut evm = Evm::new(&mut world, block);
-        evm.config.legacy_decode = true;
+        evm.config.block_lowering = false;
         let result = evm.execute(&Message::new(
             sender,
             harness.contract_address,

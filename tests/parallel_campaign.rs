@@ -85,53 +85,10 @@ fn four_workers_match_sequential_coverage_on_crowdsale() {
     assert!(parallel.corpus_size >= 3);
 }
 
-/// The sharded scheduler (the default: per-worker corpus mirrors, epoch
-/// resyncs, lock-free steady-state draws) and the historical global draw
-/// under the state lock make identical scheduling decisions: at one worker
-/// the two paths produce the same campaign in every reported dimension —
-/// findings, coverage, corpus, timeline and diagnostics.
-#[test]
-fn sharded_and_global_draw_are_identical_at_one_worker() {
-    for seed in [3, 7, 11, 42] {
-        let compiled = compile_source(&contracts::crowdsale().source).unwrap();
-        let sharded = Fuzzer::new(
-            compiled.clone(),
-            FuzzerConfig::mufuzz(400)
-                .with_rng_seed(seed)
-                .with_workers(1),
-        )
-        .unwrap()
-        .run();
-        let global = Fuzzer::new(
-            compiled,
-            FuzzerConfig::mufuzz(400)
-                .with_rng_seed(seed)
-                .with_workers(1)
-                .with_sharded_scheduler(false),
-        )
-        .unwrap()
-        .run();
-
-        assert_eq!(sharded.covered_edges, global.covered_edges, "seed {seed}");
-        assert_eq!(sharded.executions, global.executions, "seed {seed}");
-        assert_eq!(sharded.corpus_size, global.corpus_size, "seed {seed}");
-        assert_eq!(sharded.culled_seeds, global.culled_seeds, "seed {seed}");
-        assert_eq!(sharded.findings, global.findings, "seed {seed}");
-        assert_eq!(
-            sharded.interesting_shapes, global.interesting_shapes,
-            "seed {seed}"
-        );
-        assert_eq!(sharded.timeline.len(), global.timeline.len(), "seed {seed}");
-        for (a, b) in sharded.timeline.iter().zip(&global.timeline) {
-            assert_eq!(a.executions, b.executions, "seed {seed}");
-            assert_eq!(a.covered_edges, b.covered_edges, "seed {seed}");
-        }
-    }
-}
-
-/// The equivalence holds with a short forced-resync interval too: resyncing
-/// the mirror is semantically a no-op at one worker (same corpus content,
-/// no RNG consumption), whatever the cadence.
+/// Seed draws read a per-worker corpus mirror (epoch resyncs, lock-free
+/// steady-state draws). Resyncing the mirror is semantically a no-op at one
+/// worker (same corpus content, no RNG consumption), so even a resync before
+/// every draw leaves the campaign unchanged.
 #[test]
 fn forced_shard_resyncs_do_not_change_the_campaign() {
     let compiled = compile_source(&contracts::crowdsale().source).unwrap();
@@ -148,22 +105,6 @@ fn forced_shard_resyncs_do_not_change_the_campaign() {
     assert_eq!(eager.covered_edges, baseline.covered_edges);
     assert_eq!(eager.corpus_size, baseline.corpus_size);
     assert_eq!(eager.interesting_shapes, baseline.interesting_shapes);
-}
-
-/// Multi-worker campaigns on the sharded scheduler keep the exact-budget
-/// invariant and the coverage plateau (the default path of every other test
-/// in this file); pin the global scheduler explicitly to check the same for
-/// the lock-drawing engine.
-#[test]
-fn global_scheduler_still_supported_at_four_workers() {
-    let compiled = compile_source(&contracts::crowdsale().source).unwrap();
-    let config = FuzzerConfig::mufuzz(400)
-        .with_rng_seed(11)
-        .with_workers(4)
-        .with_sharded_scheduler(false);
-    let report = Fuzzer::new(compiled, config).unwrap().run();
-    assert_eq!(report.executions, 400);
-    assert!(report.covered_edges >= 16);
 }
 
 /// Oracle findings survive the per-worker monitor merge: the reentrant bank
