@@ -4,15 +4,14 @@
 //! (see `mufuzz::coverage`), which needs every possible branch edge of the
 //! contract under test to have a small, stable integer id. [`EdgeIndex`]
 //! assigns those ids at harness build time — from the [`ControlFlowGraph`],
-//! directly from the pre-decoded instruction stream
-//! ([`EdgeIndex::from_program`], no bytecode re-scan), or from the
-//! block-lowered program the interpreter executes
-//! ([`EdgeIndex::from_blocks`], block-edge granularity): the `JUMPI` sites
-//! are enumerated in ascending program-counter order and each site
-//! contributes two consecutive ids — `2 * rank` for the fall-through edge
-//! and `2 * rank + 1` for the taken edge. Every `JUMPI` terminates exactly
-//! one basic block, so the three numberings are identical by construction
-//! (and asserted identical in the tests below).
+//! from the pre-decoded instruction stream ([`EdgeIndex::from_program`]), or
+//! from the block-lowered program the interpreter executes
+//! ([`EdgeIndex::from_blocks`], what the harness uses). Each collects the
+//! contract's `JUMPI` pcs in ascending order; the site of rank `r`
+//! contributes two consecutive ids — `2 * r` for the fall-through edge and
+//! `2 * r + 1` for the taken edge. Every `JUMPI` terminates exactly one
+//! basic block, so the three numberings are identical by construction (and
+//! asserted identical in the tests below).
 //!
 //! Because the numbering is a pure function of the bytecode, two harnesses
 //! built from the same compiled contract always agree on every id, which is
@@ -21,7 +20,6 @@
 
 use crate::cfg::ControlFlowGraph;
 use mufuzz_evm::{Address, BlockProgram, BranchEdge, DecodedProgram, Opcode};
-use std::collections::HashMap;
 
 /// A stable, dense `u32` numbering of the branch edges of one contract.
 ///
@@ -48,101 +46,47 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct EdgeIndex {
     code_address: Address,
-    /// `JUMPI` pc → branch rank (position in ascending pc order).
-    ranks: HashMap<usize, u32>,
-    /// Dense id → edge, in id order.
-    edges: Vec<BranchEdge>,
+    /// The `JUMPI` pcs in ascending order; a site's position is its rank.
+    sites: Vec<usize>,
 }
 
 impl EdgeIndex {
     /// Number the branch edges of `cfg`, attributing them to the contract
     /// deployed at `code_address`.
     pub fn build(cfg: &ControlFlowGraph, code_address: Address) -> EdgeIndex {
-        let mut ranks = HashMap::with_capacity(cfg.branches.len());
-        let mut edges = Vec::with_capacity(cfg.branches.len() * 2);
-        for (rank, pc) in cfg.branches.keys().enumerate() {
-            ranks.insert(*pc, rank as u32);
-            for taken in [false, true] {
-                edges.push(BranchEdge {
-                    code_address,
-                    pc: *pc,
-                    taken,
-                });
-            }
-        }
-        EdgeIndex {
-            code_address,
-            ranks,
-            edges,
-        }
+        EdgeIndex::from_sites(code_address, cfg.branches.keys().copied())
     }
 
-    /// Number the branch edges directly from a pre-decoded instruction
-    /// stream, without re-scanning the bytecode or building a CFG.
-    ///
-    /// The numbering is identical to [`EdgeIndex::build`] by construction:
-    /// both enumerate the `JUMPI` sites of the same code in ascending
-    /// program-counter order (the decoded stream is in code order, and every
-    /// `JUMPI` terminates a CFG block, so the CFG's branch map contains
-    /// exactly the stream's `JUMPI` pcs). The harness uses this at build
-    /// time, reusing the program it decodes for the interpreter fast path.
+    /// Number the branch edges from a pre-decoded instruction stream (code
+    /// order), without re-scanning the bytecode or building a CFG.
     pub fn from_program(program: &DecodedProgram, code_address: Address) -> EdgeIndex {
-        let mut ranks = HashMap::new();
-        let mut edges = Vec::new();
-        for instr in program
+        let sites = program
             .instructions()
             .iter()
             .filter(|i| i.op == Opcode::JumpI)
-        {
-            let pc = instr.pc as usize;
-            ranks.insert(pc, ranks.len() as u32);
-            for taken in [false, true] {
-                edges.push(BranchEdge {
-                    code_address,
-                    pc,
-                    taken,
-                });
-            }
-        }
-        EdgeIndex {
-            code_address,
-            ranks,
-            edges,
-        }
+            .map(|i| i.pc as usize);
+        EdgeIndex::from_sites(code_address, sites)
     }
 
-    /// Number the branch edges at block granularity: one rank per basic
-    /// block that ends in a `JUMPI`, enumerated in block (= code) order.
-    ///
-    /// A `JUMPI` is a block terminator, so each one ends exactly one basic
-    /// block and every `JUMPI`-ending block contributes one branch site —
-    /// this numbering is therefore identical to [`EdgeIndex::from_program`]
-    /// and [`EdgeIndex::build`] (asserted in the tests), which is what keeps
-    /// campaign semantics and the `workers == 1` snapshot contract intact
-    /// while the bitmap is sized from the block-edge count.
+    /// Number the branch edges at block granularity: one site per basic
+    /// block that ends in a `JUMPI`, in block (= code) order.
     pub fn from_blocks(program: &BlockProgram, code_address: Address) -> EdgeIndex {
         let instrs = program.base().instructions();
-        let mut ranks = HashMap::new();
-        let mut edges = Vec::new();
-        for block in program.blocks() {
-            let last = &instrs[block.instr_end as usize - 1];
-            if last.op != Opcode::JumpI {
-                continue;
-            }
-            let pc = last.pc as usize;
-            ranks.insert(pc, ranks.len() as u32);
-            for taken in [false, true] {
-                edges.push(BranchEdge {
-                    code_address,
-                    pc,
-                    taken,
-                });
-            }
-        }
+        let sites = program
+            .blocks()
+            .iter()
+            .map(|block| &instrs[block.instr_end as usize - 1])
+            .filter(|last| last.op == Opcode::JumpI)
+            .map(|last| last.pc as usize);
+        EdgeIndex::from_sites(code_address, sites)
+    }
+
+    fn from_sites(code_address: Address, sites: impl Iterator<Item = usize>) -> EdgeIndex {
+        let sites: Vec<usize> = sites.collect();
+        debug_assert!(sites.windows(2).all(|w| w[0] < w[1]), "sites out of order");
         EdgeIndex {
             code_address,
-            ranks,
-            edges,
+            sites,
         }
     }
 
@@ -152,24 +96,28 @@ impl EdgeIndex {
         if edge.code_address != self.code_address {
             return None;
         }
-        self.ranks
-            .get(&edge.pc)
-            .map(|rank| rank * 2 + u32::from(edge.taken))
+        let rank = self.sites.binary_search(&edge.pc).ok()?;
+        Some(rank as u32 * 2 + u32::from(edge.taken))
     }
 
     /// The edge behind a dense id (inverse of [`EdgeIndex::id_of`]).
     pub fn edge_of(&self, id: u32) -> Option<BranchEdge> {
-        self.edges.get(id as usize).copied()
+        let pc = *self.sites.get(id as usize / 2)?;
+        Some(BranchEdge {
+            code_address: self.code_address,
+            pc,
+            taken: id % 2 == 1,
+        })
     }
 
     /// Total number of branch edges (two per `JUMPI`); ids are `0..len()`.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.sites.len() * 2
     }
 
     /// True when the contract has no conditional branches.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.sites.is_empty()
     }
 
     /// The contract address the index attributes edges to.

@@ -299,20 +299,6 @@ impl CampaignShared {
     pub(crate) fn executions(&self) -> usize {
         self.reserved.load(Ordering::Relaxed)
     }
-
-    /// Merge an execution's coverage into the atomic bitmap and return the
-    /// number of globally new edges. Lock-free on the expected path; only
-    /// edges the index cannot number (none in practice) detour through the
-    /// overflow set.
-    fn merge_coverage(&self, outcome: &SequenceOutcome, harness: &ContractHarness) -> usize {
-        let mut new_edges = self.coverage.merge_ids(&outcome.covered_edge_ids);
-        if outcome.covered_edge_ids.len() != outcome.covered_edges.len() {
-            new_edges += self
-                .coverage
-                .merge_unindexed(&outcome.covered_edges, harness.edge_index());
-        }
-        new_edges
-    }
 }
 
 /// Immutable per-campaign parameters shared by all workers.
@@ -791,7 +777,7 @@ impl Worker {
                 .harness
                 .execute_sequence_with(&sequence, &mut self.frame);
             self.observe(&outcome);
-            let new_edges = shared.merge_coverage(&outcome, &self.harness);
+            let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
             // Initial seeds always join the corpus, new coverage or not, and
             // are never subject to culling here (the corpus is still being
             // seeded).
@@ -1071,7 +1057,7 @@ impl Worker {
             self.observe(&outcome);
 
             // Coverage merge: atomic bitmap only, no state lock.
-            let new_edges = shared.merge_coverage(&outcome, &self.harness);
+            let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
             if new_edges > 0 {
                 let shape = candidate.shape();
                 let seed = self.admit_seed(candidate, &outcome, new_edges, &shared.coverage);
@@ -1149,7 +1135,7 @@ impl Worker {
 
                     // Merge the probe's coverage (atomic bitmap, no lock) and
                     // admit it as a seed when it found new edges.
-                    let new_edges = shared.merge_coverage(&outcome, &self.harness);
+                    let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
                     if new_edges > 0 {
                         let admitted = self.admit_seed(
                             probe_seq.clone(),

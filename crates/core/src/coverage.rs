@@ -1,12 +1,9 @@
 //! The campaign's shared coverage map: a fixed-size atomic bitmap over the
 //! dense branch-edge ids assigned by [`mufuzz_analysis::EdgeIndex`].
 //!
-//! Since the interpreter was lowered to basic blocks, the bitmap is sized
-//! from the block-granular edge numbering (`EdgeIndex::from_blocks`): two
-//! bits per `JUMPI`-terminated block. Every `JUMPI` terminates exactly one
-//! block, so the count — and each edge's id — is provably identical to the
-//! historical per-`JUMPI` numbering, and snapshots taken before the lowering
-//! remain comparable bit for bit.
+//! Coverage is the set of the target contract's `JUMPI` edges that some
+//! execution took: two bits per `JUMPI`, nothing else. Branches executed in
+//! other code (e.g. `CREATE2` init code) have no id and are not coverage.
 //!
 //! Workers merge the edges covered by every execution with plain
 //! `AtomicU64::fetch_or` word updates — no mutex, no allocation — so the
@@ -17,10 +14,6 @@
 //! transition: per-execution "new edge" counts are exact even under
 //! arbitrary interleaving, and their sum equals the global covered count.
 //!
-//! Edges that the index cannot number (in practice none: the index is built
-//! from the same bytecode the interpreter executes) fall back to a tiny
-//! mutex-guarded overflow set so no coverage is ever silently dropped.
-//!
 //! The module also hosts [`SchedulerEpoch`], the atomic generation counter
 //! the seed scheduler uses to publish corpus changes to the workers'
 //! local shard mirrors — the other half of keeping the campaign's per-batch
@@ -28,9 +21,7 @@
 
 use mufuzz_analysis::EdgeIndex;
 use mufuzz_evm::BranchEdge;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A monotone generation counter publishing scheduling-state changes to the
 /// workers' corpus shards.
@@ -97,21 +88,13 @@ pub struct CoverageMap {
     words: Vec<AtomicU64>,
     /// Number of addressable edge ids (bits).
     edges: usize,
-    /// Edges the index could not number. Expected to stay empty; kept so a
-    /// surprising edge (e.g. from foreign code) is still counted rather than
-    /// silently lost.
-    overflow: Mutex<BTreeSet<BranchEdge>>,
 }
 
 impl CoverageMap {
     /// Create an empty map able to track `edges` dense ids (`0..edges`).
     pub fn new(edges: usize) -> CoverageMap {
         let words = (0..edges.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        CoverageMap {
-            words,
-            edges,
-            overflow: Mutex::new(BTreeSet::new()),
-        }
+        CoverageMap { words, edges }
     }
 
     /// Number of addressable edge ids.
@@ -150,39 +133,13 @@ impl CoverageMap {
         (id as usize) < self.edges && self.words[word].load(Ordering::Relaxed) & (1u64 << bit) != 0
     }
 
-    /// True if `edge` has been covered, resolving it through `index` (and the
-    /// overflow set for edges the index cannot number).
+    /// True if `edge` has been covered, resolving it through `index`. Edges
+    /// the index cannot number report uncovered.
     pub fn contains_edge(&self, edge: &BranchEdge, index: &EdgeIndex) -> bool {
-        match index.id_of(edge) {
-            Some(id) => self.is_covered(id),
-            None => self
-                .overflow
-                .lock()
-                .expect("coverage overflow poisoned")
-                .contains(edge),
-        }
-    }
-
-    /// Merge the edges of `covered` that the index cannot number into the
-    /// overflow set, returning how many were new. Indexed edges are skipped —
-    /// they are expected to arrive through [`CoverageMap::merge_ids`].
-    pub fn merge_unindexed(&self, covered: &BTreeSet<BranchEdge>, index: &EdgeIndex) -> usize {
-        let mut overflow = self.overflow.lock().expect("coverage overflow poisoned");
-        let before = overflow.len();
-        overflow.extend(
-            covered
-                .iter()
-                .filter(|edge| index.id_of(edge).is_none())
-                .copied(),
-        );
-        overflow.len() - before
+        index.id_of(edge).is_some_and(|id| self.is_covered(id))
     }
 
     /// Export the packed bitmap words for checkpoint serialization.
-    ///
-    /// Only the dense bitmap is exported; callers that need lossless
-    /// snapshots must check [`CoverageMap::has_overflow`] first (the overflow
-    /// set is expected to stay empty — see the module docs).
     pub fn snapshot_words(&self) -> Vec<u64> {
         self.words
             .iter()
@@ -202,29 +159,12 @@ impl CoverageMap {
         map
     }
 
-    /// True if any covered edge had to detour through the overflow set (and
-    /// would therefore be lost by [`CoverageMap::snapshot_words`]).
-    pub fn has_overflow(&self) -> bool {
-        !self
-            .overflow
-            .lock()
-            .expect("coverage overflow poisoned")
-            .is_empty()
-    }
-
-    /// Total number of distinct covered edges (bitmap population plus any
-    /// overflow edges).
+    /// Total number of distinct covered edges (the bitmap population).
     pub fn covered_count(&self) -> usize {
-        let bits: usize = self
-            .words
+        self.words
             .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum();
-        bits + self
-            .overflow
-            .lock()
-            .expect("coverage overflow poisoned")
-            .len()
+            .sum()
     }
 }
 
@@ -235,11 +175,6 @@ impl CoverageMap {
 /// machinery of [`CoverageMap`] is unnecessary. The bit numbering matches
 /// `CoverageMap` word for word — a slot view is seeded directly from
 /// [`CoverageMap::snapshot_words`].
-///
-/// Edges the index cannot number are deliberately *not* tracked: a slot only
-/// uses its local map to decide candidacy, and the round barrier re-merges
-/// candidates into the shared map (which does track overflow), so nothing is
-/// lost — an unindexed edge simply cannot make a mutant a candidate.
 ///
 /// ```
 /// use mufuzz::coverage::{CoverageMap, LocalCoverage};
@@ -293,7 +228,7 @@ impl LocalCoverage {
     }
 
     /// True if `edge` is covered in this local view, resolving it through
-    /// `index`. Unindexed edges report uncovered (see the type docs).
+    /// `index`. Unindexed edges report uncovered, as in the shared map.
     pub fn contains_edge(&self, edge: &BranchEdge, index: &EdgeIndex) -> bool {
         index.id_of(edge).is_some_and(|id| self.is_covered(id))
     }
@@ -391,7 +326,6 @@ mod tests {
     fn snapshot_words_round_trip_restores_the_bitmap() {
         let map = CoverageMap::new(200);
         map.merge_ids(&[0, 63, 64, 130, 199]);
-        assert!(!map.has_overflow());
         let restored = CoverageMap::restore(200, &map.snapshot_words());
         assert_eq!(restored.covered_count(), map.covered_count());
         for id in [0u32, 63, 64, 130, 199] {
@@ -434,23 +368,7 @@ mod tests {
             taken: true,
         };
         assert!(!local.contains_edge(&edge, &index));
-    }
-
-    #[test]
-    fn unindexed_edges_flow_into_the_overflow_set() {
-        let cfg = ControlFlowGraph::build(&[]);
-        let index = EdgeIndex::build(&cfg, Address::from_low_u64(1));
-        let map = CoverageMap::new(index.len());
-        let edge = BranchEdge {
-            code_address: Address::from_low_u64(2),
-            pc: 7,
-            taken: true,
-        };
-        let covered: BTreeSet<BranchEdge> = [edge].into_iter().collect();
-        assert!(!map.contains_edge(&edge, &index));
-        assert_eq!(map.merge_unindexed(&covered, &index), 1);
-        assert_eq!(map.merge_unindexed(&covered, &index), 0);
-        assert!(map.contains_edge(&edge, &index));
-        assert_eq!(map.covered_count(), 1);
+        // The shared map agrees: foreign edges are never coverage.
+        assert!(!CoverageMap::new(index.len()).contains_edge(&edge, &index));
     }
 }

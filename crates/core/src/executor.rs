@@ -11,11 +11,10 @@ use crate::config::FuzzerConfig;
 use crate::input::{Sequence, TxInput};
 use mufuzz_analysis::EdgeIndex;
 use mufuzz_evm::{
-    ether, Account, Address, BlockEnv, BranchEdge, DecodedProgram, Evm, ExecFrame, ExecutionTrace,
+    ether, Account, Address, BlockEnv, DecodedProgram, Evm, ExecFrame, ExecutionTrace,
     HostBehaviour, Message, ProgramCache, WorldState, U256,
 };
 use mufuzz_lang::CompiledContract;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,13 +41,11 @@ fn value_cap() -> U256 {
 pub struct SequenceOutcome {
     /// Per-transaction execution traces (same order as the sequence).
     pub traces: Vec<ExecutionTrace>,
-    /// Union of branch edges covered by all transactions.
-    pub covered_edges: BTreeSet<BranchEdge>,
-    /// The same edges as dense ids from the harness's [`EdgeIndex`], sorted
-    /// ascending. This is what the campaign merges into its atomic coverage
-    /// bitmap without taking any lock. Edges the index cannot number (none in
-    /// practice) appear only in `covered_edges`, so a length mismatch between
-    /// the two collections flags them.
+    /// Dense ids (from the harness's [`EdgeIndex`]) of the target contract's
+    /// branch edges that any transaction executed, sorted and deduplicated.
+    /// Derived from the traces' `branches`; branches in other code have no
+    /// id and are not coverage. The campaign merges this list into its
+    /// atomic coverage bitmap without taking any lock.
     pub covered_edge_ids: Vec<u32>,
     /// World state after the whole sequence.
     pub final_world: WorldState,
@@ -235,7 +232,6 @@ impl ContractHarness {
         let mut world = self.base_world.snapshot();
         let mut block = self.base_block;
         let mut traces = Vec::with_capacity(sequence.len());
-        let mut covered = BTreeSet::new();
         let mut successes = 0usize;
 
         for tx in &sequence.txs {
@@ -244,24 +240,19 @@ impl ContractHarness {
             if trace.success() {
                 successes += 1;
             }
-            trace.merge_edges_into(&mut covered);
             traces.push(trace);
         }
 
-        // Dense ids for the atomic coverage bitmap. `covered` iterates in
-        // ascending (address, pc, taken) order, which the index maps to
-        // ascending ids for the single contract under test; the defensive
-        // sort is a no-op then and keeps the contract documented on
-        // `covered_edge_ids` honest if that ever changes.
-        let mut covered_edge_ids: Vec<u32> = covered
+        let mut covered_edge_ids: Vec<u32> = traces
             .iter()
-            .filter_map(|edge| self.edge_index.id_of(edge))
+            .flat_map(|trace| &trace.branches)
+            .filter_map(|branch| self.edge_index.id_of(&branch.edge()))
             .collect();
         covered_edge_ids.sort_unstable();
+        covered_edge_ids.dedup();
 
         SequenceOutcome {
             traces,
-            covered_edges: covered,
             covered_edge_ids,
             final_world: world,
             successes,
@@ -384,7 +375,7 @@ mod tests {
             TxInput::simple("withdraw"),
         ]);
         let outcome_full = h.execute_sequence(&full);
-        assert!(outcome_full.covered_edges.len() > outcome_single.covered_edges.len());
+        assert!(outcome_full.covered_edge_ids.len() > outcome_single.covered_edge_ids.len());
         assert_eq!(outcome_full.traces.len(), 3);
         assert!(outcome_full.any_success());
     }
@@ -417,18 +408,23 @@ mod tests {
     }
 
     #[test]
-    fn outcome_edge_ids_mirror_the_edge_set() {
+    fn outcome_edge_ids_mirror_the_branch_log() {
         let h = harness();
         let outcome = h.execute_sequence(&Sequence::new(vec![
             TxInput::new("invest", 0, ether(100), &[ether(100)]),
             TxInput::simple("refund"),
             TxInput::simple("withdraw"),
         ]));
-        // Every covered edge is indexable, and the id list is its exact
-        // sorted image.
-        assert_eq!(outcome.covered_edge_ids.len(), outcome.covered_edges.len());
+        // Every executed edge is indexable, and the id list is the exact
+        // sorted, deduplicated image of the branch log.
+        let edges: std::collections::BTreeSet<_> = outcome
+            .traces
+            .iter()
+            .flat_map(|t| t.branches.iter().map(|b| b.edge()))
+            .collect();
+        assert_eq!(outcome.covered_edge_ids.len(), edges.len());
         assert!(outcome.covered_edge_ids.windows(2).all(|w| w[0] < w[1]));
-        for edge in &outcome.covered_edges {
+        for edge in &edges {
             let id = h.edge_index().id_of(edge).expect("edge must be indexed");
             assert!(outcome.covered_edge_ids.binary_search(&id).is_ok());
             assert_eq!(h.edge_index().edge_of(id), Some(*edge));

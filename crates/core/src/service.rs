@@ -286,8 +286,9 @@ impl CampaignService {
 
     /// Resume a checkpointed campaign; returns immediately with a handle.
     ///
-    /// The contract must fingerprint-match the snapshot and the
-    /// configuration must select the snapshot's determinism profile. Under
+    /// The contract must fingerprint-match the snapshot, the configuration
+    /// must select the snapshot's determinism profile, and its budget must
+    /// cover the executions the snapshot has already run. Under
     /// the free-running profile `config.workers` must additionally equal the
     /// snapshot's lane count, and with one lane an unchanged configuration
     /// continues bit-for-bit where the checkpoint left off. Under the round
@@ -322,6 +323,12 @@ impl CampaignService {
             return Err(SnapshotError::ProfileMismatch {
                 snapshot: snapshot.profile,
                 config: config_profile,
+            });
+        }
+        if snapshot.executions() > config.max_executions() {
+            return Err(SnapshotError::BudgetExceeded {
+                executions: snapshot.executions(),
+                budget: config.max_executions(),
             });
         }
         let lane_count = config.workers.max(1);
@@ -562,8 +569,7 @@ impl CampaignHandle {
     /// Freeze a paused campaign into a [`CampaignSnapshot`].
     ///
     /// Errors with [`SnapshotError::NotPaused`] unless the campaign is
-    /// paused, and with [`SnapshotError::OverflowCoverage`] in the
-    /// (practically unreachable) case of a saturated coverage bitmap.
+    /// paused.
     pub fn checkpoint(&self) -> Result<CampaignSnapshot, SnapshotError> {
         {
             let done = self.job.done.lock().expect("campaign done state poisoned");
@@ -572,9 +578,6 @@ impl CampaignHandle {
             }
         }
         let job = &self.job;
-        if job.shared.coverage.has_overflow() {
-            return Err(SnapshotError::OverflowCoverage);
-        }
         let (corpus, timeline, shapes, next_uid, admitted_since_cull, culled) = {
             let s = job.shared.state.lock().expect("campaign state poisoned");
             (

@@ -270,9 +270,14 @@ pub enum SnapshotError {
         /// Lanes requested by `config.workers`.
         config: usize,
     },
-    /// The campaign's coverage bitmap saturated its overflow bucket; the
-    /// bitmap can no longer be restored exactly.
-    OverflowCoverage,
+    /// The snapshot has already spent more executions than the resume
+    /// configuration's budget allows.
+    BudgetExceeded {
+        /// Executions frozen in the snapshot.
+        executions: usize,
+        /// The resume configuration's `max_executions()`.
+        budget: usize,
+    },
     /// Checkpoint was requested while the campaign was not paused.
     NotPaused,
     /// The contract failed to deploy while rebuilding the campaign.
@@ -311,12 +316,10 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot has {snapshot} lane(s) but the config asks for {config} worker(s)"
             ),
-            SnapshotError::OverflowCoverage => {
-                write!(
-                    f,
-                    "coverage bitmap overflowed; campaign cannot be checkpointed exactly"
-                )
-            }
+            SnapshotError::BudgetExceeded { executions, budget } => write!(
+                f,
+                "snapshot has run {executions} executions, beyond the budget of {budget}"
+            ),
             SnapshotError::NotPaused => {
                 write!(f, "campaign is not paused; pause it before checkpointing")
             }

@@ -327,10 +327,14 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parse a complete JSON document (trailing bytes are an error).
+    ///
+    /// Arrays and objects may nest at most 128 levels deep; deeper input is
+    /// an error rather than a stack overflow.
     pub fn parse(text: &str) -> Result<JsonValue, IngestError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -395,10 +399,17 @@ impl JsonValue {
     }
 }
 
+/// How deeply [`JsonValue::parse`] lets arrays and objects nest. Each level
+/// is a few stack frames of recursion, so the bound keeps hostile input from
+/// overflowing a thread's stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Minimal recursive-descent JSON parser.
 struct Parser<'t> {
     bytes: &'t [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -426,8 +437,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, IngestError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -438,6 +449,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, IngestError>,
+    ) -> Result<JsonValue, IngestError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(IngestError::new(format!(
+                "JSON nests deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, IngestError> {
@@ -676,5 +705,32 @@ mod tests {
         assert!(ingest("X", "[]", "0x00").is_err());
         assert!(ingest("X", ERC20_ISH, "").is_err());
         assert!(ingest("X", "not json", "0x00").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn json_nesting_is_bounded_at_128_levels() {
+        assert!(JsonValue::parse(&nested_arrays(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested_arrays(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("at byte 128"), "{err}");
+        // Objects count toward the same bound.
+        let objects = r#"{"a":"#.repeat(MAX_JSON_DEPTH + 1) + "1" + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_json_is_rejected_on_a_small_stack() {
+        // 10,000 levels overflowed a 2 MiB stack (the default for spawned
+        // threads) before the nesting bound, aborting the whole process.
+        let rejected = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| JsonValue::parse(&nested_arrays(10_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(rejected);
     }
 }

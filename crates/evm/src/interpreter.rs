@@ -1181,7 +1181,6 @@ impl<'w> Evm<'w> {
                         depth,
                         code_address,
                     };
-                    trace.covered_edges.insert(record.edge());
                     trace.branches.push(record);
                     last_cmp = None;
                     if taken {
@@ -1943,7 +1942,6 @@ mod tests {
         assert!(result.success, "halt: {:?}", result.halt);
         assert_eq!(result.trace.branches.len(), 1);
         assert!(result.trace.branches[0].taken);
-        assert_eq!(result.trace.covered_edges.len(), 1);
     }
 
     #[test]

@@ -459,7 +459,6 @@ fn note_branch(m: &mut Machine<'_, '_>, pc: usize, dest: usize, taken: bool, tc:
         depth: m.depth,
         code_address: m.code_address,
     };
-    m.trace.covered_edges.insert(record.edge());
     m.trace.branches.push(record);
     m.last_cmp = None;
 }

@@ -3,13 +3,13 @@
 //! The interpreter is fully instrumented: every branch decision, basic-block
 //! transition, storage write, external call, arithmetic truncation and
 //! self-destruct is recorded. The trace is the single source of truth for
-//! branch coverage, branch-distance feedback, the dynamic energy adjustment
-//! pre-fuzz pass, and all nine bug oracles.
+//! branch coverage (derived from [`ExecutionTrace::branches`]),
+//! branch-distance feedback, the dynamic energy adjustment pre-fuzz pass,
+//! and all nine bug oracles.
 
 use crate::opcode::Opcode;
 use crate::types::Address;
 use crate::u256::U256;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Lightweight taint labels propagated through the EVM stack.
@@ -200,9 +200,8 @@ impl BranchRecord {
 /// "basic block transition" metric.
 ///
 /// The derived `Ord` sorts by `(code_address, pc, taken)`; for a single
-/// contract this matches the dense edge numbering the analysis layer assigns
-/// (`mufuzz_analysis::EdgeIndex`), so sorted edge sets map to sorted id
-/// lists.
+/// contract this is the order of the dense edge ids the analysis layer
+/// assigns (`mufuzz_analysis::EdgeIndex`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BranchEdge {
     /// Contract whose code contains the branch.
@@ -414,10 +413,10 @@ pub struct ExecutionTrace {
     pub instr_count: u64,
     /// Presence set of every opcode executed at any depth.
     pub ops_seen: OpcodeSet,
-    /// Conditional branch decisions in execution order.
+    /// Conditional branch decisions in execution order, at every depth and
+    /// in every contract. The only record of executed branches: coverage ids
+    /// are derived from it.
     pub branches: Vec<BranchRecord>,
-    /// Distinct branch edges exercised.
-    pub covered_edges: BTreeSet<BranchEdge>,
     /// Arithmetic truncation events.
     pub arith_events: Vec<ArithEvent>,
     /// External calls.
@@ -489,13 +488,6 @@ impl ExecutionTrace {
         self.branches
             .iter()
             .filter(move |b| b.code_address == address)
-    }
-
-    /// Merge the coverage of another trace into an accumulated edge set.
-    pub fn merge_edges_into(&self, acc: &mut BTreeSet<BranchEdge>) -> usize {
-        let before = acc.len();
-        acc.extend(self.covered_edges.iter().copied());
-        acc.len() - before
     }
 }
 
@@ -569,8 +561,7 @@ mod tests {
             taken,
         };
         // (pc, fallthrough) sorts immediately before (pc, taken), and both
-        // before any higher pc — the property the dense edge numbering
-        // relies on.
+        // before any higher pc — the order of the dense edge ids.
         let mut edges = vec![edge(9, false), edge(4, true), edge(9, true), edge(4, false)];
         edges.sort();
         assert_eq!(
@@ -584,22 +575,5 @@ mod tests {
         assert!(HaltReason::Normal.is_success());
         assert!(!HaltReason::Revert.is_success());
         assert!(!HaltReason::Fault("stack underflow".into()).is_success());
-    }
-
-    #[test]
-    fn trace_edge_merging_counts_new_edges() {
-        let mut trace = ExecutionTrace::new();
-        let edge = |pc, taken| BranchEdge {
-            code_address: Address::from_low_u64(1),
-            pc,
-            taken,
-        };
-        trace.covered_edges.insert(edge(1, true));
-        trace.covered_edges.insert(edge(1, false));
-        let mut acc = BTreeSet::new();
-        acc.insert(edge(1, true));
-        let added = trace.merge_edges_into(&mut acc);
-        assert_eq!(added, 1);
-        assert_eq!(acc.len(), 2);
     }
 }

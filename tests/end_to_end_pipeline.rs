@@ -2,7 +2,7 @@
 //! contract compiles, deploys, fuzzes, and the oracles detect the annotated
 //! vulnerability classes for the canonical representatives.
 
-use mufuzz::{Fuzzer, FuzzerConfig};
+use mufuzz::{ContractHarness, Fuzzer, FuzzerConfig, Sequence, TxInput};
 use mufuzz_corpus::{all_handwritten, contracts};
 use mufuzz_lang::compile_source;
 use mufuzz_oracles::BugClass;
@@ -122,4 +122,41 @@ fn benign_ledger_produces_no_spurious_findings_for_guarded_patterns() {
         "{classes:?}"
     );
     assert!(!classes.contains(&BugClass::Reentrancy), "{classes:?}");
+}
+
+/// A 29-byte runtime with one `JUMPI` of its own, which it never takes, and
+/// a `CREATE2` of the 7-byte init code `PUSH1 1 PUSH1 5 JUMPI JUMPDEST STOP`,
+/// which takes a `JUMPI` in the created account's code.
+const SPAWNER_RUNTIME: &str = "6660016005575b006000526042600760196000f5506000601b57005b00";
+const SPAWNER_ABI: &str = r#"[{"type":"function","name":"spawn","inputs":[]}]"#;
+
+/// Coverage is the target contract's `JUMPI` edges and nothing else: a
+/// branch executed in `CREATE2` init code stays in the trace but is not
+/// coverage, under either determinism profile.
+#[test]
+fn branches_in_foreign_code_are_not_coverage() {
+    let spawner = || {
+        mufuzz_corpus::ingest("Spawner", SPAWNER_ABI, SPAWNER_RUNTIME)
+            .unwrap()
+            .compiled
+    };
+    let harness = ContractHarness::new(spawner(), &FuzzerConfig::default()).unwrap();
+    let outcome = harness.execute_sequence(&Sequence::new(vec![TxInput::simple("spawn")]));
+    assert!(outcome.traces[0]
+        .branches
+        .iter()
+        .any(|b| b.code_address != harness.contract_address));
+    assert_eq!(outcome.covered_edge_ids, vec![0]);
+
+    for config in [
+        FuzzerConfig::mufuzz(200),
+        FuzzerConfig::mufuzz(200).with_round_mode(),
+    ] {
+        let round = config.round_mode();
+        let report = Fuzzer::new(spawner(), config.with_workers(1))
+            .unwrap()
+            .run();
+        assert_eq!(report.covered_edges, 1, "round mode: {round}");
+        assert_eq!(report.total_edges, 2, "round mode: {round}");
+    }
 }

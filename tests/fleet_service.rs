@@ -155,6 +155,26 @@ fn resume_validates_contract_and_lane_count() {
     }
 }
 
+/// A snapshot that has already run more executions than the resume budget
+/// allows is rejected up front. Resumed, it would overshoot the budget
+/// inside a pool lane, and `wait()` would never return — so this test never
+/// calls it.
+#[test]
+fn resume_rejects_a_snapshot_past_the_budget() {
+    let snapshot = checkpoint_at(11, 305);
+    let compiled = compile_source(&contracts::crowdsale().source).unwrap();
+    let service = CampaignService::new(1);
+    let config = FuzzerConfig::mufuzz(200).with_rng_seed(11).with_workers(1);
+    match service.resume(compiled, config, &snapshot) {
+        Err(err @ SnapshotError::BudgetExceeded { executions, budget }) => {
+            assert_eq!(executions, snapshot.executions());
+            assert_eq!(budget, 200);
+            assert!(err.to_string().contains("budget of 200"), "{err}");
+        }
+        other => panic!("expected BudgetExceeded, got {:?}", other.err()),
+    }
+}
+
 /// Checkpointing a running or completed campaign is an error.
 #[test]
 fn checkpoint_requires_a_paused_campaign() {
