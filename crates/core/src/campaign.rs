@@ -46,19 +46,34 @@
 //! fixed `rng_seed` — and, through [`crate::snapshot::CampaignSnapshot`],
 //! across a checkpoint/resume boundary. Additional lanes draw decorrelated
 //! `SmallRng` streams derived from `rng_seed`.
+//!
+//! # One probe pass, one mutant loop
+//!
+//! Algorithm 2's mask-probe pass and the energy-driven mutant loop are
+//! written once (`Executor::compute_masks` and `Executor::run_mutants`) and
+//! shared by both determinism profiles. They are generic over a `Ledger`:
+//! the budget every execution is charged to and the state its result feeds.
+//! A free-running lane's ledger reserves slots from the shared budget and
+//! the wall clock, merges into the atomic [`CoverageMap`], admits seeds
+//! under the state lock and records a timeline point at every snapshot
+//! boundary. A round slot's ledger (see `round.rs`) charges the slot quota,
+//! merges into a slot-local bitmap and stages candidates for the round
+//! commit. Only seed drawing differs between the profiles.
 
 use crate::config::FuzzerConfig;
 use crate::coverage::{CoverageMap, SchedulerEpoch};
 use crate::energy::{allocate_energy, corpus_mean_weight, seed_weight};
 use crate::executor::{ContractHarness, HarnessError, SequenceOutcome};
 use crate::input::{Seed, Sequence};
-use crate::mutation::{apply_op, mutate_masked, InterestingValues, MutationMask, MutationOp};
+use crate::mutation::{
+    apply_op, mutate_masked, word_count, InterestingValues, MutationMask, MutationOp,
+};
 use crate::replay::FindingRecord;
 use crate::round::RoundRt;
 use crate::seedgen::SequenceGenerator;
 use crate::service::{CampaignService, SubmitOptions};
 use crate::snapshot::{put_seed, Digest};
-use mufuzz_analysis::{analyze_contract, plan_sequence, ControlFlowGraph, DistanceMap};
+use mufuzz_analysis::{analyze_contract, plan_sequence, ControlFlowGraph, DistanceMap, EdgeIndex};
 use mufuzz_evm::{BranchEdge, ExecFrame, WorldState};
 use mufuzz_lang::CompiledContract;
 use mufuzz_oracles::{BugFinding, CampaignMonitor, MonitorState};
@@ -73,19 +88,19 @@ use std::time::Instant;
 
 /// How deep a branch must sit (static nesting) before a seed that reaches it
 /// is treated as "hitting a deeply nested branch" for mask purposes.
-pub(crate) const NESTED_BRANCH_DEPTH: usize = 3;
+const NESTED_BRANCH_DEPTH: usize = 3;
 
 /// Maximum number of 32-byte words probed per transaction when computing a
 /// mutation mask (bounds the cost of Algorithm 2 on long inputs). The first
 /// words of the stream are the ether value and the leading arguments — the
 /// positions strict guards almost always constrain. Words beyond the probed
 /// prefix stay freely mutable.
-pub(crate) const MAX_MASK_WORDS: usize = 3;
+const MAX_MASK_WORDS: usize = 3;
 
 /// Maximum number of transactions probed per seed when computing masks; later
 /// transactions of very long sequences stay freely mutable. Keeps the probe
 /// cost of Algorithm 2 bounded for the large-contract datasets.
-pub(crate) const MAX_MASK_TXS: usize = 6;
+const MAX_MASK_TXS: usize = 6;
 
 /// One point of the coverage-over-time curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -311,6 +326,8 @@ pub(crate) struct RunParams {
     /// campaign; zero for a fresh submission. Added to every elapsed-time
     /// reading so time budgets and timeline stamps span the whole campaign.
     pub(crate) base_elapsed_ms: u64,
+    /// The campaign's wall-clock budget, if any.
+    time_budget_ms: Option<u64>,
 }
 
 impl RunParams {
@@ -323,12 +340,29 @@ impl RunParams {
             snapshot_every,
             total_edges: ctx.total_edges,
             base_elapsed_ms,
+            time_budget_ms: ctx.config.time_budget_ms(),
         }
     }
 
     /// Total campaign wall-clock time, including pre-resume segments.
     pub(crate) fn elapsed_ms(&self) -> u64 {
         self.base_elapsed_ms + self.start.elapsed().as_millis() as u64
+    }
+
+    /// Whether the wall-clock budget is spent.
+    pub(crate) fn out_of_time(&self) -> bool {
+        self.time_budget_ms
+            .is_some_and(|ms| self.elapsed_ms() >= ms)
+    }
+
+    /// A timeline point for `covered` edges after `executions`, stamped now.
+    pub(crate) fn point(&self, executions: usize, covered: usize) -> CoveragePoint {
+        CoveragePoint {
+            executions,
+            elapsed_ms: self.elapsed_ms(),
+            covered_edges: covered,
+            coverage: covered as f64 / self.total_edges as f64,
+        }
     }
 }
 
@@ -397,10 +431,9 @@ pub(crate) fn select_seed(config: &FuzzerConfig, rng: &mut SmallRng, corpus: &[S
 
 /// Mutate a seed into a fresh candidate sequence: byte-level mask-guided
 /// mutation on one transaction, occasionally combined with a structural
-/// sequence mutation. A free function over an explicit RNG so the
-/// free-running lanes (worker RNG) and round-mode slots (slot RNG) consume
-/// randomness identically for the same seed.
-pub(crate) fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed) -> Sequence {
+/// sequence mutation. Draws from the caller's RNG: a free-running lane's
+/// stream or a round slot's.
+fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed) -> Sequence {
     let mut sequence = seed.sequence.clone();
     if sequence.is_empty() {
         return ctx
@@ -459,15 +492,10 @@ pub(crate) fn make_seed(
     seed.covered_edge_ids = outcome.covered_edge_ids.clone();
     seed.new_edges = new_edges;
     seed.weight = seed_weight(&outcome.traces, &ctx.cfg_graph);
-    seed.hits_nested_branch = outcome.traces.iter().any(|t| {
-        t.branches.iter().any(|b| {
-            ctx.cfg_graph
-                .branches
-                .get(&b.pc)
-                .map(|site| site.nesting_depth >= NESTED_BRANCH_DEPTH)
-                .unwrap_or(false)
-        })
-    });
+    seed.hits_nested_branch = outcome
+        .traces
+        .iter()
+        .any(|t| t.branches.iter().any(|b| ctx.is_nested(b.pc)));
     seed.best_distance = distance_to_uncovered(ctx, outcome, covered);
     seed
 }
@@ -475,7 +503,7 @@ pub(crate) fn make_seed(
 /// Smallest normalised distance from an outcome to any branch edge the
 /// supplied coverage view reports uncovered (branch-distance feedback,
 /// §IV-B).
-pub(crate) fn distance_to_uncovered(
+fn distance_to_uncovered(
     ctx: &CampaignContext,
     outcome: &SequenceOutcome,
     covered: &dyn Fn(&BranchEdge) -> bool,
@@ -501,39 +529,24 @@ pub(crate) fn distance_to_uncovered(
 
 /// Program counters of the deeply nested branches an outcome covers (the
 /// mask-probe baseline comparison of Algorithm 2).
-pub(crate) fn outcome_nested_pcs(
-    ctx: &CampaignContext,
-    outcome: &SequenceOutcome,
-) -> BTreeSet<usize> {
+fn outcome_nested_pcs(ctx: &CampaignContext, outcome: &SequenceOutcome) -> BTreeSet<usize> {
     outcome
         .traces
         .iter()
         .flat_map(|t| t.branches.iter())
-        .filter(|b| {
-            ctx.cfg_graph
-                .branches
-                .get(&b.pc)
-                .map(|s| s.nesting_depth >= NESTED_BRANCH_DEPTH)
-                .unwrap_or(false)
-        })
         .map(|b| b.pc)
+        .filter(|&pc| ctx.is_nested(pc))
         .collect()
 }
 
 /// Program counters of the deeply nested branches a seed covers.
-pub(crate) fn seed_nested_pcs(ctx: &CampaignContext, seed: &Seed) -> BTreeSet<usize> {
+fn seed_nested_pcs(ctx: &CampaignContext, seed: &Seed) -> BTreeSet<usize> {
     let index = ctx.harness.edge_index();
     seed.covered_edge_ids
         .iter()
         .filter_map(|id| index.edge_of(*id))
-        .filter(|e| {
-            ctx.cfg_graph
-                .branches
-                .get(&e.pc)
-                .map(|s| s.nesting_depth >= NESTED_BRANCH_DEPTH)
-                .unwrap_or(false)
-        })
         .map(|e| e.pc)
+        .filter(|&pc| ctx.is_nested(pc))
         .collect()
 }
 
@@ -624,25 +637,261 @@ impl CampaignContext {
             total_edges,
         })
     }
+
+    /// Whether the `JUMPI` at `pc` sits at least [`NESTED_BRANCH_DEPTH`]
+    /// deep.
+    fn is_nested(&self, pc: usize) -> bool {
+        self.cfg_graph
+            .branches
+            .get(&pc)
+            .is_some_and(|site| site.nesting_depth >= NESTED_BRANCH_DEPTH)
+    }
 }
 
-/// One campaign lane: a lane-local harness, RNG and bug monitor plus a
-/// shared handle on the immutable campaign context. A lane is a sequential
-/// strand — the service runs its batches one at a time, in order — so a
-/// single-lane campaign is deterministic no matter how many fleet threads
-/// execute it.
-pub(crate) struct Worker {
+/// Feed one execution to a bug monitor: every transaction's trace, then the
+/// contract's final balance.
+pub(crate) fn observe(
+    monitor: &mut CampaignMonitor,
+    harness: &ContractHarness,
+    outcome: &SequenceOutcome,
+) {
+    for trace in &outcome.traces {
+        monitor.observe(&harness.compiled, trace);
+    }
+    monitor.observe_world(outcome.final_world.balance(harness.contract_address));
+}
+
+/// What a batch charges its executions to and feeds their results into.
+///
+/// The probe pass ([`Executor::compute_masks`]) and the mutant loop
+/// ([`Executor::run_mutants`]) are written once over this trait. A
+/// free-running lane's [`SharedLedger`] charges the shared budget and writes
+/// straight into the shared campaign state; a round slot's ledger
+/// (`round::SlotCtx`) charges the slot quota and stages its results for the
+/// round commit.
+pub(crate) trait Ledger {
+    /// Claim the next execution; `false` once the budget is spent.
+    fn reserve(&mut self) -> bool;
+
+    /// Whether `edge` is covered in this ledger's view of coverage.
+    fn covers(&self, edge: &BranchEdge, index: &EdgeIndex) -> bool;
+
+    /// Account one reserved execution of `sequence`, a mutant or probe of
+    /// the seed with uid `seed_uid`: observe it for bugs, merge its coverage,
+    /// admit it when it found new edges, and record the timeline point or
+    /// finding record it is due.
+    fn settle(
+        &mut self,
+        exec: &Executor,
+        sequence: &Sequence,
+        outcome: &SequenceOutcome,
+        seed_uid: u64,
+    );
+
+    /// Keep the final world of the latest execution (the campaign-level
+    /// oracles read the last one at finalisation).
+    fn keep_world(&mut self, world: WorldState);
+}
+
+/// The execution side of a lane: the shared campaign context, the lane's
+/// harness clone and its interpreter scratch. Runs Algorithm 2 and the
+/// mutant loop for both determinism profiles; the caller supplies the RNG
+/// and the [`Ledger`].
+pub(crate) struct Executor {
     pub(crate) ctx: Arc<CampaignContext>,
     pub(crate) harness: ContractHarness,
-    pub(crate) rng: SmallRng,
-    pub(crate) monitor: CampaignMonitor,
     /// Reusable interpreter scratch (stacks, memory buffers, trace capacity
     /// hints); threaded through every execution so the hot loop allocates
     /// nothing per transaction.
-    pub(crate) frame: ExecFrame,
-    /// Final world of the last mutant this worker executed (feeds the
-    /// campaign-level oracles at finalisation).
-    pub(crate) last_world: Option<WorldState>,
+    frame: ExecFrame,
+}
+
+impl Executor {
+    fn new(ctx: Arc<CampaignContext>) -> Executor {
+        Executor {
+            harness: ctx.harness.clone(),
+            ctx,
+            frame: ExecFrame::new(),
+        }
+    }
+
+    /// Algorithm 2: probe each (word, operator) site of the seed's leading
+    /// transactions; a site stays mutable only if mutating it keeps the
+    /// nested branches the seed covers or brings the input closer to an
+    /// uncovered branch. Probes are real executions: each is reserved and
+    /// settled in `ledger` like a mutant. A site whose probe the ledger
+    /// refuses is left mutable (the safe default); with one free-running
+    /// worker this cannot happen, because the scheduling gate only starts a
+    /// pass when more than twice its worst-case cost remains in the budget.
+    pub(crate) fn compute_masks(
+        &mut self,
+        rng: &mut SmallRng,
+        seed: &Seed,
+        ledger: &mut impl Ledger,
+    ) -> Vec<MutationMask> {
+        let ctx = &*self.ctx;
+        let baseline_nested = seed_nested_pcs(ctx, seed);
+        let baseline_distance = seed.best_distance.unwrap_or(1.0);
+        let mut masks = Vec::with_capacity(seed.sequence.len());
+        for (tx_index, tx) in seed.sequence.txs.iter().enumerate() {
+            if tx_index >= MAX_MASK_TXS {
+                masks.push(MutationMask::allow_all(tx.stream.len()));
+                continue;
+            }
+            let total_words = word_count(tx.stream.len());
+            let probed_words = total_words.min(MAX_MASK_WORDS);
+            let mut mask = MutationMask::deny_all(tx.stream.len());
+            // Words beyond the probed prefix stay freely mutable.
+            for word in probed_words..total_words {
+                for op in MutationOp::ALL {
+                    mask.allow(word, op);
+                }
+            }
+            for word in 0..probed_words {
+                for op in MutationOp::ALL {
+                    if !ledger.reserve() {
+                        mask.allow(word, op);
+                        continue;
+                    }
+                    let mut probe_seq = seed.sequence.clone();
+                    probe_seq.txs[tx_index].stream =
+                        apply_op(&tx.stream, op, word, rng, &ctx.interesting);
+                    let outcome = self
+                        .harness
+                        .execute_sequence_with(&probe_seq, &mut self.frame);
+                    ledger.settle(self, &probe_seq, &outcome, seed.uid);
+                    // Does the probe still hit the nested branches the seed
+                    // hit, or come closer to a branch still uncovered?
+                    let keeps_nested =
+                        baseline_nested.is_subset(&outcome_nested_pcs(ctx, &outcome));
+                    let index = self.harness.edge_index();
+                    let probe_distance =
+                        distance_to_uncovered(ctx, &outcome, &|edge| ledger.covers(edge, index))
+                            .unwrap_or(1.0);
+                    if keeps_nested || probe_distance < baseline_distance {
+                        mask.allow(word, op);
+                    }
+                    ledger.keep_world(outcome.final_world);
+                }
+            }
+            // Never leave a transaction completely frozen: that would make the
+            // seed sterile.
+            if mask.allowed_sites().is_empty() {
+                mask = MutationMask::allow_all(tx.stream.len());
+            }
+            masks.push(mask);
+        }
+        masks
+    }
+
+    /// The mutant loop: derive `energy` mutants from `seed` (Algorithm 3's
+    /// allotment), executing and settling each in `ledger`. Returns `Break`
+    /// when the ledger refuses a reservation.
+    pub(crate) fn run_mutants(
+        &mut self,
+        rng: &mut SmallRng,
+        seed: &Seed,
+        energy: usize,
+        ledger: &mut impl Ledger,
+    ) -> ControlFlow<()> {
+        for _ in 0..energy {
+            // Reserve before mutating: a granted reservation is always
+            // followed by exactly one execution, so the budget is exact.
+            if !ledger.reserve() {
+                return ControlFlow::Break(());
+            }
+            let candidate = mutate_sequence(&self.ctx, rng, seed);
+            let outcome = self
+                .harness
+                .execute_sequence_with(&candidate, &mut self.frame);
+            ledger.settle(self, &candidate, &outcome, seed.uid);
+            ledger.keep_world(outcome.final_world);
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// A free-running lane's [`Ledger`]: slots come from the shared budget
+/// until it or the wall-clock budget runs out, coverage merges into the
+/// shared atomic bitmap (no lock), novel executions join the corpus under
+/// the state lock, and every slot on a snapshot boundary appends a timeline
+/// point. Observations and the last world go to the lane's own monitor.
+struct SharedLedger<'a> {
+    shared: &'a CampaignShared,
+    params: &'a RunParams,
+    max_executions: usize,
+    monitor: &'a mut CampaignMonitor,
+    last_world: &'a mut Option<WorldState>,
+    /// The 1-based budget slot of the latest reservation.
+    slot: usize,
+}
+
+impl Ledger for SharedLedger<'_> {
+    fn reserve(&mut self) -> bool {
+        if self.params.out_of_time() {
+            return false;
+        }
+        let Some(slot) = self.shared.try_reserve(self.max_executions) else {
+            return false;
+        };
+        self.slot = slot;
+        true
+    }
+
+    fn covers(&self, edge: &BranchEdge, index: &EdgeIndex) -> bool {
+        self.shared.coverage.contains_edge(edge, index)
+    }
+
+    fn settle(
+        &mut self,
+        exec: &Executor,
+        sequence: &Sequence,
+        outcome: &SequenceOutcome,
+        _seed_uid: u64,
+    ) {
+        observe(self.monitor, &exec.harness, outcome);
+        let shared = self.shared;
+        let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
+        if new_edges > 0 {
+            let index = exec.harness.edge_index();
+            let seed = make_seed(&exec.ctx, sequence.clone(), outcome, new_edges, &|edge| {
+                shared.coverage.contains_edge(edge, index)
+            });
+            let mut s = shared.state.lock().expect("campaign state poisoned");
+            if s.interesting_shapes.len() < 16 {
+                s.interesting_shapes.push(sequence.shape());
+            }
+            s.admit(seed);
+            s.maybe_cull(exec.ctx.config.effective_cull_interval());
+            // Publish the corpus change so every shard resyncs before its
+            // next draw (bumped while the lock is held).
+            shared.epoch.bump();
+        }
+        if self.slot.is_multiple_of(self.params.snapshot_every) {
+            let point = self
+                .params
+                .point(self.slot, shared.coverage.covered_count());
+            let mut s = shared.state.lock().expect("campaign state poisoned");
+            s.timeline.push(point);
+        }
+    }
+
+    fn keep_world(&mut self, world: WorldState) {
+        *self.last_world = Some(world);
+    }
+}
+
+/// One campaign lane: a lane-local executor, RNG and bug monitor. A lane is
+/// a sequential strand — the service runs its batches one at a time, in
+/// order — so a single-lane campaign is deterministic no matter how many
+/// fleet threads execute it.
+pub(crate) struct Worker {
+    pub(crate) exec: Executor,
+    rng: SmallRng,
+    monitor: CampaignMonitor,
+    /// Final world of the last sequence this lane executed after the seeding
+    /// prologue (feeds the campaign-level oracles at finalisation).
+    last_world: Option<WorldState>,
     /// Local mirror of the scheduling state that seed draws read.
     shard: CorpusShard,
 }
@@ -651,11 +900,9 @@ impl Worker {
     /// A fresh lane over `ctx`, drawing from `rng`.
     pub(crate) fn new(ctx: Arc<CampaignContext>, rng: SmallRng) -> Worker {
         Worker {
-            harness: ctx.harness.clone(),
-            ctx,
+            exec: Executor::new(ctx),
             rng,
             monitor: CampaignMonitor::new(),
-            frame: ExecFrame::new(),
             last_world: None,
             shard: CorpusShard::default(),
         }
@@ -701,111 +948,43 @@ impl Worker {
         std::mem::replace(&mut self.monitor, CampaignMonitor::new())
     }
 
-    pub(crate) fn time_exhausted(&self, params: &RunParams) -> bool {
-        self.ctx
-            .config
-            .time_budget_ms()
-            .is_some_and(|ms| params.elapsed_ms() >= ms)
-    }
-
-    /// Record a sequence outcome in the thread-local bug monitor.
-    fn observe(&mut self, outcome: &SequenceOutcome) {
-        for trace in &outcome.traces {
-            self.monitor.observe(&self.harness.compiled, trace);
-        }
-        self.monitor
-            .observe_world(outcome.final_world.balance(self.harness.contract_address));
-    }
-
-    /// Build seed metadata from an execution outcome. `coverage` must
-    /// already include the outcome's own edges (merge first, then admit).
-    fn admit_seed(
-        &self,
-        sequence: Sequence,
-        outcome: &SequenceOutcome,
-        new_edges: usize,
-        coverage: &CoverageMap,
-    ) -> Seed {
-        let index = self.harness.edge_index();
-        make_seed(&self.ctx, sequence, outcome, new_edges, &|edge| {
-            coverage.contains_edge(edge, index)
-        })
-    }
-
-    /// Smallest normalised distance from this outcome to any branch edge that
-    /// is still uncovered globally (branch-distance feedback, §IV-B). Reads
-    /// the atomic coverage bitmap, so no lock is required.
-    fn best_distance_to_uncovered(
-        &self,
-        outcome: &SequenceOutcome,
-        coverage: &CoverageMap,
-    ) -> Option<f64> {
-        let index = self.harness.edge_index();
-        distance_to_uncovered(&self.ctx, outcome, &|edge| {
-            coverage.contains_edge(edge, index)
-        })
-    }
-
-    /// Mutate a seed: byte-level mask-guided mutation on one transaction,
-    /// occasionally combined with a structural sequence mutation.
-    fn mutate_seed(&mut self, seed: &Seed) -> Sequence {
-        mutate_sequence(&self.ctx, &mut self.rng, seed)
-    }
-
-    /// Program counters of the deeply nested branches a seed covers.
-    fn nested_branch_pcs(&self, seed: &Seed) -> BTreeSet<usize> {
-        seed_nested_pcs(&self.ctx, seed)
-    }
-
     /// Execute the initial plan-derived corpus (the lane-0 prologue, run
     /// before the other lanes start).
     pub(crate) fn run_initial(&mut self, shared: &CampaignShared, params: &RunParams) {
-        let initial = self.ctx.generator.initial_sequences(
-            &self.harness.compiled.abi,
-            self.ctx.config.initial_seeds,
+        let exec = &mut self.exec;
+        let ctx = &*exec.ctx;
+        let initial = ctx.generator.initial_sequences(
+            &exec.harness.compiled.abi,
+            ctx.config.initial_seeds,
             &mut self.rng,
-            &self.ctx.interesting,
+            &ctx.interesting,
         );
         for sequence in initial {
-            if self.time_exhausted(params) {
+            if params.out_of_time() {
                 break;
             }
-            let Some(slot) = shared.try_reserve(self.ctx.config.max_executions()) else {
+            let Some(slot) = shared.try_reserve(ctx.config.max_executions()) else {
                 break;
             };
-            let outcome = self
+            let outcome = exec
                 .harness
-                .execute_sequence_with(&sequence, &mut self.frame);
-            self.observe(&outcome);
+                .execute_sequence_with(&sequence, &mut exec.frame);
+            observe(&mut self.monitor, &exec.harness, &outcome);
             let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
             // Initial seeds always join the corpus, new coverage or not, and
             // are never subject to culling here (the corpus is still being
             // seeded).
-            let seed = self.admit_seed(sequence, &outcome, new_edges, &shared.coverage);
+            let index = exec.harness.edge_index();
+            let seed = make_seed(ctx, sequence, &outcome, new_edges, &|edge| {
+                shared.coverage.contains_edge(edge, index)
+            });
             let mut s = shared.state.lock().expect("campaign state poisoned");
             s.admit(seed);
             shared.epoch.bump();
-            Self::snapshot_locked(&mut s, shared, params, slot);
-        }
-    }
-
-    /// Append a timeline point if the reserved execution slot sits on a
-    /// snapshot boundary. Must be called with the state lock held, after the
-    /// slot's coverage has been merged.
-    fn snapshot_locked(
-        s: &mut SharedCampaignState,
-        shared: &CampaignShared,
-        params: &RunParams,
-        slot: usize,
-    ) {
-        if slot.is_multiple_of(params.snapshot_every) {
-            let covered = shared.coverage.covered_count();
-            s.timeline.push(CoveragePoint {
-                executions: slot,
-                elapsed_ms: params.elapsed_ms(),
-                covered_edges: covered,
-                coverage: covered as f64 / params.total_edges as f64,
-            });
+            if slot.is_multiple_of(params.snapshot_every) {
+                s.timeline
+                    .push(params.point(slot, shared.coverage.covered_count()));
+            }
         }
     }
 
@@ -823,10 +1002,11 @@ impl Worker {
         params: &RunParams,
         pause: &PauseState,
     ) -> LaneStep {
-        if self.ctx.config.round_mode() {
+        let max_executions = self.exec.ctx.config.max_executions();
+        if self.exec.ctx.config.round_mode() {
             return crate::round::round_step(self, shared, params, pause);
         }
-        if shared.executions() >= self.ctx.config.max_executions() || self.time_exhausted(params) {
+        if shared.executions() >= max_executions || params.out_of_time() {
             self.retire(shared);
             return LaneStep::Finished;
         }
@@ -834,9 +1014,35 @@ impl Worker {
             self.retire(shared);
             return LaneStep::Paused;
         }
-        let (seed_snapshot, seed_uid, energy, compute) = self.draw_sharded(shared);
+        let (mut seed, energy, compute) = self.draw_sharded(shared);
+        let mut ledger = SharedLedger {
+            shared,
+            params,
+            max_executions,
+            monitor: &mut self.monitor,
+            last_world: &mut self.last_world,
+            slot: 0,
+        };
+        if compute {
+            let masks = self.exec.compute_masks(&mut self.rng, &seed, &mut ledger);
+            // Publish by uid, not index: culling may have reshuffled (or
+            // dropped) the seed while the probes ran. No epoch bump is
+            // needed — other lanes re-check mask state under the lock when
+            // they claim.
+            {
+                let mut s = shared.state.lock().expect("campaign state poisoned");
+                if let Some(global) = s.corpus.iter_mut().find(|x| x.uid == seed.uid) {
+                    global.masks = Some(masks.clone());
+                }
+            }
+            if let Some(mirror) = self.shard.seeds.iter_mut().find(|x| x.uid == seed.uid) {
+                mirror.masks = Some(masks.clone());
+            }
+            seed.masks = Some(masks);
+        }
         if self
-            .run_batch(shared, params, seed_snapshot, seed_uid, energy, compute)
+            .exec
+            .run_mutants(&mut self.rng, &seed, energy, &mut ledger)
             .is_break()
         {
             self.retire(shared);
@@ -872,14 +1078,14 @@ impl Worker {
     /// corpus would from the same RNG stream. That is what keeps `workers ==
     /// 1` campaigns bit-identical to the historical engine (the snapshot
     /// test pins it).
-    fn draw_sharded(&mut self, shared: &CampaignShared) -> (Seed, u64, usize, bool) {
+    fn draw_sharded(&mut self, shared: &CampaignShared) -> (Seed, usize, bool) {
         if self.shard.epoch != shared.epoch.current()
-            || self.shard.draws >= self.ctx.config.scheduler.shard_resync_draws
+            || self.shard.draws >= self.exec.ctx.config.scheduler.shard_resync_draws
         {
             self.resync_shard(shared);
         }
         self.shard.draws += 1;
-        let seed_index = select_seed(&self.ctx.config, &mut self.rng, &self.shard.seeds);
+        let seed_index = select_seed(&self.exec.ctx.config, &mut self.rng, &self.shard.seeds);
         self.shard.seeds[seed_index].selections += 1;
 
         // Energy allocation (Algorithm 3) against the mirrored corpus.
@@ -887,18 +1093,19 @@ impl Worker {
         let energy = allocate_energy(
             self.shard.seeds[seed_index].weight,
             mean_weight,
-            self.ctx.config.scheduler.base_energy,
-            self.ctx.config.enable_dynamic_energy,
+            self.exec.ctx.config.scheduler.base_energy,
+            self.exec.ctx.config.enable_dynamic_energy,
         );
 
         let remaining = self
+            .exec
             .ctx
             .config
             .max_executions()
             .saturating_sub(shared.executions());
         let seed = &self.shard.seeds[seed_index];
         let seed_uid = seed.uid;
-        let wants = Self::wants_masks(&self.ctx.config, seed, remaining);
+        let wants = Self::wants_masks(&self.exec.ctx.config, seed, remaining);
         // Claiming a probe pass needs the global view: another worker may
         // have claimed — or finished — the same seed's masks since this
         // mirror was synced.
@@ -954,7 +1161,7 @@ impl Worker {
             masks: seed.masks.clone(),
             masks_pending: seed.masks_pending,
         };
-        (snapshot, seed_uid, energy, compute)
+        (snapshot, energy, compute)
     }
 
     /// The mask-probe gate (Algorithm 2 scheduling): compute masks once per
@@ -1007,165 +1214,6 @@ impl Worker {
             }
         }
     }
-
-    /// Run one drawn batch: optionally probe the seed's mutation mask, then
-    /// mutate→execute→evaluate `energy` mutants, merging feedback after
-    /// every execution. Returns `Break` when the campaign budget (execution
-    /// or wall-clock) ends inside the batch.
-    fn run_batch(
-        &mut self,
-        shared: &CampaignShared,
-        params: &RunParams,
-        mut seed_snapshot: Seed,
-        seed_uid: u64,
-        energy: usize,
-        compute: bool,
-    ) -> ControlFlow<()> {
-        if compute {
-            let masks = self.compute_masks(&seed_snapshot, shared);
-            seed_snapshot.masks = Some(masks.clone());
-            {
-                let mut s = shared.state.lock().expect("campaign state poisoned");
-                // Look the seed up by uid, not index: culling may have
-                // reshuffled (or dropped) it while the probes ran.
-                if let Some(seed) = s.corpus.iter_mut().find(|x| x.uid == seed_uid) {
-                    seed.masks = Some(masks.clone());
-                }
-            }
-            // Keep the local mirror fresh too; no epoch bump needed — other
-            // workers re-check mask state under the lock when they claim.
-            if let Some(seed) = self.shard.seeds.iter_mut().find(|x| x.uid == seed_uid) {
-                seed.masks = Some(masks);
-            }
-        }
-
-        // ---- the mutate→execute→evaluate batch (executions unlocked) ----
-        for _ in 0..energy {
-            if self.time_exhausted(params) {
-                return ControlFlow::Break(());
-            }
-            // Exact budget: reserve the slot before mutating/executing;
-            // a successful reservation is always followed by exactly one
-            // execution, so the campaign can never overshoot.
-            let Some(slot) = shared.try_reserve(self.ctx.config.max_executions()) else {
-                return ControlFlow::Break(());
-            };
-            let candidate = self.mutate_seed(&seed_snapshot);
-            let outcome = self
-                .harness
-                .execute_sequence_with(&candidate, &mut self.frame);
-            self.observe(&outcome);
-
-            // Coverage merge: atomic bitmap only, no state lock.
-            let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
-            if new_edges > 0 {
-                let shape = candidate.shape();
-                let seed = self.admit_seed(candidate, &outcome, new_edges, &shared.coverage);
-                let mut s = shared.state.lock().expect("campaign state poisoned");
-                if s.interesting_shapes.len() < 16 {
-                    s.interesting_shapes.push(shape);
-                }
-                s.admit(seed);
-                s.maybe_cull(self.ctx.config.effective_cull_interval());
-                // Publish the corpus change so every shard resyncs before
-                // its next draw (bumped while the lock is held).
-                shared.epoch.bump();
-            }
-            self.last_world = Some(outcome.final_world);
-            if slot.is_multiple_of(params.snapshot_every) {
-                let mut s = shared.state.lock().expect("campaign state poisoned");
-                Self::snapshot_locked(&mut s, shared, params, slot);
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Algorithm 2: probe each (word, operator) site of every transaction in
-    /// the seed; a site stays mutable only if mutating it keeps the nested
-    /// branch covered or brings the input closer to an uncovered branch.
-    /// Probe executions are real executions: each reserves a budget slot,
-    /// merges its coverage and can be admitted as a seed. Under the exact
-    /// budget, a probe that cannot reserve a slot is skipped and its site is
-    /// left mutable (the safe default); with one worker this cannot happen —
-    /// the scheduling gate only starts a pass when more than twice its
-    /// worst-case cost remains in the budget.
-    fn compute_masks(&mut self, seed: &Seed, shared: &CampaignShared) -> Vec<MutationMask> {
-        let baseline_nested: BTreeSet<usize> = self.nested_branch_pcs(seed);
-        let baseline_distance = seed.best_distance.unwrap_or(1.0);
-        let mut masks = Vec::with_capacity(seed.sequence.len());
-
-        for (tx_index, tx) in seed.sequence.txs.iter().enumerate() {
-            if tx_index >= MAX_MASK_TXS {
-                masks.push(MutationMask::allow_all(tx.stream.len()));
-                continue;
-            }
-            let total_words = crate::mutation::word_count(tx.stream.len());
-            let probed_words = total_words.min(MAX_MASK_WORDS);
-            let mut mask = MutationMask::deny_all(tx.stream.len());
-            // Words beyond the probed prefix stay freely mutable.
-            for word in probed_words..total_words {
-                for op in MutationOp::ALL {
-                    mask.allow(word, op);
-                }
-            }
-            for word in 0..probed_words {
-                for op in MutationOp::ALL {
-                    if shared
-                        .try_reserve(self.ctx.config.max_executions())
-                        .is_none()
-                    {
-                        // Budget exhausted mid-pass (only possible with
-                        // concurrent workers draining it): leave the
-                        // unprobed site mutable.
-                        mask.allow(word, op);
-                        continue;
-                    }
-                    let probe_stream =
-                        apply_op(&tx.stream, op, word, &mut self.rng, &self.ctx.interesting);
-                    let mut probe_seq = seed.sequence.clone();
-                    probe_seq.txs[tx_index].stream = probe_stream;
-                    let outcome = self
-                        .harness
-                        .execute_sequence_with(&probe_seq, &mut self.frame);
-                    self.observe(&outcome);
-
-                    // Does the probe still hit the nested branches the seed hit?
-                    let probe_nested = outcome_nested_pcs(&self.ctx, &outcome);
-                    let keeps_nested = baseline_nested.is_subset(&probe_nested);
-
-                    // Merge the probe's coverage (atomic bitmap, no lock) and
-                    // admit it as a seed when it found new edges.
-                    let new_edges = shared.coverage.merge_ids(&outcome.covered_edge_ids);
-                    if new_edges > 0 {
-                        let admitted = self.admit_seed(
-                            probe_seq.clone(),
-                            &outcome,
-                            new_edges,
-                            &shared.coverage,
-                        );
-                        let mut s = shared.state.lock().expect("campaign state poisoned");
-                        s.admit(admitted);
-                        s.maybe_cull(self.ctx.config.effective_cull_interval());
-                        shared.epoch.bump();
-                    }
-                    // Or does it reduce the distance to an uncovered branch?
-                    let probe_distance = self
-                        .best_distance_to_uncovered(&outcome, &shared.coverage)
-                        .unwrap_or(1.0);
-                    if keeps_nested || probe_distance < baseline_distance {
-                        mask.allow(word, op);
-                    }
-                }
-            }
-            // Never leave a transaction completely frozen: that would make the
-            // seed sterile.
-            if mask.allowed_sites().is_empty() {
-                mask = MutationMask::allow_all(tx.stream.len());
-            }
-            masks.push(mask);
-        }
-        masks
-    }
 }
 
 /// Assemble the final report from the shared campaign state, enforcing the
@@ -1189,15 +1237,11 @@ pub(crate) fn build_report(
         ctx.config.max_executions()
     );
     let covered = shared.coverage.covered_count();
-    let elapsed_ms = params.elapsed_ms();
+    let last = params.point(executions, covered);
+    let elapsed_ms = last.elapsed_ms;
     let mut timeline = s.timeline.clone();
     if !empty_corpus {
-        timeline.push(CoveragePoint {
-            executions,
-            elapsed_ms,
-            covered_edges: covered,
-            coverage: covered as f64 / total_edges as f64,
-        });
+        timeline.push(last);
     }
     // Concurrent lanes append snapshot points in lock-acquisition order,
     // which can trail the slot order (a lane may stall between reserving its

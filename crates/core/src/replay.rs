@@ -16,6 +16,7 @@
 //! hash, so a tampered mutation trace is rejected with a clear error instead
 //! of silently replaying something else.
 
+use crate::campaign::observe;
 use crate::config::FuzzerConfig;
 use crate::executor::{ContractHarness, HarnessError, SequenceOutcome};
 use crate::input::{Sequence, TxInput};
@@ -311,10 +312,7 @@ pub fn replay_finding(
         });
     }
     let mut monitor = CampaignMonitor::new();
-    for trace in &outcome.traces {
-        monitor.observe(&harness.compiled, trace);
-    }
-    monitor.observe_world(outcome.final_world.balance(harness.contract_address));
+    observe(&mut monitor, &harness, &outcome);
     let findings = monitor.findings();
     let verdict_reproduced = findings.contains(&record.finding);
     Ok(ReplayOutcome {

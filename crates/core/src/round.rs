@@ -16,6 +16,11 @@
 //!   from the frozen words, so an admission decision cannot depend on what a
 //!   concurrently running slot discovered.
 //!
+//! A slot runs the same mask-probe pass and mutant loop as a free-running
+//! lane (`Executor::compute_masks` and `Executor::run_mutants` in
+//! `campaign.rs`); its ledger, `SlotCtx`, charges the slot quota instead of
+//! the shared budget and stages every result for the commit.
+//!
 //! The lane that finishes the round's last slot *commits* it: slot outcomes
 //! are applied to the shared state **in slot order** — selection-count
 //! deltas and mask write-backs keyed by stable seed uid, candidate seeds
@@ -30,18 +35,18 @@
 //! campaign** — same report digests, same corpus (by uid), same findings.
 
 use crate::campaign::{
-    distance_to_uncovered, make_seed, mutate_sequence, outcome_nested_pcs, seed_nested_pcs,
-    select_seed, CampaignContext, CampaignShared, CoveragePoint, LaneStep, PauseState, RunParams,
-    Worker, MAX_MASK_TXS, MAX_MASK_WORDS,
+    make_seed, observe, select_seed, CampaignContext, CampaignShared, Executor, LaneStep, Ledger,
+    PauseState, RunParams, Worker,
 };
 use crate::coverage::LocalCoverage;
 use crate::energy::{allocate_energy, corpus_mean_weight};
 use crate::executor::SequenceOutcome;
 use crate::input::{Seed, Sequence};
-use crate::mutation::{apply_op, word_count, MutationMask, MutationOp};
+use crate::mutation::MutationMask;
 use crate::replay::{outcome_digest, FindingRecord};
 use crate::snapshot::contract_fingerprint;
-use mufuzz_evm::WorldState;
+use mufuzz_analysis::EdgeIndex;
+use mufuzz_evm::{BranchEdge, WorldState};
 use mufuzz_oracles::{BugClass, CampaignMonitor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -233,11 +238,7 @@ impl RoundRt {
         self.next_slot = 0;
         self.outstanding = 0;
         let remaining = ctx.config.max_executions().saturating_sub(self.start_execs);
-        let time_gone = ctx
-            .config
-            .time_budget_ms()
-            .is_some_and(|ms| params.elapsed_ms() >= ms);
-        if remaining == 0 || time_gone {
+        if remaining == 0 || params.out_of_time() {
             self.finished = true;
             return;
         }
@@ -331,12 +332,7 @@ impl RoundRt {
                 let every = params.snapshot_every;
                 let mut mark = (low / every + 1) * every;
                 while mark <= high {
-                    s.timeline.push(CoveragePoint {
-                        executions: mark,
-                        elapsed_ms: params.elapsed_ms(),
-                        covered_edges: covered,
-                        coverage: covered as f64 / params.total_edges as f64,
-                    });
+                    s.timeline.push(params.point(mark, covered));
                     mark += every;
                 }
             }
@@ -372,8 +368,9 @@ pub(crate) fn round_step(
             let slot = rt.next_slot;
             rt.next_slot += 1;
             rt.outstanding += 1;
-            let batch = worker.ctx.config.scheduler.round_batch.max(1);
+            let batch = worker.exec.ctx.config.scheduler.round_batch.max(1);
             let remaining = worker
+                .exec
                 .ctx
                 .config
                 .max_executions()
@@ -391,128 +388,115 @@ pub(crate) fn round_step(
         std::thread::yield_now();
         return LaneStep::Continue;
     };
-    let outcome = run_slot(worker, &view, slot, quota, round);
+    let outcome = run_slot(&mut worker.exec, &view, slot, quota, round);
     let mut guard = shared.round.lock().expect("round state poisoned");
     let rt = guard.as_mut().expect("round runtime vanished mid-round");
     rt.results[slot] = Some(outcome);
     rt.outstanding -= 1;
     if rt.next_slot == rt.slots && rt.outstanding == 0 {
-        rt.commit_round(&worker.ctx, shared, params, pause);
+        rt.commit_round(&worker.exec.ctx, shared, params, pause);
     }
     LaneStep::Continue
 }
 
 /// Run one slot: `quota` mutate→execute→evaluate steps (including any mask
 /// probes) against the frozen view, with the slot's derived RNG. Pure in
-/// `(rng_seed, round, slot, view)` — the worker contributes only its
-/// harness clone and scratch frame.
+/// `(rng_seed, round, slot, view)` — the lane contributes only its harness
+/// clone and scratch frame.
 fn run_slot(
-    worker: &mut Worker,
+    exec: &mut Executor,
     view: &RoundView,
     slot: usize,
     quota: usize,
     round: u64,
 ) -> SlotOutcome {
-    let ctx = Arc::clone(&worker.ctx);
-    let prov = SlotProvenance {
-        round,
-        slot: slot as u32,
-        workers: ctx.config.workers.max(1) as u32,
-        contract_hash: contract_fingerprint(&worker.harness.compiled),
-    };
+    let ctx = Arc::clone(&exec.ctx);
     let mut rng =
         SmallRng::seed_from_u64(derive_slot_seed(ctx.config.rng_seed, round, slot as u64));
-    let mut local = LocalCoverage::from_words(view.edges, view.coverage.clone());
     let mut corpus = view.corpus.clone();
-    let mut out = SlotOutcome::empty();
-    let mut seen: BTreeSet<RecordKey> = BTreeSet::new();
+    let mut ledger = SlotCtx {
+        quota,
+        local: LocalCoverage::from_words(view.edges, view.coverage.clone()),
+        out: SlotOutcome::empty(),
+        prov: SlotProvenance {
+            round,
+            slot: slot as u32,
+            workers: ctx.config.workers.max(1) as u32,
+            contract_hash: contract_fingerprint(&exec.harness.compiled),
+        },
+    };
     if corpus.is_empty() {
-        return out;
+        return ledger.out;
     }
-    while out.executed < quota {
+    while ledger.out.executed < quota {
         let i = select_seed(&ctx.config, &mut rng, &corpus);
         corpus[i].selections += 1;
-        bump_delta(&mut out.sel_deltas, corpus[i].uid);
+        bump_delta(&mut ledger.out.sel_deltas, corpus[i].uid);
         let energy = allocate_energy(
             corpus[i].weight,
             view.mean_weight,
             ctx.config.scheduler.base_energy,
             ctx.config.enable_dynamic_energy,
         );
-        if Worker::wants_masks(&ctx.config, &corpus[i], quota - out.executed) {
+        if Worker::wants_masks(&ctx.config, &corpus[i], quota - ledger.out.executed) {
             corpus[i].masks_pending = true;
-            let mut slot_ctx = SlotCtx {
-                local: &mut local,
-                out: &mut out,
-                seen: &mut seen,
-                prov: &prov,
-            };
-            let masks = probe_masks(worker, &ctx, &mut rng, &corpus[i], quota, &mut slot_ctx);
-            out.mask_writes.push((corpus[i].uid, masks.clone()));
+            let masks = exec.compute_masks(&mut rng, &corpus[i], &mut ledger);
+            ledger.out.mask_writes.push((corpus[i].uid, masks.clone()));
             corpus[i].masks = Some(masks);
         }
-        let seed_uid = corpus[i].uid;
-        for _ in 0..energy {
-            if out.executed >= quota {
-                break;
-            }
-            let candidate = mutate_sequence(&ctx, &mut rng, &corpus[i]);
-            let mut slot_ctx = SlotCtx {
-                local: &mut local,
-                out: &mut out,
-                seen: &mut seen,
-                prov: &prov,
-            };
-            execute_observed(worker, &ctx, &candidate, seed_uid, &mut slot_ctx);
+        if exec
+            .run_mutants(&mut rng, &corpus[i], energy, &mut ledger)
+            .is_break()
+        {
+            break;
         }
     }
-    out
+    ledger.out
 }
 
-/// Mutable slot-scoped state threaded through every mutant execution: the
-/// slot-local coverage view, the accumulating outcome, the finding keys
-/// already pinned this slot and the slot's provenance stamp.
-struct SlotCtx<'s> {
-    local: &'s mut LocalCoverage,
-    out: &'s mut SlotOutcome,
-    seen: &'s mut BTreeSet<RecordKey>,
-    prov: &'s SlotProvenance,
+/// A round slot's [`Ledger`]: executions are charged to the slot quota,
+/// coverage novelty is judged against the slot-local bitmap, novel
+/// executions are staged as admission candidates for the commit, and the
+/// slot monitor pins a replayable [`FindingRecord`] to the first execution
+/// that triggers each finding.
+struct SlotCtx {
+    quota: usize,
+    local: LocalCoverage,
+    out: SlotOutcome,
+    prov: SlotProvenance,
 }
 
-/// Execute one mutant inside a slot: observe it in the slot monitor
-/// (capturing a replayable record for any fresh finding), merge its coverage
-/// into the slot-local bitmap and stage it as an admission candidate when it
-/// is locally novel. Returns the outcome, whose world has moved into the
-/// slot's `last_world`, and the local novelty count.
-fn execute_observed(
-    worker: &mut Worker,
-    ctx: &CampaignContext,
-    sequence: &Sequence,
-    seed_uid: u64,
-    slot: &mut SlotCtx<'_>,
-) -> (SequenceOutcome, usize) {
-    let SlotCtx {
-        local,
-        out,
-        seen,
-        prov,
-    } = slot;
-    let mut outcome = worker
-        .harness
-        .execute_sequence_with(sequence, &mut worker.frame);
-    out.executed += 1;
-    let known = out.monitor.len();
-    for trace in &outcome.traces {
-        out.monitor.observe(&worker.harness.compiled, trace);
+impl Ledger for SlotCtx {
+    fn reserve(&mut self) -> bool {
+        let granted = self.out.executed < self.quota;
+        self.out.executed += usize::from(granted);
+        granted
     }
-    out.monitor
-        .observe_world(outcome.final_world.balance(worker.harness.contract_address));
-    if out.monitor.len() > known {
-        // This mutant triggered at least one finding the slot had not seen;
-        // pin every fresh key to it.
-        for finding in out.monitor.findings() {
-            let key = (finding.class, finding.function.clone());
-            if seen.insert(key.clone()) {
+
+    fn covers(&self, edge: &BranchEdge, index: &EdgeIndex) -> bool {
+        self.local.contains_edge(edge, index)
+    }
+
+    fn settle(
+        &mut self,
+        exec: &Executor,
+        sequence: &Sequence,
+        outcome: &SequenceOutcome,
+        seed_uid: u64,
+    ) {
+        let harness = &exec.harness;
+        let out = &mut self.out;
+        let known = out.monitor.len();
+        observe(&mut out.monitor, harness, outcome);
+        if out.monitor.len() > known {
+            // This execution triggered at least one finding the slot had not
+            // seen; pin every fresh key to it.
+            for finding in out.monitor.findings() {
+                let key = (finding.class, finding.function.clone());
+                if out.records.iter().any(|pending| pending.key == key) {
+                    continue;
+                }
+                let prov = &self.prov;
                 out.records.push(PendingRecord {
                     key,
                     record: FindingRecord {
@@ -523,84 +507,28 @@ fn execute_observed(
                         workers: prov.workers,
                         finding,
                         sequence: sequence.clone(),
-                        outcome_digest: outcome_digest(&outcome, worker.harness.contract_address),
+                        outcome_digest: outcome_digest(outcome, harness.contract_address),
                     },
                 });
             }
         }
+        let new_local = self.local.merge_ids(&outcome.covered_edge_ids);
+        if new_local > 0 {
+            let index = harness.edge_index();
+            let local = &self.local;
+            let seed = make_seed(&exec.ctx, sequence.clone(), outcome, new_local, &|edge| {
+                local.contains_edge(edge, index)
+            });
+            out.candidates.push(Candidate {
+                shape: sequence.shape(),
+                seed,
+            });
+        }
     }
-    let new_local = local.merge_ids(&outcome.covered_edge_ids);
-    if new_local > 0 {
-        let index = worker.harness.edge_index();
-        let seed = make_seed(ctx, sequence.clone(), &outcome, new_local, &|edge| {
-            local.contains_edge(edge, index)
-        });
-        out.candidates.push(Candidate {
-            shape: sequence.shape(),
-            seed,
-        });
-    }
-    out.last_world = Some(std::mem::take(&mut outcome.final_world));
-    (outcome, new_local)
-}
 
-/// Algorithm 2 inside a slot: identical probe structure to the free-running
-/// engine's mask pass, but charged against the slot quota and judged against
-/// the slot-local coverage view. A site whose probe would overrun the quota
-/// is left mutable (the same safe default the free-running pass uses when
-/// the global budget runs dry mid-pass).
-fn probe_masks(
-    worker: &mut Worker,
-    ctx: &CampaignContext,
-    rng: &mut SmallRng,
-    seed: &Seed,
-    quota: usize,
-    slot: &mut SlotCtx<'_>,
-) -> Vec<MutationMask> {
-    let baseline_nested = seed_nested_pcs(ctx, seed);
-    let baseline_distance = seed.best_distance.unwrap_or(1.0);
-    let mut masks = Vec::with_capacity(seed.sequence.len());
-    for (tx_index, tx) in seed.sequence.txs.iter().enumerate() {
-        if tx_index >= MAX_MASK_TXS {
-            masks.push(MutationMask::allow_all(tx.stream.len()));
-            continue;
-        }
-        let total_words = word_count(tx.stream.len());
-        let probed_words = total_words.min(MAX_MASK_WORDS);
-        let mut mask = MutationMask::deny_all(tx.stream.len());
-        for word in probed_words..total_words {
-            for op in MutationOp::ALL {
-                mask.allow(word, op);
-            }
-        }
-        for word in 0..probed_words {
-            for op in MutationOp::ALL {
-                if slot.out.executed >= quota {
-                    mask.allow(word, op);
-                    continue;
-                }
-                let probe_stream = apply_op(&tx.stream, op, word, rng, &ctx.interesting);
-                let mut probe_seq = seed.sequence.clone();
-                probe_seq.txs[tx_index].stream = probe_stream;
-                let (outcome, _) = execute_observed(worker, ctx, &probe_seq, seed.uid, slot);
-                let probe_nested = outcome_nested_pcs(ctx, &outcome);
-                let keeps_nested = baseline_nested.is_subset(&probe_nested);
-                let index = worker.harness.edge_index();
-                let probe_distance = distance_to_uncovered(ctx, &outcome, &|edge| {
-                    slot.local.contains_edge(edge, index)
-                })
-                .unwrap_or(1.0);
-                if keeps_nested || probe_distance < baseline_distance {
-                    mask.allow(word, op);
-                }
-            }
-        }
-        if mask.allowed_sites().is_empty() {
-            mask = MutationMask::allow_all(tx.stream.len());
-        }
-        masks.push(mask);
+    fn keep_world(&mut self, world: WorldState) {
+        self.out.last_world = Some(world);
     }
-    masks
 }
 
 /// Accumulate one selection into a slot's per-uid delta list.

@@ -338,12 +338,9 @@ pub struct BlockUnit {
     /// after the arm, deopting if a dynamic bill ate into it.
     pub tail: u64,
     /// Static gas of the block's instructions from this unit (inclusive) to
-    /// the block's end — already pre-charged at block entry. A fused arm
-    /// that hits the instruction cap re-charges this and deopts to
-    /// `instr_start` before touching any state, handing the per-instruction
-    /// tier an exact counter to replay from. Arms with several dynamic bills
-    /// (`StorageExprStore` and the `MapSlot*` pair) also re-charge it up
-    /// front and replay per-constituent billing exactly.
+    /// the block's end — already pre-charged at block entry. Arms with
+    /// several dynamic bills (`StorageExprStore` and the `MapSlot*` pair)
+    /// re-charge it up front and replay per-constituent billing exactly.
     pub head: u64,
     /// Superinstruction tag.
     pub fused: Fused,

@@ -4,10 +4,11 @@
 //! [`BlockProgram`] to a handler function pointer *once at lowering time*
 //! (stored in [`BlockUnit::handler`]), and [`run`] is a tight loop of
 //! indirect calls — fetch unit, settle the block envelope at leaders, call
-//! the handler. Each call site's target correlates with the unit stream, so
-//! the indirect-branch predictor learns the program's shape, and handlers
-//! for fused binops and `DUP`/`SWAP` depths are monomorphized so their
-//! operands constant-fold.
+//! the handler. The envelope includes the instruction cap: a block that
+//! might cross it deopts whole, so no handler checks the cap. Each call
+//! site's target correlates with the unit stream, so the indirect-branch
+//! predictor learns the program's shape, and handlers for fused binops and
+//! `DUP`/`SWAP` depths are monomorphized so their operands constant-fold.
 //!
 //! The reference for every handler is the per-instruction loop in
 //! `interpreter.rs` (`run_frame_inner`), which is also the deopt target.
@@ -228,20 +229,6 @@ macro_rules! t_charge {
     }};
 }
 
-/// Whole-unit instruction-cap check for fused handlers (the driver's loop-top
-/// check only covers the first constituent). On a hit the unit bails before
-/// anything mutates: it re-charges its `head` and deopts to its first
-/// instruction.
-macro_rules! t_cap_check {
-    ($m:expr, $u:expr) => {
-        if $m.trace.instr_count as usize + $u.instr_count as usize > $m.evm.config.max_instructions
-        {
-            $m.gas_left += $u.head;
-            return Step::Deopt($u.instr_start);
-        }
-    };
-}
-
 /// The shared fused-binop core, bound to the machine's bookkeeping.
 macro_rules! t_binop {
     ($m:expr, $op:expr, $pc:expr, $a:expr, $b:expr, $taint:expr) => {
@@ -326,6 +313,9 @@ pub(crate) fn run(
     let blocks = program.blocks();
     let mut cursor = cursor;
     'blocks: loop {
+        // The cap check that no block envelope covers: running off the end
+        // of the code, and a block entered after a call's child frames
+        // (calls end blocks) spent the rest of the cap.
         if m.trace.instr_count as usize >= max_instructions {
             return FrameOutcome::Done(FrameResult {
                 halt: HaltReason::OutOfGas,
@@ -341,36 +331,29 @@ pub(crate) fn run(
                 gas_left: m.gas_left,
             });
         };
-        // Settle the whole block at its leader: pre-summed static gas and
-        // the stack envelope, validated once, deopting when any part could
-        // fail mid-block.
-        // Control flow only lands on leaders, so this runs once per block.
-        let end = if unit.leader != u32::MAX {
-            let block = &blocks[unit.leader as usize];
-            if m.gas_left < block.static_gas
-                || m.stack.len() < block.stack_needed as usize
-                || m.stack.len() + block.max_growth as usize > 1024
-            {
-                return FrameOutcome::Deopt(m.state_at(block.instr_start as usize));
-            }
-            m.gas_left -= block.static_gas;
-            // Hoist the per-unit instruction cap out of the inner loop when
-            // the whole block provably fits: with `count + block_instrs`
-            // within the cap, no unit in the block can start at or past it.
-            let block_instrs = (block.instr_end - block.instr_start) as usize;
-            if m.trace.instr_count as usize + block_instrs > max_instructions {
-                cursor = match run_capped(&mut m, units, cursor, block.unit_end as usize) {
-                    ControlFlow::At(c) => c,
-                    ControlFlow::Return(outcome) => return outcome,
-                };
-                continue 'blocks;
-            }
-            block.unit_end as usize
-        } else {
+        if unit.leader == u32::MAX {
             // Unreachable by construction (entry, jumps and fall-through all
-            // land on leaders); degrade to single-unit stepping if not.
-            cursor + 1
-        };
+            // land on leaders); hand the frame to the per-instruction tier
+            // if not.
+            return FrameOutcome::Deopt(m.state_at(unit.instr_start as usize));
+        }
+        // Settle the whole block at its leader: pre-summed static gas, the
+        // stack envelope and the instruction cap, validated once, deopting
+        // when any part could fail mid-block. Within the cap, no unit of the
+        // block can start at or past it; the per-instruction tier checks the
+        // cap before every instruction of a block that might cross it.
+        // Control flow only lands on leaders, so this runs once per block.
+        let block = &blocks[unit.leader as usize];
+        let block_instrs = (block.instr_end - block.instr_start) as usize;
+        if m.gas_left < block.static_gas
+            || m.stack.len() < block.stack_needed as usize
+            || m.stack.len() + block.max_growth as usize > 1024
+            || m.trace.instr_count as usize + block_instrs > max_instructions
+        {
+            return FrameOutcome::Deopt(m.state_at(block.instr_start as usize));
+        }
+        m.gas_left -= block.static_gas;
+        let end = block.unit_end as usize;
         // Slice iteration: no per-unit bounds check, and the only way out of
         // the block mid-flight is through a handler's non-`Next` step.
         for unit in &units[cursor..end] {
@@ -390,51 +373,6 @@ pub(crate) fn run(
         }
         cursor = end;
     }
-}
-
-/// Outcome of the cold per-unit stepping path.
-enum ControlFlow {
-    /// Continue the outer loop at this unit cursor.
-    At(usize),
-    /// The frame ended.
-    Return(FrameOutcome),
-}
-
-/// The cold twin of the driver's inner loop, for blocks that might cross the
-/// instruction cap: identical dispatch, but the per-unit cap check stays in
-/// place, exactly like the per-instruction loop's top.
-#[cold]
-fn run_capped(
-    m: &mut Machine<'_, '_>,
-    units: &[BlockUnit],
-    mut cursor: usize,
-    end: usize,
-) -> ControlFlow {
-    let max_instructions = m.evm.config.max_instructions;
-    while cursor < end {
-        if m.trace.instr_count as usize >= max_instructions {
-            return ControlFlow::Return(FrameOutcome::Done(FrameResult {
-                halt: HaltReason::OutOfGas,
-                output: vec![],
-                gas_left: 0,
-            }));
-        }
-        let unit = &units[cursor];
-        cursor += 1;
-        match (unit.handler)(m, unit) {
-            Step::Next => {}
-            Step::Jump(target) => return ControlFlow::At(target as usize),
-            Step::Done => {
-                return ControlFlow::Return(FrameOutcome::Done(
-                    m.halt.take().expect("Step::Done parks a result"),
-                ));
-            }
-            Step::Deopt(instr_cursor) => {
-                return ControlFlow::Return(FrameOutcome::Deopt(m.state_at(instr_cursor as usize)));
-            }
-        }
-    }
-    ControlFlow::At(cursor)
 }
 
 /// Branch bookkeeping shared by `JUMPI` and the fused jump handlers: guard /
@@ -1902,14 +1840,12 @@ fn h_unknown(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 // ---------------------------------------------------------------------------
-// Fused handlers: one per superinstruction tag. Each checks the whole-unit
-// instruction cap first (deopting untouched on a hit), then records the
-// whole unit with one bulk OR, or only the executed prefix when a
-// constituent halts before the unit's last.
+// Fused handlers: one per superinstruction tag. Each records the whole unit
+// with one bulk OR, or only the executed prefix when a constituent halts
+// before the unit's last.
 // ---------------------------------------------------------------------------
 
 fn hf_push_jump(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     t_bulk!(m, u);
     let Fused::PushJump { target } = u.fused else {
         unreachable!("hf_push_jump dispatches PushJump");
@@ -1921,7 +1857,6 @@ fn hf_push_jump(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_jumpi(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     let Fused::PushJumpI { target } = u.fused else {
@@ -1942,7 +1877,6 @@ fn hf_push_jumpi(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_iszero_push_jumpi(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     let Fused::IsZeroPushJumpI { target } = u.fused else {
@@ -1973,7 +1907,6 @@ fn hf_iszero_push_jumpi(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_push(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     t_push!(m, parts[0].imm, Taint::empty());
@@ -1982,7 +1915,6 @@ fn hf_push_push(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_mload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     m.gas_left += u.tail;
@@ -2006,7 +1938,6 @@ fn hf_push_mload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     m.gas_left += u.tail;
@@ -2029,7 +1960,6 @@ fn hf_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_calldataload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     let word = calldata_word(m.calldata, parts[0].imm);
@@ -2038,7 +1968,6 @@ fn hf_push_calldataload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_push_sha3(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     m.gas_left += u.tail;
@@ -2063,7 +1992,6 @@ fn hf_push_push_sha3(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 
 #[inline(always)]
 fn hf_push_push_mload_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     m.gas_left += u.tail;
     let offset = match parts[1].imm.to_usize() {
@@ -2098,7 +2026,6 @@ fn hf_push_push_mload_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) 
 
 #[inline(always)]
 fn hf_binop_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     let (a, ta) = t_pop!(m);
@@ -2124,7 +2051,6 @@ fn hf_binop_push_mstore(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> S
 
 #[inline(always)]
 fn hf_push_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     let (b, tb) = t_pop!(m);
@@ -2134,7 +2060,6 @@ fn hf_push_binop(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
 }
 
 fn hf_push_sload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     t_bulk!(m, u);
     m.gas_left += u.tail;
     // The pushed slot is the unit's first constituent: its immediate is the
@@ -2154,7 +2079,6 @@ fn hf_push_sload(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 }
 
 fn hf_push_sstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     t_bulk!(m, u);
     m.gas_left += u.tail;
@@ -2172,7 +2096,6 @@ fn hf_push_sstore(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
 
 #[inline(always)]
 fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     // A whole `storage_var = storage_var ⊕ c` statement: load, fold, store
     // back with no stack traffic. Both storage ops carry a dynamic EIP-2929
@@ -2224,7 +2147,6 @@ fn hf_storage_expr_store(m: &mut Machine<'_, '_>, u: &BlockUnit, op: Opcode) -> 
 }
 
 fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
-    t_cap_check!(m, u);
     let parts = unit_parts(m, u);
     // Mapping-slot addressing: stage the key and the mapping's slot constant
     // in memory, hash the window, then read or write the derived slot. The

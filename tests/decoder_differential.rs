@@ -19,7 +19,8 @@
 //!
 //! The full [`ExecutionResult`] (success, output, gas remaining, halt reason
 //! and the complete instrumentation trace with its branch records) and the
-//! resulting world state must match bit for bit.
+//! resulting world state must match bit for bit. A third sweep re-runs
+//! seeded calls under every instruction cap that can land inside them.
 
 use mufuzz::mutation::mutate_masked;
 use mufuzz::{
@@ -28,8 +29,8 @@ use mufuzz::{
 use mufuzz_analysis::{analyze_contract, plan_sequence};
 use mufuzz_corpus::contracts;
 use mufuzz_evm::{
-    disassemble, DecodedProgram, Evm, ExecFrame, ExecutionResult, Message, Opcode, ProgramCache,
-    WorldState, U256,
+    disassemble, DecodedProgram, Evm, EvmConfig, ExecFrame, ExecutionResult, Message, Opcode,
+    ProgramCache, WorldState, U256,
 };
 use mufuzz_lang::{compile_source, CompiledContract};
 use rand::rngs::SmallRng;
@@ -40,6 +41,9 @@ const INPUTS_PER_CONTRACT: usize = 256;
 
 /// Mutants generated per contract by the campaign-shaped sequence sweep.
 const MUTANTS_PER_CONTRACT: usize = 96;
+
+/// Seeded calls per contract in the instruction-cap sweep.
+const CAP_SWEEP_CALLS: usize = 24;
 
 /// Derive one fuzzed calldata input: either a valid function selector with
 /// random argument words, or raw random bytes.
@@ -73,20 +77,44 @@ fn random_calldata(harness: &ContractHarness, rng: &mut SmallRng) -> Vec<u8> {
     }
 }
 
+/// A seeded call to the harness's contract: fuzzed calldata from a random
+/// sender with a small ether value.
+fn random_message(harness: &ContractHarness, rng: &mut SmallRng) -> Message {
+    let calldata = random_calldata(harness, rng);
+    let sender = harness.senders[rng.gen_range(0..harness.senders.len())];
+    let value = U256::from_u64(rng.gen_range(0..4u64) * 1_000_000_000);
+    Message::new(sender, harness.contract_address, value, calldata)
+}
+
+/// The production cache shape: the deployed runtime blob, pre-decoded and
+/// block-lowered on insert.
+fn runtime_cache(harness: &ContractHarness) -> ProgramCache {
+    let runtime = harness.base_world().code(harness.contract_address);
+    let mut cache = ProgramCache::new();
+    cache.insert(
+        Arc::clone(&runtime),
+        Arc::new(DecodedProgram::decode(&runtime)),
+    );
+    cache
+}
+
 /// Execute one message from a fresh snapshot of the harness base world, on
-/// the block tier (`block_lowering`) or the pre-decoded reference. Returns
-/// the result and the post-execution world.
+/// the block tier (`block_lowering`) or the pre-decoded reference, under an
+/// instruction cap of `max_instructions`. Returns the result and the
+/// post-execution world.
 fn run_once(
     harness: &ContractHarness,
     cache: &ProgramCache,
     msg: &Message,
     block_lowering: bool,
+    max_instructions: usize,
 ) -> (ExecutionResult, WorldState) {
     let mut world = harness.base_world().snapshot();
     let mut block = harness.base_block();
     block.advance();
     let mut evm = Evm::new(&mut world, block).with_programs(cache);
     evm.config.block_lowering = block_lowering;
+    evm.config.max_instructions = max_instructions;
     let result = evm.execute(msg);
     (result, world)
 }
@@ -103,25 +131,15 @@ fn name_seed(name: &str) -> u64 {
 fn sweep_both_tiers(name: &str, compiled: CompiledContract) {
     let harness =
         ContractHarness::new(compiled, &FuzzerConfig::default()).expect("contract must deploy");
-
-    // The production cache shape: the deployed runtime blob, pre-decoded
-    // and block-lowered on insert.
-    let runtime = harness.base_world().code(harness.contract_address);
-    let mut cache = ProgramCache::new();
-    cache.insert(
-        Arc::clone(&runtime),
-        Arc::new(DecodedProgram::decode(&runtime)),
-    );
+    let cache = runtime_cache(&harness);
+    let cap = EvmConfig::default().max_instructions;
 
     let mut rng = SmallRng::seed_from_u64(name_seed(name));
     for case in 0..INPUTS_PER_CONTRACT {
-        let calldata = random_calldata(&harness, &mut rng);
-        let sender = harness.senders[rng.gen_range(0..harness.senders.len())];
-        let value = U256::from_u64(rng.gen_range(0..4u64) * 1_000_000_000);
-        let msg = Message::new(sender, harness.contract_address, value, calldata);
+        let msg = random_message(&harness, &mut rng);
 
-        let (block, world_block) = run_once(&harness, &cache, &msg, true);
-        let (decoded, world_decoded) = run_once(&harness, &cache, &msg, false);
+        let (block, world_block) = run_once(&harness, &cache, &msg, true, cap);
+        let (decoded, world_decoded) = run_once(&harness, &cache, &msg, false, cap);
 
         // Gas first: with a fixed gas limit, equal `gas_used` is equal
         // gas remaining — the sharpest signal when block settlement or a
@@ -149,6 +167,47 @@ fn threaded_pipeline_is_bit_identical_to_the_predecoded_reference() {
         let compiled = compile_source(&bench.source).expect("corpus contract must compile");
         sweep_both_tiers(&bench.name, compiled);
     }
+}
+
+/// The instruction cap halts both tiers at the same instruction. Each seeded
+/// call re-runs with `max_instructions` at every value from 0 to one past
+/// its reference instruction count, so the cap lands on every instruction
+/// of the run: block leaders, the middle of fused units, the instruction
+/// after a call returns, and the implicit stop at the end of the code.
+#[test]
+fn instruction_cap_halts_identically_on_both_tiers() {
+    let (mut cases, mut inside) = (0usize, 0usize);
+    for bench in contracts::all_handwritten() {
+        let compiled = compile_source(&bench.source).expect("corpus contract must compile");
+        let harness =
+            ContractHarness::new(compiled, &FuzzerConfig::default()).expect("contract must deploy");
+        let cache = runtime_cache(&harness);
+        let mut rng = SmallRng::seed_from_u64(name_seed(&bench.name) ^ 0xCA9);
+        for call in 0..CAP_SWEEP_CALLS {
+            let msg = random_message(&harness, &mut rng);
+            let unlimited = EvmConfig::default().max_instructions;
+            let n = run_once(&harness, &cache, &msg, false, unlimited)
+                .0
+                .trace
+                .instruction_count();
+            for cap in 0..=n + 1 {
+                let (block, world_block) = run_once(&harness, &cache, &msg, true, cap);
+                let (decoded, world_decoded) = run_once(&harness, &cache, &msg, false, cap);
+                let name = &bench.name;
+                assert_eq!(block, decoded, "{name}: call #{call} at cap {cap} of {n}");
+                assert_eq!(
+                    world_block, world_decoded,
+                    "{name}: call #{call} world at cap {cap} of {n}"
+                );
+                cases += 1;
+                inside += usize::from(cap < n);
+            }
+        }
+    }
+    assert!(
+        inside * 2 > cases,
+        "most caps must land inside their run: {inside} of {cases}"
+    );
 }
 
 /// The committed real-bytecode fixture (ABI JSON + runtime hex).

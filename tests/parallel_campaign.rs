@@ -22,7 +22,9 @@ fn run_crowdsale(seed: u64, workers: usize) -> CampaignReport {
 /// Snapshot test: a single worker must reproduce the exact campaign the
 /// sequential engine produced for the same seed. The expected values were
 /// recorded by running the pre-refactor implementation (400 executions on
-/// the Crowdsale benchmark contract).
+/// the Crowdsale benchmark contract); the corpus and coverage digests were
+/// recorded before both determinism profiles shared one mask-probe pass and
+/// one mutant loop, and pin every seed the corpus ends with.
 #[test]
 fn workers_one_reproduces_the_sequential_baseline() {
     let report = run_crowdsale(11, 1);
@@ -35,6 +37,8 @@ fn workers_one_reproduces_the_sequential_baseline() {
         report.interesting_shapes.first().map(String::as_str),
         Some("invest->refund->withdraw")
     );
+    assert_eq!(report.corpus_digest, 0x3917_44de_5034_5069);
+    assert_eq!(report.coverage_digest, 0x7635_dd01_01ab_ad54);
 
     let report = run_crowdsale(42, 1);
     assert_eq!(report.covered_edges, 18);
@@ -43,6 +47,27 @@ fn workers_one_reproduces_the_sequential_baseline() {
         report.interesting_shapes.first().map(String::as_str),
         Some("invest->refund->withdraw->invest->refund->withdraw")
     );
+    assert_eq!(report.corpus_digest, 0xd42c_1291_0385_75ba);
+    assert_eq!(report.coverage_digest, 0x7635_dd01_01ab_ad54);
+}
+
+/// Every execution counts on the coverage-over-time curve, mask probes
+/// included: a single-worker campaign records a point at every multiple of
+/// the snapshot interval plus the final point, exactly as round mode does.
+#[test]
+fn workers_one_timeline_has_a_point_at_every_snapshot_boundary() {
+    for seed in [11, 42] {
+        let report = run_crowdsale(seed, 1);
+        // 400 executions over the default 64 timeline points: one point every
+        // 6 executions (66 of them), then the final point at 400.
+        let every = 400 / FuzzerConfig::mufuzz(400).timeline_points;
+        let expected: Vec<usize> = (1..=400 / every)
+            .map(|k| k * every)
+            .chain(std::iter::once(400))
+            .collect();
+        let got: Vec<usize> = report.timeline.iter().map(|p| p.executions).collect();
+        assert_eq!(got, expected, "seed {seed}: timeline executions");
+    }
 }
 
 /// Two single-worker runs with the same seed are identical in every

@@ -141,6 +141,21 @@ fn round_mode_reports_are_identical_across_worker_counts() {
     }
 }
 
+/// An absolute pin on one round-mode campaign (crowdsale, seed 11, 400
+/// executions, one worker, default rounds): the cross-worker comparisons
+/// above hold for any trajectory, this one holds the trajectory itself.
+#[test]
+fn round_mode_reproduces_the_pinned_crowdsale_campaign() {
+    let config = FuzzerConfig::mufuzz(400)
+        .with_rng_seed(11)
+        .with_workers(1)
+        .with_determinism(DeterminismProfile::Round);
+    let report = run_round(&contracts::crowdsale().source, config);
+    assert_eq!(report.executions, 400);
+    assert_eq!(report.corpus_digest, 0x1722_99bc_8fa0_fa21);
+    assert_eq!(report.coverage_digest, 0x5ae8_fe98_7139_df1c);
+}
+
 /// Round-mode runs are also reproducible run-to-run at the *same* worker
 /// count — the trivial half of the contract, but the one that catches
 /// time-dependent state leaking into the report.
