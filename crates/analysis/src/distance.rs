@@ -5,13 +5,20 @@
 //! outcome. Smaller distance = closer to covering the missing edge. Distances
 //! are normalised to `[0, 1)` so they compose across branches.
 
-use mufuzz_evm::{BranchEdge, ExecutionTrace, U256};
+use mufuzz_evm::{BranchEdge, BranchRecord, ExecutionTrace, U256};
 use std::collections::HashMap;
 
 /// Normalise a raw distance to `[0, 1)`: `d / (d + 1)`.
 pub fn normalize(distance: U256) -> f64 {
     let d = distance.to_f64_lossy();
     d / (d + 1.0)
+}
+
+/// The normalised distance an executed branch reports for its untaken edge.
+/// [`DistanceMap::from_trace`] keeps the minimum per edge; a caller that
+/// needs only the overall minimum can fold this over the branch records.
+pub fn untaken_distance(branch: &BranchRecord) -> f64 {
+    normalize(branch.flip_distance())
 }
 
 /// The per-uncovered-edge distance information extracted from one execution.
@@ -29,7 +36,7 @@ impl DistanceMap {
         let mut distances: HashMap<BranchEdge, f64> = HashMap::new();
         for branch in &trace.branches {
             let edge = branch.untaken_edge();
-            let d = normalize(branch.flip_distance());
+            let d = untaken_distance(branch);
             distances
                 .entry(edge)
                 .and_modify(|cur| {

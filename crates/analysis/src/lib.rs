@@ -47,5 +47,5 @@ pub mod edge_index;
 pub use cfg::{BasicBlock, BranchSite, ControlFlowGraph};
 pub use dataflow::{analyze_contract, analyze_function, DataFlowInfo, FunctionAccess};
 pub use depgraph::{plan_sequence, DependencyGraph, SequencePlan};
-pub use distance::{normalize, DistanceMap};
+pub use distance::{normalize, untaken_distance, DistanceMap};
 pub use edge_index::EdgeIndex;

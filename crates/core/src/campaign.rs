@@ -66,14 +66,16 @@ use crate::energy::{allocate_energy, corpus_mean_weight, seed_weight};
 use crate::executor::{ContractHarness, HarnessError, SequenceOutcome};
 use crate::input::{Seed, Sequence};
 use crate::mutation::{
-    apply_op, mutate_masked, word_count, InterestingValues, MutationMask, MutationOp,
+    apply_op_in_place, mutate_in_place, word_count, InterestingValues, MutationMask, MutationOp,
 };
 use crate::replay::FindingRecord;
 use crate::round::RoundRt;
 use crate::seedgen::SequenceGenerator;
 use crate::service::{CampaignService, SubmitOptions};
 use crate::snapshot::{put_seed, Digest};
-use mufuzz_analysis::{analyze_contract, plan_sequence, ControlFlowGraph, DistanceMap, EdgeIndex};
+use mufuzz_analysis::{
+    analyze_contract, plan_sequence, untaken_distance, ControlFlowGraph, EdgeIndex,
+};
 use mufuzz_evm::{BranchEdge, ExecFrame, WorldState};
 use mufuzz_lang::CompiledContract;
 use mufuzz_oracles::{BugFinding, CampaignMonitor, MonitorState};
@@ -429,51 +431,43 @@ pub(crate) fn select_seed(config: &FuzzerConfig, rng: &mut SmallRng, corpus: &[S
     rng.gen_range(0..corpus.len())
 }
 
-/// Mutate a seed into a fresh candidate sequence: byte-level mask-guided
+/// Mutate a seed into the candidate sequence `out`: byte-level mask-guided
 /// mutation on one transaction, occasionally combined with a structural
-/// sequence mutation. Draws from the caller's RNG: a free-running lane's
-/// stream or a round slot's.
-fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed) -> Sequence {
-    let mut sequence = seed.sequence.clone();
-    if sequence.is_empty() {
-        return ctx
-            .generator
-            .generate(&ctx.harness.compiled.abi, rng, &ctx.interesting);
+/// sequence mutation. `out` is refilled from the seed with `clone_from` and
+/// mutated in place, so a warm candidate allocates nothing unless the
+/// mutant grows. Draws from the caller's RNG: a free-running lane's stream
+/// or a round slot's.
+fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed, out: &mut Sequence) {
+    let abi = &ctx.harness.compiled.abi;
+    if seed.sequence.is_empty() {
+        *out = ctx.generator.generate(abi, rng, &ctx.interesting);
+        return;
     }
+    out.clone_from(&seed.sequence);
 
     // Structural mutation with 30% probability (ordering is preserved when
     // sequence-aware mutation is on).
     if rng.gen_bool(0.3) {
-        sequence = ctx.generator.mutate_structure(
-            &sequence,
-            &ctx.harness.compiled.abi,
-            rng,
-            &ctx.interesting,
-        );
+        ctx.generator
+            .mutate_structure_in_place(out, abi, rng, &ctx.interesting);
     }
 
     // Byte-level mutation of one (or a few) transactions.
     let mutations = 1 + rng.gen_range(0..2usize);
     for _ in 0..mutations {
-        let idx = rng.gen_range(0..sequence.txs.len());
-        let stream = sequence.txs[idx].stream.clone();
+        let idx = rng.gen_range(0..out.txs.len());
         // The mask biases mutation away from the frozen critical words; a
         // small fraction of mutants still ignores it so the frozen positions
         // themselves can eventually be explored (flipping the guarded branch
-        // needs exactly that).
+        // needs exactly that). Without a mask every site is allowed.
         let use_mask = ctx.config.enable_mask_guidance && rng.gen_bool(0.8);
         let mask = seed
             .masks
             .as_ref()
             .and_then(|m| m.get(idx))
-            .cloned()
-            .filter(|_| use_mask)
-            .unwrap_or_else(|| MutationMask::allow_all(stream.len()));
-        if let Some(mutated) = mutate_masked(&stream, &mask, rng, &ctx.interesting) {
-            sequence.txs[idx].stream = mutated;
-        }
+            .filter(|_| use_mask);
+        mutate_in_place(&mut out.txs[idx].stream, mask, rng, &ctx.interesting);
     }
-    sequence
 }
 
 /// Build seed metadata from an execution outcome, resolving "is this edge
@@ -502,7 +496,10 @@ pub(crate) fn make_seed(
 
 /// Smallest normalised distance from an outcome to any branch edge the
 /// supplied coverage view reports uncovered (branch-distance feedback,
-/// §IV-B).
+/// §IV-B): the minimum over every executed branch whose other edge is
+/// uncovered, the same minimum
+/// [`DistanceMap::from_trace`](mufuzz_analysis::DistanceMap::from_trace) keeps
+/// per edge.
 fn distance_to_uncovered(
     ctx: &CampaignContext,
     outcome: &SequenceOutcome,
@@ -511,32 +508,25 @@ fn distance_to_uncovered(
     if !ctx.config.enable_branch_distance {
         return None;
     }
-    let mut best: Option<f64> = None;
-    for trace in &outcome.traces {
-        let map = DistanceMap::from_trace(trace);
-        for (edge, d) in &map.distances {
-            if covered(edge) {
-                continue;
-            }
-            best = Some(match best {
-                Some(b) if b <= *d => b,
-                _ => *d,
-            });
-        }
-    }
-    best
-}
-
-/// Program counters of the deeply nested branches an outcome covers (the
-/// mask-probe baseline comparison of Algorithm 2).
-fn outcome_nested_pcs(ctx: &CampaignContext, outcome: &SequenceOutcome) -> BTreeSet<usize> {
     outcome
         .traces
         .iter()
-        .flat_map(|t| t.branches.iter())
-        .map(|b| b.pc)
-        .filter(|&pc| ctx.is_nested(pc))
-        .collect()
+        .flat_map(|trace| &trace.branches)
+        .filter(|branch| !covered(&branch.untaken_edge()))
+        .map(untaken_distance)
+        .reduce(f64::min)
+}
+
+/// Whether an outcome covers every deeply nested branch in `baseline` (the
+/// mask-probe comparison of Algorithm 2). Every baseline pc is nested, so
+/// it only has to appear among the outcome's branch records.
+fn covers_nested(baseline: &BTreeSet<usize>, outcome: &SequenceOutcome) -> bool {
+    baseline.iter().all(|&pc| {
+        outcome
+            .traces
+            .iter()
+            .any(|t| t.branches.iter().any(|b| b.pc == pc))
+    })
 }
 
 /// Program counters of the deeply nested branches a seed covers.
@@ -648,6 +638,17 @@ impl CampaignContext {
     }
 }
 
+/// `monitor`'s findings if its count moved since `streamed` was last set,
+/// else nothing. A monitor only gains findings, so an unchanged count means
+/// there is nothing new to stream and nothing is cloned.
+pub(crate) fn fresh_findings(monitor: &CampaignMonitor, streamed: &mut usize) -> Vec<BugFinding> {
+    if monitor.len() == *streamed {
+        return Vec::new();
+    }
+    *streamed = monitor.len();
+    monitor.findings()
+}
+
 /// Feed one execution to a bug monitor: every transaction's trace, then the
 /// contract's final balance.
 pub(crate) fn observe(
@@ -679,7 +680,8 @@ pub(crate) trait Ledger {
     /// Account one reserved execution of `sequence`, a mutant or probe of
     /// the seed with uid `seed_uid`: observe it for bugs, merge its coverage,
     /// admit it when it found new edges, and record the timeline point or
-    /// finding record it is due.
+    /// finding record it is due. `sequence` and `outcome` are the lane's
+    /// reused buffers: whatever outlives the call is copied out.
     fn settle(
         &mut self,
         exec: &Executor,
@@ -689,21 +691,42 @@ pub(crate) trait Ledger {
     );
 
     /// Keep the final world of the latest execution (the campaign-level
-    /// oracles read the last one at finalisation).
-    fn keep_world(&mut self, world: WorldState);
+    /// oracles read the last one at finalisation). The ledger swaps it with
+    /// the world it kept before, which the next execution overwrites.
+    fn keep_world(&mut self, world: &mut WorldState);
+}
+
+/// Swap `world` into `kept`, the slot a ledger keeps the last world in.
+pub(crate) fn swap_world(kept: &mut Option<WorldState>, world: &mut WorldState) {
+    std::mem::swap(kept.get_or_insert_with(WorldState::new), world);
 }
 
 /// The execution side of a lane: the shared campaign context, the lane's
-/// harness clone and its interpreter scratch. Runs Algorithm 2 and the
-/// mutant loop for both determinism profiles; the caller supplies the RNG
-/// and the [`Ledger`].
+/// harness clone and its reusable buffers. Runs Algorithm 2 and the mutant
+/// loop for both determinism profiles; the caller supplies the RNG and the
+/// [`Ledger`].
+///
+/// Every execution reuses the same candidate sequence, outcome and
+/// interpreter scratch, so once they have grown to the lane's high-water
+/// marks an execution that admits nothing allocates only the world-state
+/// copies its transactions write. A buffer's contents escape only by copy:
+/// into the corpus on admission, into a round slot's candidate or finding
+/// record.
 pub(crate) struct Executor {
     pub(crate) ctx: Arc<CampaignContext>,
     pub(crate) harness: ContractHarness,
-    /// Reusable interpreter scratch (stacks, memory buffers, trace capacity
-    /// hints); threaded through every execution so the hot loop allocates
-    /// nothing per transaction.
+    /// Interpreter scratch: stacks, memory, the call stack, calldata and
+    /// the pool of recycled traces.
     frame: ExecFrame,
+    /// The sequence under execution: a mutant or a mask probe, refilled
+    /// from its seed before each execution.
+    candidate: Sequence,
+    /// The latest execution's outcome; its traces return to `frame` when
+    /// the next execution refills it.
+    outcome: SequenceOutcome,
+    /// A round slot's private copy of the frozen corpus, refilled with
+    /// `clone_from` at the start of every slot this lane runs.
+    pub(crate) slot_corpus: Vec<Seed>,
 }
 
 impl Executor {
@@ -712,6 +735,9 @@ impl Executor {
             harness: ctx.harness.clone(),
             ctx,
             frame: ExecFrame::new(),
+            candidate: Sequence::default(),
+            outcome: SequenceOutcome::default(),
+            slot_corpus: Vec::new(),
         }
     }
 
@@ -753,30 +779,37 @@ impl Executor {
                         mask.allow(word, op);
                         continue;
                     }
-                    let mut probe_seq = seed.sequence.clone();
-                    probe_seq.txs[tx_index].stream =
-                        apply_op(&tx.stream, op, word, rng, &ctx.interesting);
-                    let outcome = self
-                        .harness
-                        .execute_sequence_with(&probe_seq, &mut self.frame);
-                    ledger.settle(self, &probe_seq, &outcome, seed.uid);
+                    self.candidate.clone_from(&seed.sequence);
+                    apply_op_in_place(
+                        &mut self.candidate.txs[tx_index].stream,
+                        op,
+                        word,
+                        rng,
+                        &ctx.interesting,
+                    );
+                    self.harness.execute_sequence_into(
+                        &self.candidate,
+                        &mut self.frame,
+                        &mut self.outcome,
+                    );
+                    ledger.settle(self, &self.candidate, &self.outcome, seed.uid);
                     // Does the probe still hit the nested branches the seed
                     // hit, or come closer to a branch still uncovered?
-                    let keeps_nested =
-                        baseline_nested.is_subset(&outcome_nested_pcs(ctx, &outcome));
+                    let keeps_nested = covers_nested(&baseline_nested, &self.outcome);
                     let index = self.harness.edge_index();
-                    let probe_distance =
-                        distance_to_uncovered(ctx, &outcome, &|edge| ledger.covers(edge, index))
-                            .unwrap_or(1.0);
+                    let probe_distance = distance_to_uncovered(ctx, &self.outcome, &|edge| {
+                        ledger.covers(edge, index)
+                    })
+                    .unwrap_or(1.0);
                     if keeps_nested || probe_distance < baseline_distance {
                         mask.allow(word, op);
                     }
-                    ledger.keep_world(outcome.final_world);
+                    ledger.keep_world(&mut self.outcome.final_world);
                 }
             }
             // Never leave a transaction completely frozen: that would make the
             // seed sterile.
-            if mask.allowed_sites().is_empty() {
+            if mask.allowed_count() == 0 {
                 mask = MutationMask::allow_all(tx.stream.len());
             }
             masks.push(mask);
@@ -800,12 +833,11 @@ impl Executor {
             if !ledger.reserve() {
                 return ControlFlow::Break(());
             }
-            let candidate = mutate_sequence(&self.ctx, rng, seed);
-            let outcome = self
-                .harness
-                .execute_sequence_with(&candidate, &mut self.frame);
-            ledger.settle(self, &candidate, &outcome, seed.uid);
-            ledger.keep_world(outcome.final_world);
+            mutate_sequence(&self.ctx, rng, seed, &mut self.candidate);
+            self.harness
+                .execute_sequence_into(&self.candidate, &mut self.frame, &mut self.outcome);
+            ledger.settle(self, &self.candidate, &self.outcome, seed.uid);
+            ledger.keep_world(&mut self.outcome.final_world);
         }
         ControlFlow::Continue(())
     }
@@ -876,8 +908,8 @@ impl Ledger for SharedLedger<'_> {
         }
     }
 
-    fn keep_world(&mut self, world: WorldState) {
-        *self.last_world = Some(world);
+    fn keep_world(&mut self, world: &mut WorldState) {
+        swap_world(self.last_world, world);
     }
 }
 
@@ -894,6 +926,8 @@ pub(crate) struct Worker {
     last_world: Option<WorldState>,
     /// Local mirror of the scheduling state that seed draws read.
     shard: CorpusShard,
+    /// The monitor's finding count when findings were last streamed.
+    findings_streamed: usize,
 }
 
 impl Worker {
@@ -905,6 +939,7 @@ impl Worker {
             monitor: CampaignMonitor::new(),
             last_world: None,
             shard: CorpusShard::default(),
+            findings_streamed: 0,
         }
     }
 
@@ -930,9 +965,11 @@ impl Worker {
         self.monitor.export_state()
     }
 
-    /// The lane's current deduplicated findings (for event streaming).
-    pub(crate) fn findings(&self) -> Vec<BugFinding> {
-        self.monitor.findings()
+    /// The lane's deduplicated findings if any arrived since the previous
+    /// call, else nothing (for event streaming, which runs after every
+    /// batch).
+    pub(crate) fn fresh_findings(&mut self) -> Vec<BugFinding> {
+        fresh_findings(&self.monitor, &mut self.findings_streamed)
     }
 
     /// Tear the lane down into the pieces finalisation needs.
@@ -945,6 +982,7 @@ impl Worker {
     /// and, on resume, the checkpointed observations) to the round runtime's
     /// master monitor.
     pub(crate) fn take_monitor(&mut self) -> CampaignMonitor {
+        self.findings_streamed = 0;
         std::mem::replace(&mut self.monitor, CampaignMonitor::new())
     }
 
@@ -1014,7 +1052,7 @@ impl Worker {
             self.retire(shared);
             return LaneStep::Paused;
         }
-        let (mut seed, energy, compute) = self.draw_sharded(shared);
+        let (index, energy, compute) = self.draw_sharded(shared);
         let mut ledger = SharedLedger {
             shared,
             params,
@@ -1023,8 +1061,11 @@ impl Worker {
             last_world: &mut self.last_world,
             slot: 0,
         };
+        // The batch reads the drawn seed straight from the mirror: nothing
+        // resyncs the mirror until the next draw.
         if compute {
-            let masks = self.exec.compute_masks(&mut self.rng, &seed, &mut ledger);
+            let seed = &self.shard.seeds[index];
+            let masks = self.exec.compute_masks(&mut self.rng, seed, &mut ledger);
             // Publish by uid, not index: culling may have reshuffled (or
             // dropped) the seed while the probes ran. No epoch bump is
             // needed — other lanes re-check mask state under the lock when
@@ -1035,14 +1076,11 @@ impl Worker {
                     global.masks = Some(masks.clone());
                 }
             }
-            if let Some(mirror) = self.shard.seeds.iter_mut().find(|x| x.uid == seed.uid) {
-                mirror.masks = Some(masks.clone());
-            }
-            seed.masks = Some(masks);
+            self.shard.seeds[index].masks = Some(masks);
         }
         if self
             .exec
-            .run_mutants(&mut self.rng, &seed, energy, &mut ledger)
+            .run_mutants(&mut self.rng, &self.shard.seeds[index], energy, &mut ledger)
             .is_break()
         {
             self.retire(shared);
@@ -1077,8 +1115,9 @@ impl Worker {
     /// global corpus, so a draw decides exactly what a draw from the global
     /// corpus would from the same RNG stream. That is what keeps `workers ==
     /// 1` campaigns bit-identical to the historical engine (the snapshot
-    /// test pins it).
-    fn draw_sharded(&mut self, shared: &CampaignShared) -> (Seed, usize, bool) {
+    /// test pins it). Returns the drawn seed's mirror index, its energy and
+    /// whether this lane claimed its mask-probe pass.
+    fn draw_sharded(&mut self, shared: &CampaignShared) -> (usize, usize, bool) {
         if self.shard.epoch != shared.epoch.current()
             || self.shard.draws >= self.exec.ctx.config.scheduler.shard_resync_draws
         {
@@ -1141,27 +1180,7 @@ impl Worker {
         } else {
             false
         };
-        // Snapshot only the fields the batch reads: the covered-edges list
-        // (the potentially large part) is needed solely as the
-        // nested-branch baseline of a probe pass.
-        let seed = &self.shard.seeds[seed_index];
-        let snapshot = Seed {
-            uid: seed.uid,
-            sequence: seed.sequence.clone(),
-            covered_edge_ids: if compute {
-                seed.covered_edge_ids.clone()
-            } else {
-                Vec::new()
-            },
-            new_edges: seed.new_edges,
-            hits_nested_branch: seed.hits_nested_branch,
-            weight: seed.weight,
-            best_distance: seed.best_distance,
-            selections: seed.selections,
-            masks: seed.masks.clone(),
-            masks_pending: seed.masks_pending,
-        };
-        (snapshot, energy, compute)
+        (seed_index, energy, compute)
     }
 
     /// The mask-probe gate (Algorithm 2 scheduling): compute masks once per

@@ -141,10 +141,12 @@ impl CoverageMap {
 
     /// Export the packed bitmap words for checkpoint serialization.
     pub fn snapshot_words(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.snapshot_words_iter().collect()
+    }
+
+    /// The words of [`CoverageMap::snapshot_words`], without collecting them.
+    pub(crate) fn snapshot_words_iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().map(|w| w.load(Ordering::Relaxed))
     }
 
     /// Rebuild a map of `edges` ids from words previously exported by

@@ -37,7 +37,7 @@ fn value_cap() -> U256 {
 }
 
 /// The outcome of executing one transaction sequence.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SequenceOutcome {
     /// Per-transaction execution traces (same order as the sequence).
     pub traces: Vec<ExecutionTrace>,
@@ -222,41 +222,54 @@ impl ContractHarness {
     }
 
     /// Like [`ContractHarness::execute_sequence`], reusing the caller's
-    /// [`ExecFrame`] scratch buffers (operand stacks, memory, trace capacity
-    /// hints) instead of allocating fresh ones per execution.
+    /// [`ExecFrame`] scratch buffers (operand stacks, memory, the call stack,
+    /// calldata) instead of allocating fresh ones per execution.
     pub fn execute_sequence_with(
         &self,
         sequence: &Sequence,
         frame: &mut ExecFrame,
     ) -> SequenceOutcome {
-        let mut world = self.base_world.snapshot();
-        let mut block = self.base_block;
-        let mut traces = Vec::with_capacity(sequence.len());
-        let mut successes = 0usize;
+        let mut outcome = SequenceOutcome::default();
+        self.execute_sequence_into(sequence, frame, &mut outcome);
+        outcome
+    }
 
+    /// Like [`ContractHarness::execute_sequence_with`], writing the result
+    /// into `outcome` in place: its previous traces go back to `frame` for
+    /// reuse, and its vectors keep their capacity. The previous final world
+    /// is dropped.
+    pub(crate) fn execute_sequence_into(
+        &self,
+        sequence: &Sequence,
+        frame: &mut ExecFrame,
+        outcome: &mut SequenceOutcome,
+    ) {
+        for trace in outcome.traces.drain(..) {
+            frame.recycle_trace(trace);
+        }
+        outcome.final_world = self.base_world.snapshot();
+        outcome.successes = 0;
+        let mut block = self.base_block;
         for tx in &sequence.txs {
             block.advance();
-            let trace = self.execute_tx(&mut world, block, tx, frame);
+            let trace = self.execute_tx(&mut outcome.final_world, block, tx, frame);
             if trace.success() {
-                successes += 1;
+                outcome.successes += 1;
             }
-            traces.push(trace);
+            outcome.traces.push(trace);
         }
 
-        let mut covered_edge_ids: Vec<u32> = traces
-            .iter()
-            .flat_map(|trace| &trace.branches)
-            .filter_map(|branch| self.edge_index.id_of(&branch.edge()))
-            .collect();
-        covered_edge_ids.sort_unstable();
-        covered_edge_ids.dedup();
-
-        SequenceOutcome {
-            traces,
-            covered_edge_ids,
-            final_world: world,
-            successes,
-        }
+        let ids = &mut outcome.covered_edge_ids;
+        ids.clear();
+        ids.extend(
+            outcome
+                .traces
+                .iter()
+                .flat_map(|trace| &trace.branches)
+                .filter_map(|branch| self.edge_index.id_of(&branch.edge())),
+        );
+        ids.sort_unstable();
+        ids.dedup();
     }
 
     /// Execute one transaction against the given world.
@@ -273,15 +286,17 @@ impl ContractHarness {
             return ExecutionTrace::new();
         };
         let sender = self.senders[tx.sender_index % self.senders.len()];
-        let calldata = tx.calldata(abi);
+        let mut calldata = frame.take_calldata();
+        tx.calldata_into(abi, &mut calldata);
 
         // The re-entrant attacker, when it is the sender, re-invokes the same
         // function on the contract when it receives ether.
         if Some(sender) == self.attacker {
-            world.account_mut(sender).behaviour = HostBehaviour::ReentrantAttacker {
-                callback_data: calldata.clone(),
-                max_depth: 3,
-            };
+            if let HostBehaviour::ReentrantAttacker { callback_data, .. } =
+                &mut world.account_mut(sender).behaviour
+            {
+                callback_data.clone_from(&calldata);
+            }
         }
 
         let mut value = tx.value();
@@ -292,10 +307,9 @@ impl ContractHarness {
 
         let mut evm = Evm::new(world, block).with_programs(&self.programs);
         evm.config.block_lowering = self.block_lowering;
-        let result = evm.execute_in(
-            &Message::new(sender, self.contract_address, value, calldata),
-            frame,
-        );
+        let message = Message::new(sender, self.contract_address, value, calldata);
+        let result = evm.execute_in(&message, frame);
+        frame.recycle_calldata(message.data);
         result.trace
     }
 

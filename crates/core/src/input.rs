@@ -14,7 +14,11 @@ use mufuzz_lang::FunctionAbi;
 pub const VALUE_BYTES: usize = 32;
 
 /// One transaction in a sequence.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// `Clone::clone_from` is field-wise and reuses the target's buffers (so do
+/// [`Sequence`]'s and [`Seed`]'s): the campaign refills one candidate per
+/// lane from each seed instead of allocating a copy per mutant.
+#[derive(Debug, PartialEq, Eq)]
 pub struct TxInput {
     /// Name of the called function (resolved against the contract ABI).
     pub function: String,
@@ -23,6 +27,27 @@ pub struct TxInput {
     /// Mutable byte stream: the first 32 bytes are the ether value, the rest
     /// are the ABI-encoded arguments (without the selector).
     pub stream: Vec<u8>,
+}
+
+impl Clone for TxInput {
+    fn clone(&self) -> TxInput {
+        TxInput {
+            function: self.function.clone(),
+            sender_index: self.sender_index,
+            stream: self.stream.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &TxInput) {
+        let TxInput {
+            function,
+            sender_index,
+            stream,
+        } = self;
+        function.clone_from(&source.function);
+        *sender_index = source.sender_index;
+        stream.clone_from(&source.stream);
+    }
 }
 
 impl TxInput {
@@ -81,17 +106,25 @@ impl TxInput {
     /// stay type-shaped: dynamic `bytes`/`string` get real length prefixes,
     /// arrays get element counts, addresses are masked to 160 bits.
     pub fn calldata(&self, abi: &FunctionAbi) -> Vec<u8> {
+        let mut data = Vec::new();
+        self.calldata_into(abi, &mut data);
+        data
+    }
+
+    /// [`TxInput::calldata`] written into `data`, replacing its contents and
+    /// reusing its buffer.
+    pub(crate) fn calldata_into(&self, abi: &FunctionAbi, data: &mut Vec<u8>) {
+        data.clear();
         if abi.all_static_words() {
             let args = self.arg_bytes();
             let wanted = 32 * abi.inputs.len();
-            let mut data = Vec::with_capacity(abi.selector.len() + wanted);
             data.extend_from_slice(&abi.selector);
             data.extend_from_slice(&args[..wanted.min(args.len())]);
             data.resize(abi.selector.len() + wanted, 0);
-            return data;
+            return;
         }
         let lanes: Vec<U256> = (0..abi.lane_count()).map(|i| self.arg_word(i)).collect();
-        abi.encode_call(&abi.values_from_lanes(&lanes))
+        data.extend_from_slice(&abi.encode_call(&abi.values_from_lanes(&lanes)));
     }
 
     /// Read the i-th argument word.
@@ -117,10 +150,23 @@ impl TxInput {
 }
 
 /// A transaction sequence: the unit the fuzzer executes and mutates.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct Sequence {
     /// Transactions in execution order (the constructor is implicit).
     pub txs: Vec<TxInput>,
+}
+
+impl Clone for Sequence {
+    fn clone(&self) -> Sequence {
+        Sequence {
+            txs: self.txs.clone(),
+        }
+    }
+
+    /// Reuses the target's transactions position by position.
+    fn clone_from(&mut self, source: &Sequence) {
+        self.txs.clone_from(&source.txs);
+    }
 }
 
 impl Sequence {
@@ -155,7 +201,7 @@ impl Sequence {
 }
 
 /// A seed: a sequence plus the feedback recorded when it was executed.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Seed {
     /// Stable corpus identity, assigned at admission. Unlike the seed's
     /// position in the corpus vector, the uid survives corpus culling, so
@@ -182,6 +228,49 @@ pub struct Seed {
     /// Set while a worker is probing this seed's masks so concurrent workers
     /// do not duplicate the (expensive) probe executions.
     pub masks_pending: bool,
+}
+
+impl Clone for Seed {
+    fn clone(&self) -> Seed {
+        Seed {
+            uid: self.uid,
+            sequence: self.sequence.clone(),
+            covered_edge_ids: self.covered_edge_ids.clone(),
+            new_edges: self.new_edges,
+            hits_nested_branch: self.hits_nested_branch,
+            weight: self.weight,
+            best_distance: self.best_distance,
+            selections: self.selections,
+            masks: self.masks.clone(),
+            masks_pending: self.masks_pending,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Seed) {
+        // Destructured so that a new field cannot be left uncopied.
+        let Seed {
+            uid,
+            sequence,
+            covered_edge_ids,
+            new_edges,
+            hits_nested_branch,
+            weight,
+            best_distance,
+            selections,
+            masks,
+            masks_pending,
+        } = self;
+        *uid = source.uid;
+        sequence.clone_from(&source.sequence);
+        covered_edge_ids.clone_from(&source.covered_edge_ids);
+        *new_edges = source.new_edges;
+        *hits_nested_branch = source.hits_nested_branch;
+        *weight = source.weight;
+        *best_distance = source.best_distance;
+        *selections = source.selections;
+        masks.clone_from(&source.masks);
+        *masks_pending = source.masks_pending;
+    }
 }
 
 impl Seed {

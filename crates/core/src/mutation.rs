@@ -45,10 +45,23 @@ impl MutationOp {
 }
 
 /// Per-word, per-operator mutation permissions for one transaction stream.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MutationMask {
     /// One bit set per allowed operator, per 32-byte word of the stream.
     words: Vec<u8>,
+}
+
+impl Clone for MutationMask {
+    fn clone(&self) -> MutationMask {
+        MutationMask {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses this mask's buffer.
+    fn clone_from(&mut self, source: &MutationMask) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl MutationMask {
@@ -92,17 +105,37 @@ impl MutationMask {
         self.words.is_empty()
     }
 
-    /// All `(word, op)` pairs that are allowed.
+    /// All `(word, op)` pairs that are allowed, word-major with the
+    /// operators in [`MutationOp::ALL`] order.
     pub fn allowed_sites(&self) -> Vec<(usize, MutationOp)> {
-        let mut sites = Vec::new();
-        for (i, _) in self.words.iter().enumerate() {
-            for op in MutationOp::ALL {
-                if self.ok_to_mutate(i, op) {
-                    sites.push((i, op));
-                }
-            }
+        self.sites().collect()
+    }
+
+    /// The allowed sites in [`MutationMask::allowed_sites`] order, without
+    /// collecting them.
+    fn sites(&self) -> impl Iterator<Item = (usize, MutationOp)> + '_ {
+        self.words.iter().enumerate().flat_map(|(word, &bits)| {
+            MutationOp::ALL
+                .into_iter()
+                .filter(move |op| bits & op.bit() != 0)
+                .map(move |op| (word, op))
+        })
+    }
+
+    /// Number of allowed `(word, op)` sites.
+    pub(crate) fn allowed_count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Draw one allowed site uniformly: `allowed_sites()[k]` for one draw of
+    /// `k`, without building the list. `None`, and no draw, when the mask
+    /// forbids everything.
+    pub(crate) fn pick_site(&self, rng: &mut SmallRng) -> Option<(usize, MutationOp)> {
+        let count = self.allowed_count();
+        if count == 0 {
+            return None;
         }
-        sites
+        self.sites().nth(rng.gen_range(0..count))
     }
 
     /// The raw per-word permission bytes (one bit per operator), for
@@ -126,8 +159,7 @@ impl MutationMask {
             return 0.0;
         }
         let total = self.words.len() * 4;
-        let allowed = self.allowed_sites().len();
-        (total - allowed) as f64 / total as f64
+        (total - self.allowed_count()) as f64 / total as f64
     }
 }
 
@@ -208,7 +240,7 @@ impl InterestingValues {
 }
 
 /// Apply one mutation operator to a byte stream at the given word index,
-/// returning the mutated stream.
+/// returning the mutated stream (a copy mutated by `apply_op_in_place`).
 pub fn apply_op(
     stream: &[u8],
     op: MutationOp,
@@ -217,17 +249,27 @@ pub fn apply_op(
     interesting: &InterestingValues,
 ) -> Vec<u8> {
     let mut out = stream.to_vec();
+    apply_op_in_place(&mut out, op, word_index, rng, interesting);
+    out
+}
+
+/// Apply one mutation operator to a byte stream at the given word index, in
+/// place. Draws from `rng` exactly as often as the operator needs.
+pub(crate) fn apply_op_in_place(
+    out: &mut Vec<u8>,
+    op: MutationOp,
+    word_index: usize,
+    rng: &mut SmallRng,
+    interesting: &InterestingValues,
+) {
     let start = word_index * 32;
     match op {
         MutationOp::Overwrite => {
-            if out.is_empty() {
-                return out;
-            }
             // Either flip a handful of bytes or rewrite the whole word.
-            let end = (start + 32).min(out.len());
             if start >= out.len() {
-                return out;
+                return;
             }
+            let end = (start + 32).min(out.len());
             if rng.gen_bool(0.5) {
                 let count = rng.gen_range(1..=4usize);
                 for _ in 0..count {
@@ -235,7 +277,7 @@ pub fn apply_op(
                     out[pos] = rng.gen();
                 }
             } else {
-                for byte in out.iter_mut().take(end).skip(start) {
+                for byte in &mut out[start..end] {
                     *byte = rng.gen();
                 }
             }
@@ -243,50 +285,67 @@ pub fn apply_op(
         MutationOp::Insert => {
             let insert_at = start.min(out.len());
             let word = interesting.pick(rng).to_be_bytes();
-            out.splice(insert_at..insert_at, word.iter().copied());
+            out.splice(insert_at..insert_at, word);
         }
         MutationOp::Replace => {
-            let end = (start + 32).min(out.len());
+            let word = interesting.pick(rng).to_be_bytes();
             if start >= out.len() {
                 // Replacing past the end appends a word instead.
-                out.extend_from_slice(&interesting.pick(rng).to_be_bytes());
-                return out;
+                out.extend_from_slice(&word);
+                return;
             }
-            let word = interesting.pick(rng).to_be_bytes();
+            let end = (start + 32).min(out.len());
             let len = end - start;
             out[start..end].copy_from_slice(&word[32 - len..]);
         }
         MutationOp::Delete => {
             if out.len() <= 32 {
                 // Never delete the value word entirely; clear it instead.
-                for b in out.iter_mut() {
-                    *b = 0;
-                }
-                return out;
+                out.fill(0);
+                return;
             }
-            let end = (start + 32).min(out.len());
             if start < out.len() {
+                let end = (start + 32).min(out.len());
                 out.drain(start..end);
             }
         }
     }
-    out
 }
 
-/// Apply a random allowed mutation according to the mask. Returns `None` when
-/// the mask forbids everything.
+/// Apply a random allowed mutation according to the mask, returning the
+/// mutated copy. Returns `None` when the mask forbids everything.
 pub fn mutate_masked(
     stream: &[u8],
     mask: &MutationMask,
     rng: &mut SmallRng,
     interesting: &InterestingValues,
 ) -> Option<Vec<u8>> {
-    let sites = mask.allowed_sites();
-    if sites.is_empty() {
-        return None;
-    }
-    let (word, op) = sites[rng.gen_range(0..sites.len())];
+    let (word, op) = mask.pick_site(rng)?;
     Some(apply_op(stream, op, word, rng, interesting))
+}
+
+/// Apply a random allowed mutation to `stream` in place: the draws and the
+/// bytes of [`mutate_masked`]. `None` for `mask` allows every site of the
+/// stream, like [`MutationMask::allow_all`]. Returns `false`, with the
+/// stream untouched, when the mask forbids everything.
+pub(crate) fn mutate_in_place(
+    stream: &mut Vec<u8>,
+    mask: Option<&MutationMask>,
+    rng: &mut SmallRng,
+    interesting: &InterestingValues,
+) -> bool {
+    let site = match mask {
+        Some(mask) => mask.pick_site(rng),
+        None => {
+            let k = rng.gen_range(0..4 * word_count(stream.len()));
+            Some((k / 4, MutationOp::ALL[k % 4]))
+        }
+    };
+    let Some((word, op)) = site else {
+        return false;
+    };
+    apply_op_in_place(stream, op, word, rng, interesting);
+    true
 }
 
 #[cfg(test)]
@@ -427,6 +486,147 @@ mod tests {
             assert_eq!(out.len(), 64);
             assert_eq!(&out[..32], &stream[..32]);
         }
+    }
+
+    /// `apply_op` as it was before the operators mutated in place: the
+    /// oracle the in-place operators are checked against.
+    fn apply_op_copying(
+        stream: &[u8],
+        op: MutationOp,
+        word_index: usize,
+        rng: &mut SmallRng,
+        interesting: &InterestingValues,
+    ) -> Vec<u8> {
+        let mut out = stream.to_vec();
+        let start = word_index * 32;
+        match op {
+            MutationOp::Overwrite => {
+                if out.is_empty() {
+                    return out;
+                }
+                let end = (start + 32).min(out.len());
+                if start >= out.len() {
+                    return out;
+                }
+                if rng.gen_bool(0.5) {
+                    let count = rng.gen_range(1..=4usize);
+                    for _ in 0..count {
+                        let pos = rng.gen_range(start..end);
+                        out[pos] = rng.gen();
+                    }
+                } else {
+                    for byte in out.iter_mut().take(end).skip(start) {
+                        *byte = rng.gen();
+                    }
+                }
+            }
+            MutationOp::Insert => {
+                let insert_at = start.min(out.len());
+                let word = interesting.pick(rng).to_be_bytes();
+                out.splice(insert_at..insert_at, word.iter().copied());
+            }
+            MutationOp::Replace => {
+                let end = (start + 32).min(out.len());
+                if start >= out.len() {
+                    out.extend_from_slice(&interesting.pick(rng).to_be_bytes());
+                    return out;
+                }
+                let word = interesting.pick(rng).to_be_bytes();
+                let len = end - start;
+                out[start..end].copy_from_slice(&word[32 - len..]);
+            }
+            MutationOp::Delete => {
+                if out.len() <= 32 {
+                    for b in out.iter_mut() {
+                        *b = 0;
+                    }
+                    return out;
+                }
+                let end = (start + 32).min(out.len());
+                if start < out.len() {
+                    out.drain(start..end);
+                }
+            }
+        }
+        out
+    }
+
+    /// The site pick of the list-building `mutate_masked`: collect every
+    /// allowed site, then index it with one draw.
+    fn pick_from_list(mask: &MutationMask, rng: &mut SmallRng) -> Option<(usize, MutationOp)> {
+        let sites = mask.allowed_sites();
+        (!sites.is_empty()).then(|| sites[rng.gen_range(0..sites.len())])
+    }
+
+    /// Two copies of one seeded stream.
+    fn twin_rngs(seed: u64) -> (SmallRng, SmallRng) {
+        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn in_place_mutation_matches_the_copying_operators() {
+        let pool = InterestingValues::defaults();
+        let mut gen = SmallRng::seed_from_u64(0x1A5E_0F0F);
+        for _ in 0..3_000 {
+            // Streams from empty through shorter than the value word to
+            // several words; masks from no words (and all-denied words) to
+            // more words than the stream has.
+            let len = gen.gen_range(0..160usize);
+            let stream: Vec<u8> = (0..len).map(|_| gen.gen()).collect();
+            let words = gen.gen_range(0..7usize);
+            let mask = MutationMask::from_bytes((0..words).map(|_| gen.gen()).collect());
+
+            // The pick: same site, same draw.
+            let (mut a, mut b) = twin_rngs(gen.gen());
+            assert_eq!(mask.pick_site(&mut a), pick_from_list(&mask, &mut b));
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+
+            // A masked mutation: same bytes, RNG left at the same position.
+            let (mut a, mut b) = twin_rngs(gen.gen());
+            let mut in_place = stream.clone();
+            let mutated = mutate_in_place(&mut in_place, Some(&mask), &mut a, &pool);
+            let copied = pick_from_list(&mask, &mut b)
+                .map(|(word, op)| apply_op_copying(&stream, op, word, &mut b, &pool));
+            assert_eq!(mutated, copied.is_some());
+            assert_eq!(in_place, copied.unwrap_or_else(|| stream.clone()));
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+
+            // No mask allows every site, exactly like `allow_all`.
+            let (mut a, mut b) = twin_rngs(gen.gen());
+            let mut in_place = stream.clone();
+            assert!(mutate_in_place(&mut in_place, None, &mut a, &pool));
+            let all = MutationMask::allow_all(stream.len());
+            let (word, op) = pick_from_list(&all, &mut b).unwrap();
+            assert_eq!(in_place, apply_op_copying(&stream, op, word, &mut b, &pool));
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+
+            // Every operator at every word, through one past the end (an
+            // Insert or a Delete at the end of the stream).
+            for op in MutationOp::ALL {
+                for word in 0..=word_count(len) + 1 {
+                    let (mut a, mut b) = twin_rngs(gen.gen());
+                    let mut in_place = stream.clone();
+                    apply_op_in_place(&mut in_place, op, word, &mut a, &pool);
+                    assert_eq!(
+                        in_place,
+                        apply_op_copying(&stream, op, word, &mut b, &pool),
+                        "{op:?} at word {word} of a {len}-byte stream"
+                    );
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+                }
+            }
+        }
+        // An empty mask forbids everything and draws nothing.
+        let (mut a, mut b) = twin_rngs(9);
+        let mut stream = vec![7u8; 40];
+        assert!(!mutate_in_place(
+            &mut stream,
+            Some(&MutationMask::from_bytes(vec![])),
+            &mut a,
+            &pool
+        ));
+        assert_eq!(stream, vec![7u8; 40]);
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! campaign** — same report digests, same corpus (by uid), same findings.
 
 use crate::campaign::{
-    make_seed, observe, select_seed, CampaignContext, CampaignShared, Executor, LaneStep, Ledger,
-    PauseState, RunParams, Worker,
+    fresh_findings, make_seed, observe, select_seed, swap_world, CampaignContext, CampaignShared,
+    Executor, LaneStep, Ledger, PauseState, RunParams, Worker,
 };
 use crate::coverage::LocalCoverage;
 use crate::energy::{allocate_energy, corpus_mean_weight};
@@ -47,7 +47,7 @@ use crate::replay::{outcome_digest, FindingRecord};
 use crate::snapshot::contract_fingerprint;
 use mufuzz_analysis::EdgeIndex;
 use mufuzz_evm::{BranchEdge, WorldState};
-use mufuzz_oracles::{BugClass, CampaignMonitor};
+use mufuzz_oracles::{BugClass, BugFinding, CampaignMonitor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -135,12 +135,12 @@ impl SlotOutcome {
     }
 }
 
-/// Provenance stamped onto every [`FindingRecord`] a slot captures.
+/// Provenance stamped onto every [`FindingRecord`] a slot captures (the
+/// contract hash is computed when a record is, which is rare).
 struct SlotProvenance {
     round: u64,
     slot: u32,
     workers: u32,
-    contract_hash: u64,
 }
 
 /// The round-mode runtime: the current round's frozen view and slot ledger,
@@ -173,6 +173,8 @@ pub(crate) struct RoundRt {
     /// Finding keys already recorded (or already known to the master
     /// monitor when the runtime was installed).
     recorded: BTreeSet<RecordKey>,
+    /// The master monitor's finding count when findings were last streamed.
+    findings_streamed: usize,
     /// The budget (executions or wall clock) ran out at a barrier.
     finished: bool,
     /// The campaign stopped at a barrier with budget remaining.
@@ -218,11 +220,18 @@ impl RoundRt {
             last_world: None,
             records,
             recorded,
+            findings_streamed: 0,
             finished: false,
             paused: false,
         };
         rt.prepare(ctx, shared, params, pause);
         rt
+    }
+
+    /// The master monitor's findings if any arrived since the previous call
+    /// (for event streaming; see `campaign::fresh_findings`).
+    pub(crate) fn fresh_findings(&mut self) -> Vec<BugFinding> {
+        fresh_findings(&self.monitor, &mut self.findings_streamed)
     }
 
     /// Open the next round: check the stop and pause conditions, then freeze
@@ -254,12 +263,14 @@ impl RoundRt {
             .max(1)
             .min(remaining.div_ceil(batch));
         let s = shared.state.lock().expect("campaign state poisoned");
-        self.view = Arc::new(RoundView {
-            corpus: s.corpus.clone(),
-            coverage: shared.coverage.snapshot_words(),
-            edges: shared.coverage.capacity(),
-            mean_weight: corpus_mean_weight(&s.corpus),
-        });
+        // Every lane drops its handle on the view before it returns its
+        // slot, so the view is unique here and is refilled in place.
+        let view = Arc::get_mut(&mut self.view).expect("a lane kept the round view past its slot");
+        view.corpus.clone_from(&s.corpus);
+        view.coverage.clear();
+        view.coverage.extend(shared.coverage.snapshot_words_iter());
+        view.edges = shared.coverage.capacity();
+        view.mean_weight = corpus_mean_weight(&s.corpus);
         drop(s);
         self.slots = slots;
         self.results = (0..slots).map(|_| None).collect();
@@ -389,6 +400,7 @@ pub(crate) fn round_step(
         return LaneStep::Continue;
     };
     let outcome = run_slot(&mut worker.exec, &view, slot, quota, round);
+    drop(view);
     let mut guard = shared.round.lock().expect("round state poisoned");
     let rt = guard.as_mut().expect("round runtime vanished mid-round");
     rt.results[slot] = Some(outcome);
@@ -402,7 +414,8 @@ pub(crate) fn round_step(
 /// Run one slot: `quota` mutate→execute→evaluate steps (including any mask
 /// probes) against the frozen view, with the slot's derived RNG. Pure in
 /// `(rng_seed, round, slot, view)` — the lane contributes only its harness
-/// clone and scratch frame.
+/// clone and reusable buffers. The slot draws from its own copy of the
+/// frozen corpus, refilled into the executor's buffer.
 fn run_slot(
     exec: &mut Executor,
     view: &RoundView,
@@ -413,7 +426,8 @@ fn run_slot(
     let ctx = Arc::clone(&exec.ctx);
     let mut rng =
         SmallRng::seed_from_u64(derive_slot_seed(ctx.config.rng_seed, round, slot as u64));
-    let mut corpus = view.corpus.clone();
+    let mut corpus = std::mem::take(&mut exec.slot_corpus);
+    corpus.clone_from(&view.corpus);
     let mut ledger = SlotCtx {
         quota,
         local: LocalCoverage::from_words(view.edges, view.coverage.clone()),
@@ -422,13 +436,9 @@ fn run_slot(
             round,
             slot: slot as u32,
             workers: ctx.config.workers.max(1) as u32,
-            contract_hash: contract_fingerprint(&exec.harness.compiled),
         },
     };
-    if corpus.is_empty() {
-        return ledger.out;
-    }
-    while ledger.out.executed < quota {
+    while !corpus.is_empty() && ledger.out.executed < quota {
         let i = select_seed(&ctx.config, &mut rng, &corpus);
         corpus[i].selections += 1;
         bump_delta(&mut ledger.out.sel_deltas, corpus[i].uid);
@@ -451,6 +461,7 @@ fn run_slot(
             break;
         }
     }
+    exec.slot_corpus = corpus;
     ledger.out
 }
 
@@ -500,7 +511,7 @@ impl Ledger for SlotCtx {
                 out.records.push(PendingRecord {
                     key,
                     record: FindingRecord {
-                        contract_hash: prov.contract_hash,
+                        contract_hash: contract_fingerprint(&harness.compiled),
                         seed_uid,
                         round: prov.round,
                         slot: prov.slot,
@@ -526,8 +537,8 @@ impl Ledger for SlotCtx {
         }
     }
 
-    fn keep_world(&mut self, world: WorldState) {
-        self.out.last_world = Some(world);
+    fn keep_world(&mut self, world: &mut WorldState) {
+        swap_world(&mut self.out.last_world, world);
     }
 }
 

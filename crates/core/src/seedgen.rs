@@ -8,7 +8,7 @@
 //! random permutations of the callable functions and structural mutation
 //! shuffles them freely.
 
-use crate::input::{Sequence, TxInput};
+use crate::input::{Sequence, TxInput, VALUE_BYTES};
 use crate::mutation::InterestingValues;
 use mufuzz_analysis::SequencePlan;
 use mufuzz_evm::U256;
@@ -54,14 +54,34 @@ impl SequenceGenerator {
         rng: &mut SmallRng,
         interesting: &InterestingValues,
     ) -> TxInput {
+        let mut tx = TxInput {
+            function: function.to_string(),
+            sender_index: 0,
+            stream: Vec::new(),
+        };
+        self.randomize_tx(&mut tx, abi, rng, interesting);
+        tx
+    }
+
+    /// Give `tx` fresh random arguments, value and sender for a call of
+    /// `tx.function`, reusing its stream buffer.
+    fn randomize_tx(
+        &self,
+        tx: &mut TxInput,
+        abi: &ContractAbi,
+        rng: &mut SmallRng,
+        interesting: &InterestingValues,
+    ) {
         // Seed one word per mutable *lane*: static params take one lane,
         // dynamic params (ingested ABIs) take length + content lanes, so
         // every shaped byte of the calldata starts from fuzz-chosen data.
         let (arity, payable) = abi
-            .function(function)
+            .function(&tx.function)
             .map(|f| (f.lane_count(), f.payable))
             .unwrap_or((0, false));
-        let mut args = Vec::with_capacity(arity);
+        // The value word leads the stream but is drawn after the arguments.
+        tx.stream.clear();
+        tx.stream.resize(VALUE_BYTES, 0);
         for _ in 0..arity {
             // Bias towards small values and interesting constants.
             let word = match rng.gen_range(0..4u8) {
@@ -69,7 +89,7 @@ impl SequenceGenerator {
                 1 => U256::from_u64(rng.gen()),
                 _ => interesting.pick(rng),
             };
-            args.push(word);
+            tx.stream.extend_from_slice(&word.to_be_bytes());
         }
         // Ether is only attached to payable functions (non-payable ones revert
         // on any value, which every practical smart-contract fuzzer avoids by
@@ -83,8 +103,8 @@ impl SequenceGenerator {
         } else {
             U256::ZERO
         };
-        let sender = rng.gen_range(0..self.sender_count);
-        TxInput::new(function, sender, value, &args)
+        tx.stream[..VALUE_BYTES].copy_from_slice(&value.to_be_bytes());
+        tx.sender_index = rng.gen_range(0..self.sender_count);
     }
 
     /// Generate one fresh sequence.
@@ -162,7 +182,7 @@ impl SequenceGenerator {
 
     /// Structurally mutate a sequence (ordering / senders / repetition); the
     /// byte-level argument mutation is handled separately by the mask-guided
-    /// mutator.
+    /// mutator. Returns a mutated copy (see `mutate_structure_in_place`).
     pub fn mutate_structure(
         &self,
         sequence: &Sequence,
@@ -171,8 +191,23 @@ impl SequenceGenerator {
         interesting: &InterestingValues,
     ) -> Sequence {
         let mut seq = sequence.clone();
+        self.mutate_structure_in_place(&mut seq, abi, rng, interesting);
+        seq
+    }
+
+    /// [`SequenceGenerator::mutate_structure`] in place: the same draws and
+    /// the same result, reusing the sequence's buffers. Only a transaction
+    /// added to the sequence allocates.
+    pub(crate) fn mutate_structure_in_place(
+        &self,
+        seq: &mut Sequence,
+        abi: &ContractAbi,
+        rng: &mut SmallRng,
+        interesting: &InterestingValues,
+    ) {
         if seq.is_empty() {
-            return self.generate(abi, rng, interesting);
+            *seq = self.generate(abi, rng, interesting);
+            return;
         }
         if self.sequence_aware {
             match rng.gen_range(0..4u8) {
@@ -191,14 +226,11 @@ impl SequenceGenerator {
                 // Duplicate a repetition candidate once more (sequence
                 // extension, §IV-A).
                 1 => {
-                    let candidates: Vec<usize> = seq
+                    let candidate = seq
                         .txs
                         .iter()
-                        .enumerate()
-                        .filter(|(_, t)| self.plan.repeat_candidates.contains(&t.function))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if let Some(&i) = candidates.first() {
+                        .position(|t| self.plan.repeat_candidates.contains(&t.function));
+                    if let Some(i) = candidate {
                         let copy = seq.txs[i].clone();
                         let at = rng.gen_range(i + 1..=seq.txs.len());
                         seq.txs.insert(at, copy);
@@ -210,8 +242,7 @@ impl SequenceGenerator {
                 // Re-randomise the arguments of one transaction.
                 _ => {
                     let i = rng.gen_range(0..seq.txs.len());
-                    let fresh = self.random_tx(&seq.txs[i].function.clone(), abi, rng, interesting);
-                    seq.txs[i] = fresh;
+                    self.randomize_tx(&mut seq.txs[i], abi, rng, interesting);
                 }
             }
         } else {
@@ -222,7 +253,8 @@ impl SequenceGenerator {
                 1 => {
                     let i = rng.gen_range(0..seq.txs.len());
                     let name = &self.callable[rng.gen_range(0..self.callable.len())];
-                    seq.txs[i] = self.random_tx(name, abi, rng, interesting);
+                    seq.txs[i].function.clone_from(name);
+                    self.randomize_tx(&mut seq.txs[i], abi, rng, interesting);
                 }
                 // Drop a call.
                 2 => {
@@ -238,7 +270,6 @@ impl SequenceGenerator {
                 }
             }
         }
-        seq
     }
 }
 

@@ -862,15 +862,15 @@ fn pump_events(job: &Arc<CampaignJob>, lane: usize) {
     let findings = if job.ctx.config.round_mode() {
         // Round-mode findings live in the runtime's master monitor (lane
         // monitors stay empty); they become visible at round commits.
-        let guard = job.shared.round.lock().expect("round state poisoned");
+        let mut guard = job.shared.round.lock().expect("round state poisoned");
         guard
-            .as_ref()
-            .map(|rt| rt.monitor.findings())
+            .as_mut()
+            .map(RoundRt::fresh_findings)
             .unwrap_or_default()
     } else {
-        let slot = job.lanes[lane].lock().expect("campaign lane poisoned");
-        match slot.as_ref() {
-            Some(worker) => worker.findings(),
+        let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
+        match slot.as_mut() {
+            Some(worker) => worker.fresh_findings(),
             None => Vec::new(),
         }
     };

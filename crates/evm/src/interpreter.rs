@@ -31,8 +31,9 @@
 //!   assert bit-identical results (including gas remaining) on both.
 //!
 //! Per-execution scratch (operand stacks, memory buffers, call-argument
-//! staging) lives in a reusable [`ExecFrame`] so a fuzzing campaign executes
-//! without per-transaction heap churn; see its documentation.
+//! staging, the call stack, calldata and recycled traces) lives in a
+//! reusable [`ExecFrame`] so a fuzzing campaign executes without
+//! per-transaction heap churn; see its documentation.
 
 use crate::env::{BlockEnv, ExecutionResult, Message};
 use crate::gas::{
@@ -93,19 +94,14 @@ pub(crate) struct FrameResult {
 }
 
 /// Resumable state of the dispatch loop: everything live across a deopt from
-/// the block-billed fast path to per-instruction execution. Stack, memory
-/// and call-argument buffers live in the frame's [`DepthScratch`] and carry
-/// over untouched.
+/// the block-billed fast path to per-instruction execution. Stack, memory,
+/// call-argument buffers and the frame's event index lists live in its
+/// [`DepthScratch`] and carry over untouched.
 pub(crate) struct LoopState {
     pub(crate) cursor: usize,
     pub(crate) gas_left: u64,
     pub(crate) last_cmp: Option<Comparison>,
     pub(crate) caller_guard_seen: bool,
-    /// Indices into `trace.calls` for calls made by this frame whose result
-    /// has not yet been consumed by a `JUMPI`.
-    pub(crate) unchecked_calls: Vec<usize>,
-    /// Indices of truncated arithmetic events produced in this frame.
-    pub(crate) truncated_events: Vec<usize>,
     /// The frame's RETURNDATA buffer (EIP-211): output of the most recent
     /// completed call or create, empty at frame entry and after an
     /// exceptional callee halt.
@@ -120,8 +116,6 @@ impl LoopState {
             gas_left: gas,
             last_cmp: None,
             caller_guard_seen: false,
-            unchecked_calls: Vec::new(),
-            truncated_events: Vec::new(),
             return_data: Vec::new(),
         }
     }
@@ -139,7 +133,7 @@ pub(crate) enum FrameOutcome {
 
 /// One entry on the interpreter's internal call stack: which contract's code
 /// is executing at which depth. Used to detect re-entrancy.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct FrameInfo {
     pub(crate) code_address: Address,
 }
@@ -151,18 +145,28 @@ pub(crate) struct DepthScratch {
     pub(crate) memory: Vec<u8>,
     /// Staging buffer for the argument bytes of an outgoing call.
     pub(crate) args: Vec<u8>,
+    /// Indices into `trace.calls` for calls made by this frame whose result
+    /// has not yet been consumed by a `JUMPI`.
+    pub(crate) unchecked_calls: Vec<usize>,
+    /// Indices of truncated arithmetic events produced in this frame.
+    pub(crate) truncated_events: Vec<usize>,
 }
 
 /// Reusable per-execution scratch space: operand stacks, memory buffers and
-/// call-argument staging for every call depth, plus capacity hints for the
-/// trace vectors.
+/// call-argument staging for every call depth, the interpreter's call stack,
+/// a calldata buffer and a pool of cleared [`ExecutionTrace`]s.
 ///
-/// The interpreter allocates nothing per execution when driven through a
-/// long-lived `ExecFrame`: buffers are taken for the duration of a call
-/// frame, cleared (capacity retained) and returned when it ends. The fuzzing
-/// harness keeps one frame per worker and threads it through
-/// `execute_sequence_with`; one-shot callers can ignore the type —
-/// [`Evm::execute`] creates a transient frame internally.
+/// Buffers are taken for the duration of a call frame or a transaction,
+/// cleared (capacity retained) and returned when it ends, so once they have
+/// grown to a campaign's high-water marks, executing through a long-lived
+/// `ExecFrame` allocates only for what escapes or is new: world-state
+/// copies, return data, fault messages, and a trace when the pool is empty.
+/// A trace leaves
+/// in the [`ExecutionResult`]; a caller that hands it back through
+/// [`ExecFrame::recycle_trace`] gets it reissued, cleared, by the next
+/// transaction. The fuzzing harness keeps one frame per worker and threads
+/// it through `execute_sequence_into`; one-shot callers can ignore the type
+/// — [`Evm::execute`] creates a transient frame internally.
 ///
 /// ```
 /// use mufuzz_evm::{Account, Address, BlockEnv, Evm, ExecFrame, Message, U256, WorldState};
@@ -179,17 +183,24 @@ pub(crate) struct DepthScratch {
 ///     // Buffer reuse across executions; results are unaffected.
 ///     let result = Evm::new(&mut world, BlockEnv::default()).execute_in(&msg, &mut frame);
 ///     assert!(result.success);
+///     frame.recycle_trace(result.trace);
 /// }
 /// ```
 #[derive(Debug, Default)]
 pub struct ExecFrame {
     depths: Vec<DepthScratch>,
-    /// High-water mark of the branch vector, used to pre-reserve the next
-    /// trace's capacity.
+    /// High-water mark of the branch vector, used to pre-reserve a trace
+    /// the pool cannot supply.
     branch_hint: usize,
     /// Per-transaction EIP-2929 warm/cold access sets and the EIP-3529
     /// refund counter, reset at the start of each top-level message.
     pub(crate) access: AccessSets,
+    /// Cleared traces handed back through [`ExecFrame::recycle_trace`].
+    traces: Vec<ExecutionTrace>,
+    /// The interpreter's call stack, empty between transactions.
+    frames: Vec<FrameInfo>,
+    /// The buffer [`ExecFrame::take_calldata`] hands out.
+    calldata: Vec<u8>,
 }
 
 impl ExecFrame {
@@ -197,6 +208,25 @@ impl ExecFrame {
     /// the first executions and are reused afterwards.
     pub fn new() -> ExecFrame {
         ExecFrame::default()
+    }
+
+    /// Hand a trace back for reuse: it is cleared, keeping its capacity,
+    /// and issued to a later transaction through this frame.
+    pub fn recycle_trace(&mut self, mut trace: ExecutionTrace) {
+        trace.clear();
+        self.traces.push(trace);
+    }
+
+    /// An empty buffer for a message's calldata, with the capacity of
+    /// earlier ones once [`ExecFrame::recycle_calldata`] has returned them.
+    pub fn take_calldata(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.calldata)
+    }
+
+    /// Return a calldata buffer for the next [`ExecFrame::take_calldata`].
+    pub fn recycle_calldata(&mut self, mut calldata: Vec<u8>) {
+        calldata.clear();
+        self.calldata = calldata;
     }
 
     fn slot(&mut self, depth: usize) -> &mut DepthScratch {
@@ -218,13 +248,19 @@ impl ExecFrame {
         scratch.stack.clear();
         scratch.memory.clear();
         scratch.args.clear();
+        scratch.unchecked_calls.clear();
+        scratch.truncated_events.clear();
         *self.slot(depth) = scratch;
     }
 
-    /// Pre-reserve a fresh trace's hot vectors from the high-water marks of
-    /// previous executions through this frame.
-    fn prime(&self, trace: &mut ExecutionTrace) {
-        trace.branches.reserve(self.branch_hint);
+    /// An empty trace for a new transaction: a recycled one, or a fresh one
+    /// pre-reserved from the high-water mark of earlier executions.
+    fn issue_trace(&mut self) -> ExecutionTrace {
+        self.traces.pop().unwrap_or_else(|| {
+            let mut trace = ExecutionTrace::new();
+            trace.branches.reserve(self.branch_hint);
+            trace
+        })
     }
 
     /// Update the high-water marks after an execution.
@@ -359,8 +395,7 @@ impl<'w> Evm<'w> {
         // Undo point for the whole transaction: every world write below is
         // journaled and rolled back unless the outermost frame succeeds.
         let checkpoint = self.world.checkpoint();
-        let mut trace = ExecutionTrace::new();
-        scratch.prime(&mut trace);
+        let mut trace = scratch.issue_trace();
         trace.entered_selector = msg.selector();
 
         // Fresh per-transaction access sets (EIP-2929): the sender and the
@@ -390,9 +425,10 @@ impl<'w> Evm<'w> {
                 gas_left: msg.gas,
             }
         } else {
-            let mut frames = vec![FrameInfo {
+            let mut frames = std::mem::take(&mut scratch.frames);
+            frames.push(FrameInfo {
                 code_address: msg.to,
-            }];
+            });
             let ctx = FrameCtx {
                 code_address: msg.to,
                 storage_address: msg.to,
@@ -404,7 +440,10 @@ impl<'w> Evm<'w> {
                 gas: msg.gas,
                 depth: 0,
             };
-            self.dispatch_frame(&code, ctx, &mut frames, &mut trace, scratch)
+            let result = self.dispatch_frame(&code, ctx, &mut frames, &mut trace, scratch);
+            frames.clear();
+            scratch.frames = frames;
+            result
         };
 
         let mut gas_used = msg.gas.saturating_sub(result.gas_left);
@@ -565,14 +604,14 @@ impl<'w> Evm<'w> {
             stack,
             memory,
             args: args_buf,
+            unchecked_calls,
+            truncated_events,
         } = owned;
         let LoopState {
             mut cursor,
             mut gas_left,
             mut last_cmp,
             mut caller_guard_seen,
-            mut unchecked_calls,
-            mut truncated_events,
             mut return_data,
         } = state;
         let instrs = program.instructions();
@@ -1139,7 +1178,7 @@ impl<'w> Evm<'w> {
                         taint: tv,
                     });
                     if tv.contains(Taint::TRUNCATED) {
-                        for &idx in &truncated_events {
+                        for &idx in truncated_events.iter() {
                             if let Some(ev) = trace.arith_events.get_mut(idx) {
                                 ev.reached_storage = true;
                             }
@@ -1492,14 +1531,8 @@ impl<'w> Evm<'w> {
             }
         }
 
-        let behaviour = self
-            .world
-            .account(to)
-            .map(|a| a.behaviour.clone())
-            .unwrap_or_default();
-
-        match behaviour {
-            HostBehaviour::RejectingSink => {
+        match self.world.account(to).map(|a| &a.behaviour) {
+            Some(HostBehaviour::RejectingSink) => {
                 // The sink rejects: undo the transfer and report failure with
                 // an exception in the callee.
                 if kind == CallKind::Call && !call_value.is_zero() {
@@ -1507,10 +1540,7 @@ impl<'w> Evm<'w> {
                 }
                 (false, true, vec![], 0)
             }
-            HostBehaviour::ReentrantAttacker {
-                callback_data,
-                max_depth,
-            } => {
+            Some(&HostBehaviour::ReentrantAttacker { max_depth, .. }) => {
                 // The attacker immediately calls back into the calling
                 // contract, provided it still has gas and depth budget.
                 let mut gas_spent = 0u64;
@@ -1518,6 +1548,16 @@ impl<'w> Evm<'w> {
                     trace.reentered = true;
                     let callee_code = self.world.code(code_address);
                     if !callee_code.is_empty() {
+                        // The attacker stub runs no frame at its own depth,
+                        // so that depth's argument buffer stages the
+                        // callback bytes (the interpreter needs the world
+                        // mutably while they are read).
+                        let mut stub = scratch.take(depth + 1);
+                        if let Some(HostBehaviour::ReentrantAttacker { callback_data, .. }) =
+                            self.world.account(to).map(|a| &a.behaviour)
+                        {
+                            stub.args.extend_from_slice(callback_data);
+                        }
                         frames.push(FrameInfo { code_address: to });
                         let callback_gas = gas.saturating_sub(5_000);
                         let ctx = FrameCtx {
@@ -1526,7 +1566,7 @@ impl<'w> Evm<'w> {
                             caller: to,
                             origin,
                             value: U256::ZERO,
-                            calldata: &callback_data,
+                            calldata: &stub.args,
                             code: &callee_code,
                             gas: callback_gas,
                             depth: depth + 2,
@@ -1538,16 +1578,17 @@ impl<'w> Evm<'w> {
                         }
                         gas_spent = callback_gas.saturating_sub(result.gas_left);
                         frames.pop();
+                        scratch.put(depth + 1, stub);
                     }
                 }
                 (true, false, vec![], gas_spent)
             }
-            HostBehaviour::None => {
-                let code = self.world.code(to);
-                if code.is_empty() {
+            Some(HostBehaviour::None) | None => {
+                let code = match self.world.account(to) {
+                    Some(account) if !account.code.is_empty() => Arc::clone(&account.code),
                     // Plain transfer to an EOA succeeds.
-                    return (true, false, vec![], 0);
-                }
+                    _ => return (true, false, vec![], 0),
+                };
                 // Determine execution context per call kind.
                 let (exec_code_addr, exec_storage_addr, exec_caller, exec_value) = match kind {
                     CallKind::Call | CallKind::StaticCall => (to, to, code_address, call_value),
@@ -2233,18 +2274,41 @@ mod tests {
 
     #[test]
     fn exec_frame_reuse_is_transparent() {
-        let code = return_word_program(&[0x60, 0x02, 0x60, 0x03, 0x01]);
+        // A trace-rich program (a storage write, a truncating ADD, a taken
+        // branch) alternates with a plain one, so every trace the frame
+        // reissues was last filled by a different program.
+        let mut rich = vec![0x60, 0x01, 0x60, 0x00, 0x55, 0x7f];
+        rich.extend_from_slice(&[0xff; 32]);
+        rich.extend_from_slice(&[
+            0x60, 0x02, 0x01, 0x50, // ADD overflows, POP
+            0x60, 0x01, 0x60, 0x30, 0x57, // JUMPI to 0x30, taken
+            0xfe, 0x5b, 0x00, // INVALID, JUMPDEST, STOP
+        ]);
+        let plain = return_word_program(&[0x60, 0x02, 0x60, 0x03, 0x01]);
         let mut frame = ExecFrame::new();
-        let fresh = run(code.clone(), vec![], U256::ZERO);
-        for _ in 0..3 {
-            let mut world = world_with_code(code.clone());
-            let mut evm = Evm::new(&mut world, BlockEnv::default());
-            let reused = evm.execute_in(
-                &Message::new(addr(1), addr(0x100), U256::ZERO, vec![]),
-                &mut frame,
-            );
-            assert_eq!(reused, fresh);
+        for round in 0..3 {
+            for code in [&rich, &plain] {
+                let fresh = run(code.clone(), vec![], U256::ZERO);
+                let mut world = world_with_code(code.clone());
+                let mut evm = Evm::new(&mut world, BlockEnv::default());
+                let reused = evm.execute_in(
+                    &Message::new(addr(1), addr(0x100), U256::ZERO, vec![]),
+                    &mut frame,
+                );
+                // The whole result, trace included, equals a fresh frame's.
+                assert_eq!(reused, fresh);
+                if round > 0 {
+                    // The trace really is a recycled one.
+                    assert!(reused.trace.branches.capacity() > 0);
+                }
+                frame.recycle_trace(reused.trace);
+            }
         }
+        assert_eq!(frame.traces.len(), 1, "one transaction, one pooled trace");
+        let trace = run(rich, vec![], U256::ZERO).trace;
+        assert!(!trace.branches.is_empty());
+        assert!(!trace.storage_writes.is_empty());
+        assert!(!trace.arith_events.is_empty());
     }
 
     #[test]

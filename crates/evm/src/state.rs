@@ -469,9 +469,9 @@ impl WorldState {
         for address in std::mem::take(&mut self.erased) {
             merged.remove(&address);
         }
-        for (address, account) in self.overlay.drain() {
-            merged.insert(address, account);
-        }
+        // Take the overlay rather than draining it: a drained map keeps its
+        // table, and every snapshot would copy that empty table again.
+        merged.extend(std::mem::take(&mut self.overlay));
         self.base = Arc::new(merged);
     }
 }
@@ -558,6 +558,9 @@ mod tests {
         world.set_storage(addr(1), U256::ONE, U256::from_u64(7), Taint::empty());
         world.freeze();
         let snap = world.snapshot();
+        // The frozen world keeps no overlay table for snapshots to copy.
+        assert_eq!(world.overlay.capacity(), 0);
+        assert_eq!(snap.overlay.capacity(), 0);
         // Writes after the freeze go to the overlay and leave the shared
         // base (and therefore the snapshot) untouched.
         world.account_mut(addr(1)).balance = U256::from_u64(500);

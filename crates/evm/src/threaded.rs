@@ -81,11 +81,11 @@ pub(crate) struct Machine<'m, 'w> {
     stack: &'m mut Vec<(U256, Taint)>,
     memory: &'m mut Vec<u8>,
     args_buf: &'m mut Vec<u8>,
+    unchecked_calls: &'m mut Vec<usize>,
+    truncated_events: &'m mut Vec<usize>,
     gas_left: u64,
     last_cmp: Option<Comparison>,
     caller_guard_seen: bool,
-    unchecked_calls: Vec<usize>,
-    truncated_events: Vec<usize>,
     /// The frame's RETURNDATA buffer (EIP-211).
     return_data: Vec<u8>,
     /// Halt payload parked by a handler returning [`Step::Done`].
@@ -101,8 +101,6 @@ impl Machine<'_, '_> {
             gas_left: self.gas_left,
             last_cmp: self.last_cmp,
             caller_guard_seen: self.caller_guard_seen,
-            unchecked_calls: std::mem::take(&mut self.unchecked_calls),
-            truncated_events: std::mem::take(&mut self.truncated_events),
             return_data: std::mem::take(&mut self.return_data),
         }
     }
@@ -242,7 +240,7 @@ macro_rules! t_binop {
                 depth: $m.depth,
                 trace: &mut *$m.trace,
                 last_cmp: &mut $m.last_cmp,
-                truncated_events: &mut $m.truncated_events,
+                truncated_events: &mut *$m.truncated_events,
             },
         )
     };
@@ -274,14 +272,14 @@ pub(crate) fn run(
         stack,
         memory,
         args,
+        unchecked_calls,
+        truncated_events,
     } = owned;
     let LoopState {
         cursor,
         gas_left,
         last_cmp,
         caller_guard_seen,
-        unchecked_calls,
-        truncated_events,
         return_data,
     } = state;
     let mut m = Machine {
@@ -301,11 +299,11 @@ pub(crate) fn run(
         stack,
         memory,
         args_buf: args,
+        unchecked_calls,
+        truncated_events,
         gas_left,
         last_cmp,
         caller_guard_seen,
-        unchecked_calls,
-        truncated_events,
         return_data,
         halt: None,
     };
@@ -421,7 +419,7 @@ fn store_slot(m: &mut Machine<'_, '_>, pc: usize, slot: U256, val: U256, tv: Tai
         taint: tv,
     });
     if tv.contains(Taint::TRUNCATED) {
-        for &idx in &m.truncated_events {
+        for &idx in m.truncated_events.iter() {
             if let Some(ev) = m.trace.arith_events.get_mut(idx) {
                 ev.reached_storage = true;
             }

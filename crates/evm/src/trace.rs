@@ -98,6 +98,7 @@ impl fmt::Debug for Taint {
             (Taint::CALLVALUE, "CALLVALUE"),
             (Taint::CALL_RESULT, "CALL_RESULT"),
             (Taint::STORAGE, "STORAGE"),
+            (Taint::TRUNCATED, "TRUNCATED"),
         ] {
             if self.contains(bit) {
                 labels.push(name);
@@ -451,6 +452,39 @@ impl ExecutionTrace {
         }
     }
 
+    /// Reset to the state of [`ExecutionTrace::new`], keeping the vectors'
+    /// capacity (the interpreter reissues recycled traces).
+    pub(crate) fn clear(&mut self) {
+        let ExecutionTrace {
+            instr_count,
+            ops_seen,
+            branches,
+            arith_events,
+            calls,
+            self_destructs,
+            storage_writes,
+            entered_selector,
+            max_depth,
+            reentered,
+            gas_used,
+            halt,
+            conformance,
+        } = self;
+        *instr_count = 0;
+        *ops_seen = OpcodeSet::default();
+        branches.clear();
+        arith_events.clear();
+        calls.clear();
+        self_destructs.clear();
+        storage_writes.clear();
+        *entered_selector = None;
+        *max_depth = 0;
+        *reentered = false;
+        *gas_used = 0;
+        *halt = HaltReason::Normal;
+        conformance.clear();
+    }
+
     /// True if the outermost frame completed successfully.
     pub fn success(&self) -> bool {
         self.halt.is_success()
@@ -514,6 +548,16 @@ mod tests {
         assert!(s.contains("BLOCK"));
         assert!(s.contains("STORAGE"));
         assert_eq!(format!("{:?}", Taint::empty()), "Taint(none)");
+        // Every label prints, so a diff on any single bit names it.
+        assert_eq!(format!("{:?}", Taint::TRUNCATED), "Taint(TRUNCATED)");
+        assert_eq!(
+            format!("{:?}", Taint::CALLVALUE | Taint::TRUNCATED),
+            "Taint(CALLVALUE|TRUNCATED)"
+        );
+        assert_eq!(
+            format!("{:?}", Taint(u16::MAX >> 7)),
+            "Taint(BLOCK|BALANCE|CALLER|ORIGIN|CALLDATA|CALLVALUE|CALL_RESULT|STORAGE|TRUNCATED)"
+        );
     }
 
     #[test]

@@ -244,6 +244,10 @@ impl U256 {
     }
 
     /// Quotient and remainder. Division by zero yields `(0, 0)` like the EVM.
+    ///
+    /// Long division on 64-bit limbs (Knuth, TAOCP vol. 2, §4.3.1,
+    /// Algorithm D): one 128-by-64-bit estimate per quotient limb, corrected
+    /// at most twice, instead of one shift-subtract step per dividend bit.
     pub fn div_rem(self, rhs: U256) -> (U256, U256) {
         if rhs.is_zero() {
             return (U256::ZERO, U256::ZERO);
@@ -251,24 +255,73 @@ impl U256 {
         if self < rhs {
             return (U256::ZERO, self);
         }
-        if rhs == U256::ONE {
-            return (self, U256::ZERO);
-        }
-        // Binary long division: O(256) shift-subtract steps.
-        let mut quotient = U256::ZERO;
-        let mut remainder = U256::ZERO;
-        let n = self.bits();
-        for i in (0..n).rev() {
-            remainder = remainder.shl_bits(1);
-            if self.bit(i as usize) {
-                remainder.0[0] |= 1;
+        // Limbs in the divisor (1..=4).
+        let n = 4 - rhs.0.iter().rev().take_while(|&&limb| limb == 0).count();
+        if n == 1 {
+            // Short division by one limb.
+            let d = u128::from(rhs.0[0]);
+            let mut q = [0u64; 4];
+            let mut r = 0u128;
+            for i in (0..4).rev() {
+                let cur = (r << 64) | u128::from(self.0[i]);
+                q[i] = (cur / d) as u64;
+                r = cur % d;
             }
-            if remainder >= rhs {
-                remainder = remainder.wrapping_sub(rhs);
-                quotient = quotient.set_bit(i as usize);
-            }
+            return (U256(q), U256::from_u64(r as u64));
         }
-        (quotient, remainder)
+        // Normalise: shift both operands so the divisor's top limb has its
+        // high bit set, which bounds each estimate's error. The dividend
+        // gains a fifth limb for the bits shifted out.
+        let shift = rhs.0[n - 1].leading_zeros();
+        let v = rhs.shl_bits(shift).0;
+        let mut u = [0u64; 5];
+        u[..4].copy_from_slice(&self.shl_bits(shift).0);
+        if shift > 0 {
+            u[4] = self.0[3] >> (64 - shift);
+        }
+        const B: u128 = 1 << 64;
+        let v_top = u128::from(v[n - 1]);
+        let v_next = u128::from(v[n - 2]);
+        let mut q = [0u64; 4];
+        for j in (0..=4 - n).rev() {
+            // Estimate the quotient limb from the top two dividend limbs and
+            // correct it with the third (it is then exact or one too big).
+            let top = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+            let mut qhat = top / v_top;
+            let mut rhat = top % v_top;
+            while qhat >= B || qhat * v_next > (rhat << 64) | u128::from(u[j + n - 2]) {
+                qhat -= 1;
+                rhat += v_top;
+                if rhat >= B {
+                    break;
+                }
+            }
+            // Multiply and subtract `qhat * v` from the dividend window.
+            let mut borrow: i128 = 0;
+            for i in 0..n {
+                let p = qhat * u128::from(v[i]);
+                let t = i128::from(u[i + j]) - borrow - i128::from(p as u64);
+                u[i + j] = t as u64;
+                borrow = (p >> 64) as i128 - (t >> 64);
+            }
+            let t = i128::from(u[j + n]) - borrow;
+            u[j + n] = t as u64;
+            if t < 0 {
+                // The estimate was one too big: add the divisor back.
+                qhat -= 1;
+                let mut carry = 0u128;
+                for i in 0..n {
+                    let sum = u128::from(u[i + j]) + u128::from(v[i]) + carry;
+                    u[i + j] = sum as u64;
+                    carry = sum >> 64;
+                }
+                u[j + n] = u[j + n].wrapping_add(carry as u64);
+            }
+            q[j] = qhat as u64;
+        }
+        // The remainder is the low `n` limbs, still normalised.
+        let remainder = U256([u[0], u[1], u[2], u[3]]).shr_bits(shift);
+        (U256(q), remainder)
     }
 
     /// Two's-complement negation, wrapping at 2^256 (`-MIN == MIN`).
@@ -361,11 +414,6 @@ impl U256 {
             return U256::ZERO;
         }
         Self::reduce_limbs(&self.full_mul_limbs(rhs), m)
-    }
-
-    fn set_bit(mut self, i: usize) -> U256 {
-        self.0[i / 64] |= 1 << (i % 64);
-        self
     }
 
     /// Left shift by an arbitrary number of bits (values >= 256 yield zero).
@@ -820,6 +868,141 @@ mod tests {
     /// The most negative signed 256-bit value, -2^255.
     fn min_signed() -> U256 {
         U256::ONE.shl_bits(255)
+    }
+
+    /// The shift-subtract long division `div_rem` ran before limb division,
+    /// one step per dividend bit: the oracle of the property test below.
+    fn div_rem_bitwise(a: U256, b: U256) -> (U256, U256) {
+        if b.is_zero() {
+            return (U256::ZERO, U256::ZERO);
+        }
+        let mut quotient = U256::ZERO;
+        let mut remainder = U256::ZERO;
+        for i in (0..a.bits() as usize).rev() {
+            remainder = remainder.shl_bits(1);
+            if a.bit(i) {
+                remainder.0[0] |= 1;
+            }
+            if remainder >= b {
+                remainder = remainder.wrapping_sub(b);
+                quotient.0[i / 64] |= 1 << (i % 64);
+            }
+        }
+        (quotient, remainder)
+    }
+
+    /// SplitMix64: a seeded stream for the division property test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random value of exactly `bits` significant bits (zero for 0).
+    fn with_bits(state: &mut u64, bits: u32) -> U256 {
+        if bits == 0 {
+            return U256::ZERO;
+        }
+        let raw = U256([
+            splitmix(state),
+            splitmix(state),
+            splitmix(state),
+            splitmix(state),
+        ]);
+        raw.shr_bits(256 - bits) | U256::ONE.shl_bits(bits - 1)
+    }
+
+    fn check_division(a: U256, b: U256) {
+        let (q, r) = a.div_rem(b);
+        assert_eq!((q, r), div_rem_bitwise(a, b), "{a:?} / {b:?}");
+        if !b.is_zero() {
+            // The identity the oracle also satisfies: a = q * b + r, r < b.
+            assert!(r < b);
+            assert_eq!(q.wrapping_mul(b).wrapping_add(r), a);
+        }
+    }
+
+    #[test]
+    fn limb_division_matches_the_bitwise_oracle() {
+        let mut state = 0x0D1F_F5EE_D000_0001;
+        // Every pair of operand bit-lengths, zero included: both operand
+        // orders, one to four divisor limbs, and every normalisation shift.
+        for a_bits in 0..=256 {
+            for b_bits in 0..=256 {
+                let a = with_bits(&mut state, a_bits);
+                let b = with_bits(&mut state, b_bits);
+                check_division(a, b);
+            }
+        }
+        let special = [
+            U256::ZERO,
+            U256::ONE,
+            u(2),
+            u(u64::MAX),
+            U256([0, 1, 0, 0]),
+            U256([u64::MAX, u64::MAX, 0, 0]),
+            U256([0, 0, 0, 1 << 63]),
+            U256::MAX,
+            U256::MAX - U256::ONE,
+        ];
+        for &a in &special {
+            for &b in &special {
+                check_division(a, b);
+            }
+            // Zero divisor, divisor one, equal operands, a larger divisor.
+            assert_eq!(a.div_rem(U256::ZERO), (U256::ZERO, U256::ZERO));
+            assert_eq!(a.div_rem(U256::ONE), (a, U256::ZERO));
+            if !a.is_zero() {
+                assert_eq!(a.div_rem(a), (U256::ONE, U256::ZERO));
+            }
+            if a != U256::MAX {
+                assert_eq!(a.div_rem(a + U256::ONE), (U256::ZERO, a));
+            }
+        }
+        // Operands whose first quotient estimate survives the two-limb
+        // correction and is fixed by the add-back step (the 64-bit-limb
+        // forms of the classic Algorithm D test vectors).
+        let top = 1u64 << 63;
+        let hard = [
+            (U256([0, 0, top, top - 1]), U256([1, 0, top, 0])),
+            (U256([0, 0xfffe << 48, 0, top]), U256([u64::MAX, 0, top, 0])),
+        ];
+        for (a, b) in hard {
+            check_division(a, b);
+        }
+    }
+
+    #[test]
+    fn signed_division_matches_the_bitwise_oracle() {
+        let mut state = 0x51_6E_ED_D1;
+        let signed_oracle = |a: U256, b: U256| {
+            if b.is_zero() {
+                return (U256::ZERO, U256::ZERO);
+            }
+            let (neg_a, neg_b) = (a.is_negative_signed(), b.is_negative_signed());
+            let abs = |x: U256, neg: bool| if neg { x.wrapping_neg() } else { x };
+            let (q, r) = div_rem_bitwise(abs(a, neg_a), abs(b, neg_b));
+            (abs(q, neg_a != neg_b), abs(r, neg_a))
+        };
+        for a_bits in (0..=256).step_by(3) {
+            for b_bits in (0..=256).step_by(3) {
+                let a = with_bits(&mut state, a_bits);
+                let b = with_bits(&mut state, b_bits);
+                assert_eq!(a.signed_div_rem(b), signed_oracle(a, b), "{a:?} / {b:?}");
+            }
+        }
+        // MIN / -1 wraps to MIN with remainder zero.
+        let minus_one = U256::MAX;
+        assert_eq!(
+            min_signed().signed_div_rem(minus_one),
+            (min_signed(), U256::ZERO)
+        );
+        assert_eq!(
+            min_signed().signed_div_rem(minus_one),
+            signed_oracle(min_signed(), minus_one)
+        );
     }
 
     #[test]

@@ -44,26 +44,46 @@ impl CampaignMonitor {
         Self::default()
     }
 
-    fn record(&mut self, finding: BugFinding) {
+    /// Record a finding unless one with the same `(class, function)` key is
+    /// already held. The finding is built only when it is new: oracles fire
+    /// on every execution that repeats a known bug.
+    fn record(
+        &mut self,
+        class: BugClass,
+        function: Option<&str>,
+        pc: usize,
+        detail: impl Into<String>,
+    ) {
+        if !self.holds(class, function) {
+            let function = function.map(str::to_owned);
+            let finding = BugFinding::new(class, function.clone(), pc, detail);
+            self.findings.insert((class, function), finding);
+        }
+    }
+
+    /// Whether a finding with the key `(class, function)` is held, found
+    /// without building an owned key.
+    fn holds(&self, class: BugClass, function: Option<&str>) -> bool {
         self.findings
-            .entry((finding.class, finding.function.clone()))
-            .or_insert(finding);
+            .range((class, None)..)
+            .take_while(|((c, _), _)| *c == class)
+            .any(|((_, f), _)| f.as_deref() == function)
     }
 
     /// Attribute a pc in the outermost frame to a source function.
-    fn function_of(
-        compiled: &CompiledContract,
+    fn function_of<'c>(
+        compiled: &'c CompiledContract,
         trace: &ExecutionTrace,
         pc: usize,
-    ) -> Option<String> {
+    ) -> Option<&'c str> {
         compiled
             .function_at_pc(pc)
-            .map(|f| f.name.clone())
+            .map(|f| f.name.as_str())
             .or_else(|| {
                 trace
                     .entered_selector
                     .and_then(|sel| compiled.abi.by_selector(sel))
-                    .map(|f| f.name.clone())
+                    .map(|f| f.name.as_str())
             })
     }
 
@@ -92,12 +112,12 @@ impl CampaignMonitor {
         for branch in &trace.branches {
             if branch.cond_taint.contains(Taint::BLOCK) {
                 let function = Self::function_of(compiled, trace, branch.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::BlockDependency,
                     function,
                     branch.pc,
                     "block timestamp/number influences a branch condition",
-                ));
+                );
             }
         }
         for call in &trace.calls {
@@ -105,14 +125,14 @@ impl CampaignMonitor {
                 let function = call
                     .caller_selector
                     .and_then(|sel| compiled.abi.by_selector(sel))
-                    .map(|f| f.name.clone())
+                    .map(|f| f.name.as_str())
                     .or_else(|| Self::function_of(compiled, trace, call.pc));
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::BlockDependency,
                     function,
                     call.pc,
                     "block timestamp/number influences an external call",
-                ));
+                );
             }
         }
     }
@@ -128,12 +148,12 @@ impl CampaignMonitor {
             let attacker_influenced = call.arg_taint.contains(Taint::CALLDATA);
             if attacker_influenced && !call.caller_guarded {
                 let function = Self::function_of(compiled, trace, call.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::UnprotectedDelegatecall,
                     function,
                     call.pc,
                     "delegatecall with attacker-controlled target and no access control",
-                ));
+                );
             }
         }
     }
@@ -152,12 +172,16 @@ impl CampaignMonitor {
                     .intersects(Taint::CALLDATA | Taint::CALLVALUE | Taint::STORAGE);
             if interesting {
                 let function = Self::function_of(compiled, trace, event.pc);
-                self.record(BugFinding::new(
+                // Format the detail only for a finding that is new.
+                if self.holds(BugClass::IntegerOverflow, function) {
+                    continue;
+                }
+                self.record(
                     BugClass::IntegerOverflow,
                     function,
                     event.pc,
                     format!("{} result truncated to 256 bits", event.opcode.mnemonic()),
-                ));
+                );
             }
         }
     }
@@ -169,16 +193,21 @@ impl CampaignMonitor {
         for call in &trace.calls {
             if call.kind == CallKind::Call && call.gas > 2_300 && !call.value.is_zero() {
                 let function = Self::function_of(compiled, trace, call.pc);
-                if let Some(name) = &function {
-                    *self.call_value_invocations.entry(name.clone()).or_insert(0) += 1;
+                if let Some(name) = function {
+                    match self.call_value_invocations.get_mut(name) {
+                        Some(count) => *count += 1,
+                        None => {
+                            self.call_value_invocations.insert(name.to_owned(), 1);
+                        }
+                    }
                 }
                 if trace.reentered {
-                    self.record(BugFinding::new(
+                    self.record(
                         BugClass::Reentrancy,
                         function,
                         call.pc,
                         "contract re-entered through a call.value invocation",
-                    ));
+                    );
                 }
             }
         }
@@ -189,12 +218,12 @@ impl CampaignMonitor {
         for event in &trace.self_destructs {
             if !event.caller_guarded {
                 let function = Self::function_of(compiled, trace, event.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::UnprotectedSelfDestruct,
                     function,
                     event.pc,
                     "selfdestruct executed without a msg.sender/tx.origin guard",
-                ));
+                );
             }
         }
     }
@@ -212,12 +241,12 @@ impl CampaignMonitor {
                 .unwrap_or(false);
             if is_equality {
                 let function = Self::function_of(compiled, trace, branch.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::StrictEtherEquality,
                     function,
                     branch.pc,
                     "contract balance compared for strict equality in a branch",
-                ));
+                );
             }
         }
     }
@@ -227,12 +256,12 @@ impl CampaignMonitor {
         for branch in &trace.branches {
             if branch.cond_taint.contains(Taint::ORIGIN) {
                 let function = Self::function_of(compiled, trace, branch.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::TxOriginUse,
                     function,
                     branch.pc,
                     "tx.origin used in a branch condition",
-                ));
+                );
             }
         }
     }
@@ -248,12 +277,12 @@ impl CampaignMonitor {
             let unchecked_send = call.gas <= 2_300 && !call.value.is_zero();
             if failed || unchecked_send {
                 let function = Self::function_of(compiled, trace, call.pc);
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::UnhandledException,
                     function,
                     call.pc,
                     "return value of a low-level call is never checked",
-                ));
+                );
             }
         }
     }
@@ -274,12 +303,12 @@ impl CampaignMonitor {
                 )
             });
             if !can_release {
-                self.record(BugFinding::new(
+                self.record(
                     BugClass::EtherFreezing,
                     None,
                     0,
                     "contract accepts ether but has no instruction that can release it",
-                ));
+                );
             }
         }
         if let Some(world) = world {
@@ -298,12 +327,12 @@ impl CampaignMonitor {
             .map(|(name, &count)| (name.clone(), count))
             .collect();
         for (name, count) in repeated {
-            self.record(BugFinding::new(
+            self.record(
                 BugClass::Reentrancy,
-                Some(name),
+                Some(&name),
                 0,
                 format!("call.value function invoked {count} times during the campaign"),
-            ));
+            );
         }
     }
 
@@ -377,7 +406,8 @@ impl CampaignMonitor {
     pub fn from_state(state: MonitorState) -> CampaignMonitor {
         let mut monitor = CampaignMonitor::new();
         for finding in state.findings {
-            monitor.record(finding);
+            let key = (finding.class, finding.function.clone());
+            monitor.findings.entry(key).or_insert(finding);
         }
         monitor.call_value_invocations = state.call_value_invocations.into_iter().collect();
         monitor.held_balance = state.held_balance;
