@@ -24,17 +24,16 @@
 //! * **The execution budget** is an atomic reservation counter: a worker
 //!   reserves a slot *before* executing, so a campaign can never overshoot
 //!   `max_executions`, at any worker count.
-//! * **Seed scheduling** runs off per-lane **corpus shards**: each lane
-//!   mirrors the corpus (seed refs plus cached weights) locally and draws
-//!   seeds / allocates energy from the mirror with no lock at all. A
-//!   [`SchedulerEpoch`] counter, bumped on every admission and culling pass,
-//!   tells stale mirrors to resync before their next draw, so every draw
-//!   still sees the full Algorithm 3 corpus view.
 //! * **Scheduling state** — the corpus, the timeline and the diagnostic
 //!   shape log — stays in a `SharedCampaignState` behind one mutex, held
-//!   only to admit new seeds (and periodically cull dominated ones), to
-//!   resync shard mirrors, to claim mask-probe passes, and to append
-//!   timeline points.
+//!   to draw a seed batch, to admit new seeds (and periodically cull
+//!   dominated ones), to publish probed masks, and to append timeline
+//!   points.
+//! * **Seed draws** read the corpus itself, so Algorithm 3 stays one
+//!   scheduler over the whole corpus at any lane count. A lane takes the
+//!   state lock once per batch: it selects a seed, counts the selection,
+//!   allocates the seed's energy and claims its mask-probe pass, then copies
+//!   the seed into a lane-owned buffer and runs the batch unlocked.
 //!
 //! Sequence executions run unlocked against lane-local [`ContractHarness`]
 //! clones, and bug oracles observe into lane-local [`CampaignMonitor`]s
@@ -61,7 +60,7 @@
 //! commit. Only seed drawing differs between the profiles.
 
 use crate::config::FuzzerConfig;
-use crate::coverage::{CoverageMap, SchedulerEpoch};
+use crate::coverage::CoverageMap;
 use crate::energy::{allocate_energy, corpus_mean_weight, seed_weight};
 use crate::executor::{ContractHarness, HarnessError, SequenceOutcome};
 use crate::input::{Seed, Sequence};
@@ -200,7 +199,8 @@ impl CampaignReport {
 /// Algorithm 3 stays a single scheduler even with many workers. Coverage and
 /// the execution budget deliberately live *outside* this struct (see
 /// [`CampaignShared`]): they are merged/reserved with atomics so the mutex
-/// only serialises corpus admissions, culling and timeline appends.
+/// only serialises seed draws, corpus admissions, culling and timeline
+/// appends.
 pub(crate) struct SharedCampaignState {
     pub(crate) corpus: Vec<Seed>,
     pub(crate) timeline: Vec<CoveragePoint>,
@@ -269,11 +269,6 @@ pub(crate) struct CampaignShared {
     /// reservation, so this counter equals the number of executions
     /// performed and can never exceed `max_executions`.
     pub(crate) reserved: AtomicUsize,
-    /// Scheduling-state generation: bumped (under the state lock) on every
-    /// corpus admission and culling pass so stale worker shards resync
-    /// before their next draw. Steady-state draws compare against it with a
-    /// single atomic load and touch no lock.
-    pub(crate) epoch: SchedulerEpoch,
     /// Round-mode runtime: the current round's frozen view, slot ledger and
     /// master monitor. `None` under the free-running profile and until the
     /// service bootstrap installs the first round. Lock order when combined
@@ -295,7 +290,6 @@ impl CampaignShared {
             }),
             coverage: CoverageMap::new(edges),
             reserved: AtomicUsize::new(0),
-            epoch: SchedulerEpoch::new(),
             round: Mutex::new(None),
         }
     }
@@ -402,9 +396,9 @@ pub(crate) enum LaneStep {
 /// Seed selection: prefer seeds close to uncovered branches (branch-distance
 /// feedback), fall back to weight-proportional choice.
 ///
-/// A free function over any corpus view — the mutex-guarded global corpus, a
-/// worker's shard mirror, or a round slot's frozen view — so every draw path
-/// consumes the RNG identically and makes the same choice over the same view.
+/// A free function over any corpus view — the mutex-guarded global corpus or
+/// a round slot's frozen view — so both draw paths consume the RNG
+/// identically and make the same choice over the same view.
 pub(crate) fn select_seed(config: &FuzzerConfig, rng: &mut SmallRng, corpus: &[Seed]) -> usize {
     debug_assert!(!corpus.is_empty());
     if config.enable_branch_distance && rng.gen_bool(0.5) {
@@ -548,29 +542,6 @@ pub(crate) fn derive_worker_seed(rng_seed: u64, index: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A worker's local mirror of the scheduling state: the corpus's seeds with
-/// their cached weights, stamped with the [`SchedulerEpoch`] generation it
-/// was synced at.
-///
-/// Steady-state seed draws and energy allocation run entirely off this
-/// mirror — no lock. The mirror is rebuilt (under the state lock) whenever
-/// the published epoch differs from the stamp, i.e. before any draw that
-/// would otherwise miss an admission or a culling pass, and every
-/// `FuzzerConfig::shard_resync_draws` draws so locally accumulated selection
-/// counts flow back into the global corpus at bounded staleness.
-#[derive(Default)]
-struct CorpusShard {
-    /// Epoch generation this mirror reflects.
-    epoch: u64,
-    /// The mirrored corpus (same order as the global corpus vector).
-    seeds: Vec<Seed>,
-    /// Selection counts at the last sync, parallel to `seeds`; the per-seed
-    /// difference is the delta flushed at the next resync.
-    synced_selections: Vec<usize>,
-    /// Draws since the last resync.
-    draws: usize,
 }
 
 /// The immutable setup of one campaign, shared by all of its lanes:
@@ -895,9 +866,6 @@ impl Ledger for SharedLedger<'_> {
             }
             s.admit(seed);
             s.maybe_cull(exec.ctx.config.effective_cull_interval());
-            // Publish the corpus change so every shard resyncs before its
-            // next draw (bumped while the lock is held).
-            shared.epoch.bump();
         }
         if self.slot.is_multiple_of(self.params.snapshot_every) {
             let point = self
@@ -924,8 +892,8 @@ pub(crate) struct Worker {
     /// Final world of the last sequence this lane executed after the seeding
     /// prologue (feeds the campaign-level oracles at finalisation).
     last_world: Option<WorldState>,
-    /// Local mirror of the scheduling state that seed draws read.
-    shard: CorpusShard,
+    /// The seed of the current batch, copied out of the corpus at the draw.
+    seed: Seed,
     /// The monitor's finding count when findings were last streamed.
     findings_streamed: usize,
 }
@@ -938,7 +906,7 @@ impl Worker {
             rng,
             monitor: CampaignMonitor::new(),
             last_world: None,
-            shard: CorpusShard::default(),
+            seed: Seed::new(Sequence::default()),
             findings_streamed: 0,
         }
     }
@@ -1018,7 +986,6 @@ impl Worker {
             });
             let mut s = shared.state.lock().expect("campaign state poisoned");
             s.admit(seed);
-            shared.epoch.bump();
             if slot.is_multiple_of(params.snapshot_every) {
                 s.timeline
                     .push(params.point(slot, shared.coverage.covered_count()));
@@ -1027,13 +994,13 @@ impl Worker {
     }
 
     /// One lane scheduling step — the unit of fleet-pool work: check the
-    /// stop and pause conditions, then draw a seed batch off-lock from the
-    /// local shard, optionally probe its mutation mask, and
-    /// generate and execute the allotted mutants, merging feedback after
-    /// every execution. The historical `run_loop` was exactly this body
-    /// iterated to exhaustion; splitting it at the draw boundary lets the
-    /// pool interleave many campaigns without changing any lane's RNG
-    /// stream, and gives pause a deterministic anchor.
+    /// stop and pause conditions, then draw a seed batch from the corpus,
+    /// optionally probe its mutation mask, and generate and execute the
+    /// allotted mutants, merging feedback after every execution. The
+    /// historical `run_loop` was exactly this body iterated to exhaustion;
+    /// splitting it at the draw boundary lets the pool interleave many
+    /// campaigns without changing any lane's RNG stream, and gives pause a
+    /// deterministic anchor.
     pub(crate) fn step(
         &mut self,
         shared: &CampaignShared,
@@ -1045,14 +1012,12 @@ impl Worker {
             return crate::round::round_step(self, shared, params, pause);
         }
         if shared.executions() >= max_executions || params.out_of_time() {
-            self.retire(shared);
             return LaneStep::Finished;
         }
         if pause.engaged(shared.executions()) {
-            self.retire(shared);
             return LaneStep::Paused;
         }
-        let (index, energy, compute) = self.draw_sharded(shared);
+        let (energy, compute) = self.draw(shared);
         let mut ledger = SharedLedger {
             shared,
             params,
@@ -1061,126 +1026,55 @@ impl Worker {
             last_world: &mut self.last_world,
             slot: 0,
         };
-        // The batch reads the drawn seed straight from the mirror: nothing
-        // resyncs the mirror until the next draw.
         if compute {
-            let seed = &self.shard.seeds[index];
-            let masks = self.exec.compute_masks(&mut self.rng, seed, &mut ledger);
+            let masks = self
+                .exec
+                .compute_masks(&mut self.rng, &self.seed, &mut ledger);
             // Publish by uid, not index: culling may have reshuffled (or
-            // dropped) the seed while the probes ran. No epoch bump is
-            // needed — other lanes re-check mask state under the lock when
-            // they claim.
+            // dropped) the seed while the probes ran.
             {
                 let mut s = shared.state.lock().expect("campaign state poisoned");
-                if let Some(global) = s.corpus.iter_mut().find(|x| x.uid == seed.uid) {
+                if let Some(global) = s.corpus.iter_mut().find(|x| x.uid == self.seed.uid) {
                     global.masks = Some(masks.clone());
                 }
             }
-            self.shard.seeds[index].masks = Some(masks);
+            self.seed.masks = Some(masks);
         }
         if self
             .exec
-            .run_mutants(&mut self.rng, &self.shard.seeds[index], energy, &mut ledger)
+            .run_mutants(&mut self.rng, &self.seed, energy, &mut ledger)
             .is_break()
         {
-            self.retire(shared);
             return LaneStep::Finished;
         }
         LaneStep::Continue
     }
 
-    /// Leave no locally accumulated scheduling feedback behind: flush the
-    /// shard's selection-count deltas and drop the mirror. Called when the
-    /// lane finishes or pauses; after a pause the flushed global corpus is
-    /// the complete scheduling state, which is what the checkpoint
-    /// serializes. Dropping the mirror is RNG-neutral — resyncs never
-    /// consume randomness — so a resumed lane rebuilding it from the global
-    /// corpus continues the exact same campaign.
-    fn retire(&mut self, shared: &CampaignShared) {
-        if !self.shard.seeds.is_empty() {
-            let mut s = shared.state.lock().expect("campaign state poisoned");
-            self.flush_selections_locked(&mut s);
-        }
-        self.shard = CorpusShard::default();
-    }
-
-    /// Draw a seed batch from the worker's corpus shard: selection, energy
-    /// allocation and the mask-probe gate all read the local mirror, so a
-    /// steady-state draw takes no lock at all. The lock is touched only to
-    /// resync a stale mirror (the epoch moved, or the forced interval
-    /// elapsed) and to claim a mask-probe pass against the global view.
-    ///
-    /// Because every corpus change bumps the epoch *before* the changing
-    /// worker's next draw, a fresh mirror is always content-identical to the
-    /// global corpus, so a draw decides exactly what a draw from the global
-    /// corpus would from the same RNG stream. That is what keeps `workers ==
-    /// 1` campaigns bit-identical to the historical engine (the snapshot
-    /// test pins it). Returns the drawn seed's mirror index, its energy and
-    /// whether this lane claimed its mask-probe pass.
-    fn draw_sharded(&mut self, shared: &CampaignShared) -> (usize, usize, bool) {
-        if self.shard.epoch != shared.epoch.current()
-            || self.shard.draws >= self.exec.ctx.config.scheduler.shard_resync_draws
-        {
-            self.resync_shard(shared);
-        }
-        self.shard.draws += 1;
-        let seed_index = select_seed(&self.exec.ctx.config, &mut self.rng, &self.shard.seeds);
-        self.shard.seeds[seed_index].selections += 1;
-
-        // Energy allocation (Algorithm 3) against the mirrored corpus.
-        let mean_weight = corpus_mean_weight(&self.shard.seeds);
+    /// Draw a seed batch in one critical section under the state lock:
+    /// select a seed from the corpus, count the selection, allocate its
+    /// energy (Algorithm 3) and claim its mask-probe pass when one is due.
+    /// The seed is copied into the lane's buffer with `clone_from`, because
+    /// admissions and culling may reorder the corpus while the batch runs
+    /// unlocked. Returns the seed's energy and whether this lane claimed the
+    /// probe pass.
+    fn draw(&mut self, shared: &CampaignShared) -> (usize, bool) {
+        let config = &self.exec.ctx.config;
+        let remaining = config.max_executions().saturating_sub(shared.executions());
+        let mut s = shared.state.lock().expect("campaign state poisoned");
+        let index = select_seed(config, &mut self.rng, &s.corpus);
+        let mean_weight = corpus_mean_weight(&s.corpus);
+        let seed = &mut s.corpus[index];
+        seed.selections += 1;
         let energy = allocate_energy(
-            self.shard.seeds[seed_index].weight,
+            seed.weight,
             mean_weight,
-            self.exec.ctx.config.scheduler.base_energy,
-            self.exec.ctx.config.enable_dynamic_energy,
+            config.scheduler.base_energy,
+            config.enable_dynamic_energy,
         );
-
-        let remaining = self
-            .exec
-            .ctx
-            .config
-            .max_executions()
-            .saturating_sub(shared.executions());
-        let seed = &self.shard.seeds[seed_index];
-        let seed_uid = seed.uid;
-        let wants = Self::wants_masks(&self.exec.ctx.config, seed, remaining);
-        // Claiming a probe pass needs the global view: another worker may
-        // have claimed — or finished — the same seed's masks since this
-        // mirror was synced.
-        let compute = if wants {
-            let claimed = {
-                let mut s = shared.state.lock().expect("campaign state poisoned");
-                match s.corpus.iter_mut().find(|g| g.uid == seed_uid) {
-                    Some(global) if global.masks.is_none() && !global.masks_pending => {
-                        global.masks_pending = true;
-                        None
-                    }
-                    Some(global) => Some((global.masks.clone(), global.masks_pending)),
-                    // Culled since the last resync: draw it one last time
-                    // without probing; the stale mirror retires at the next
-                    // epoch check.
-                    None => Some((None, false)),
-                }
-            };
-            match claimed {
-                None => {
-                    self.shard.seeds[seed_index].masks_pending = true;
-                    true
-                }
-                Some((masks, pending)) => {
-                    // Adopt the fresher global mask state so the batch
-                    // mutates with it and the mirror stops re-claiming.
-                    let seed = &mut self.shard.seeds[seed_index];
-                    seed.masks = masks;
-                    seed.masks_pending = pending;
-                    false
-                }
-            }
-        } else {
-            false
-        };
-        (seed_index, energy, compute)
+        let compute = Self::wants_masks(config, seed, remaining);
+        seed.masks_pending |= compute;
+        self.seed.clone_from(seed);
+        (energy, compute)
     }
 
     /// The mask-probe gate (Algorithm 2 scheduling): compute masks once per
@@ -1198,40 +1092,6 @@ impl Worker {
             && seed.selections >= 2
             && remaining > 2 * probe_cost_estimate
             && (seed.hits_nested_branch || seed.best_distance.is_some())
-    }
-
-    /// Rebuild the worker's corpus mirror from the global scheduling state,
-    /// first flushing the selection counts accumulated locally since the
-    /// previous sync. The epoch stamp is read under the same lock, so a
-    /// mirror is never stamped fresher than its contents.
-    ///
-    /// The corpus clone does run under the lock — that is what makes the
-    /// mirror a consistent snapshot — but resyncs fire only on admissions
-    /// and at the forced interval, the corpus is tens of seeds, and the
-    /// clone replaces what used to be a lock acquisition plus a sequence
-    /// clone on *every* draw.
-    fn resync_shard(&mut self, shared: &CampaignShared) {
-        let mut s = shared.state.lock().expect("campaign state poisoned");
-        self.flush_selections_locked(&mut s);
-        self.shard.epoch = shared.epoch.current();
-        self.shard.seeds = s.corpus.clone();
-        drop(s);
-        self.shard.synced_selections = self.shard.seeds.iter().map(|x| x.selections).collect();
-        self.shard.draws = 0;
-    }
-
-    /// Push the shard's selection-count deltas into the global corpus
-    /// (matching seeds by uid — culling may have dropped or reshuffled
-    /// them). Must be called with the state lock held.
-    fn flush_selections_locked(&self, s: &mut SharedCampaignState) {
-        for (mirror, &synced) in self.shard.seeds.iter().zip(&self.shard.synced_selections) {
-            let delta = mirror.selections - synced;
-            if delta > 0 {
-                if let Some(global) = s.corpus.iter_mut().find(|g| g.uid == mirror.uid) {
-                    global.selections += delta;
-                }
-            }
-        }
     }
 }
 
@@ -1368,12 +1228,13 @@ impl Fuzzer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mufuzz_lang::compile_source;
     use mufuzz_oracles::BugClass;
 
-    const CROWDSALE: &str = r#"
+    /// The paper's motivating contract (Figure 1).
+    pub(crate) const CROWDSALE: &str = r#"
         contract Crowdsale {
             uint256 phase = 0;
             uint256 goal;

@@ -49,23 +49,15 @@ impl Default for BudgetConfig {
     }
 }
 
-/// Seed-scheduler tuning: the shard resync cadence, corpus culling and the
-/// base mutation energy.
+/// Seed-scheduler tuning: corpus culling, the base mutation energy and the
+/// round shape.
 ///
-/// Free-running workers draw seed batches from a per-worker corpus shard (a
-/// local mirror of the scheduling state, refreshed when the campaign's epoch
-/// counter moves), so steady-state seed draws and energy allocation touch no
-/// lock at all; the mutex is taken only for admissions, shard resyncs and
-/// timeline points. The shard resyncs before any draw that would observe a
-/// corpus change, so scheduling decisions — and, at `workers == 1`, the
-/// entire campaign — are what one shared corpus would give.
+/// Free-running lanes draw every seed batch from the one shared corpus under
+/// the campaign state lock, so each draw sees every lane's admissions and
+/// selection counts; round-mode slots draw from the corpus frozen at the
+/// round barrier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Force a shard resync every `n` draws even when the epoch counter has
-    /// not moved, so locally accumulated selection counts flow back into the
-    /// global corpus view at a bounded staleness. The amortised lock cost of
-    /// the shard mirror is one acquisition per `n` draws.
-    pub shard_resync_draws: usize,
     /// Corpus culling: every `n` admissions (counted inside the campaign
     /// state lock), drop seeds whose covered-edge set is a subset of another
     /// seed's with no better branch-distance score. `None` (the default)
@@ -98,7 +90,6 @@ pub const DEFAULT_ROUND_CULL_INTERVAL: usize = 32;
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            shard_resync_draws: 64,
             corpus_cull_interval: None,
             base_energy: 8,
             round_slots: 8,
@@ -309,13 +300,6 @@ impl FuzzerConfig {
         self
     }
 
-    /// Set the forced shard-resync interval in draws (builder style).
-    /// Clamped to at least one.
-    pub fn with_shard_resync_draws(mut self, draws: usize) -> Self {
-        self.scheduler.shard_resync_draws = draws.max(1);
-        self
-    }
-
     /// Enable periodic corpus culling (builder style): every `admissions`
     /// corpus admissions, dominated seeds — covered edges a subset of another
     /// seed's, branch-distance score no better — are dropped. Clamped to at
@@ -414,18 +398,6 @@ mod tests {
         assert_eq!(FuzzerConfig::default().workers, default_workers());
         assert!(default_workers() >= 1);
         assert_eq!(FuzzerConfig::mufuzz(10).with_workers(0).workers, 1);
-    }
-
-    #[test]
-    fn shard_resync_draws_defaults_and_clamps_to_one() {
-        assert_eq!(FuzzerConfig::default().scheduler.shard_resync_draws, 64);
-        assert_eq!(
-            FuzzerConfig::mufuzz(10)
-                .with_shard_resync_draws(0)
-                .scheduler
-                .shard_resync_draws,
-            1
-        );
     }
 
     #[test]

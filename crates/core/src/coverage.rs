@@ -13,58 +13,10 @@
 //! the worker whose merge flips a bit is the unique observer of that
 //! transition: per-execution "new edge" counts are exact even under
 //! arbitrary interleaving, and their sum equals the global covered count.
-//!
-//! The module also hosts [`SchedulerEpoch`], the atomic generation counter
-//! the seed scheduler uses to publish corpus changes to the workers'
-//! local shard mirrors — the other half of keeping the campaign's per-batch
-//! feedback loop lock-free.
 
 use mufuzz_analysis::EdgeIndex;
 use mufuzz_evm::BranchEdge;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotone generation counter publishing scheduling-state changes to the
-/// workers' corpus shards.
-///
-/// The campaign bumps the epoch (while holding the state lock) whenever the
-/// corpus changes in a way shard mirrors must observe — a seed admission or
-/// a culling pass. Workers compare the published epoch against their shard's
-/// stamp with a single atomic load before every draw; steady-state draws
-/// (no corpus change since the last resync) therefore touch no lock at all.
-///
-/// Publication uses `Release` and reads use `Acquire` so a worker that
-/// observes a bumped epoch also observes every write that preceded the bump.
-/// (Shard resyncs re-read the corpus under the mutex anyway; the ordering
-/// makes the fast-path check independently sound.)
-///
-/// ```
-/// use mufuzz::coverage::SchedulerEpoch;
-///
-/// let epoch = SchedulerEpoch::new();
-/// let stamp = epoch.current();
-/// assert_eq!(stamp, 0);
-/// epoch.bump();
-/// assert!(epoch.current() > stamp); // stale shards resync before drawing
-/// ```
-#[derive(Debug, Default)]
-pub struct SchedulerEpoch(AtomicU64);
-
-impl SchedulerEpoch {
-    /// A fresh counter at epoch zero.
-    pub fn new() -> SchedulerEpoch {
-        SchedulerEpoch::default()
-    }
-
-    /// Publish a new generation; returns the bumped epoch value.
-    pub fn bump(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Release) + 1
-    }
-
-    /// The current generation.
-    pub fn current(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// A concurrent branch-edge coverage bitmap.
 ///
@@ -247,26 +199,6 @@ mod tests {
     use mufuzz_analysis::ControlFlowGraph;
     use mufuzz_evm::Address;
     use std::thread;
-
-    #[test]
-    fn epoch_bumps_are_monotone_and_observable_across_threads() {
-        let epoch = SchedulerEpoch::new();
-        assert_eq!(epoch.current(), 0);
-        assert_eq!(epoch.bump(), 1);
-        assert_eq!(epoch.bump(), 2);
-        assert_eq!(epoch.current(), 2);
-        // Concurrent bumps never lose a generation.
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        epoch.bump();
-                    }
-                });
-            }
-        });
-        assert_eq!(epoch.current(), 402);
-    }
 
     #[test]
     fn merge_counts_only_new_bits() {

@@ -58,8 +58,8 @@ pub fn seed_weight(traces: &[ExecutionTrace], cfg: &ControlFlowGraph) -> f64 {
 
 /// Mean seed weight of a corpus view — Algorithm 3's normalisation base.
 ///
-/// The "view" may be a free-running worker's shard mirror of the corpus, or
-/// the global corpus a round barrier freezes into a
+/// The "view" may be the shared corpus a free-running lane draws from under
+/// the state lock, or the global corpus a round barrier freezes into a
 /// [`RoundView`](crate::config::DeterminismProfile::Round) — both paths call
 /// this so the normalisation arithmetic — a plain
 /// sum-then-divide, kept deliberately order-dependent-free — is identical to

@@ -325,7 +325,6 @@ impl RoundRt {
                     }
                     s.admit(seed);
                     s.maybe_cull(ctx.config.effective_cull_interval());
-                    shared.epoch.bump();
                 }
                 self.monitor.merge(result.monitor);
                 for pending in result.records {

@@ -19,14 +19,17 @@
 //! picks them up, so a `workers == 1` campaign is bit-for-bit identical to
 //! the historical sequential engine at *any* pool size — and a checkpoint
 //! taken at a deterministic pause point resumes bit-identically
-//! (`tests/fleet_service.rs`).
+//! (`tests/fleet_service.rs`). Lanes draw their seeds from the shared corpus
+//! and keep no scheduling state of their own, so a paused campaign's
+//! scheduling state is exactly the shared state a checkpoint serializes:
+//! pausing flushes nothing.
 
 use crate::campaign::{
     build_report, derive_worker_seed, CampaignContext, CampaignReport, CampaignShared,
     CoveragePoint, LaneStep, PauseState, RunParams, SharedCampaignState, Worker,
 };
 use crate::config::FuzzerConfig;
-use crate::coverage::{CoverageMap, SchedulerEpoch};
+use crate::coverage::CoverageMap;
 use crate::energy::marginal_coverage_priority;
 use crate::executor::HarnessError;
 use crate::fleet::{FleetPool, WorkerCtx};
@@ -332,29 +335,15 @@ impl CampaignService {
             });
         }
         let lane_count = config.workers.max(1);
-        if snapshot.profile == PROFILE_FREE_RUNNING {
-            // Free-running lanes have their own RNG/monitor streams, so the
-            // resume must rebuild exactly as many as were frozen.
-            if snapshot.lanes() != lane_count {
-                return Err(SnapshotError::LaneMismatch {
-                    snapshot: snapshot.lanes(),
-                    config: lane_count,
-                });
-            }
-            if snapshot.lane_states.len() != snapshot.lanes() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "{} lane states for {} lanes",
-                    snapshot.lane_states.len(),
-                    snapshot.lanes()
-                )));
-            }
-        } else if snapshot.lane_states.len() != 1 {
-            // A round checkpoint freezes one lane state: lane 0's RNG and
-            // the master monitor. The worker count is free to change.
-            return Err(SnapshotError::Corrupt(format!(
-                "{} lane states for a round-mode snapshot (expected 1)",
-                snapshot.lane_states.len()
-            )));
+        // Free-running lanes have their own RNG/monitor streams, so the
+        // resume must rebuild exactly as many as were frozen. A round
+        // checkpoint freezes one master lane state, and the worker count is
+        // free to change.
+        if snapshot.profile == PROFILE_FREE_RUNNING && snapshot.lanes() != lane_count {
+            return Err(SnapshotError::LaneMismatch {
+                snapshot: snapshot.lanes(),
+                config: lane_count,
+            });
         }
         let ctx = Arc::new(CampaignContext::prepare(compiled, config)?);
         let edges = ctx.harness.edge_index().len();
@@ -392,13 +381,8 @@ impl CampaignService {
             }),
             coverage: CoverageMap::restore(edges, &snapshot.coverage_words),
             reserved: AtomicUsize::new(snapshot.executions()),
-            epoch: SchedulerEpoch::new(),
             round: Mutex::new(None),
         };
-        // Force every lane's (empty) shard mirror to resync from the
-        // restored corpus before its first draw. Resyncs consume no
-        // randomness, so this is invisible to the lanes' RNG streams.
-        shared.epoch.bump();
         let params = RunParams::new(&ctx, snapshot.elapsed_ms());
         Ok(self.launch(
             ctx,

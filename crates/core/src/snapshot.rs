@@ -21,6 +21,7 @@ use crate::mutation::MutationMask;
 use crate::replay::FindingRecord;
 use mufuzz_lang::CompiledContract;
 use mufuzz_oracles::{BugClass, BugFinding, MonitorState};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -80,8 +81,9 @@ impl CampaignSnapshot {
         self.executions as usize
     }
 
-    /// Number of campaign lanes frozen in the snapshot. Resume requires the
-    /// same lane count (`config.workers`).
+    /// Number of campaign lanes the snapshot was taken with. A free-running
+    /// snapshot resumes only at this lane count (`config.workers`); a
+    /// round-mode snapshot resumes at any worker count.
     pub fn lanes(&self) -> usize {
         self.lanes as usize
     }
@@ -148,7 +150,8 @@ impl CampaignSnapshot {
     }
 
     /// Parse a snapshot from its binary form, rejecting bad magic, unknown
-    /// versions, truncated or otherwise corrupt input.
+    /// versions, truncated input, and input that decodes to a state no
+    /// campaign can be in (see `check_consistency`).
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -220,7 +223,7 @@ impl CampaignSnapshot {
         if r.pos != bytes.len() {
             return Err(SnapshotError::Corrupt("trailing bytes".into()));
         }
-        Ok(CampaignSnapshot {
+        let snapshot = CampaignSnapshot {
             contract_hash,
             rng_seed,
             lanes,
@@ -239,7 +242,63 @@ impl CampaignSnapshot {
             shapes,
             lane_states,
             records,
-        })
+        };
+        snapshot.check_consistency()?;
+        Ok(snapshot)
+    }
+
+    /// The invariants every checkpoint of a real campaign satisfies: the
+    /// coverage bitmap has exactly the words its edge count needs and no bit
+    /// past the last edge, every seed's edges are in range, seed uids are
+    /// distinct and below the next uid to hand out, the budget covers the
+    /// executions spent, and the lane states fit the profile (one per lane
+    /// when free-running, one master state in round mode).
+    fn check_consistency(&self) -> Result<(), SnapshotError> {
+        let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
+        let edges = self.coverage_edges;
+        if self.coverage_words.len() as u64 != edges.div_ceil(64) {
+            return corrupt(format!(
+                "{} coverage words for {edges} edges",
+                self.coverage_words.len()
+            ));
+        }
+        if let Some(&last) = self.coverage_words.last() {
+            let used = edges % 64;
+            if used != 0 && last >> used != 0 {
+                return corrupt(format!("coverage bit set past edge {edges}"));
+            }
+        }
+        let mut uids = BTreeSet::new();
+        for seed in &self.corpus {
+            if let Some(id) = seed.covered_edge_ids.iter().find(|&&id| id as u64 >= edges) {
+                return corrupt(format!("seed {} covers edge {id} of {edges}", seed.uid));
+            }
+            if seed.uid >= self.next_uid || !uids.insert(seed.uid) {
+                return corrupt(format!(
+                    "seed uid {} duplicated or not below the next uid {}",
+                    seed.uid, self.next_uid
+                ));
+            }
+        }
+        if self.executions > self.max_executions {
+            return corrupt(format!(
+                "{} executions past the budget of {}",
+                self.executions, self.max_executions
+            ));
+        }
+        let expected = if self.profile == PROFILE_ROUND {
+            1
+        } else {
+            self.lanes()
+        };
+        if self.lane_states.len() != expected {
+            return corrupt(format!(
+                "{} lane states for {} lane(s) (expected {expected})",
+                self.lane_states.len(),
+                self.lanes
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -615,6 +674,10 @@ fn take_monitor(r: &mut Reader<'_>) -> Result<MonitorState, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::tests::CROWDSALE;
+    use crate::config::FuzzerConfig;
+    use crate::service::{CampaignService, SubmitOptions};
+    use mufuzz_lang::compile_source;
 
     fn sample_snapshot() -> CampaignSnapshot {
         let seed = Seed {
@@ -645,7 +708,7 @@ mod tests {
             executions: 150,
             elapsed_ms: 1234,
             coverage_edges: 20,
-            coverage_words: vec![0b1011, 0],
+            coverage_words: vec![0b1011],
             next_uid: 8,
             admitted_since_cull: 3,
             culled: 1,
@@ -756,6 +819,86 @@ mod tests {
                 "prefix of {cut} bytes should not parse"
             );
         }
+    }
+
+    /// A real checkpoint: the one-lane crowdsale campaign (seed 11) paused
+    /// at 200 of its 400 executions. It decodes cleanly, so each rejection
+    /// test below breaks exactly one invariant of it.
+    fn crowdsale_checkpoint() -> CampaignSnapshot {
+        let compiled = compile_source(CROWDSALE).unwrap();
+        let config = FuzzerConfig::mufuzz(400).with_rng_seed(11).with_workers(1);
+        let handle = CampaignService::new(1)
+            .submit_with(compiled, config, SubmitOptions::pause_at(200))
+            .unwrap();
+        handle.join();
+        let snapshot = handle.checkpoint().expect("paused campaign checkpoints");
+        assert_eq!(snapshot.coverage_edges, 20);
+        assert!(snapshot.corpus.len() >= 2);
+        let decoded = CampaignSnapshot::from_bytes(&snapshot.to_bytes());
+        assert_eq!(decoded.expect("a real checkpoint decodes"), snapshot);
+        snapshot
+    }
+
+    fn assert_corrupt(snapshot: &CampaignSnapshot) {
+        match CampaignSnapshot::from_bytes(&snapshot.to_bytes()) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn coverage_word_count_must_fit_the_edge_count() {
+        let mut extra = crowdsale_checkpoint();
+        extra.coverage_words.push(0);
+        assert_corrupt(&extra);
+        let mut missing = crowdsale_checkpoint();
+        missing.coverage_words.clear();
+        assert_corrupt(&missing);
+    }
+
+    #[test]
+    fn coverage_bits_past_the_last_edge_are_rejected() {
+        // Resumed, this word would report 22 of 20 edges covered.
+        let mut snapshot = crowdsale_checkpoint();
+        snapshot.coverage_words[0] |= 0xF << 60;
+        assert_corrupt(&snapshot);
+    }
+
+    #[test]
+    fn seed_edge_ids_must_be_below_the_edge_count() {
+        let mut snapshot = crowdsale_checkpoint();
+        snapshot.corpus[0].covered_edge_ids.push(20);
+        assert_corrupt(&snapshot);
+    }
+
+    #[test]
+    fn seed_uids_must_be_distinct_and_below_the_next_uid() {
+        let mut duplicate = crowdsale_checkpoint();
+        duplicate.corpus[1].uid = duplicate.corpus[0].uid;
+        assert_corrupt(&duplicate);
+        let mut unissued = crowdsale_checkpoint();
+        unissued.corpus[0].uid = unissued.next_uid;
+        assert_corrupt(&unissued);
+    }
+
+    #[test]
+    fn executions_past_the_budget_are_rejected() {
+        let mut snapshot = crowdsale_checkpoint();
+        snapshot.executions = snapshot.max_executions + 1;
+        assert_corrupt(&snapshot);
+    }
+
+    #[test]
+    fn lane_state_count_must_fit_the_profile() {
+        // Free-running: one lane state per lane.
+        let mut free = crowdsale_checkpoint();
+        free.lane_states.push(free.lane_states[0].clone());
+        assert_corrupt(&free);
+        // Round mode: one master lane state, whatever the lane count.
+        let mut round = free.clone();
+        round.profile = PROFILE_ROUND;
+        round.lanes = 2;
+        assert_corrupt(&round);
     }
 
     #[test]

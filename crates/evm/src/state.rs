@@ -43,7 +43,7 @@ use crate::types::Address;
 use crate::u256::U256;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Host-implemented behaviour for accounts that are not plain bytecode
 /// contracts. Used to model the attacker harness required by the reentrancy
@@ -254,11 +254,12 @@ impl WorldState {
             .unwrap_or(U256::ZERO)
     }
 
-    /// Code of an account (empty if absent).
+    /// Code of an account (empty if absent). Every absent account shares
+    /// one empty blob, so `EXTCODESIZE`/`EXTCODECOPY` on an address with no
+    /// account allocate nothing.
     pub fn code(&self, address: Address) -> Arc<Vec<u8>> {
-        self.account(address)
-            .map(|a| Arc::clone(&a.code))
-            .unwrap_or_default()
+        static NO_CODE: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
+        Arc::clone(self.account(address).map_or(&*NO_CODE, |a| &a.code))
     }
 
     /// Storage slot value of an account (zero if absent).
@@ -505,6 +506,12 @@ mod tests {
         assert_eq!(world.balance(addr(1)), U256::ZERO);
         assert_eq!(world.storage(addr(1), U256::ONE), U256::ZERO);
         assert!(world.code(addr(1)).is_empty());
+    }
+
+    #[test]
+    fn absent_accounts_share_one_empty_code_blob() {
+        let world = WorldState::new();
+        assert!(Arc::ptr_eq(&world.code(addr(1)), &world.code(addr(2))));
     }
 
     #[test]

@@ -361,13 +361,13 @@ fn main() {
     let single = campaign(1, executions);
     print_report(&single);
 
-    // The scaling A/B: the same campaign on N workers, each drawing seeds
-    // from its own corpus shard (lock-free in steady state).
-    let sharded = campaign(workers, executions);
-    print_report(&sharded);
+    // The scaling A/B: the same campaign on N free-running workers, each
+    // drawing its seed batches from the one shared corpus.
+    let parallel = campaign(workers, executions);
+    print_report(&parallel);
     println!(
         "speedup vs single: {:.2}x",
-        sharded.execs_per_sec() / single.execs_per_sec()
+        parallel.execs_per_sec() / single.execs_per_sec()
     );
 
     // The determinism A/B: the same N-worker campaign under the round
@@ -375,7 +375,7 @@ fn main() {
     // reproducibility; the contract is that they cost at most 25% of the
     // free-running throughput (asserted after the JSON record is written).
     let round = round_campaign(workers, executions);
-    let round_cost = 1.0 - round.execs_per_sec() / sharded.execs_per_sec();
+    let round_cost = 1.0 - round.execs_per_sec() / parallel.execs_per_sec();
     println!(
         "round mode: {} execs in {} ms -> {:.0} execs/sec ({:.1}% cost vs free-running)",
         round.executions,
@@ -447,7 +447,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n  \"benchmark\": \"piggybank\",\n  \"budget\": {},\n",
-            "  \"single\": {},\n  \"parallel_sharded\": {},\n",
+            "  \"single\": {},\n  \"parallel\": {},\n",
             "  \"round_mode\": {},\n",
             "  \"predecoded\": {},\n  \"block_lowered\": {},\n",
             "  \"kernels\": {{{}}},\n",
@@ -455,7 +455,7 @@ fn main() {
         ),
         executions,
         json_entry(&single),
-        json_entry(&sharded),
+        json_entry(&parallel),
         json_entry(&round),
         tier_json(false, predecoded),
         tier_json(true, block_lowered),
@@ -471,7 +471,7 @@ fn main() {
     }
 
     assert!(
-        round.execs_per_sec() >= 0.75 * sharded.execs_per_sec(),
+        round.execs_per_sec() >= 0.75 * parallel.execs_per_sec(),
         "round mode costs {:.1}% throughput vs free-running (budget is 25%)",
         round_cost * 100.0
     );

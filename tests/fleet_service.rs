@@ -120,6 +120,72 @@ fn resume_reproduces_the_historical_snapshot_constants() {
     );
 }
 
+/// Pause a one-lane crowdsale campaign at each mark in `pauses` in turn,
+/// round-tripping every checkpoint through bytes before resuming it, and
+/// return the report of the final segment.
+fn run_in_segments(config: FuzzerConfig, pauses: &[usize]) -> CampaignReport {
+    let compiled = || compile_source(&contracts::crowdsale().source).unwrap();
+    let service = CampaignService::new(1);
+    let mut snapshot: Option<CampaignSnapshot> = None;
+    for &mark in pauses {
+        let options = SubmitOptions::pause_at(mark);
+        let handle = match &snapshot {
+            None => service
+                .submit_with(compiled(), config.clone(), options)
+                .unwrap(),
+            Some(s) => service
+                .resume_with(compiled(), config.clone(), s, options)
+                .unwrap(),
+        };
+        handle.join();
+        assert!(
+            matches!(handle.poll(), CampaignProgress::Paused { .. }),
+            "expected a pause at {mark}"
+        );
+        let bytes = handle.checkpoint().unwrap().to_bytes();
+        snapshot = Some(CampaignSnapshot::from_bytes(&bytes).expect("snapshot parses"));
+    }
+    let last = snapshot.expect("at least one pause");
+    service
+        .resume(compiled(), config, &last)
+        .expect("snapshot resumes")
+        .wait()
+}
+
+/// Culling reorders and shrinks the corpus, which is where a lane's drawn
+/// seed copy, uid-keyed mask write-back and checkpointed selection counts
+/// meet a reshuffled corpus. A culling campaign paused twice and resumed
+/// from bytes each time still ends bit-identical to the uninterrupted run.
+#[test]
+fn culling_campaign_resumes_bit_identically() {
+    for seed in [3, 11, 42] {
+        let config = FuzzerConfig::mufuzz(600)
+            .with_rng_seed(seed)
+            .with_workers(1)
+            .with_corpus_culling(4);
+        let compiled = compile_source(&contracts::crowdsale().source).unwrap();
+        let baseline = CampaignService::new(1)
+            .submit(compiled, config.clone())
+            .unwrap()
+            .wait();
+        assert_eq!(baseline.culled_seeds, 7, "seed {seed}: culling ran");
+        let resumed = run_in_segments(config, &[150, 300]);
+        assert_eq!(resumed.executions, baseline.executions, "seed {seed}");
+        assert_eq!(resumed.corpus_digest, baseline.corpus_digest, "seed {seed}");
+        assert_eq!(
+            resumed.coverage_digest, baseline.coverage_digest,
+            "seed {seed}"
+        );
+        assert_eq!(resumed.corpus_size, baseline.corpus_size, "seed {seed}");
+        assert_eq!(resumed.culled_seeds, baseline.culled_seeds, "seed {seed}");
+        assert_eq!(
+            resumed.interesting_shapes, baseline.interesting_shapes,
+            "seed {seed}"
+        );
+        assert_eq!(resumed.findings, baseline.findings, "seed {seed}");
+    }
+}
+
 /// A snapshot with a flipped version tag is rejected outright.
 #[test]
 fn mismatched_snapshot_version_is_rejected() {

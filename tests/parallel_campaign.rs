@@ -110,28 +110,6 @@ fn four_workers_match_sequential_coverage_on_crowdsale() {
     assert!(parallel.corpus_size >= 3);
 }
 
-/// Seed draws read a per-worker corpus mirror (epoch resyncs, lock-free
-/// steady-state draws). Resyncing the mirror is semantically a no-op at one
-/// worker (same corpus content, no RNG consumption), so even a resync before
-/// every draw leaves the campaign unchanged.
-#[test]
-fn forced_shard_resyncs_do_not_change_the_campaign() {
-    let compiled = compile_source(&contracts::crowdsale().source).unwrap();
-    let eager = Fuzzer::new(
-        compiled,
-        FuzzerConfig::mufuzz(400)
-            .with_rng_seed(11)
-            .with_workers(1)
-            .with_shard_resync_draws(1),
-    )
-    .unwrap()
-    .run();
-    let baseline = run_crowdsale(11, 1);
-    assert_eq!(eager.covered_edges, baseline.covered_edges);
-    assert_eq!(eager.corpus_size, baseline.corpus_size);
-    assert_eq!(eager.interesting_shapes, baseline.interesting_shapes);
-}
-
 /// Oracle findings survive the per-worker monitor merge: the reentrant bank
 /// is detected with a multi-worker campaign too.
 #[test]
