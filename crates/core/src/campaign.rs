@@ -67,6 +67,7 @@ use crate::input::{Seed, Sequence};
 use crate::mutation::{
     apply_op_in_place, mutate_in_place, word_count, InterestingValues, MutationMask, MutationOp,
 };
+use crate::prefix::PrefixRecords;
 use crate::replay::FindingRecord;
 use crate::round::RoundRt;
 use crate::seedgen::SequenceGenerator;
@@ -683,6 +684,10 @@ pub(crate) fn swap_world(kept: &mut Option<WorldState>, world: &mut WorldState) 
 /// copies its transactions write. A buffer's contents escape only by copy:
 /// into the corpus on admission, into a round slot's candidate or finding
 /// record.
+///
+/// Every probe and mutant executes through its seed's prefix record (see
+/// [`crate::prefix`]), so only the transactions from the first one it
+/// changed run again.
 pub(crate) struct Executor {
     pub(crate) ctx: Arc<CampaignContext>,
     pub(crate) harness: ContractHarness,
@@ -698,6 +703,8 @@ pub(crate) struct Executor {
     /// A round slot's private copy of the frozen corpus, refilled with
     /// `clone_from` at the start of every slot this lane runs.
     pub(crate) slot_corpus: Vec<Seed>,
+    /// The prefix records of the seeds this lane drew, by uid.
+    prefixes: PrefixRecords,
 }
 
 impl Executor {
@@ -709,6 +716,7 @@ impl Executor {
             candidate: Sequence::default(),
             outcome: SequenceOutcome::default(),
             slot_corpus: Vec::new(),
+            prefixes: PrefixRecords::default(),
         }
     }
 
@@ -726,6 +734,8 @@ impl Executor {
         seed: &Seed,
         ledger: &mut impl Ledger,
     ) -> Vec<MutationMask> {
+        let slot = self.prefixes.prepare(&self.harness, seed, &mut self.frame);
+        let prefix = self.prefixes.get(slot);
         let ctx = &*self.ctx;
         let baseline_nested = seed_nested_pcs(ctx, seed);
         let baseline_distance = seed.best_distance.unwrap_or(1.0);
@@ -760,6 +770,7 @@ impl Executor {
                     );
                     self.harness.execute_sequence_into(
                         &self.candidate,
+                        Some(prefix),
                         &mut self.frame,
                         &mut self.outcome,
                     );
@@ -798,6 +809,8 @@ impl Executor {
         energy: usize,
         ledger: &mut impl Ledger,
     ) -> ControlFlow<()> {
+        let slot = self.prefixes.prepare(&self.harness, seed, &mut self.frame);
+        let prefix = self.prefixes.get(slot);
         for _ in 0..energy {
             // Reserve before mutating: a granted reservation is always
             // followed by exactly one execution, so the budget is exact.
@@ -805,8 +818,12 @@ impl Executor {
                 return ControlFlow::Break(());
             }
             mutate_sequence(&self.ctx, rng, seed, &mut self.candidate);
-            self.harness
-                .execute_sequence_into(&self.candidate, &mut self.frame, &mut self.outcome);
+            self.harness.execute_sequence_into(
+                &self.candidate,
+                Some(prefix),
+                &mut self.frame,
+                &mut self.outcome,
+            );
             ledger.settle(self, &self.candidate, &self.outcome, seed.uid);
             ledger.keep_world(&mut self.outcome.final_world);
         }
@@ -1026,25 +1043,16 @@ impl Worker {
             last_world: &mut self.last_world,
             slot: 0,
         };
-        if compute {
-            let masks = self
-                .exec
-                .compute_masks(&mut self.rng, &self.seed, &mut ledger);
-            // Publish by uid, not index: culling may have reshuffled (or
-            // dropped) the seed while the probes ran.
-            {
-                let mut s = shared.state.lock().expect("campaign state poisoned");
-                if let Some(global) = s.corpus.iter_mut().find(|x| x.uid == self.seed.uid) {
-                    global.masks = Some(masks.clone());
-                }
-            }
-            self.seed.masks = Some(masks);
-        }
-        if self
-            .exec
-            .run_mutants(&mut self.rng, &self.seed, energy, &mut ledger)
-            .is_break()
-        {
+        let batch = run_batch(
+            &mut self.exec,
+            &mut self.rng,
+            &mut self.seed,
+            energy,
+            compute,
+            shared,
+            &mut ledger,
+        );
+        if batch.is_break() {
             return LaneStep::Finished;
         }
         LaneStep::Continue
@@ -1093,6 +1101,33 @@ impl Worker {
             && remaining > 2 * probe_cost_estimate
             && (seed.hits_nested_branch || seed.best_distance.is_some())
     }
+}
+
+/// One free-running batch of the drawn `seed`: its mask-probe pass when the
+/// lane claimed it, then its `energy` mutants, every execution settled in
+/// `ledger`. Returns `Break` when the ledger refuses a reservation.
+fn run_batch(
+    exec: &mut Executor,
+    rng: &mut SmallRng,
+    seed: &mut Seed,
+    energy: usize,
+    compute: bool,
+    shared: &CampaignShared,
+    ledger: &mut impl Ledger,
+) -> ControlFlow<()> {
+    if compute {
+        let masks = exec.compute_masks(rng, seed, ledger);
+        // Publish by uid, not index: culling may have reshuffled (or
+        // dropped) the seed while the probes ran.
+        {
+            let mut s = shared.state.lock().expect("campaign state poisoned");
+            if let Some(global) = s.corpus.iter_mut().find(|x| x.uid == seed.uid) {
+                global.masks = Some(masks.clone());
+            }
+        }
+        seed.masks = Some(masks);
+    }
+    exec.run_mutants(rng, seed, energy, ledger)
 }
 
 /// Assemble the final report from the shared campaign state, enforcing the
@@ -1226,6 +1261,9 @@ impl Fuzzer {
         report
     }
 }
+
+#[cfg(test)]
+mod prefix_reuse_tests;
 
 #[cfg(test)]
 pub(crate) mod tests {

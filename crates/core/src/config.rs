@@ -135,7 +135,7 @@ pub struct FuzzerConfig {
     pub workers: usize,
     /// Stopping conditions (execution and wall-clock budgets).
     pub budget: BudgetConfig,
-    /// Seed-scheduler tuning (draw path, resync cadence, culling, energy).
+    /// Seed-scheduler tuning: corpus culling, base energy and round shape.
     pub scheduler: SchedulerConfig,
     /// Reproducibility contract: free-running (fastest, `workers == 1` only)
     /// or barrier-synchronized rounds (bit-identical at any worker count).

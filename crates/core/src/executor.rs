@@ -4,11 +4,18 @@
 //! The world contains a pool of funded senders, an optional re-entrant
 //! attacker account (so the reentrancy oracle can observe actual re-entrant
 //! executions) and an optional rejecting sink (so failing external calls are
-//! observable). Every sequence execution starts from the freshly deployed
-//! state, which matches how the paper's fuzzer replays sequences.
+//! observable). Every sequence execution is a pure function of the
+//! sequence: it runs from the freshly deployed state, with the block
+//! advanced once per transaction, which matches how the paper's fuzzer
+//! replays sequences. So the world and traces after a run of leading
+//! transactions are fixed by those transactions alone, and an execution
+//! given a prefix record of a sequence it starts with resumes from the
+//! recorded world after that run instead of executing it again. Its outcome
+//! equals a full run's.
 
 use crate::config::FuzzerConfig;
 use crate::input::{Sequence, TxInput};
+use crate::prefix::PrefixRecord;
 use mufuzz_analysis::EdgeIndex;
 use mufuzz_evm::{
     ether, Account, Address, BlockEnv, DecodedProgram, Evm, ExecFrame, ExecutionTrace,
@@ -230,7 +237,7 @@ impl ContractHarness {
         frame: &mut ExecFrame,
     ) -> SequenceOutcome {
         let mut outcome = SequenceOutcome::default();
-        self.execute_sequence_into(sequence, frame, &mut outcome);
+        self.execute_sequence_into(sequence, None, frame, &mut outcome);
         outcome
     }
 
@@ -238,26 +245,55 @@ impl ContractHarness {
     /// into `outcome` in place: its previous traces go back to `frame` for
     /// reuse, and its vectors keep their capacity. The previous final world
     /// is dropped.
+    ///
+    /// With a `prefix` record, the `k` leading transactions `sequence`
+    /// shares with the recorded sequence are not executed again: the
+    /// outcome starts from the recorded world after them (one `Arc` clone),
+    /// copies of their recorded traces and their success count, with the
+    /// block advanced `k` times, and execution continues from transaction
+    /// `k`. Without a record, or when nothing is shared, `k` is zero and
+    /// the whole sequence runs from the deployed world. The outcome is the
+    /// same either way.
     pub(crate) fn execute_sequence_into(
         &self,
         sequence: &Sequence,
+        prefix: Option<&PrefixRecord>,
         frame: &mut ExecFrame,
         outcome: &mut SequenceOutcome,
     ) {
         for trace in outcome.traces.drain(..) {
             frame.recycle_trace(trace);
         }
-        outcome.final_world = self.base_world.snapshot();
-        outcome.successes = 0;
+        let shared = prefix.map_or(0, |record| record.shared_len(sequence));
         let mut block = self.base_block;
-        for tx in &sequence.txs {
-            block.advance();
-            let trace = self.execute_tx(&mut outcome.final_world, block, tx, frame);
-            if trace.success() {
-                outcome.successes += 1;
+        match prefix.filter(|_| shared > 0) {
+            Some(record) => {
+                record.restore(shared, frame, outcome);
+                for _ in 0..shared {
+                    block.advance();
+                }
             }
-            outcome.traces.push(trace);
+            None => {
+                outcome.final_world = self.base_world.snapshot();
+                outcome.successes = 0;
+            }
         }
+        let SequenceOutcome {
+            traces,
+            final_world,
+            successes,
+            ..
+        } = outcome;
+        self.run_txs(
+            &sequence.txs[shared..],
+            final_world,
+            block,
+            frame,
+            |_, trace| {
+                *successes += usize::from(trace.success());
+                traces.push(trace);
+            },
+        );
 
         let ids = &mut outcome.covered_edge_ids;
         ids.clear();
@@ -272,6 +308,24 @@ impl ContractHarness {
         ids.dedup();
     }
 
+    /// Execute `txs` in order against `world`, advancing `block` once before
+    /// each, and hand every transaction's trace to `each` together with the
+    /// world it left behind.
+    pub(crate) fn run_txs(
+        &self,
+        txs: &[TxInput],
+        world: &mut WorldState,
+        mut block: BlockEnv,
+        frame: &mut ExecFrame,
+        mut each: impl FnMut(&mut WorldState, ExecutionTrace),
+    ) {
+        for tx in txs {
+            block.advance();
+            let trace = self.execute_tx(world, block, tx, frame);
+            each(world, trace);
+        }
+    }
+
     /// Execute one transaction against the given world.
     fn execute_tx(
         &self,
@@ -282,8 +336,8 @@ impl ContractHarness {
     ) -> ExecutionTrace {
         let Some(abi) = self.compiled.abi.function(&tx.function) else {
             // Unknown function (e.g. after a corpus merge): skip by returning
-            // an empty trace.
-            return ExecutionTrace::new();
+            // an empty trace, taken from the pool like every other.
+            return frame.take_trace();
         };
         let sender = self.senders[tx.sender_index % self.senders.len()];
         let mut calldata = frame.take_calldata();

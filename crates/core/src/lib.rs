@@ -68,6 +68,7 @@ pub mod executor;
 pub mod fleet;
 pub mod input;
 pub mod mutation;
+mod prefix;
 pub mod replay;
 mod round;
 pub mod seedgen;

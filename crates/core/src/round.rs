@@ -413,8 +413,9 @@ pub(crate) fn round_step(
 /// Run one slot: `quota` mutate→execute→evaluate steps (including any mask
 /// probes) against the frozen view, with the slot's derived RNG. Pure in
 /// `(rng_seed, round, slot, view)` — the lane contributes only its harness
-/// clone and reusable buffers. The slot draws from its own copy of the
-/// frozen corpus, refilled into the executor's buffer.
+/// clone, reusable buffers and prefix records, none of which changes an
+/// outcome. The slot draws from its own copy of the frozen corpus, refilled
+/// into the executor's buffer.
 fn run_slot(
     exec: &mut Executor,
     view: &RoundView,

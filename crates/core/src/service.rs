@@ -43,10 +43,12 @@ use mufuzz_lang::CompiledContract;
 use mufuzz_oracles::{BugClass, BugFinding, CampaignMonitor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Batches a lane runs before re-entering the global injector at its
 /// campaign's refreshed priority. Between re-injections the lane stays on
@@ -105,6 +107,12 @@ pub enum CampaignEvent {
     },
     /// The campaign ran to its budget; the report is ready.
     Completed,
+    /// A lane panicked. The campaign's other lanes stopped at their next
+    /// step, and there is no report.
+    Failed {
+        /// The panic message.
+        message: String,
+    },
 }
 
 /// A snapshot answer to "how is this campaign doing right now?".
@@ -126,6 +134,11 @@ pub enum CampaignProgress {
     },
     /// The report is ready to collect.
     Completed,
+    /// A lane panicked and the campaign stopped without a report.
+    Failed {
+        /// The panic message.
+        message: String,
+    },
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -133,6 +146,7 @@ enum JobStatus {
     Running,
     Paused,
     Completed,
+    Failed,
 }
 
 /// Completion state, guarded by `CampaignJob::done` and signalled through
@@ -194,10 +208,20 @@ struct CampaignJob {
     /// Campaign wall-clock frozen at the pause (what the checkpoint stores,
     /// so post-pause idle time never counts against the time budget).
     paused_elapsed_ms: AtomicU64,
+    /// The message of the first panic in one of the campaign's pool tasks.
+    /// Once set, every lane stops at its next step and the campaign fails.
+    failure: OnceLock<String>,
     priority: Mutex<PriorityWindow>,
     sink: Mutex<EventSink>,
     done: Mutex<JobState>,
     done_cv: Condvar,
+}
+
+impl CampaignJob {
+    /// The recorded panic message of a failed campaign.
+    fn failure_message(&self) -> String {
+        self.failure.get().cloned().unwrap_or_default()
+    }
 }
 
 /// A handle on one submitted campaign.
@@ -423,6 +447,7 @@ impl CampaignService {
             resume_round: resume.round,
             resume_records: Mutex::new(resume.records),
             paused_elapsed_ms: AtomicU64::new(0),
+            failure: OnceLock::new(),
             priority: Mutex::new(PriorityWindow {
                 score: LAUNCH_PRIORITY,
                 last_executions: 0,
@@ -476,6 +501,9 @@ impl CampaignHandle {
         let done = self.job.done.lock().expect("campaign done state poisoned");
         match done.status {
             JobStatus::Completed => CampaignProgress::Completed,
+            JobStatus::Failed => CampaignProgress::Failed {
+                message: self.job.failure_message(),
+            },
             JobStatus::Paused => CampaignProgress::Paused {
                 executions: self.job.shared.executions(),
             },
@@ -502,7 +530,7 @@ impl CampaignHandle {
         self.job.pause.requested.store(true, Ordering::Relaxed);
     }
 
-    /// Block until the campaign completes or pauses.
+    /// Block until the campaign completes, pauses or fails.
     pub fn join(&self) {
         let mut done = self.job.done.lock().expect("campaign done state poisoned");
         while done.status == JobStatus::Running {
@@ -519,7 +547,8 @@ impl CampaignHandle {
     /// # Panics
     ///
     /// Panics if the campaign pauses instead of completing (a paused
-    /// campaign has no final report — checkpoint and resume it).
+    /// campaign has no final report — checkpoint and resume it), and with
+    /// the lane's panic message if the campaign failed.
     pub fn wait(self) -> CampaignReport {
         let (report, _) = self.wait_inner();
         report
@@ -542,6 +571,11 @@ impl CampaignHandle {
             JobStatus::Completed => (
                 done.report.take().expect("campaign report already taken"),
                 done.rng.take(),
+            ),
+            JobStatus::Failed => panic!(
+                "campaign '{}' failed: {}",
+                self.job.ctx.harness.compiled.name,
+                self.job.failure_message()
             ),
             _ => panic!(
                 "campaign '{}' paused instead of completing; checkpoint() and resume it",
@@ -632,14 +666,36 @@ impl CampaignHandle {
 /// First task of every campaign: run the seeding prologue (unless resumed),
 /// then fan the lanes out onto the pool. Lane 0 continues on this thread —
 /// for a fresh single-lane campaign that reproduces the sequential engine's
-/// thread usage exactly.
+/// thread usage exactly. The prologue counts as lane 0's first step: if it
+/// panics, lane 0 leaves the pool and the campaign fails.
 fn bootstrap(job: Arc<CampaignJob>, wctx: &WorkerCtx) {
+    match guarded(&job, || prologue(&job)) {
+        Some(true) => {}
+        Some(false) => return,
+        None => {
+            lane_done(&job);
+            return;
+        }
+    }
+    let lane_count = job.lanes.len();
+    job.active.store(lane_count, Ordering::SeqCst);
+    for lane in 1..lane_count {
+        let lane_job = Arc::clone(&job);
+        wctx.respawn_global(LAUNCH_PRIORITY, move |w| drive_lane(&lane_job, lane, 0, w));
+    }
+    drive_lane(&job, 0, 0, wctx);
+}
+
+/// The seeding prologue: execute the initial corpus (unless resumed) and,
+/// in round mode, install the round runtime. Returns whether the lanes have
+/// work; a contract with no callable functions finalises here instead.
+fn prologue(job: &Arc<CampaignJob>) -> bool {
     if !job.resumed {
         let mut slot = job.lanes[0].lock().expect("campaign lane poisoned");
         let worker = slot.as_mut().expect("lane worker missing");
         worker.run_initial(&job.shared, &job.params);
     }
-    pump_events(&job, 0);
+    pump_events(job, 0);
     let corpus_empty = job
         .shared
         .state
@@ -649,8 +705,8 @@ fn bootstrap(job: Arc<CampaignJob>, wctx: &WorkerCtx) {
         .is_empty();
     if corpus_empty {
         // Contract with no callable functions: report immediately.
-        finalize(&job, true);
-        return;
+        finalize(job, true);
+        return false;
     }
     if job.ctx.config.round_mode() {
         // Promote lane 0's monitor (seeding-prologue and, on resume,
@@ -677,25 +733,31 @@ fn bootstrap(job: Arc<CampaignJob>, wctx: &WorkerCtx) {
         );
         *job.shared.round.lock().expect("round state poisoned") = Some(rt);
     }
-    let lane_count = job.lanes.len();
-    job.active.store(lane_count, Ordering::SeqCst);
-    for lane in 1..lane_count {
-        let lane_job = Arc::clone(&job);
-        wctx.respawn_global(LAUNCH_PRIORITY, move |w| drive_lane(&lane_job, lane, 0, w));
-    }
-    drive_lane(&job, 0, 0, wctx);
+    true
 }
 
 /// Run one batch of `lane`, then reschedule it: locally for up to
 /// [`REINJECT_STEPS`] batches, then through the global injector at the
-/// campaign's refreshed marginal-coverage priority.
+/// campaign's refreshed marginal-coverage priority. A lane of a failed
+/// campaign stops instead, and a lane that panics fails its campaign.
 fn drive_lane(job: &Arc<CampaignJob>, lane: usize, steps: usize, wctx: &WorkerCtx) {
-    let step = {
-        let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
-        let worker = slot.as_mut().expect("lane worker missing");
-        worker.step(&job.shared, &job.params, &job.pause)
+    if job.failure.get().is_some() {
+        lane_done(job);
+        return;
+    }
+    let step = guarded(job, || {
+        let step = {
+            let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
+            let worker = slot.as_mut().expect("lane worker missing");
+            worker.step(&job.shared, &job.params, &job.pause)
+        };
+        pump_events(job, lane);
+        step
+    });
+    let Some(step) = step else {
+        lane_done(job);
+        return;
     };
-    pump_events(job, lane);
     match step {
         LaneStep::Continue => {
             let steps = steps + 1;
@@ -715,17 +777,66 @@ fn drive_lane(job: &Arc<CampaignJob>, lane: usize, steps: usize, wctx: &WorkerCt
     }
 }
 
-/// A lane left the pool. The last lane out settles the campaign: if any
-/// lane saw the budget exhausted the campaign finalises, otherwise every
-/// lane stopped at the pause mark and the campaign parks as paused.
+/// A lane left the pool. The last lane out settles the campaign: if a lane
+/// panicked the campaign fails, else if any lane saw the budget exhausted
+/// the campaign finalises, otherwise every lane stopped at the pause mark
+/// and the campaign parks as paused.
 fn lane_done(job: &Arc<CampaignJob>) {
-    if job.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-        if job.finished_lanes.load(Ordering::SeqCst) > 0 {
-            finalize(job, false);
-        } else {
-            mark_paused(job);
+    if job.active.fetch_sub(1, Ordering::SeqCst) != 1 {
+        return;
+    }
+    if job.failure.get().is_none() {
+        let settled = guarded(job, || {
+            if job.finished_lanes.load(Ordering::SeqCst) > 0 {
+                finalize(job, false);
+            } else {
+                mark_paused(job);
+            }
+        });
+        if settled.is_some() {
+            return;
         }
     }
+    mark_failed(job);
+}
+
+/// Run `task`, a share of the campaign's pool work. A panic is contained
+/// here: its message becomes the campaign's failure (the first one wins)
+/// and the result is `None`.
+fn guarded<R>(job: &CampaignJob, task: impl FnOnce() -> R) -> Option<R> {
+    match catch_unwind(AssertUnwindSafe(task)) {
+        Ok(result) => Some(result),
+        Err(payload) => {
+            let _ = job.failure.set(panic_message(payload.as_ref()));
+            None
+        }
+    }
+}
+
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_string()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
+    } else {
+        "a campaign lane panicked".to_string()
+    }
+}
+
+/// Publish the campaign's failure. The panic may have poisoned any of the
+/// campaign's locks, so this takes only the sink and the done state, and
+/// takes them through a poisoning: it only sends one event and sets the
+/// status, which is valid whatever a panic left half-updated there.
+fn mark_failed(job: &CampaignJob) {
+    let message = job.failure_message();
+    {
+        let sink = job.sink.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = sink.sender.send(CampaignEvent::Failed { message });
+    }
+    let mut done = job.done.lock().unwrap_or_else(PoisonError::into_inner);
+    done.status = JobStatus::Failed;
+    job.done_cv.notify_all();
 }
 
 /// Merge the lanes' monitors (or take the round runtime's master state),
@@ -885,5 +996,102 @@ fn drain_timeline(sink: &mut EventSink, job: &CampaignJob) {
             coverage: point.coverage,
             elapsed_ms: point.elapsed_ms,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::tests::CROWDSALE;
+    use mufuzz_lang::compile_source;
+    use std::time::{Duration, Instant};
+
+    /// Occupy every thread of `service`'s pool until the returned senders
+    /// are dropped, so a submitted campaign waits in the injector.
+    fn hold_pool(service: &CampaignService) -> Vec<Sender<()>> {
+        (0..service.thread_count())
+            .map(|_| {
+                let (release, gate) = channel::<()>();
+                service.pool.spawn(f64::MAX, move |_| {
+                    let _ = gate.recv();
+                });
+                release
+            })
+            .collect()
+    }
+
+    /// Poison `lock` the way a panicking lane would.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = lock.lock().unwrap();
+                panic!("a lane panicked while holding this lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    /// Poll until the campaign stops running or `limit` passes, so a
+    /// campaign that never settles fails the test instead of hanging it.
+    fn settle(handle: &CampaignHandle, limit: Duration) -> CampaignProgress {
+        let start = Instant::now();
+        loop {
+            let progress = handle.poll();
+            if !matches!(progress, CampaignProgress::Running { .. }) || start.elapsed() > limit {
+                return progress;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn assert_failed_with(handle: CampaignHandle, expected: &str) {
+        match settle(&handle, Duration::from_secs(30)) {
+            CampaignProgress::Failed { message } => {
+                assert!(message.contains(expected), "{message}")
+            }
+            other => panic!("the campaign did not fail: {other:?}"),
+        }
+        let failed = handle.events().into_iter().find_map(|event| match event {
+            CampaignEvent::Failed { message } => Some(message),
+            _ => None,
+        });
+        assert!(failed.is_some_and(|message| message.contains(expected)));
+        let panic = catch_unwind(AssertUnwindSafe(|| handle.wait()))
+            .expect_err("waiting on a failed campaign panics");
+        let message = panic_message(panic.as_ref());
+        assert!(
+            message.contains("failed") && message.contains(expected),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_panic_in_the_prologue_fails_the_campaign() {
+        let service = CampaignService::new(1);
+        let held = hold_pool(&service);
+        let config = FuzzerConfig::mufuzz(500).with_workers(1);
+        let handle = service
+            .submit(compile_source(CROWDSALE).unwrap(), config)
+            .unwrap();
+        poison(&handle.job.shared.state);
+        drop(held);
+        assert_failed_with(handle, "campaign state poisoned");
+    }
+
+    #[test]
+    fn a_panicking_lane_stops_the_other_lanes() {
+        let service = CampaignService::new(2);
+        let held = hold_pool(&service);
+        // A budget the healthy lane would take minutes to spend.
+        let config = FuzzerConfig::mufuzz(100_000_000).with_workers(2);
+        let handle = service
+            .submit(compile_source(CROWDSALE).unwrap(), config)
+            .unwrap();
+        poison(&handle.job.lanes[1]);
+        drop(held);
+        let job = Arc::clone(&handle.job);
+        assert_failed_with(handle, "campaign lane poisoned");
+        assert!(job.shared.executions() < 100_000_000);
     }
 }

@@ -253,9 +253,12 @@ impl ExecFrame {
         *self.slot(depth) = scratch;
     }
 
-    /// An empty trace for a new transaction: a recycled one, or a fresh one
-    /// pre-reserved from the high-water mark of earlier executions.
-    fn issue_trace(&mut self) -> ExecutionTrace {
+    /// An empty trace: a recycled one, or a fresh one pre-reserved from the
+    /// high-water mark of earlier executions. The interpreter takes one per
+    /// transaction; a caller that fills a trace itself (say, by copying a
+    /// recorded one with `clone_from`) takes it here and hands it back
+    /// through [`ExecFrame::recycle_trace`] like any other.
+    pub fn take_trace(&mut self) -> ExecutionTrace {
         self.traces.pop().unwrap_or_else(|| {
             let mut trace = ExecutionTrace::new();
             trace.branches.reserve(self.branch_hint);
@@ -395,7 +398,7 @@ impl<'w> Evm<'w> {
         // Undo point for the whole transaction: every world write below is
         // journaled and rolled back unless the outermost frame succeeds.
         let checkpoint = self.world.checkpoint();
-        let mut trace = scratch.issue_trace();
+        let mut trace = scratch.take_trace();
         trace.entered_selector = msg.selector();
 
         // Fresh per-transaction access sets (EIP-2929): the sender and the

@@ -12,7 +12,10 @@
 //! account copies it from the base into the overlay. The harness
 //! [freezes](WorldState::freeze) the post-constructor world once, so every
 //! sequence execution starts from an O(1) [`WorldState::snapshot`] of it:
-//! one `Arc` clone and an empty overlay.
+//! one `Arc` clone and an empty overlay. The fuzzer freezes the world after
+//! each transaction of a seed the same way, so an execution that shares the
+//! seed's leading transactions starts from an O(1) snapshot of the world
+//! they left.
 //!
 //! **Per-transaction revert: an undo journal.** [`WorldState::checkpoint`]
 //! opens an undo point. While one is open, every write through the
@@ -29,7 +32,6 @@
 //! [`WorldState::account_mut`] are not logged, so code that runs under a
 //! checkpoint uses the setters; the set-up calls
 //! ([`put_account`](WorldState::put_account),
-//! [`remove_account`](WorldState::remove_account),
 //! [`freeze`](WorldState::freeze)) refuse to run under one.
 //!
 //! Storage is one map per account from slot to `(value, taint)`, so an
@@ -42,7 +44,7 @@ use crate::trace::Taint;
 use crate::types::Address;
 use crate::u256::U256;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
 /// Host-implemented behaviour for accounts that are not plain bytecode
@@ -117,11 +119,10 @@ impl Account {
 /// One entry of the undo journal: what a journaled write overwrote.
 #[derive(Clone, Debug)]
 enum Change {
-    /// The account entered the overlay: copied from the base, created
-    /// empty, or re-created after [`WorldState::remove_account`].
+    /// The account entered the overlay: copied from the base or created
+    /// empty.
     Entered {
         address: Address,
-        was_erased: bool,
     },
     /// A storage entry (`None`: the slot was absent).
     Storage {
@@ -167,9 +168,6 @@ pub struct WorldState {
     base: Arc<FxHashMap<Address, Account>>,
     /// Accounts created or modified since the freeze; shadows `base`.
     overlay: FxHashMap<Address, Account>,
-    /// Accounts removed since the freeze; shadows both maps. Empty in
-    /// ordinary execution (nothing on the EVM path deletes accounts).
-    erased: BTreeSet<Address>,
     /// Undo log of the writes made since the outermost open checkpoint.
     journal: Vec<Change>,
     /// Number of open checkpoints; writes are logged only while it is
@@ -187,37 +185,14 @@ impl WorldState {
     /// checkpoint.
     pub fn put_account(&mut self, address: Address, account: Account) {
         self.assert_no_checkpoint("put_account");
-        self.erased.remove(&address);
         self.overlay.insert(address, account);
-    }
-
-    /// Remove an account entirely, returning it if present. A set-up call:
-    /// panics under an open checkpoint.
-    pub fn remove_account(&mut self, address: Address) -> Option<Account> {
-        self.assert_no_checkpoint("remove_account");
-        let was_erased = self.erased.contains(&address);
-        let from_overlay = self.overlay.remove(&address);
-        if self.base.contains_key(&address) {
-            self.erased.insert(address);
-        }
-        from_overlay.or_else(|| {
-            if was_erased {
-                None
-            } else {
-                self.base.get(&address).cloned()
-            }
-        })
     }
 
     /// Immutable access to an account.
     pub fn account(&self, address: Address) -> Option<&Account> {
-        if let Some(account) = self.overlay.get(&address) {
-            return Some(account);
-        }
-        if self.erased.contains(&address) {
-            return None;
-        }
-        self.base.get(&address)
+        self.overlay
+            .get(&address)
+            .or_else(|| self.base.get(&address))
     }
 
     /// Mutable access, creating an empty account on demand. The first write
@@ -230,17 +205,9 @@ impl WorldState {
         match self.overlay.entry(address) {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
-                let was_erased = self.erased.remove(&address);
-                let seed = if was_erased {
-                    Account::default()
-                } else {
-                    self.base.get(&address).cloned().unwrap_or_default()
-                };
+                let seed = self.base.get(&address).cloned().unwrap_or_default();
                 if self.open > 0 {
-                    self.journal.push(Change::Entered {
-                        address,
-                        was_erased,
-                    });
+                    self.journal.push(Change::Entered { address });
                 }
                 entry.insert(seed)
             }
@@ -380,14 +347,8 @@ impl WorldState {
 
     fn undo(&mut self, change: Change) {
         match change {
-            Change::Entered {
-                address,
-                was_erased,
-            } => {
+            Change::Entered { address } => {
                 self.overlay.remove(&address);
-                if was_erased {
-                    self.erased.insert(address);
-                }
             }
             Change::Storage {
                 address,
@@ -430,7 +391,7 @@ impl WorldState {
         self.overlay.iter().chain(
             self.base
                 .iter()
-                .filter(|(a, _)| !self.overlay.contains_key(a) && !self.erased.contains(a)),
+                .filter(|(a, _)| !self.overlay.contains_key(a)),
         )
     }
 
@@ -440,7 +401,7 @@ impl WorldState {
             + self
                 .base
                 .keys()
-                .filter(|a| !self.overlay.contains_key(a) && !self.erased.contains(a))
+                .filter(|a| !self.overlay.contains_key(a))
                 .count()
     }
 
@@ -462,17 +423,19 @@ impl WorldState {
     /// snapshots, making [`WorldState::snapshot`] on the frozen state O(1).
     /// The harness calls this once on the post-constructor world so each
     /// sequence execution restarts from the constructor snapshot without
-    /// copying (or re-executing) anything. A set-up call: panics under an
-    /// open checkpoint.
+    /// copying (or re-executing) anything. A world with an empty overlay
+    /// already is its base, so freezing it copies nothing and keeps sharing
+    /// that base. A set-up call: panics under an open checkpoint.
     pub fn freeze(&mut self) {
         self.assert_no_checkpoint("freeze");
-        let mut merged = (*self.base).clone();
-        for address in std::mem::take(&mut self.erased) {
-            merged.remove(&address);
-        }
         // Take the overlay rather than draining it: a drained map keeps its
         // table, and every snapshot would copy that empty table again.
-        merged.extend(std::mem::take(&mut self.overlay));
+        let overlay = std::mem::take(&mut self.overlay);
+        if overlay.is_empty() {
+            return;
+        }
+        let mut merged = (*self.base).clone();
+        merged.extend(overlay);
         self.base = Arc::new(merged);
     }
 }
@@ -594,19 +557,20 @@ mod tests {
     }
 
     #[test]
-    fn remove_account_shadows_the_frozen_base() {
+    fn freezing_an_unchanged_world_shares_its_base() {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u64(5)));
         world.freeze();
-        let removed = world.remove_account(addr(1));
-        assert_eq!(removed.unwrap().balance, U256::from_u64(5));
-        assert!(world.account(addr(1)).is_none());
-        assert_eq!(world.len(), 0);
-        assert!(world.is_empty());
-        assert!(world.remove_account(addr(1)).is_none());
-        // Re-creating the account starts from scratch, not the frozen copy.
-        assert_eq!(world.account_mut(addr(1)).balance, U256::ZERO);
-        assert_eq!(world.len(), 1);
+        let before = world.snapshot();
+        // A reverted write leaves the overlay empty, so there is nothing to
+        // merge and the frozen base stays shared.
+        let cp = world.checkpoint();
+        world.set_balance(addr(1), U256::from_u64(6));
+        world.revert_to(cp);
+        world.freeze();
+        assert!(Arc::ptr_eq(&world.base, &before.base));
+        assert_eq!(world.overlay.capacity(), 0);
+        assert_eq!(world, before);
     }
 
     #[test]
@@ -705,17 +669,15 @@ mod tests {
         world.put_account(addr(1), Account::eoa(U256::ONE));
     }
 
-    /// Frozen accounts (one with a tainted zero slot), an erased frozen
-    /// account (3), an overlay-only account (4) and absent ones (5, 6).
+    /// Frozen accounts (one with a tainted zero slot), an overlay-only
+    /// account (4) and absent ones (3, 5, 6).
     fn seeded_world() -> WorldState {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u64(100)));
         world.put_account(addr(2), Account::contract(vec![0x00], U256::from_u64(50)));
         world.set_storage(addr(2), U256::ONE, U256::from_u64(7), Taint::BLOCK);
         world.set_storage(addr(2), U256::from_u64(2), U256::ZERO, Taint::CALLER);
-        world.put_account(addr(3), Account::eoa(U256::from_u64(10)));
         world.freeze();
-        world.remove_account(addr(3));
         world.put_account(addr(4), Account::eoa(U256::from_u64(20)));
         world
     }

@@ -405,7 +405,10 @@ pub struct ConformanceEvent {
 /// `PartialEq` compares every recorded event — the tier differential suite
 /// relies on it to assert that the block tier traces bit-identically to the
 /// pre-decoded reference.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// `Clone::clone_from` is field-wise and reuses the target's vectors, so a
+/// recorded trace can be copied into a pooled one without allocating.
+#[derive(Debug, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// Number of executed instructions across all frames. A plain counter:
     /// nothing downstream replays the instruction stream, so the interpreter
@@ -441,6 +444,46 @@ pub struct ExecutionTrace {
     /// surface that were executed (each one is an exceptional halt of its
     /// frame).
     pub conformance: Vec<ConformanceEvent>,
+}
+
+impl Clone for ExecutionTrace {
+    fn clone(&self) -> ExecutionTrace {
+        let mut trace = ExecutionTrace::new();
+        trace.clone_from(self);
+        trace
+    }
+
+    fn clone_from(&mut self, source: &ExecutionTrace) {
+        // Destructured so that a new field cannot be left uncopied.
+        let ExecutionTrace {
+            instr_count,
+            ops_seen,
+            branches,
+            arith_events,
+            calls,
+            self_destructs,
+            storage_writes,
+            entered_selector,
+            max_depth,
+            reentered,
+            gas_used,
+            halt,
+            conformance,
+        } = self;
+        *instr_count = source.instr_count;
+        *ops_seen = source.ops_seen;
+        branches.clone_from(&source.branches);
+        arith_events.clone_from(&source.arith_events);
+        calls.clone_from(&source.calls);
+        self_destructs.clone_from(&source.self_destructs);
+        storage_writes.clone_from(&source.storage_writes);
+        *entered_selector = source.entered_selector;
+        *max_depth = source.max_depth;
+        *reentered = source.reentered;
+        *gas_used = source.gas_used;
+        halt.clone_from(&source.halt);
+        conformance.clone_from(&source.conformance);
+    }
 }
 
 impl ExecutionTrace {
@@ -612,6 +655,43 @@ mod tests {
             edges,
             vec![edge(4, false), edge(4, true), edge(9, false), edge(9, true)]
         );
+    }
+
+    #[test]
+    fn clone_from_copies_every_field_into_the_target_buffers() {
+        let mut source = ExecutionTrace::new();
+        source.record_instr(Opcode::Add);
+        source.record_instr(Opcode::SStore);
+        source.branches.push(BranchRecord {
+            pc: 10,
+            dest: 40,
+            taken: true,
+            cond_taint: Taint::CALLER,
+            comparison: None,
+            depth: 1,
+            code_address: Address::from_low_u64(1),
+        });
+        source.conformance.push(ConformanceEvent {
+            pc: 3,
+            byte: 0xfe,
+            depth: 0,
+        });
+        source.entered_selector = Some([1, 2, 3, 4]);
+        source.max_depth = 2;
+        source.reentered = true;
+        source.gas_used = 21_000;
+        source.halt = HaltReason::Fault("stack underflow".into());
+        let mut target = ExecutionTrace::new();
+        target.branches.reserve(8);
+        let buffer = target.branches.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!(
+            target.branches.as_ptr(),
+            buffer,
+            "the target's vector is reused"
+        );
+        assert_eq!(source.clone(), source);
     }
 
     #[test]

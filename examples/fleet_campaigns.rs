@@ -65,6 +65,9 @@ fn main() {
                         println!("[{}] paused at {executions}", handle.contract());
                     }
                     CampaignEvent::Completed => println!("[{}] done", handle.contract()),
+                    CampaignEvent::Failed { message } => {
+                        println!("[{}] failed: {message}", handle.contract());
+                    }
                 }
             }
             if matches!(handle.poll(), CampaignProgress::Running { .. }) {
