@@ -13,9 +13,20 @@
 //!
 //! Jump targets are recovered with a peephole over the `PUSH`/`JUMP(I)`
 //! pattern the `mufuzz-lang` compiler emits.
+//!
+//! [`ControlFlowGraph::build`] makes passes linear in the code, apart from
+//! a binary search per static jump target and per successor edge, and
+//! allocates nothing per instruction. It decodes the code once with the
+//! interpreter's decoder ([`DecodedProgram`]), marks block leaders in one
+//! pass over the instructions and cuts the blocks in a second. Blocks tile
+//! the code, so a fall-through successor is the next block. Nesting depths
+//! come from a 0-1 breadth-first search over block indices. Reachability
+//! gives every block one bitset over the contract's vulnerable instructions
+//! and repeats a pass that unions each successor's set into its
+//! predecessor's until the pass changes nothing.
 
-use mufuzz_evm::{disassemble, Instruction, Opcode, U256};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use mufuzz_evm::{DecodedInstr, DecodedProgram, Opcode};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A basic block of the CFG.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,23 +35,10 @@ pub struct BasicBlock {
     pub start: usize,
     /// Program counter one past the last instruction.
     pub end: usize,
-    /// Instructions in the block.
-    pub instructions: Vec<Instruction>,
     /// Successor block start pcs.
     pub successors: Vec<usize>,
     /// Whether the block ends in a conditional branch.
     pub is_branch: bool,
-}
-
-impl BasicBlock {
-    /// Program counters of vulnerable instructions inside the block.
-    pub fn vulnerable_pcs(&self) -> Vec<usize> {
-        self.instructions
-            .iter()
-            .filter(|i| i.opcode.is_vulnerable_instruction())
-            .map(|i| i.pc)
-            .collect()
-    }
 }
 
 /// A conditional branch site in the code.
@@ -78,222 +76,146 @@ pub struct ControlFlowGraph {
     pub vulnerable_pcs: BTreeSet<usize>,
 }
 
+/// The statically known target of the jump at `instrs[i]`: the value the
+/// instruction right before it pushes. `None` for a jump with no push before
+/// it, a target too wide for a pc, or an instruction that is not a jump.
+fn static_target(instrs: &[DecodedInstr], i: usize) -> Option<usize> {
+    if !matches!(instrs[i].op, Opcode::Jump | Opcode::JumpI) {
+        return None;
+    }
+    let push = &instrs[i.checked_sub(1)?];
+    match push.op {
+        Opcode::Push(_) => push.imm.to_usize(),
+        _ => None,
+    }
+}
+
+/// Successor block indices in compressed-row form: block `b`'s successors
+/// are `to[from[b]..from[b + 1]]`.
+struct Edges {
+    from: Vec<usize>,
+    to: Vec<usize>,
+}
+
+impl Edges {
+    fn of(&self, block: usize) -> &[usize] {
+        &self.to[self.from[block]..self.from[block + 1]]
+    }
+}
+
 impl ControlFlowGraph {
     /// Build the CFG for a code blob.
     pub fn build(code: &[u8]) -> ControlFlowGraph {
-        let instructions = disassemble(code);
-        if instructions.is_empty() {
+        let program = DecodedProgram::decode(code);
+        let instrs = program.instructions();
+        if instrs.is_empty() {
             return ControlFlowGraph::default();
         }
 
-        // Block leaders: first instruction, jump targets, instruction after a
-        // terminator.
-        let mut leaders: BTreeSet<usize> = BTreeSet::new();
-        leaders.insert(instructions[0].pc);
-        let mut static_targets: HashMap<usize, usize> = HashMap::new();
-        for (idx, instr) in instructions.iter().enumerate() {
-            match instr.opcode {
-                Opcode::Jump | Opcode::JumpI => {
-                    // Peephole: the compiler always pushes the target right
-                    // before the jump.
-                    if idx > 0 {
-                        if let Opcode::Push(_) = instructions[idx - 1].opcode {
-                            let target = U256::from_be_slice(&instructions[idx - 1].immediate);
-                            if let Some(t) = target.to_usize() {
-                                static_targets.insert(instr.pc, t);
-                                leaders.insert(t);
-                            }
-                        }
-                    }
-                    if let Some(next) = instructions.get(idx + 1) {
-                        leaders.insert(next.pc);
-                    }
+        // Block leaders, by instruction index: the first instruction, static
+        // jump targets, jump destinations and the instruction after a jump or
+        // a terminator. A target inside push data or past the end of the
+        // code is no instruction's pc and marks nothing.
+        let mut leader = vec![false; instrs.len() + 1];
+        leader[0] = true;
+        for (i, instr) in instrs.iter().enumerate() {
+            if instr.op.is_terminator() {
+                leader[i + 1] = true;
+            }
+            if instr.op == Opcode::JumpDest {
+                leader[i] = true;
+            }
+            if let Some(target) = static_target(instrs, i) {
+                if let Ok(t) = instrs.binary_search_by_key(&target, |x| x.pc as usize) {
+                    leader[t] = true;
                 }
-                op if op.is_terminator() => {
-                    if let Some(next) = instructions.get(idx + 1) {
-                        leaders.insert(next.pc);
-                    }
-                }
-                Opcode::JumpDest => {
-                    leaders.insert(instr.pc);
-                }
-                _ => {}
             }
         }
 
-        // Partition instructions into blocks.
-        let mut blocks: BTreeMap<usize, BasicBlock> = BTreeMap::new();
-        let mut current: Vec<Instruction> = Vec::new();
-        let mut current_start = instructions[0].pc;
-        let flush = |blocks: &mut BTreeMap<usize, BasicBlock>,
-                     start: usize,
-                     instrs: &mut Vec<Instruction>| {
-            if instrs.is_empty() {
-                return;
-            }
-            let last = instrs.last().unwrap();
-            let end = last.pc + 1 + last.opcode.immediate_size();
-            blocks.insert(
-                start,
-                BasicBlock {
-                    start,
-                    end,
-                    instructions: std::mem::take(instrs),
-                    successors: Vec::new(),
-                    is_branch: false,
-                },
-            );
+        // Cut the blocks: `firsts[b]` is block `b`'s first instruction, and
+        // the last entry closes the final block.
+        let mut firsts: Vec<usize> = (0..instrs.len()).filter(|&i| leader[i]).collect();
+        firsts.push(instrs.len());
+        let block_count = firsts.len() - 1;
+        let starts: Vec<usize> = firsts[..block_count]
+            .iter()
+            .map(|&i| instrs[i].pc as usize)
+            .collect();
+
+        let mut blocks = Vec::with_capacity(block_count);
+        let mut edges = Edges {
+            from: Vec::with_capacity(block_count + 1),
+            to: Vec::with_capacity(2 * block_count),
         };
-        for instr in &instructions {
-            if leaders.contains(&instr.pc) && !current.is_empty() {
-                flush(&mut blocks, current_start, &mut current);
-                current_start = instr.pc;
-            }
-            if current.is_empty() {
-                current_start = instr.pc;
-            }
-            current.push(instr.clone());
-        }
-        flush(&mut blocks, current_start, &mut current);
-
-        // Successor edges.
-        let block_starts: Vec<usize> = blocks.keys().copied().collect();
-        let next_block_start = |end: usize| block_starts.iter().copied().find(|&s| s >= end);
-        let mut updates: Vec<(usize, Vec<usize>, bool)> = Vec::new();
-        for (start, block) in &blocks {
-            let last = block.instructions.last().unwrap();
-            let mut successors = Vec::new();
-            let mut is_branch = false;
-            match last.opcode {
-                Opcode::Jump => {
-                    if let Some(&t) = static_targets.get(&last.pc) {
-                        successors.push(t);
-                    }
-                }
+        for b in 0..block_count {
+            let last_index = firsts[b + 1] - 1;
+            let last = &instrs[last_index];
+            let next = starts.get(b + 1).copied();
+            let mut successors = Vec::with_capacity(2);
+            match last.op {
+                Opcode::Jump => successors.extend(static_target(instrs, last_index)),
                 Opcode::JumpI => {
-                    is_branch = true;
-                    if let Some(&t) = static_targets.get(&last.pc) {
-                        successors.push(t);
-                    }
-                    if let Some(next) = next_block_start(block.end) {
-                        successors.push(next);
-                    }
+                    successors.extend(static_target(instrs, last_index));
+                    successors.extend(next);
                 }
                 Opcode::Stop
                 | Opcode::Return
                 | Opcode::Revert
                 | Opcode::Invalid
                 | Opcode::SelfDestruct => {}
-                _ => {
-                    if let Some(next) = next_block_start(block.end) {
-                        successors.push(next);
-                    }
-                }
+                _ => successors.extend(next),
             }
-            updates.push((*start, successors, is_branch));
-        }
-        for (start, successors, is_branch) in updates {
-            if let Some(block) = blocks.get_mut(&start) {
-                block.successors = successors;
-                block.is_branch = is_branch;
-            }
-        }
-
-        let vulnerable_pcs: BTreeSet<usize> = instructions
-            .iter()
-            .filter(|i| i.opcode.is_vulnerable_instruction())
-            .map(|i| i.pc)
-            .collect();
-
-        let mut cfg = ControlFlowGraph {
-            blocks,
-            branches: BTreeMap::new(),
-            vulnerable_pcs,
-        };
-        cfg.compute_branches(&static_targets);
-        cfg
-    }
-
-    fn compute_branches(&mut self, static_targets: &HashMap<usize, usize>) {
-        // Nesting depth: BFS from the entry block counting how many branch
-        // blocks precede each block on the shortest path.
-        let entry = match self.blocks.keys().next() {
-            Some(&e) => e,
-            None => return,
-        };
-        let mut depth: HashMap<usize, usize> = HashMap::new();
-        let mut queue = VecDeque::new();
-        depth.insert(entry, 0);
-        queue.push_back(entry);
-        while let Some(b) = queue.pop_front() {
-            let (succs, is_branch) = match self.blocks.get(&b) {
-                Some(block) => (block.successors.clone(), block.is_branch),
-                None => continue,
-            };
-            let next_depth = depth[&b] + usize::from(is_branch);
-            for s in succs {
-                if !depth.contains_key(&s) || depth[&s] > next_depth {
-                    depth.insert(s, next_depth);
-                    queue.push_back(s);
-                }
-            }
-        }
-
-        // Vulnerable-instruction reachability: reverse propagation over the
-        // block graph until a fixed point.
-        let mut reach: HashMap<usize, BTreeSet<usize>> = self
-            .blocks
-            .iter()
-            .map(|(start, b)| (*start, b.vulnerable_pcs().into_iter().collect()))
-            .collect();
-        loop {
-            let mut changed = false;
-            let starts: Vec<usize> = self.blocks.keys().copied().collect();
-            for &start in &starts {
-                let succ_union: BTreeSet<usize> = self.blocks[&start]
-                    .successors
+            edges.from.push(edges.to.len());
+            edges.to.extend(
+                successors
                     .iter()
-                    .filter_map(|s| reach.get(s))
-                    .flatten()
-                    .copied()
-                    .collect();
-                let entry = reach.entry(start).or_default();
-                let before = entry.len();
-                entry.extend(succ_union);
-                if entry.len() != before {
-                    changed = true;
+                    .filter_map(|pc| starts.binary_search(pc).ok()),
+            );
+            blocks.push(BasicBlock {
+                start: starts[b],
+                end: last.pc as usize + 1 + last.op.immediate_size(),
+                successors,
+                is_branch: last.op == Opcode::JumpI,
+            });
+        }
+        edges.from.push(edges.to.len());
+
+        let depth = nesting_depths(&blocks, &edges);
+        let vulnerable: Vec<usize> = instrs
+            .iter()
+            .filter(|i| i.op.is_vulnerable_instruction())
+            .map(|i| i.pc as usize)
+            .collect();
+        let words = vulnerable.len().div_ceil(64);
+        let reach = reachable_vulnerable(instrs, &firsts, &edges, words);
+
+        let mut branches = BTreeMap::new();
+        let mut union = vec![0u64; words];
+        for (b, block) in blocks.iter().enumerate().filter(|(_, b)| b.is_branch) {
+            union.fill(0);
+            for &s in edges.of(b) {
+                for (u, r) in union.iter_mut().zip(&reach[s * words..(s + 1) * words]) {
+                    *u |= r;
                 }
             }
-            if !changed {
-                break;
-            }
-        }
-
-        for (start, block) in &self.blocks {
-            if !block.is_branch {
-                continue;
-            }
-            let jumpi = block.instructions.last().unwrap();
-            let block_depth = depth.get(start).copied().unwrap_or(0);
-            let taken_target = static_targets.get(&jumpi.pc).copied();
-            let fallthrough = block.end;
-            let reachable: BTreeSet<usize> = block
-                .successors
-                .iter()
-                .filter_map(|s| reach.get(s))
-                .flatten()
-                .copied()
-                .collect();
-            self.branches.insert(
-                jumpi.pc,
+            let jumpi = firsts[b + 1] - 1;
+            let pc = instrs[jumpi].pc as usize;
+            branches.insert(
+                pc,
                 BranchSite {
-                    pc: jumpi.pc,
-                    taken_target,
-                    fallthrough,
-                    nesting_depth: block_depth + 1,
-                    reachable_vulnerable: reachable,
+                    pc,
+                    taken_target: static_target(instrs, jumpi),
+                    fallthrough: block.end,
+                    nesting_depth: depth[b] + 1,
+                    reachable_vulnerable: set_bits(&union).map(|k| vulnerable[k]).collect(),
                 },
             );
+        }
+
+        ControlFlowGraph {
+            blocks: blocks.into_iter().map(|b| (b.start, b)).collect(),
+            branches,
+            vulnerable_pcs: vulnerable.into_iter().collect(),
         }
     }
 
@@ -324,6 +246,91 @@ impl ControlFlowGraph {
             .values()
             .filter(|b| !b.reachable_vulnerable.is_empty())
     }
+}
+
+/// Each block's depth: the fewest branch blocks on a path from the entry
+/// block to it, 0 for a block the entry does not reach. A 0-1 breadth-first
+/// search, since leaving a branch block costs one and leaving any other
+/// block costs nothing.
+fn nesting_depths(blocks: &[BasicBlock], edges: &Edges) -> Vec<usize> {
+    let mut depth = vec![usize::MAX; blocks.len()];
+    let mut queue = VecDeque::from([0]);
+    depth[0] = 0;
+    while let Some(b) = queue.pop_front() {
+        let cost = usize::from(blocks[b].is_branch);
+        let next = depth[b] + cost;
+        for &s in edges.of(b) {
+            if next < depth[s] {
+                depth[s] = next;
+                if cost == 0 {
+                    queue.push_front(s);
+                } else {
+                    queue.push_back(s);
+                }
+            }
+        }
+    }
+    for d in &mut depth {
+        if *d == usize::MAX {
+            *d = 0;
+        }
+    }
+    depth
+}
+
+/// Per block, `words` bits over the code's vulnerable instructions (bit `k`
+/// for the `k`-th in code order): those in the block or in any block it
+/// reaches. Starts from each block's own instructions and unions every
+/// successor's set into its predecessor's, last block first, until a pass
+/// changes nothing: the least fixed point, which is unique.
+fn reachable_vulnerable(
+    instrs: &[DecodedInstr],
+    firsts: &[usize],
+    edges: &Edges,
+    words: usize,
+) -> Vec<u64> {
+    let block_count = firsts.len() - 1;
+    let mut reach = vec![0u64; block_count * words];
+    if words == 0 {
+        return reach;
+    }
+    let mut k = 0;
+    for b in 0..block_count {
+        for instr in &instrs[firsts[b]..firsts[b + 1]] {
+            if instr.op.is_vulnerable_instruction() {
+                reach[b * words + k / 64] |= 1 << (k % 64);
+                k += 1;
+            }
+        }
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in (0..block_count).rev() {
+            for &s in edges.of(b) {
+                for w in 0..words {
+                    let merged = reach[b * words + w] | reach[s * words + w];
+                    if merged != reach[b * words + w] {
+                        reach[b * words + w] = merged;
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+    reach
+}
+
+/// Indices of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(w * 64 + bit)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -359,19 +366,20 @@ mod tests {
     }
 
     #[test]
-    fn builds_blocks_covering_all_code() {
+    fn blocks_tile_the_code_from_zero() {
         let compiled = compile_source(NESTED).unwrap();
         let cfg = ControlFlowGraph::build(&compiled.runtime);
         assert!(!cfg.blocks.is_empty());
-        // Every instruction belongs to exactly one block.
-        let total_instrs: usize = cfg.blocks.values().map(|b| b.instructions.len()).sum();
-        assert_eq!(total_instrs, compiled.instruction_count());
-        // Blocks do not overlap.
-        let mut prev_end = 0;
-        for (start, block) in &cfg.blocks {
-            assert!(*start >= prev_end);
-            prev_end = block.end;
+        // Each block starts where the previous one ended, the first at pc 0,
+        // and the last ends at the end of the code.
+        let mut next = 0;
+        for (&start, block) in &cfg.blocks {
+            assert_eq!(start, block.start);
+            assert_eq!(block.start, next);
+            assert!(block.end > block.start);
+            next = block.end;
         }
+        assert_eq!(next, compiled.runtime.len());
     }
 
     #[test]

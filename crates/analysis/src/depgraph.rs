@@ -5,9 +5,16 @@
 //! graph gives the base transaction sequence (writers before readers); the
 //! sequence-aware *mutation* then duplicates the functions that carry a RAW
 //! dependency feeding a branch condition (paper §IV-A).
+//!
+//! Functions are identified by name: two declarations with one name are one
+//! node of the relation. Ordering numbers the names once and gives each its
+//! predecessor names' numbers, so a round of the selection counts remaining
+//! predecessors without comparing strings. [`plan_sequence`] derives those
+//! numbers straight from the data-flow facts and never builds the
+//! string-keyed [`DependencyGraph`].
 
-use crate::dataflow::DataFlowInfo;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::dataflow::{DataFlowInfo, FunctionAccess};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The write-before-read dependency graph between functions.
 #[derive(Clone, Debug, Default)]
@@ -26,10 +33,7 @@ impl DependencyGraph {
         let mut edges: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
         for writer in &info.functions {
             for reader in &info.functions {
-                if writer.name == reader.name {
-                    continue;
-                }
-                for var in writer.writes.intersection(&reader.reads) {
+                for var in shared_vars(writer, reader) {
                     edges
                         .entry((writer.name.clone(), reader.name.clone()))
                         .or_default()
@@ -62,32 +66,87 @@ impl DependencyGraph {
     /// read/write) are broken by falling back to declaration order, which
     /// keeps the ordering deterministic.
     pub fn topological_order(&self) -> Vec<String> {
-        let mut order = Vec::new();
-        let mut remaining: Vec<&str> = self.nodes.iter().map(|s| s.as_str()).collect();
-        while !remaining.is_empty() {
-            // Pick the remaining node with the fewest unprocessed predecessors
-            // (declaration order breaks ties, which also resolves cycles).
-            let pick_idx = {
-                let mut best = 0usize;
-                let mut best_deg = usize::MAX;
-                for (i, node) in remaining.iter().enumerate() {
-                    let deg = self
-                        .predecessors(node)
-                        .iter()
-                        .filter(|p| remaining.contains(*p))
-                        .count();
-                    if deg < best_deg {
-                        best_deg = deg;
-                        best = i;
-                    }
-                }
-                best
-            };
-            let node = remaining.remove(pick_idx);
-            order.push(node.to_string());
+        let names = NameIds::new(self.nodes.iter().map(String::as_str));
+        let mut preds = vec![Vec::new(); self.nodes.len()];
+        // An edge naming a function that is no node never counts.
+        for (writer, reader) in self.edges.keys() {
+            if let (Some(w), Some(r)) = (names.of(writer), names.of(reader)) {
+                preds[r].push(w);
+            }
         }
-        order
+        dependency_order(&names.ids, &preds)
+            .into_iter()
+            .map(|node| self.nodes[node].clone())
+            .collect()
     }
+}
+
+/// The state variables `writer` writes and `reader` reads: the labels of the
+/// edge `writer -> reader`, none when the two share a name.
+fn shared_vars<'a>(
+    writer: &'a FunctionAccess,
+    reader: &'a FunctionAccess,
+) -> impl Iterator<Item = &'a String> {
+    (writer.name != reader.name)
+        .then(|| writer.writes.intersection(&reader.reads))
+        .into_iter()
+        .flatten()
+}
+
+/// Function names numbered by first declaration: `ids[i]` is the index of
+/// the first node named like node `i`.
+struct NameIds<'a> {
+    ids: Vec<usize>,
+    first: HashMap<&'a str, usize>,
+}
+
+impl<'a> NameIds<'a> {
+    fn new(names: impl Iterator<Item = &'a str>) -> NameIds<'a> {
+        let mut first = HashMap::new();
+        let ids = names
+            .enumerate()
+            .map(|(i, name)| *first.entry(name).or_insert(i))
+            .collect();
+        NameIds { ids, first }
+    }
+
+    /// The number of `name`, if a node carries it.
+    fn of(&self, name: &str) -> Option<usize> {
+        self.first.get(name).copied()
+    }
+}
+
+/// Order the nodes writers first. `ids[i]` numbers node `i`'s name and
+/// `preds[id]` lists the numbers of the names with an edge into name `id`,
+/// each once. Each round places the unplaced node with the fewest
+/// predecessor names that an unplaced node still carries, the earliest
+/// declared on ties (which also breaks cycles).
+fn dependency_order(ids: &[usize], preds: &[Vec<usize>]) -> Vec<usize> {
+    let mut unplaced_named = vec![0usize; ids.len()];
+    for &id in ids {
+        unplaced_named[id] += 1;
+    }
+    let mut placed = vec![false; ids.len()];
+    let mut order = Vec::with_capacity(ids.len());
+    for _ in 0..ids.len() {
+        let mut best = None;
+        let mut best_deg = usize::MAX;
+        for node in (0..ids.len()).filter(|&node| !placed[node]) {
+            let deg = preds[ids[node]]
+                .iter()
+                .filter(|&&p| unplaced_named[p] > 0)
+                .count();
+            if deg < best_deg {
+                best_deg = deg;
+                best = Some(node);
+            }
+        }
+        let node = best.expect("an unplaced node remains every round");
+        placed[node] = true;
+        unplaced_named[ids[node]] -= 1;
+        order.push(node);
+    }
+    order
 }
 
 /// The planned transaction sequence for a contract.
@@ -117,69 +176,63 @@ impl SequencePlan {
 
 /// Derive the sequence plan for a contract's data-flow facts.
 pub fn plan_sequence(info: &DataFlowInfo) -> SequencePlan {
-    let graph = DependencyGraph::from_dataflow(info);
-    // Functions that touch no state still get fuzzed, but they are appended at
-    // the end of the sequence (the paper ignores them for ordering purposes).
-    let mut stateful: Vec<String> = Vec::new();
-    let mut stateless: Vec<String> = Vec::new();
-    for name in graph.topological_order() {
-        let touches = info
-            .function(&name)
-            .map(|f| f.touches_state)
-            .unwrap_or(false);
-        if touches {
-            stateful.push(name);
-        } else {
-            stateless.push(name);
+    let functions = &info.functions;
+    let names = NameIds::new(functions.iter().map(|f| f.name.as_str()));
+    // A name's facts are those of its first declaration, as in
+    // `DataFlowInfo::function`.
+    let facts = |id: usize| &functions[id];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); functions.len()];
+    for (r, reader) in functions.iter().enumerate() {
+        for (w, writer) in functions.iter().enumerate() {
+            let (r, w) = (names.ids[r], names.ids[w]);
+            if shared_vars(writer, reader).next().is_some() && !preds[r].contains(&w) {
+                preds[r].push(w);
+            }
         }
     }
-    let mut base_order = stateful;
-    base_order.extend(stateless);
+    // Functions that touch no state still get fuzzed, but they are appended at
+    // the end of the sequence (the paper ignores them for ordering purposes).
+    let (stateful, stateless): (Vec<usize>, Vec<usize>) = dependency_order(&names.ids, &preds)
+        .into_iter()
+        .map(|node| names.ids[node])
+        .partition(|&id| facts(id).touches_state);
+    let mut base = stateful;
+    base.extend(stateless);
 
     let repeat_candidates = info.repeat_candidates();
 
     // Sequence mutation: duplicate each repeat candidate immediately before
     // the last function (after its own position) that reads a variable the
     // candidate writes.
-    let mut mutated_order = base_order.clone();
-    for candidate in &repeat_candidates {
-        let Some(cand_pos) = mutated_order.iter().position(|n| n == candidate) else {
+    let mut mutated = base.clone();
+    for candidate in repeat_candidates.iter().filter_map(|name| names.of(name)) {
+        let Some(cand_pos) = mutated.iter().position(|&id| id == candidate) else {
             continue;
         };
-        let cand_writes = info
-            .function(candidate)
-            .map(|f| f.writes.clone())
-            .unwrap_or_default();
-        let mut insert_at = None;
-        for (i, name) in mutated_order.iter().enumerate().skip(cand_pos + 1) {
-            if name == candidate {
-                continue;
-            }
-            let reads = info
-                .function(name)
-                .map(|f| f.reads.clone())
-                .unwrap_or_default();
-            if cand_writes.intersection(&reads).next().is_some() {
-                insert_at = Some(i);
-            }
-        }
+        let cand_writes = &facts(candidate).writes;
+        let after = cand_pos + 1;
+        let insert_at = mutated[after..]
+            .iter()
+            .rposition(|&id| id != candidate && !cand_writes.is_disjoint(&facts(id).reads))
+            .map(|i| after + i);
         match insert_at {
-            Some(i) => mutated_order.insert(i, candidate.clone()),
-            None => mutated_order.push(candidate.clone()),
+            Some(i) => mutated.insert(i, candidate),
+            None => mutated.push(candidate),
         }
     }
 
+    let to_names = |ids: Vec<usize>| ids.into_iter().map(|id| facts(id).name.clone()).collect();
     SequencePlan {
-        base_order,
+        base_order: to_names(base),
         repeat_candidates,
-        mutated_order,
+        mutated_order: to_names(mutated),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::analyze_contract;
+    use crate::dataflow::{analyze_contract, FunctionAccess};
     use mufuzz_lang::parse_contract_source;
 
     const CROWDSALE: &str = r#"
@@ -305,6 +358,59 @@ mod tests {
         );
         assert!(plan.repeat_candidates.is_empty());
         assert_eq!(plan.base_order, plan.mutated_order);
+    }
+
+    #[test]
+    fn a_repeated_name_takes_its_first_declarations_facts() {
+        let access = |name: &str, reads: &[&str], writes: &[&str]| FunctionAccess {
+            name: name.into(),
+            reads: reads.iter().map(|v| v.to_string()).collect(),
+            writes: writes.iter().map(|v| v.to_string()).collect(),
+            raw_vars: writes.iter().map(|v| v.to_string()).collect(),
+            touches_state: !reads.is_empty() || !writes.is_empty(),
+            ..Default::default()
+        };
+        let info = DataFlowInfo {
+            functions: vec![
+                access("f", &[], &[]),
+                access("g", &["a"], &[]),
+                access("f", &[], &["a"]),
+            ],
+            state_vars: BTreeSet::from(["a".into()]),
+            branch_read_vars: BTreeSet::from(["a".into()]),
+        };
+        // The second `f` writes `a` for `g`, so both `f`s come before `g`;
+        // but the first `f` touches no state, so the plan moves both last,
+        // and the repeated `f` writes nothing `g` reads, so it goes at the end.
+        assert_eq!(
+            DependencyGraph::from_dataflow(&info).topological_order(),
+            vec!["f", "f", "g"]
+        );
+        let plan = plan_sequence(&info);
+        assert_eq!(plan.base_order, vec!["g", "f", "f"]);
+        assert_eq!(plan.mutated_order, vec!["g", "f", "f", "f"]);
+    }
+
+    #[test]
+    fn edges_naming_no_node_do_not_count() {
+        let graph = DependencyGraph {
+            nodes: vec!["read".into(), "write".into()],
+            edges: BTreeMap::from([
+                (
+                    ("ghost".into(), "read".into()),
+                    BTreeSet::from(["x".into()]),
+                ),
+                (
+                    ("write".into(), "read".into()),
+                    BTreeSet::from(["y".into()]),
+                ),
+                (
+                    ("write".into(), "gone".into()),
+                    BTreeSet::from(["y".into()]),
+                ),
+            ]),
+        };
+        assert_eq!(graph.topological_order(), vec!["write", "read"]);
     }
 
     #[test]

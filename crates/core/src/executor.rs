@@ -38,10 +38,8 @@ impl fmt::Display for HarnessError {
 impl std::error::Error for HarnessError {}
 
 /// Upper bound applied to mutated `msg.value` fields so transactions do not
-/// trivially fail the balance check.
-fn value_cap() -> U256 {
-    ether(1_000)
-}
+/// trivially fail the balance check: 1,000 ether in wei.
+const VALUE_CAP: U256 = U256::from_u128(1_000 * 1_000_000_000_000_000_000);
 
 /// The outcome of executing one transaction sequence.
 #[derive(Clone, Debug, Default)]
@@ -354,9 +352,8 @@ impl ContractHarness {
         }
 
         let mut value = tx.value();
-        let cap = value_cap();
-        if value > cap {
-            value = value.div_rem(cap).1;
+        if value > VALUE_CAP {
+            value = value.div_rem(VALUE_CAP).1;
         }
 
         let mut evm = Evm::new(world, block).with_programs(&self.programs);
@@ -413,6 +410,11 @@ mod tests {
 
     fn harness() -> ContractHarness {
         ContractHarness::new(compile_source(CROWDSALE).unwrap(), &FuzzerConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn value_cap_is_a_thousand_ether() {
+        assert_eq!(VALUE_CAP, ether(1_000));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! mask at 32-byte word granularity, which matches the ABI encoding where one
 //! word is one argument.
 
-use mufuzz_evm::{disassemble, ether, finney, Opcode, U256};
+use mufuzz_evm::{ether, finney, instructions, Opcode, U256};
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::collections::HashSet;
 
 /// The four mutation operators of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -201,13 +202,15 @@ impl InterestingValues {
         }
     }
 
-    /// Defaults plus every PUSH constant harvested from the runtime bytecode.
+    /// Defaults plus every PUSH constant harvested from the runtime bytecode,
+    /// each once, in order of first occurrence.
     pub fn harvest(runtime_code: &[u8]) -> InterestingValues {
         let mut pool = Self::defaults();
-        for instr in disassemble(runtime_code) {
-            if let Opcode::Push(_) = instr.opcode {
-                let value = U256::from_be_slice(&instr.immediate);
-                if !pool.values.contains(&value) {
+        let mut seen: HashSet<U256> = pool.values.iter().copied().collect();
+        for (_, opcode, immediate) in instructions(runtime_code) {
+            if let Opcode::Push(_) = opcode {
+                let value = U256::from_be_slice(immediate);
+                if seen.insert(value) {
                     pool.values.push(value);
                 }
             }

@@ -7,7 +7,8 @@
 //!
 //! * [`U256`] — 256-bit arithmetic with explicit overflow reporting,
 //! * [`keccak256`] — Keccak-256 (function selectors, mapping slots, `SHA3`),
-//! * [`Opcode`] / [`disassemble`] — the instruction set and a disassembler,
+//! * [`Opcode`] / [`disassemble`] / [`instructions`] — the instruction set,
+//!   a disassembler and an allocation-free instruction walk,
 //! * [`WorldState`] / [`Account`] — accounts, balances and persistent storage,
 //!   with an undo journal for transaction rollback,
 //! * [`Evm`] — the interpreter, producing an [`ExecutionTrace`] per
@@ -53,7 +54,7 @@ pub use env::{BlockEnv, ExecutionResult, Message};
 pub use gas::{static_gas, AccessCheckpoint, AccessSets};
 pub use interpreter::{Evm, EvmConfig, ExecFrame};
 pub use keccak::{keccak256, selector};
-pub use opcode::{disassemble, Instruction, Opcode};
+pub use opcode::{disassemble, instructions, Instruction, Opcode};
 pub use program::{
     BlockInfo, BlockProgram, BlockUnit, DecodedInstr, DecodedProgram, Fused, ProgramCache,
 };

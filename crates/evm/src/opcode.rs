@@ -378,22 +378,38 @@ pub struct Instruction {
     pub immediate: Vec<u8>,
 }
 
+/// Walk bytecode without allocating: the pc, opcode and immediate bytes of
+/// each instruction, in code order. A push truncated by the end of the code
+/// yields the bytes present.
+///
+/// ```
+/// use mufuzz_evm::{instructions, Opcode};
+///
+/// // PUSH1 0x2a, then a PUSH2 cut short after one byte.
+/// let code = [0x60, 0x2a, 0x61, 0x01];
+/// let walked: Vec<_> = instructions(&code).collect();
+/// assert_eq!(walked[0], (0, Opcode::Push(1), &[0x2a][..]));
+/// assert_eq!(walked[1], (2, Opcode::Push(2), &[0x01][..]));
+/// ```
+pub fn instructions(code: &[u8]) -> impl Iterator<Item = (usize, Opcode, &[u8])> {
+    let mut pc = 0usize;
+    std::iter::from_fn(move || {
+        let opcode = Opcode::from_byte(*code.get(pc)?);
+        let start = pc;
+        pc += 1 + opcode.immediate_size();
+        Some((start, opcode, &code[start + 1..pc.min(code.len())]))
+    })
+}
+
 /// Disassemble bytecode into a list of instructions.
 pub fn disassemble(code: &[u8]) -> Vec<Instruction> {
-    let mut out = Vec::new();
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let opcode = Opcode::from_byte(code[pc]);
-        let imm_len = opcode.immediate_size();
-        let end = (pc + 1 + imm_len).min(code.len());
-        out.push(Instruction {
+    instructions(code)
+        .map(|(pc, opcode, immediate)| Instruction {
             pc,
             opcode,
-            immediate: code[pc + 1..end].to_vec(),
-        });
-        pc = pc + 1 + imm_len;
-    }
-    out
+            immediate: immediate.to_vec(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

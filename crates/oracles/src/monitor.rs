@@ -296,9 +296,9 @@ impl CampaignMonitor {
         let accepts_ether = compiled.abi.functions.iter().any(|f| f.payable)
             || compiled.contract.constructor_payable;
         if accepts_ether {
-            let can_release = mufuzz_evm::disassemble(&compiled.runtime).iter().any(|i| {
+            let can_release = mufuzz_evm::instructions(&compiled.runtime).any(|(_, op, _)| {
                 matches!(
-                    i.opcode,
+                    op,
                     Opcode::Call | Opcode::CallCode | Opcode::DelegateCall | Opcode::SelfDestruct
                 )
             });
@@ -708,6 +708,21 @@ mod tests {
         );
         ok.call("lock", &[], ether(1));
         assert!(!ok.classes().contains(&BugClass::EtherFreezing));
+    }
+
+    #[test]
+    fn ether_freezing_skips_call_bytes_inside_push_data() {
+        // 241 is 0xf1, the CALL opcode, but here it is a PUSH1 immediate: the
+        // code still has no instruction that can release ether.
+        let mut rig = Rig::new(
+            r#"contract Vault {
+                uint256 total;
+                function lock() public payable { total += msg.value + 241; }
+            }"#,
+        );
+        assert!(rig.compiled.runtime.contains(&0xf1));
+        rig.call("lock", &[], ether(1));
+        assert!(rig.classes().contains(&BugClass::EtherFreezing));
     }
 
     #[test]

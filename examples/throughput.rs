@@ -10,11 +10,12 @@
 //! instruction-at-a-time and block-lowered direct-threaded dispatch),
 //! measured best-of-N interleaved to shrug off scheduler noise. Each
 //! campaign rate (1 worker, N workers, round mode) is the median of
-//! [`SAMPLES`] campaigns run in alternation, so one descheduled thread moves
-//! one sample rather than a gated rate. Reports execs/sec for each and
-//! emits a machine-readable `BENCH_throughput.json` so CI can track the
-//! performance trajectory, the scaling claim, the fleet-concurrency claim
-//! and the block-tier speedup across PRs.
+//! [`SAMPLES`] campaigns run in alternation, and each side of the fleet
+//! sweep the median of as many alternating sweeps, so one descheduled
+//! thread moves one sample rather than a gated rate. Reports execs/sec for
+//! each and emits a machine-readable `BENCH_throughput.json` so CI can track
+//! the performance trajectory, the scaling claim, the fleet-concurrency
+//! claim and the block-tier speedup across PRs.
 //!
 //! Run with:
 //! ```text
@@ -68,23 +69,29 @@ contract PiggyBank {
 /// Campaigns per measured rate. Odd, so the median is one of the runs.
 const SAMPLES: usize = 5;
 
-/// A campaign rate: the median run of [`SAMPLES`], and every run's rate.
-struct Rate {
-    median: CampaignReport,
+/// A rate measured [`SAMPLES`] times (campaigns or fleet sweeps): the
+/// median run, its rate, and every run's rate.
+struct Rate<T> {
+    median: T,
+    rate: f64,
     samples: Vec<f64>,
 }
 
-impl Rate {
-    fn of(mut runs: Vec<CampaignReport>) -> Rate {
-        let samples: Vec<f64> = runs.iter().map(CampaignReport::execs_per_sec).collect();
+impl<T> Rate<T> {
+    fn of(mut runs: Vec<T>, rate_of: fn(&T) -> f64) -> Rate<T> {
+        let samples: Vec<f64> = runs.iter().map(rate_of).collect();
         let mut order: Vec<usize> = (0..runs.len()).collect();
         order.sort_by(|&a, &b| samples[a].total_cmp(&samples[b]));
         let median = runs.swap_remove(order[runs.len() / 2]);
-        Rate { median, samples }
+        Rate {
+            rate: rate_of(&median),
+            median,
+            samples,
+        }
     }
 
     fn execs_per_sec(&self) -> f64 {
-        self.median.execs_per_sec()
+        self.rate
     }
 }
 
@@ -254,7 +261,7 @@ fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64) {
     (pre, thr)
 }
 
-fn print_rate(label: &str, rate: &Rate) {
+fn print_rate(label: &str, rate: &Rate<CampaignReport>) {
     let report = &rate.median;
     let samples: Vec<String> = rate.samples.iter().map(|r| format!("{r:.0}")).collect();
     println!(
@@ -272,7 +279,7 @@ fn print_rate(label: &str, rate: &Rate) {
 
 /// One JSON record per measured configuration: the median run, plus every
 /// run's rate under `samples`.
-fn json_entry(rate: &Rate) -> String {
+fn json_entry(rate: &Rate<CampaignReport>) -> String {
     let report = &rate.median;
     let samples: Vec<String> = rate.samples.iter().map(|r| format!("{r:.1}")).collect();
     format!(
@@ -310,8 +317,8 @@ fn kernel_json(kernel: &str, pre: f64, thr: f64) -> String {
 /// Sweep three corpus contracts through one fleet pool of `threads`
 /// threads. `concurrent` submits all three up front (the fleet case);
 /// otherwise each campaign is waited out before the next is submitted (the
-/// sequential baseline). Returns `(total executions, elapsed ms)`.
-fn fleet_sweep(threads: usize, executions: usize, concurrent: bool) -> (usize, u64) {
+/// sequential baseline).
+fn fleet_sweep(threads: usize, executions: usize, concurrent: bool) -> Sweep {
     let sources = [
         contracts::crowdsale().source,
         contracts::game().source,
@@ -342,20 +349,41 @@ fn fleet_sweep(threads: usize, executions: usize, concurrent: bool) -> (usize, u
             })
             .sum()
     };
-    (total, start.elapsed().as_millis().max(1) as u64)
-}
-
-/// JSON record for one fleet sweep.
-fn fleet_json(threads: usize, total: usize, elapsed_ms: u64) -> String {
-    format!(
-        concat!(
-            "{{\"threads\": {}, \"executions\": {}, \"elapsed_ms\": {}, ",
-            "\"execs_per_sec\": {:.1}}}"
-        ),
+    Sweep {
         threads,
         total,
-        elapsed_ms,
-        total as f64 * 1000.0 / elapsed_ms as f64
+        elapsed_s: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// One fleet sweep: pool threads, total executions and wall time.
+struct Sweep {
+    threads: usize,
+    total: usize,
+    elapsed_s: f64,
+}
+
+impl Sweep {
+    fn execs_per_sec(&self) -> f64 {
+        self.total as f64 / self.elapsed_s
+    }
+}
+
+/// JSON record for one side of the fleet sweep: the median sweep, plus
+/// every sweep's rate under `samples`.
+fn fleet_json(rate: &Rate<Sweep>) -> String {
+    let sweep = &rate.median;
+    let samples: Vec<String> = rate.samples.iter().map(|r| format!("{r:.1}")).collect();
+    format!(
+        concat!(
+            "{{\"threads\": {}, \"executions\": {}, \"elapsed_ms\": {:.3}, ",
+            "\"execs_per_sec\": {:.1}, \"samples\": [{}]}}"
+        ),
+        sweep.threads,
+        sweep.total,
+        sweep.elapsed_s * 1000.0,
+        rate.execs_per_sec(),
+        samples.join(", ")
     )
 }
 
@@ -409,9 +437,9 @@ fn main() {
         parallels.push(campaign(workers, executions));
         rounds.push(round_campaign(workers, executions));
     }
-    let single = Rate::of(singles);
-    let parallel = Rate::of(parallels);
-    let round = Rate::of(rounds);
+    let single = Rate::of(singles, CampaignReport::execs_per_sec);
+    let parallel = Rate::of(parallels, CampaignReport::execs_per_sec);
+    let round = Rate::of(rounds, CampaignReport::execs_per_sec);
     print_rate("free-running", &single);
     print_rate("free-running", &parallel);
     println!(
@@ -472,15 +500,29 @@ fn main() {
 
     // The fleet sweep: three corpus contracts through one CampaignService,
     // sequentially on one pool thread vs concurrently on `workers` threads.
+    // A sweep lasts a few tens of milliseconds, so each side is the median
+    // of SAMPLES sweeps run in alternation.
     let fleet_budget = (executions / 10).max(500);
-    let (seq_total, seq_ms) = fleet_sweep(1, fleet_budget, false);
-    let (conc_total, conc_ms) = fleet_sweep(workers, fleet_budget, true);
-    let seq_rate = seq_total as f64 * 1000.0 / seq_ms as f64;
-    let conc_rate = conc_total as f64 * 1000.0 / conc_ms as f64;
+    let (mut seq_sweeps, mut conc_sweeps) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES {
+        seq_sweeps.push(fleet_sweep(1, fleet_budget, false));
+        conc_sweeps.push(fleet_sweep(workers, fleet_budget, true));
+    }
+    let fleet_seq = Rate::of(seq_sweeps, Sweep::execs_per_sec);
+    let fleet_conc = Rate::of(conc_sweeps, Sweep::execs_per_sec);
+    let runs = |rate: &Rate<Sweep>| -> String {
+        let samples: Vec<String> = rate.samples.iter().map(|r| format!("{r:.0}")).collect();
+        samples.join(" ")
+    };
     println!(
-        "fleet sweep (3 contracts x {fleet_budget} execs): sequential {seq_rate:.0} execs/sec, \
-         concurrent x{workers} {conc_rate:.0} execs/sec ({:.2}x)",
-        conc_rate / seq_rate
+        "fleet sweep (3 contracts x {fleet_budget} execs, median of {SAMPLES}): \
+         sequential {:.0} execs/sec (runs: {}), concurrent x{workers} {:.0} execs/sec \
+         (runs: {}) ({:.2}x)",
+        fleet_seq.execs_per_sec(),
+        runs(&fleet_seq),
+        fleet_conc.execs_per_sec(),
+        runs(&fleet_conc),
+        fleet_conc.execs_per_sec() / fleet_seq.execs_per_sec()
     );
 
     // Machine-readable record for the CI perf-smoke artifact, written
@@ -501,8 +543,8 @@ fn main() {
         tier_json(false, predecoded),
         tier_json(true, block_lowered),
         kernel_entries.join(", "),
-        fleet_json(1, seq_total, seq_ms),
-        fleet_json(workers, conc_total, conc_ms)
+        fleet_json(&fleet_seq),
+        fleet_json(&fleet_conc)
     );
     let path =
         std::env::var("MUFUZZ_BENCH_JSON").unwrap_or_else(|_| "BENCH_throughput.json".into());
