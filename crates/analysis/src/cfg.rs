@@ -14,16 +14,17 @@
 //! Jump targets are recovered with a peephole over the `PUSH`/`JUMP(I)`
 //! pattern the `mufuzz-lang` compiler emits.
 //!
-//! [`ControlFlowGraph::build`] makes passes linear in the code, apart from
-//! a binary search per static jump target and per successor edge, and
-//! allocates nothing per instruction. It decodes the code once with the
-//! interpreter's decoder ([`DecodedProgram`]), marks block leaders in one
-//! pass over the instructions and cuts the blocks in a second. Blocks tile
-//! the code, so a fall-through successor is the next block. Nesting depths
-//! come from a 0-1 breadth-first search over block indices. Reachability
-//! gives every block one bitset over the contract's vulnerable instructions
-//! and repeats a pass that unions each successor's set into its
-//! predecessor's until the pass changes nothing.
+//! [`ControlFlowGraph::build`] does linear, allocation-free work per
+//! instruction, plus a binary search per static jump target and per
+//! successor edge. It decodes the code once with the interpreter's decoder
+//! ([`DecodedProgram`]), marks block leaders in one pass over the
+//! instructions and cuts the blocks in a second. Blocks tile the code, so a
+//! fall-through successor is the next block. Nesting depths come from a 0-1
+//! breadth-first search over block indices. Reachability gives every block
+//! one bitset over the contract's vulnerable instructions and repeats a
+//! linear pass over the blocks, unioning each successor's set into its
+//! predecessor's, until a pass changes nothing; each chain of back edges
+//! can cost one more pass.
 
 use mufuzz_evm::{DecodedInstr, DecodedProgram, Opcode};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

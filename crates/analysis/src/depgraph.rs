@@ -1,85 +1,21 @@
-//! Function dependency graph and transaction-sequence planning.
+//! Function dependency order and transaction-sequence planning.
 //!
-//! From the data-flow facts we build a graph with an edge `f1 -> f2` whenever
-//! `f1` writes a state variable that `f2` reads. Topologically ordering this
-//! graph gives the base transaction sequence (writers before readers); the
+//! From the data-flow facts we relate `f1 -> f2` whenever `f1` writes a
+//! state variable that `f2` reads. Ordering functions along this relation
+//! gives the base transaction sequence (writers before readers); the
 //! sequence-aware *mutation* then duplicates the functions that carry a RAW
 //! dependency feeding a branch condition (paper §IV-A).
 //!
 //! Functions are identified by name: two declarations with one name are one
-//! node of the relation. Ordering numbers the names once and gives each its
-//! predecessor names' numbers, so a round of the selection counts remaining
-//! predecessors without comparing strings. [`plan_sequence`] derives those
-//! numbers straight from the data-flow facts and never builds the
-//! string-keyed [`DependencyGraph`].
+//! node of the relation. [`plan_sequence`] numbers the names once,
+//! intersects the write and read sets of every ordered pair of declarations
+//! once to give each name its predecessor names' numbers, and then orders in
+//! one round per function. A round rescans the unplaced functions'
+//! predecessor lists, so ordering is quadratic in the number of functions
+//! (times their predecessors) and compares no strings.
 
 use crate::dataflow::{DataFlowInfo, FunctionAccess};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// The write-before-read dependency graph between functions.
-#[derive(Clone, Debug, Default)]
-pub struct DependencyGraph {
-    /// All function names (graph nodes), in declaration order.
-    pub nodes: Vec<String>,
-    /// Directed edges `writer -> reader`, annotated with the state variables
-    /// that induce them.
-    pub edges: BTreeMap<(String, String), BTreeSet<String>>,
-}
-
-impl DependencyGraph {
-    /// Build the graph from data-flow facts.
-    pub fn from_dataflow(info: &DataFlowInfo) -> DependencyGraph {
-        let nodes: Vec<String> = info.functions.iter().map(|f| f.name.clone()).collect();
-        let mut edges: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
-        for writer in &info.functions {
-            for reader in &info.functions {
-                for var in shared_vars(writer, reader) {
-                    edges
-                        .entry((writer.name.clone(), reader.name.clone()))
-                        .or_default()
-                        .insert(var.clone());
-                }
-            }
-        }
-        DependencyGraph { nodes, edges }
-    }
-
-    /// Successors (readers) of a function.
-    pub fn successors(&self, name: &str) -> BTreeSet<&str> {
-        self.edges
-            .keys()
-            .filter(|(w, _)| w == name)
-            .map(|(_, r)| r.as_str())
-            .collect()
-    }
-
-    /// Predecessors (writers) of a function.
-    pub fn predecessors(&self, name: &str) -> BTreeSet<&str> {
-        self.edges
-            .keys()
-            .filter(|(_, r)| r == name)
-            .map(|(w, _)| w.as_str())
-            .collect()
-    }
-
-    /// Approximate topological order: writers first. Cycles (mutual
-    /// read/write) are broken by falling back to declaration order, which
-    /// keeps the ordering deterministic.
-    pub fn topological_order(&self) -> Vec<String> {
-        let names = NameIds::new(self.nodes.iter().map(String::as_str));
-        let mut preds = vec![Vec::new(); self.nodes.len()];
-        // An edge naming a function that is no node never counts.
-        for (writer, reader) in self.edges.keys() {
-            if let (Some(w), Some(r)) = (names.of(writer), names.of(reader)) {
-                preds[r].push(w);
-            }
-        }
-        dependency_order(&names.ids, &preds)
-            .into_iter()
-            .map(|node| self.nodes[node].clone())
-            .collect()
-    }
-}
+use std::collections::{BTreeSet, HashMap};
 
 /// The state variables `writer` writes and `reader` reads: the labels of the
 /// edge `writer -> reader`, none when the two share a name.
@@ -269,25 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_edges_follow_write_read_pairs() {
-        let info = analyze_contract(&parse_contract_source(CROWDSALE).unwrap());
-        let graph = DependencyGraph::from_dataflow(&info);
-        // invest writes phase which refund and withdraw read.
-        assert!(graph
-            .edges
-            .get(&("invest".into(), "refund".into()))
-            .map(|vars| vars.contains("phase"))
-            .unwrap_or(false));
-        assert!(graph
-            .edges
-            .contains_key(&("invest".into(), "withdraw".into())));
-        // withdraw writes nothing, so it has no outgoing edges.
-        assert!(graph.successors("withdraw").is_empty());
-        // withdraw reads phase/invested, both written only by invest.
-        assert_eq!(graph.predecessors("withdraw").len(), 1);
-    }
-
-    #[test]
     fn base_order_places_invest_first_and_withdraw_last() {
         let plan = plan();
         let pos = |name: &str| plan.base_order.iter().position(|n| n == name).unwrap();
@@ -321,6 +238,23 @@ mod tests {
             .unwrap();
         assert!(last_invest < withdraw);
         assert_eq!(plan.len(), 4);
+    }
+
+    #[test]
+    fn writers_declared_after_their_readers_still_come_first() {
+        let src = r#"
+            contract C {
+                uint256 x;
+                uint256 y;
+                function readY() public returns (uint256) { return y; }
+                function readX() public returns (uint256) { return x; }
+                function copyX() public { y = x; }
+                function setX(uint256 v) public { x = v; }
+            }
+        "#;
+        let info = analyze_contract(&parse_contract_source(src).unwrap());
+        let plan = plan_sequence(&info);
+        assert_eq!(plan.base_order, vec!["setX", "readX", "copyX", "readY"]);
     }
 
     #[test]
@@ -379,38 +313,13 @@ mod tests {
             state_vars: BTreeSet::from(["a".into()]),
             branch_read_vars: BTreeSet::from(["a".into()]),
         };
-        // The second `f` writes `a` for `g`, so both `f`s come before `g`;
-        // but the first `f` touches no state, so the plan moves both last,
-        // and the repeated `f` writes nothing `g` reads, so it goes at the end.
-        assert_eq!(
-            DependencyGraph::from_dataflow(&info).topological_order(),
-            vec!["f", "f", "g"]
-        );
+        // The second `f` writes `a` for `g`, so both `f`s are ordered before
+        // `g`; but the first `f` touches no state, so the plan moves both
+        // last, and the repeated `f` writes nothing `g` reads, so it goes at
+        // the end.
         let plan = plan_sequence(&info);
         assert_eq!(plan.base_order, vec!["g", "f", "f"]);
         assert_eq!(plan.mutated_order, vec!["g", "f", "f", "f"]);
-    }
-
-    #[test]
-    fn edges_naming_no_node_do_not_count() {
-        let graph = DependencyGraph {
-            nodes: vec!["read".into(), "write".into()],
-            edges: BTreeMap::from([
-                (
-                    ("ghost".into(), "read".into()),
-                    BTreeSet::from(["x".into()]),
-                ),
-                (
-                    ("write".into(), "read".into()),
-                    BTreeSet::from(["y".into()]),
-                ),
-                (
-                    ("write".into(), "gone".into()),
-                    BTreeSet::from(["y".into()]),
-                ),
-            ]),
-        };
-        assert_eq!(graph.topological_order(), vec!["write", "read"]);
     }
 
     #[test]

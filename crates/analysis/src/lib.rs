@@ -5,7 +5,7 @@
 //! * [`dataflow`] — state-variable read/write sets, branch-condition reads and
 //!   read-after-write detection over the AST (feeds the sequence-aware
 //!   mutation, paper §IV-A),
-//! * [`depgraph`] — the write-before-read function dependency graph and the
+//! * [`depgraph`] — the write-before-read function dependency order and the
 //!   [`SequencePlan`] (base ordering + repetition candidates),
 //! * [`cfg`](mod@cfg) — a bytecode control-flow graph with branch
 //!   enumeration, static
@@ -46,6 +46,6 @@ pub mod edge_index;
 
 pub use cfg::{BasicBlock, BranchSite, ControlFlowGraph};
 pub use dataflow::{analyze_contract, analyze_function, DataFlowInfo, FunctionAccess};
-pub use depgraph::{plan_sequence, DependencyGraph, SequencePlan};
+pub use depgraph::{plan_sequence, SequencePlan};
 pub use distance::{normalize, untaken_distance, DistanceMap};
 pub use edge_index::EdgeIndex;
