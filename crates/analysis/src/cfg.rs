@@ -14,10 +14,12 @@
 //! Jump targets are recovered with a peephole over the `PUSH`/`JUMP(I)`
 //! pattern the `mufuzz-lang` compiler emits.
 //!
-//! [`ControlFlowGraph::build`] does linear, allocation-free work per
+//! [`ControlFlowGraph::from_program`] does linear, allocation-free work per
 //! instruction, plus a binary search per static jump target and per
-//! successor edge. It decodes the code once with the interpreter's decoder
-//! ([`DecodedProgram`]), marks block leaders in one pass over the
+//! successor edge. It reads the code as the interpreter's decoder
+//! ([`DecodedProgram`]) left it — a campaign passes the program its harness
+//! already decoded, and [`ControlFlowGraph::build`] decodes a code blob
+//! first — marks block leaders in one pass over the
 //! instructions and cuts the blocks in a second. Blocks tile the code, so a
 //! fall-through successor is the next block. Nesting depths come from a 0-1
 //! breadth-first search over block indices. Reachability gives every block
@@ -107,7 +109,12 @@ impl Edges {
 impl ControlFlowGraph {
     /// Build the CFG for a code blob.
     pub fn build(code: &[u8]) -> ControlFlowGraph {
-        let program = DecodedProgram::decode(code);
+        ControlFlowGraph::from_program(&DecodedProgram::decode(code))
+    }
+
+    /// Build the CFG from already-decoded code: equal to
+    /// [`ControlFlowGraph::build`] over the bytes `program` was decoded from.
+    pub fn from_program(program: &DecodedProgram) -> ControlFlowGraph {
         let instrs = program.instructions();
         if instrs.is_empty() {
             return ControlFlowGraph::default();

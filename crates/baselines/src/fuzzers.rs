@@ -19,22 +19,24 @@ use mufuzz_lang::CompiledContract;
 /// One campaign request: the budget, the RNG seed and the lane count.
 ///
 /// A request is strategy-agnostic — the [`FuzzingStrategy`] supplies the
-/// configuration, the request supplies the per-run knobs. Single-lane
-/// requests (the default) are deterministic for a given seed.
+/// configuration, the request supplies the per-run knobs. Every request is
+/// deterministic for a given seed.
 #[derive(Clone, Copy, Debug)]
 pub struct FuzzRequest {
     /// Execution budget (`FuzzerConfig::max_executions()`).
     pub budget: usize,
     /// Campaign RNG seed.
     pub rng_seed: u64,
-    /// Campaign lanes (`FuzzerConfig::workers`). One lane keeps the run
-    /// deterministic; experiments get their parallelism by submitting many
+    /// Campaign lanes (`FuzzerConfig::workers`). One lane (the default) runs
+    /// the free-running sequential engine; more lanes run barrier-synchronized
+    /// rounds, which give the same result at every lane count above one.
+    /// Experiments get their parallelism by submitting many one-lane
     /// campaigns to one [`CampaignService`] instead.
     pub lanes: usize,
 }
 
 impl FuzzRequest {
-    /// A single-lane (deterministic) request.
+    /// A single-lane request.
     pub fn new(budget: usize, rng_seed: u64) -> FuzzRequest {
         FuzzRequest {
             budget,
@@ -43,8 +45,7 @@ impl FuzzRequest {
         }
     }
 
-    /// Set the lane count. Campaigns with more than one lane are not
-    /// deterministic.
+    /// Set the lane count. More than one lane runs the campaign in rounds.
     pub fn with_lanes(mut self, lanes: usize) -> FuzzRequest {
         self.lanes = lanes.max(1);
         self

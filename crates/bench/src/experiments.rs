@@ -264,7 +264,8 @@ impl AblationResult {
 }
 
 /// Reproduce Figure 7: the full system against the three single-component
-/// ablations, on samples of small and large contracts.
+/// ablations, on samples of small and large contracts. Every campaign is one
+/// free-running lane, so the rows are the same at any pool size.
 pub fn ablation(
     small: &[BenchContract],
     large: &[BenchContract],
@@ -272,20 +273,18 @@ pub fn ablation(
     rng_seed: u64,
     workers: usize,
 ) -> AblationResult {
+    let full = FuzzerConfig::mufuzz(budget).with_workers(1);
     let variants: Vec<(String, FuzzerConfig)> = vec![
-        ("MuFuzz (full)".into(), FuzzerConfig::mufuzz(budget)),
+        ("MuFuzz (full)".into(), full.clone()),
         (
             "w/o sequence-aware mutation".into(),
-            FuzzerConfig::mufuzz(budget).without_sequence_aware(),
+            full.clone().without_sequence_aware(),
         ),
         (
             "w/o mask-guided mutation".into(),
-            FuzzerConfig::mufuzz(budget).without_mask_guidance(),
+            full.clone().without_mask_guidance(),
         ),
-        (
-            "w/o dynamic energy".into(),
-            FuzzerConfig::mufuzz(budget).without_dynamic_energy(),
-        ),
+        ("w/o dynamic energy".into(), full.without_dynamic_energy()),
     ];
     let service = CampaignService::new(fleet_threads(workers));
     let mut rows = Vec::new();
@@ -502,6 +501,22 @@ mod tests {
             assert!(*cl > 0.0, "{name}");
         }
         assert!(result.relative_small("MuFuzz (full)").unwrap() > 0.99);
+        // Figure campaigns are one lane each: the pool size moves nothing.
+        assert_eq!(ablation(&small, &large, 100, 17, 2).rows, result.rows);
+        // The full row is the mean of one-lane campaigns on the same seed.
+        let one_lane: Vec<f64> = small
+            .iter()
+            .map(|c| {
+                let compiled = compile_source(&c.source).unwrap();
+                let config = FuzzerConfig::mufuzz(100).with_rng_seed(17).with_workers(1);
+                mufuzz::Fuzzer::new(compiled, config)
+                    .unwrap()
+                    .run()
+                    .coverage
+            })
+            .collect();
+        let mean = one_lane.iter().sum::<f64>() / one_lane.len() as f64;
+        assert_eq!(result.rows[0].1, mean);
     }
 
     #[test]

@@ -7,57 +7,60 @@
 //! streams, and the dynamic energy scheduler decides how many mutants each
 //! seed receives.
 //!
-//! # Fleet engine
+//! # One engine per lane count
 //!
-//! The mutate→execute→evaluate inner loop runs as `FuzzerConfig::workers`
-//! *lanes* — sequential strands of batch tasks scheduled on a shared
-//! work-stealing [`crate::fleet::FleetPool`] by the
-//! [`crate::service::CampaignService`]. A lane's batches run one at a time
-//! in order, so a single-lane campaign is deterministic at any pool size.
+//! A campaign runs as `FuzzerConfig::workers` *lanes* — sequential strands
+//! of batch tasks scheduled on a shared work-stealing
+//! [`crate::fleet::FleetPool`] by the [`crate::service::CampaignService`]. A
+//! lane's batches run one at a time in order, so a campaign's result never
+//! depends on which pool thread ran a batch. There is one engine per lane
+//! count:
+//!
+//! * **One free-running lane** (`workers == 1`, the default profile) is the
+//!   sequential engine. It draws each seed batch from the live corpus and
+//!   settles every execution as it lands, so it is bit-for-bit the
+//!   historical single-threaded campaign for a fixed `rng_seed` — and,
+//!   through [`crate::snapshot::CampaignSnapshot`], across a
+//!   checkpoint/resume boundary.
+//! * **Rounds** (every campaign with `workers > 1`, and a one-lane campaign
+//!   under [`crate::DeterminismProfile::Round`]): lanes claim fixed-size
+//!   slots of a round against a frozen view of the corpus and coverage, and
+//!   the round barrier commits their results in slot order (`round.rs`).
+//!   The report is bit-identical at every worker count.
+//!
 //! The shared campaign state is split by contention profile (the full
 //! locking model is documented in `docs/ARCHITECTURE.md`):
 //!
 //! * **Coverage** lives in a lock-free [`CoverageMap`] — an atomic bitmap
 //!   over the dense edge ids assigned by the harness's
-//!   [`mufuzz_analysis::EdgeIndex`]. Workers merge every execution's edges
-//!   with `fetch_or` word updates and never touch the state mutex for it.
-//! * **The execution budget** is an atomic reservation counter: a worker
-//!   reserves a slot *before* executing, so a campaign can never overshoot
-//!   `max_executions`, at any worker count.
+//!   [`mufuzz_analysis::EdgeIndex`].
+//! * **The execution budget** is an atomic reservation counter: the
+//!   free-running lane reserves a slot *before* executing, and a round
+//!   charges its slot quotas at the barrier, so a campaign can never
+//!   overshoot `max_executions`.
 //! * **Scheduling state** — the corpus, the timeline and the diagnostic
 //!   shape log — stays in a `SharedCampaignState` behind one mutex, held
 //!   to draw a seed batch, to admit new seeds (and periodically cull
-//!   dominated ones), to publish probed masks, and to append timeline
-//!   points.
-//! * **Seed draws** read the corpus itself, so Algorithm 3 stays one
-//!   scheduler over the whole corpus at any lane count. A lane takes the
-//!   state lock once per batch: it selects a seed, counts the selection,
-//!   allocates the seed's energy and claims its mask-probe pass, then copies
-//!   the seed into a lane-owned buffer and runs the batch unlocked.
+//!   dominated ones), to publish probed masks, to append timeline points and
+//!   to freeze and commit rounds.
 //!
-//! Sequence executions run unlocked against lane-local [`ContractHarness`]
-//! clones, and bug oracles observe into lane-local [`CampaignMonitor`]s
-//! that are merged before finalisation.
-//!
-//! Lane 0 inherits the campaign RNG, and every merge happens at the same
-//! point of the per-mutant cycle as in the historical sequential engine, so
-//! `workers == 1` reproduces the single-threaded campaign bit for bit for a
-//! fixed `rng_seed` — and, through [`crate::snapshot::CampaignSnapshot`],
-//! across a checkpoint/resume boundary. Additional lanes draw decorrelated
-//! `SmallRng` streams derived from `rng_seed`.
+//! Sequence executions run against lane-local [`ContractHarness`] clones.
+//! The free-running lane observes bugs into its own [`CampaignMonitor`];
+//! round slots observe into slot monitors that the barrier merges into the
+//! round runtime's master monitor in slot order.
 //!
 //! # One probe pass, one mutant loop
 //!
 //! Algorithm 2's mask-probe pass and the energy-driven mutant loop are
 //! written once (`Executor::compute_masks` and `Executor::run_mutants`) and
-//! shared by both determinism profiles. They are generic over a `Ledger`:
-//! the budget every execution is charged to and the state its result feeds.
-//! A free-running lane's ledger reserves slots from the shared budget and
-//! the wall clock, merges into the atomic [`CoverageMap`], admits seeds
-//! under the state lock and records a timeline point at every snapshot
-//! boundary. A round slot's ledger (see `round.rs`) charges the slot quota,
-//! merges into a slot-local bitmap and stages candidates for the round
-//! commit. Only seed drawing differs between the profiles.
+//! shared by both engines. They are generic over a `Ledger`: the budget
+//! every execution is charged to and the state its result feeds. The
+//! free-running lane's ledger reserves slots from the shared budget and the
+//! wall clock, merges into the atomic [`CoverageMap`], admits seeds under
+//! the state lock and records a timeline point at every snapshot boundary.
+//! A round slot's ledger (see `round.rs`) charges the slot quota, merges
+//! into a slot-local bitmap and stages candidates for the round commit.
+//! Only seed drawing differs between the engines.
 
 use crate::config::FuzzerConfig;
 use crate::coverage::CoverageMap;
@@ -170,10 +173,11 @@ pub struct CampaignReport {
     pub corpus_digest: u64,
     /// FNV-1a digest of the final coverage bitmap words.
     pub coverage_digest: u64,
-    /// Replayable finding records (round mode only; empty under the
-    /// free-running profile). Each pins the mutant sequence that triggered a
-    /// finding to its `(seed uid, round, slot)` provenance — see
-    /// [`FindingRecord`] and [`crate::replay::replay_finding`].
+    /// Replayable finding records of a round-mode campaign (every campaign
+    /// with `workers > 1`); empty for the free-running lane. Each pins the
+    /// mutant sequence that triggered a finding to its `(seed uid, round,
+    /// slot)` provenance — see [`FindingRecord`] and
+    /// [`crate::replay::replay_finding`].
     pub finding_records: Vec<FindingRecord>,
 }
 
@@ -194,14 +198,15 @@ impl CampaignReport {
     }
 }
 
-/// Scheduling state shared by every worker, guarded by one mutex.
+/// Scheduling state shared by every lane, guarded by one mutex.
 ///
-/// Seed selection and energy allocation read the *global* corpus here, so
-/// Algorithm 3 stays a single scheduler even with many workers. Coverage and
+/// Seed selection and energy allocation read the one corpus here (directly
+/// in the free-running lane, through a frozen copy in round mode), so
+/// Algorithm 3 stays a single scheduler at any worker count. Coverage and
 /// the execution budget deliberately live *outside* this struct (see
 /// [`CampaignShared`]): they are merged/reserved with atomics so the mutex
-/// only serialises seed draws, corpus admissions, culling and timeline
-/// appends.
+/// only serialises seed draws, corpus admissions, culling, timeline appends
+/// and round freezes and commits.
 pub(crate) struct SharedCampaignState {
     pub(crate) corpus: Vec<Seed>,
     pub(crate) timeline: Vec<CoveragePoint>,
@@ -258,16 +263,17 @@ impl SharedCampaignState {
     }
 }
 
-/// Everything the workers share, split by contention profile: the atomic
-/// coverage bitmap and budget counter (merged/reserved lock-free on every
-/// execution) and the mutex-guarded scheduling state (touched only for seed
-/// draws, admissions and timeline points).
+/// Everything the lanes share, split by contention profile: the atomic
+/// coverage bitmap and budget counter and the mutex-guarded scheduling
+/// state (touched only for seed draws, admissions, timeline points and
+/// round barriers).
 pub(crate) struct CampaignShared {
     pub(crate) state: Mutex<SharedCampaignState>,
     pub(crate) coverage: CoverageMap,
-    /// Execution slots handed out. A worker reserves a slot *before* every
-    /// execution and always performs the execution after a successful
-    /// reservation, so this counter equals the number of executions
+    /// Executions charged to the budget. The free-running lane reserves a
+    /// slot *before* every execution and always performs the execution after
+    /// a successful reservation; a round charges its slots' executions at the
+    /// barrier. Either way this counter equals the number of executions
     /// performed and can never exceed `max_executions`.
     pub(crate) reserved: AtomicUsize,
     /// Round-mode runtime: the current round's frozen view, slot ledger and
@@ -363,9 +369,9 @@ impl RunParams {
     }
 }
 
-/// The pause signal a lane checks at every batch boundary: an optional fixed
-/// execution count (deterministic for single-lane campaigns, the
-/// checkpoint/resume anchor) plus an asynchronous user request.
+/// The pause signal checked at every free-running batch boundary and every
+/// round barrier: an optional fixed execution count (a deterministic pause
+/// point, the checkpoint/resume anchor) plus an asynchronous user request.
 pub(crate) struct PauseState {
     pub(crate) at: Option<usize>,
     pub(crate) requested: AtomicBool,
@@ -430,7 +436,7 @@ pub(crate) fn select_seed(config: &FuzzerConfig, rng: &mut SmallRng, corpus: &[S
 /// mutation on one transaction, occasionally combined with a structural
 /// sequence mutation. `out` is refilled from the seed with `clone_from` and
 /// mutated in place, so a warm candidate allocates nothing unless the
-/// mutant grows. Draws from the caller's RNG: a free-running lane's stream
+/// mutant grows. Draws from the caller's RNG: the free-running lane's stream
 /// or a round slot's.
 fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed, out: &mut Sequence) {
     let abi = &ctx.harness.compiled.abi;
@@ -467,7 +473,7 @@ fn mutate_sequence(ctx: &CampaignContext, rng: &mut SmallRng, seed: &Seed, out: 
 
 /// Build seed metadata from an execution outcome, resolving "is this edge
 /// covered?" through the supplied predicate — the shared atomic bitmap for
-/// free-running lanes, a slot's frozen local view in round mode. The
+/// the free-running lane, a slot's frozen local view in round mode. The
 /// coverage view must already include the outcome's own edges (merge first,
 /// then admit).
 pub(crate) fn make_seed(
@@ -535,16 +541,6 @@ fn seed_nested_pcs(ctx: &CampaignContext, seed: &Seed) -> BTreeSet<usize> {
         .collect()
 }
 
-/// A decorrelated per-worker RNG seed (SplitMix64 over the campaign seed and
-/// the worker index). Worker 0 does not use this: it inherits the campaign
-/// RNG directly so single-worker runs replay the sequential engine.
-pub(crate) fn derive_worker_seed(rng_seed: u64, index: usize) -> u64 {
-    let mut z = rng_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The immutable setup of one campaign, shared by all of its lanes:
 /// configuration, static analyses, the sequence generator, the interesting
 /// value pool and the deployed harness prototype (each lane clones its own
@@ -563,11 +559,15 @@ pub(crate) struct CampaignContext {
 impl CampaignContext {
     /// Deploy the contract, run the static analyses and prepare the mutation
     /// value pool (the campaign setup that used to live in `Fuzzer::new`).
+    /// The runtime code is decoded once, by the harness; the CFG is built
+    /// from the harness's program.
     pub(crate) fn prepare(
         compiled: CompiledContract,
         config: FuzzerConfig,
     ) -> Result<CampaignContext, HarnessError> {
-        let cfg_graph = ControlFlowGraph::build(&compiled.runtime);
+        let harness = ContractHarness::new(compiled, &config)?;
+        let compiled = &harness.compiled;
+        let cfg_graph = ControlFlowGraph::from_program(harness.runtime_program());
         let flow = analyze_contract(&compiled.contract);
         let mut plan = plan_sequence(&flow);
         if !config.enable_sequence_repetition {
@@ -579,7 +579,6 @@ impl CampaignContext {
         } else {
             InterestingValues::defaults()
         };
-        let harness = ContractHarness::new(compiled, &config)?;
         for addr in harness.interesting_addresses() {
             interesting.add(addr.to_u256());
         }
@@ -725,9 +724,10 @@ impl Executor {
     /// nested branches the seed covers or brings the input closer to an
     /// uncovered branch. Probes are real executions: each is reserved and
     /// settled in `ledger` like a mutant. A site whose probe the ledger
-    /// refuses is left mutable (the safe default); with one free-running
-    /// worker this cannot happen, because the scheduling gate only starts a
-    /// pass when more than twice its worst-case cost remains in the budget.
+    /// refuses is left mutable (the safe default); without a wall-clock
+    /// budget this cannot happen, because the scheduling gate only starts a
+    /// pass when more than twice its worst-case cost remains in the budget
+    /// (or the slot quota).
     pub(crate) fn compute_masks(
         &mut self,
         rng: &mut SmallRng,
@@ -831,7 +831,7 @@ impl Executor {
     }
 }
 
-/// A free-running lane's [`Ledger`]: slots come from the shared budget
+/// The free-running lane's [`Ledger`]: slots come from the shared budget
 /// until it or the wall-clock budget runs out, coverage merges into the
 /// shared atomic bitmap (no lock), novel executions join the corpus under
 /// the state lock, and every slot on a snapshot boundary appends a timeline
@@ -900,8 +900,11 @@ impl Ledger for SharedLedger<'_> {
 
 /// One campaign lane: a lane-local executor, RNG and bug monitor. A lane is
 /// a sequential strand — the service runs its batches one at a time, in
-/// order — so a single-lane campaign is deterministic no matter how many
-/// fleet threads execute it.
+/// order — so a campaign is deterministic no matter how many fleet threads
+/// execute it. The RNG, monitor and last world matter on lane 0 only: they
+/// are the free-running engine's state, and in round mode the prologue's
+/// RNG and the stream position a checkpoint freezes. Round slots carry
+/// their own RNGs and monitors, so the other lanes use only their executor.
 pub(crate) struct Worker {
     pub(crate) exec: Executor,
     rng: SmallRng,
@@ -1153,26 +1156,12 @@ pub(crate) fn build_report(
     let covered = shared.coverage.covered_count();
     let last = params.point(executions, covered);
     let elapsed_ms = last.elapsed_ms;
+    // The one free-running lane and the round barrier both append points in
+    // execution order with the coverage after every merge so far, so the
+    // timeline is already ordered and monotone.
     let mut timeline = s.timeline.clone();
     if !empty_corpus {
         timeline.push(last);
-    }
-    // Concurrent lanes append snapshot points in lock-acquisition order,
-    // which can trail the slot order (a lane may stall between reserving its
-    // slot and appending its point, and the late append reads the
-    // then-current covered count). Restore the sequential engine's contract
-    // — execution-ordered points with monotone coverage — by sorting on the
-    // slot and carrying the running maximum forward; both passes are no-ops
-    // for `workers == 1`.
-    timeline.sort_by_key(|point| point.executions);
-    let mut running_max = 0usize;
-    for point in &mut timeline {
-        if point.covered_edges < running_max {
-            point.covered_edges = running_max;
-            point.coverage = running_max as f64 / total_edges as f64;
-        } else {
-            running_max = point.covered_edges;
-        }
     }
     // Content digests: every seed's snapshot encoding in corpus order, and
     // the raw coverage bitmap words. Cheap (one pass over state that is
@@ -1362,17 +1351,6 @@ pub(crate) mod tests {
             prev_covered = point.covered_edges;
             prev_executions = point.executions;
         }
-    }
-
-    #[test]
-    fn worker_seed_streams_are_decorrelated() {
-        let s1 = derive_worker_seed(0x5EED, 1);
-        let s2 = derive_worker_seed(0x5EED, 2);
-        let other = derive_worker_seed(0x5EEE, 1);
-        assert_ne!(s1, s2);
-        assert_ne!(s1, other);
-        // Deterministic: the same campaign seed derives the same streams.
-        assert_eq!(s1, derive_worker_seed(0x5EED, 1));
     }
 
     #[test]

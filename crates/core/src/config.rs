@@ -9,10 +9,13 @@
 
 /// Which reproducibility contract a campaign runs under.
 ///
-/// * [`DeterminismProfile::FreeRunning`] (the default) is the historical
-///   engine: lanes merge results as they finish, so only `workers == 1`
-///   campaigns are bit-identical run to run. Fastest, but multi-worker
-///   results depend on thread scheduling.
+/// One engine per lane count, both reproducible for a given `rng_seed`; a
+/// campaign with `workers > 1` runs rounds under either profile (see
+/// [`FuzzerConfig::round_mode`]).
+///
+/// * [`DeterminismProfile::FreeRunning`] (the default) is the sequential
+///   engine, always one lane: bit-for-bit the historical single-threaded
+///   engine.
 /// * [`DeterminismProfile::Round`] runs the campaign as barrier-synchronized
 ///   *rounds*: workers claim fixed-size mutant slots against a frozen view of
 ///   the corpus and coverage, and a round barrier applies admissions,
@@ -23,10 +26,10 @@
 ///   be replayed from a [`crate::CampaignSnapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DeterminismProfile {
-    /// Lanes run freely; only `workers == 1` is reproducible.
+    /// The sequential engine; one lane.
     #[default]
     FreeRunning,
-    /// Barrier-synchronized rounds; reproducible at any worker count.
+    /// Barrier-synchronized rounds; bit-identical at any worker count.
     Round,
 }
 
@@ -52,22 +55,20 @@ impl Default for BudgetConfig {
 /// Seed-scheduler tuning: corpus culling, the base mutation energy and the
 /// round shape.
 ///
-/// Free-running lanes draw every seed batch from the one shared corpus under
-/// the campaign state lock, so each draw sees every lane's admissions and
-/// selection counts; round-mode slots draw from the corpus frozen at the
-/// round barrier.
+/// The free-running lane draws every seed batch from the live corpus;
+/// round-mode slots draw from the corpus frozen at the round barrier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// Corpus culling: every `n` admissions (counted inside the campaign
     /// state lock), drop seeds whose covered-edge set is a subset of another
     /// seed's with no better branch-distance score. `None` (the default)
-    /// leaves the choice to the determinism profile: free-running campaigns
-    /// run without culling — dropping seeds reshuffles corpus indices and
-    /// thus the seed-selection RNG stream, which would break the
-    /// `workers == 1` bit-identity contract — while round-mode campaigns
-    /// enable it at [`DEFAULT_ROUND_CULL_INTERVAL`] (round mode keys every
-    /// write-back by stable seed uid and freezes the draw view per round, so
-    /// culling cannot perturb determinism there). Set an explicit interval
+    /// leaves the choice to the engine: the free-running lane runs without
+    /// culling — dropping seeds reshuffles corpus indices and thus the
+    /// seed-selection RNG stream of the pinned `workers == 1` campaigns —
+    /// while round mode enables it at [`DEFAULT_ROUND_CULL_INTERVAL`] (round
+    /// mode keys every write-back by stable seed uid and freezes the draw
+    /// view per round, so culling cannot perturb determinism there). Set an
+    /// explicit interval
     /// with [`FuzzerConfig::with_corpus_culling`], or pin culling off with
     /// [`FuzzerConfig::without_corpus_culling`].
     pub corpus_cull_interval: Option<usize>,
@@ -123,22 +124,20 @@ impl Default for SchedulerConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FuzzerConfig {
-    /// RNG seed: campaigns are fully deterministic for a given seed when
-    /// `workers == 1`.
+    /// RNG seed: a campaign is fully deterministic for a given seed at any
+    /// worker count.
     pub rng_seed: u64,
     /// Number of worker lanes running the mutate→execute→evaluate loop.
     /// Defaults to the machine's available parallelism. With `workers == 1`
-    /// the campaign is bit-for-bit identical to the historical
-    /// single-threaded engine for a given `rng_seed`; with more workers the
-    /// merge order of results depends on thread scheduling, so campaigns are
-    /// no longer deterministic.
+    /// the free-running campaign is bit-for-bit identical to the historical
+    /// single-threaded engine for a given `rng_seed`; more workers run
+    /// rounds, whose report is the same at every worker count.
     pub workers: usize,
     /// Stopping conditions (execution and wall-clock budgets).
     pub budget: BudgetConfig,
     /// Seed-scheduler tuning: corpus culling, base energy and round shape.
     pub scheduler: SchedulerConfig,
-    /// Reproducibility contract: free-running (fastest, `workers == 1` only)
-    /// or barrier-synchronized rounds (bit-identical at any worker count).
+    /// The engine of a one-lane campaign; `workers > 1` always runs rounds.
     pub determinism: DeterminismProfile,
     /// Use the data-flow-derived transaction ordering and RAW-based sequence
     /// repetition. When disabled, sequences are randomly ordered.
@@ -229,14 +228,15 @@ impl FuzzerConfig {
         self.budget.time_budget_ms
     }
 
-    /// Whether the campaign runs under the reproducible round profile.
+    /// Whether the campaign runs barrier-synchronized rounds: under the
+    /// round profile, and whenever `workers > 1`.
     pub fn round_mode(&self) -> bool {
-        self.determinism == DeterminismProfile::Round
+        self.determinism == DeterminismProfile::Round || self.workers > 1
     }
 
     /// The corpus-culling interval actually in effect: an explicit setting
     /// wins; otherwise round mode culls at [`DEFAULT_ROUND_CULL_INTERVAL`]
-    /// and free-running leaves culling off (see
+    /// and the free-running lane leaves culling off (see
     /// [`SchedulerConfig::corpus_cull_interval`]).
     pub fn effective_cull_interval(&self) -> Option<usize> {
         match self.scheduler.corpus_cull_interval {
@@ -284,7 +284,7 @@ impl FuzzerConfig {
     }
 
     /// Set the number of worker lanes (builder style). Clamped to at
-    /// least one; `workers == 1` keeps campaigns deterministic.
+    /// least one; more than one runs rounds.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -319,7 +319,8 @@ impl FuzzerConfig {
         self
     }
 
-    /// Select the determinism profile (builder style).
+    /// Select the determinism profile (builder style): the engine of a
+    /// one-lane campaign.
     pub fn with_determinism(mut self, profile: DeterminismProfile) -> Self {
         self.determinism = profile;
         self
@@ -419,10 +420,12 @@ mod tests {
 
     #[test]
     fn determinism_defaults_free_running_and_round_mode_toggles() {
-        let cfg = FuzzerConfig::default();
+        let cfg = FuzzerConfig::default().with_workers(1);
         assert_eq!(cfg.determinism, DeterminismProfile::FreeRunning);
         assert!(!cfg.round_mode());
-        let round = FuzzerConfig::mufuzz(10).with_round_mode();
+        // More than one worker runs rounds under either profile.
+        assert!(cfg.clone().with_workers(2).round_mode());
+        let round = FuzzerConfig::mufuzz(10).with_workers(1).with_round_mode();
         assert!(round.round_mode());
         let back = round.with_determinism(DeterminismProfile::FreeRunning);
         assert!(!back.round_mode());
@@ -447,8 +450,20 @@ mod tests {
 
     #[test]
     fn effective_cull_interval_is_profile_aware() {
-        // Free-running, unset: culling stays off.
-        assert_eq!(FuzzerConfig::default().effective_cull_interval(), None);
+        // One free-running lane, unset: culling stays off.
+        assert_eq!(
+            FuzzerConfig::default()
+                .with_workers(1)
+                .effective_cull_interval(),
+            None
+        );
+        // Several workers run rounds, so culling defaults on.
+        assert_eq!(
+            FuzzerConfig::mufuzz(10)
+                .with_workers(2)
+                .effective_cull_interval(),
+            Some(DEFAULT_ROUND_CULL_INTERVAL)
+        );
         // Round mode, unset: culling defaults on.
         assert_eq!(
             FuzzerConfig::mufuzz(10)

@@ -164,9 +164,10 @@ impl ContractHarness {
         // numbering — block-granular, provably identical to the per-`JUMPI`
         // numbering — with no re-scan.
         let runtime_code = world.code(contract_address);
-        let program = Arc::new(DecodedProgram::decode(&runtime_code));
+        let mut program = DecodedProgram::decode(&runtime_code);
+        program.shrink_to_fit();
         let mut programs = ProgramCache::new();
-        programs.insert(Arc::clone(&runtime_code), program);
+        programs.insert(Arc::clone(&runtime_code), Arc::new(program));
         let edge_index = Arc::new(EdgeIndex::from_blocks(
             programs
                 .get_block(&runtime_code)
@@ -203,6 +204,15 @@ impl ContractHarness {
     /// happen exactly once per deployment.
     pub fn programs(&self) -> &Arc<ProgramCache> {
         &self.programs
+    }
+
+    /// The decoded runtime bytecode of the contract under test, as the
+    /// program cache holds it. Deployment installs `compiled.runtime`
+    /// verbatim, so this is the decoding of those bytes.
+    pub(crate) fn runtime_program(&self) -> &DecodedProgram {
+        self.programs
+            .get(&self.base_world.code(self.contract_address))
+            .expect("the runtime program is cached at deployment")
     }
 
     /// Addresses worth injecting into address-typed arguments.
@@ -499,6 +509,17 @@ mod tests {
             assert!(outcome.covered_edge_ids.binary_search(&id).is_ok());
             assert_eq!(h.edge_index().edge_of(id), Some(*edge));
         }
+    }
+
+    #[test]
+    fn runtime_program_is_the_decoding_of_the_compiled_runtime() {
+        // The campaign builds its CFG from this program instead of decoding
+        // `compiled.runtime` a second time.
+        let h = harness();
+        let decoded = DecodedProgram::decode(&h.compiled.runtime);
+        let program = h.runtime_program();
+        assert_eq!(program.code_len(), h.compiled.runtime.len());
+        assert_eq!(program.instructions(), decoded.instructions());
     }
 
     #[test]

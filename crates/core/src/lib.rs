@@ -25,15 +25,18 @@
 //! energy scheduler per campaign (see [`campaign`]); branch coverage is
 //! merged into a lock-free atomic bitmap ([`coverage::CoverageMap`]) keyed
 //! by the dense edge ids of [`mufuzz_analysis::EdgeIndex`], and the
-//! execution budget is reserved atomically so `report.executions` never
-//! exceeds `max_executions()`. With `workers == 1` campaigns are fully
-//! deterministic for a given `rng_seed`, and can be paused, checkpointed to
-//! a versioned [`CampaignSnapshot`] and resumed bit-identically. Selecting
-//! [`DeterminismProfile::Round`] extends that contract to *every* worker
-//! count: the campaign advances in barrier-synchronized rounds of fixed
-//! work slots, any parallelism produces the bit-identical report, corpus
-//! and findings, and each finding carries a replayable [`FindingRecord`]
-//! ([`replay_finding`]). The full concurrency model is documented in
+//! execution budget is exact, so `report.executions` never exceeds
+//! `max_executions()`.
+//!
+//! There is one engine per lane count, and every campaign is deterministic
+//! for its `rng_seed`. A one-lane campaign (`workers == 1`) is the
+//! free-running sequential engine. Every campaign with more lanes — and a
+//! one-lane campaign under [`DeterminismProfile::Round`] — advances in
+//! barrier-synchronized rounds of fixed work slots: any worker count
+//! produces the bit-identical report, corpus and findings, and each finding
+//! carries a replayable [`FindingRecord`] ([`replay_finding`]). Either way a
+//! campaign can be paused, checkpointed to a versioned [`CampaignSnapshot`]
+//! and resumed bit-identically. The full concurrency model is documented in
 //! `docs/ARCHITECTURE.md`.
 //!
 //! ## Quickstart

@@ -1,7 +1,9 @@
-//! Barrier-synchronized **round mode**: the reproducible execution profile.
+//! Barrier-synchronized **round mode**: the engine of every multi-lane
+//! campaign.
 //!
-//! Under [`DeterminismProfile::Round`](crate::config::DeterminismProfile) a
-//! campaign advances in *rounds*. Each round freezes an immutable
+//! Under [`DeterminismProfile::Round`](crate::config::DeterminismProfile),
+//! and whenever `FuzzerConfig::workers > 1`, a campaign advances in
+//! *rounds*. Each round freezes an immutable
 //! [`RoundView`] of the scheduling state — the corpus, the coverage bitmap
 //! and the corpus mean weight — and splits the next chunk of the execution
 //! budget into `SchedulerConfig::round_slots` fixed-size *slots* of
@@ -16,7 +18,7 @@
 //!   from the frozen words, so an admission decision cannot depend on what a
 //!   concurrently running slot discovered.
 //!
-//! A slot runs the same mask-probe pass and mutant loop as a free-running
+//! A slot runs the same mask-probe pass and mutant loop as the free-running
 //! lane (`Executor::compute_masks` and `Executor::run_mutants` in
 //! `campaign.rs`); its ledger, `SlotCtx`, charges the slot quota instead of
 //! the shared budget and stages every result for the commit.

@@ -16,17 +16,19 @@
 //! at the top priority) gets on CPU quickly.
 //!
 //! Determinism: a lane's batches run in order no matter which pool thread
-//! picks them up, so a `workers == 1` campaign is bit-for-bit identical to
-//! the historical sequential engine at *any* pool size — and a checkpoint
-//! taken at a deterministic pause point resumes bit-identically
-//! (`tests/fleet_service.rs`). Lanes draw their seeds from the shared corpus
-//! and keep no scheduling state of their own, so a paused campaign's
-//! scheduling state is exactly the shared state a checkpoint serializes:
-//! pausing flushes nothing.
+//! picks them up, and there is one engine per lane count. A one-lane
+//! free-running campaign is bit-for-bit the historical sequential engine;
+//! every campaign with more than one lane runs barrier-synchronized rounds
+//! and is bit-identical at any worker count. Either way the report is the
+//! same at *any* pool size, and a checkpoint taken at a deterministic pause
+//! point resumes bit-identically (`tests/fleet_service.rs`). Lanes keep no
+//! scheduling state of their own, so a paused campaign's scheduling state
+//! is exactly the shared state a checkpoint serializes, plus one lane state
+//! (lane 0's RNG and the campaign's monitor): pausing flushes nothing.
 
 use crate::campaign::{
-    build_report, derive_worker_seed, CampaignContext, CampaignReport, CampaignShared,
-    CoveragePoint, LaneStep, PauseState, RunParams, SharedCampaignState, Worker,
+    build_report, CampaignContext, CampaignReport, CampaignShared, CoveragePoint, LaneStep,
+    PauseState, RunParams, SharedCampaignState, Worker,
 };
 use crate::config::FuzzerConfig;
 use crate::coverage::CoverageMap;
@@ -36,11 +38,10 @@ use crate::fleet::{FleetPool, WorkerCtx};
 use crate::replay::FindingRecord;
 use crate::round::RoundRt;
 use crate::snapshot::{
-    contract_fingerprint, CampaignSnapshot, LaneState, SnapshotError, PROFILE_FREE_RUNNING,
-    PROFILE_ROUND,
+    contract_fingerprint, CampaignSnapshot, SnapshotError, PROFILE_FREE_RUNNING, PROFILE_ROUND,
 };
 use mufuzz_lang::CompiledContract;
-use mufuzz_oracles::{BugClass, BugFinding, CampaignMonitor};
+use mufuzz_oracles::{BugClass, BugFinding};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -64,9 +65,10 @@ const LAUNCH_PRIORITY: f64 = 1.0;
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// Pause the campaign once this many executions have been reserved,
-    /// instead of running to the budget. Lanes stop at the next batch
-    /// boundary at/after the mark; for a single-lane campaign the pause
-    /// point is deterministic, which makes it the checkpoint/resume anchor.
+    /// instead of running to the budget. A free-running campaign stops at
+    /// the first batch boundary at or after the mark, a round campaign at the
+    /// first round barrier at or after it. Either way the pause point is
+    /// deterministic, which makes it the checkpoint/resume anchor.
     pub pause_at: Option<usize>,
 }
 
@@ -187,9 +189,11 @@ struct CampaignJob {
     shared: CampaignShared,
     params: RunParams,
     pause: PauseState,
-    /// One slot per lane. A slot holds the lane's [`Worker`] whenever the
-    /// lane is not mid-batch; finalisation takes them out, a paused campaign
-    /// leaves them in place for [`CampaignHandle::checkpoint`].
+    /// One slot per lane: exactly one for a free-running campaign,
+    /// `config.workers` for a round campaign. A slot holds the lane's
+    /// [`Worker`] whenever the lane is not mid-batch; finalisation takes them
+    /// out, a paused campaign leaves them in place for
+    /// [`CampaignHandle::checkpoint`].
     lanes: Vec<Mutex<Option<Worker>>>,
     /// Lanes still scheduled (running or queued).
     active: AtomicUsize,
@@ -299,28 +303,23 @@ impl CampaignService {
         rng0: SmallRng,
         options: SubmitOptions,
     ) -> CampaignHandle {
-        let lane_count = ctx.config.workers.max(1);
-        let mut workers = Vec::with_capacity(lane_count);
-        workers.push(Worker::new(Arc::clone(&ctx), rng0));
-        for index in 1..lane_count {
-            let seed = derive_worker_seed(ctx.config.rng_seed, index);
-            workers.push(Worker::new(Arc::clone(&ctx), SmallRng::seed_from_u64(seed)));
-        }
+        let lanes = campaign_lanes(&ctx, Worker::new(Arc::clone(&ctx), rng0));
         let shared = CampaignShared::new(ctx.harness.edge_index().len());
         let params = RunParams::new(&ctx, 0);
-        self.launch(ctx, shared, params, workers, options, ResumeInfo::fresh())
+        self.launch(ctx, shared, params, lanes, options, ResumeInfo::fresh())
     }
 
     /// Resume a checkpointed campaign; returns immediately with a handle.
     ///
     /// The contract must fingerprint-match the snapshot, the configuration
-    /// must select the snapshot's determinism profile, and its budget must
-    /// cover the executions the snapshot has already run. Under
-    /// the free-running profile `config.workers` must additionally equal the
-    /// snapshot's lane count, and with one lane an unchanged configuration
-    /// continues bit-for-bit where the checkpoint left off. Under the round
-    /// profile the snapshot is worker-count independent: it can resume at
-    /// *any* `config.workers` and still produce the bit-identical campaign.
+    /// must run the snapshot's engine, and its budget must cover the
+    /// executions the snapshot has already run. A free-running snapshot
+    /// resumes only as one free-running lane (with `workers > 1` the
+    /// configuration runs rounds, and the resume fails with
+    /// [`SnapshotError::ProfileMismatch`]); an unchanged configuration then
+    /// continues bit-for-bit where the checkpoint left off. A round snapshot
+    /// is worker-count independent: it can resume at *any* `config.workers`
+    /// and still produce the bit-identical campaign.
     pub fn resume(
         &self,
         compiled: CompiledContract,
@@ -358,42 +357,13 @@ impl CampaignService {
                 budget: config.max_executions(),
             });
         }
-        let lane_count = config.workers.max(1);
-        // Free-running lanes have their own RNG/monitor streams, so the
-        // resume must rebuild exactly as many as were frozen. A round
-        // checkpoint freezes one master lane state, and the worker count is
-        // free to change.
-        if snapshot.profile == PROFILE_FREE_RUNNING && snapshot.lanes() != lane_count {
-            return Err(SnapshotError::LaneMismatch {
-                snapshot: snapshot.lanes(),
-                config: lane_count,
-            });
-        }
         let ctx = Arc::new(CampaignContext::prepare(compiled, config)?);
         let edges = ctx.harness.edge_index().len();
         if snapshot.coverage_edges as usize != edges {
             return Err(SnapshotError::ContractMismatch);
         }
-        let workers: Vec<Worker> = if snapshot.profile == PROFILE_ROUND {
-            let master = &snapshot.lane_states[0];
-            let mut lanes = Vec::with_capacity(lane_count);
-            lanes.push(Worker::restore(
-                Arc::clone(&ctx),
-                master.rng,
-                master.monitor.clone(),
-            ));
-            for index in 1..lane_count {
-                let seed = derive_worker_seed(ctx.config.rng_seed, index);
-                lanes.push(Worker::new(Arc::clone(&ctx), SmallRng::seed_from_u64(seed)));
-            }
-            lanes
-        } else {
-            snapshot
-                .lane_states
-                .iter()
-                .map(|lane| Worker::restore(Arc::clone(&ctx), lane.rng, lane.monitor.clone()))
-                .collect()
-        };
+        let lane0 = Worker::restore(Arc::clone(&ctx), snapshot.rng, snapshot.monitor.clone());
+        let lanes = campaign_lanes(&ctx, lane0);
         let shared = CampaignShared {
             state: Mutex::new(SharedCampaignState {
                 corpus: snapshot.corpus.clone(),
@@ -412,7 +382,7 @@ impl CampaignService {
             ctx,
             shared,
             params,
-            workers,
+            lanes,
             options,
             ResumeInfo {
                 resumed: true,
@@ -470,6 +440,20 @@ impl CampaignService {
             .spawn(LAUNCH_PRIORITY, move |wctx| bootstrap(bootstrap_job, wctx));
         CampaignHandle { job, events }
     }
+}
+
+/// A campaign's lanes: `lane0`, then one fresh lane per further worker. Only
+/// a round campaign has further workers (with `workers > 1` the campaign
+/// runs rounds), and round slots draw from RNGs derived from
+/// `(rng_seed, round, slot)` and observe into slot monitors, so the fresh
+/// lanes' own RNG and monitor are never used.
+fn campaign_lanes(ctx: &Arc<CampaignContext>, lane0: Worker) -> Vec<Worker> {
+    let mut lanes = vec![lane0];
+    for _ in 1..ctx.config.workers {
+        let rng = SmallRng::seed_from_u64(ctx.config.rng_seed);
+        lanes.push(Worker::new(Arc::clone(ctx), rng));
+    }
+    lanes
 }
 
 /// Where a launched campaign starts from: fresh, or mid-round with the
@@ -607,43 +591,27 @@ impl CampaignHandle {
                 s.culled,
             )
         };
-        // A round checkpoint freezes one lane state — lane 0's RNG plus the
-        // runtime's master monitor — and the round index and record list;
-        // the snapshot can then resume at any worker count. Free-running
-        // checkpoints freeze every lane's private stream as before.
+        // Every checkpoint freezes lane 0's RNG and the monitor that holds
+        // the campaign's observations: the round runtime's master monitor in
+        // round mode (with the round index and record list), else the lane's
+        // own. A round snapshot can then resume at any worker count.
         let round_state = {
             let guard = job.shared.round.lock().expect("round state poisoned");
             guard
                 .as_ref()
                 .map(|rt| (rt.round, rt.monitor.export_state(), rt.records.clone()))
         };
-        let (profile, round, lane_states, records) = match round_state {
-            Some((round, monitor, records)) => {
-                let slot = job.lanes[0].lock().expect("campaign lane poisoned");
-                let worker = slot.as_ref().ok_or(SnapshotError::NotPaused)?;
-                let lane_states = vec![LaneState {
-                    rng: worker.rng_state(),
-                    monitor,
-                }];
-                (PROFILE_ROUND, round, lane_states, records)
-            }
-            None => {
-                let mut lane_states = Vec::with_capacity(job.lanes.len());
-                for slot in &job.lanes {
-                    let slot = slot.lock().expect("campaign lane poisoned");
-                    let worker = slot.as_ref().ok_or(SnapshotError::NotPaused)?;
-                    lane_states.push(LaneState {
-                        rng: worker.rng_state(),
-                        monitor: worker.monitor_state(),
-                    });
-                }
-                (PROFILE_FREE_RUNNING, 0, lane_states, Vec::new())
-            }
+        let slot = job.lanes[0].lock().expect("campaign lane poisoned");
+        let worker = slot.as_ref().ok_or(SnapshotError::NotPaused)?;
+        let (profile, round, monitor, records) = match round_state {
+            Some((round, monitor, records)) => (PROFILE_ROUND, round, monitor, records),
+            None => (PROFILE_FREE_RUNNING, 0, worker.monitor_state(), Vec::new()),
         };
+        let rng = worker.rng_state();
+        drop(slot);
         Ok(CampaignSnapshot {
             contract_hash: contract_fingerprint(&job.ctx.harness.compiled),
             rng_seed: job.ctx.config.rng_seed,
-            lanes: job.lanes.len() as u32,
             profile,
             round,
             max_executions: job.ctx.config.max_executions() as u64,
@@ -657,7 +625,8 @@ impl CampaignHandle {
             corpus,
             timeline,
             shapes,
-            lane_states,
+            rng,
+            monitor,
             records,
         })
     }
@@ -695,7 +664,7 @@ fn prologue(job: &Arc<CampaignJob>) -> bool {
         let worker = slot.as_mut().expect("lane worker missing");
         worker.run_initial(&job.shared, &job.params);
     }
-    pump_events(job, 0);
+    pump_events(job);
     let corpus_empty = job
         .shared
         .state
@@ -751,7 +720,7 @@ fn drive_lane(job: &Arc<CampaignJob>, lane: usize, steps: usize, wctx: &WorkerCt
             let worker = slot.as_mut().expect("lane worker missing");
             worker.step(&job.shared, &job.params, &job.pause)
         };
-        pump_events(job, lane);
+        pump_events(job);
         step
     });
     let Some(step) = step else {
@@ -839,8 +808,9 @@ fn mark_failed(job: &CampaignJob) {
     job.done_cv.notify_all();
 }
 
-/// Merge the lanes' monitors (or take the round runtime's master state),
-/// run the campaign-level oracles, build the report and publish completion.
+/// Take the campaign's observations — the free-running lane's monitor, or
+/// the round runtime's master state — run the campaign-level oracles, build
+/// the report and publish completion.
 fn finalize(job: &Arc<CampaignJob>, empty_corpus: bool) {
     let round_rt = job
         .shared
@@ -848,42 +818,22 @@ fn finalize(job: &Arc<CampaignJob>, empty_corpus: bool) {
         .lock()
         .expect("round state poisoned")
         .take();
-    let mut merged: Option<CampaignMonitor> = None;
-    let mut last_world = None;
-    let mut rng0 = None;
-    for (index, slot) in job.lanes.iter().enumerate() {
-        let worker = slot
-            .lock()
+    let mut lanes = job.lanes.iter().map(|slot| {
+        slot.lock()
             .expect("campaign lane poisoned")
             .take()
-            .expect("lane worker missing at finalisation");
-        let (monitor, world, rng) = worker.into_parts();
-        if index == 0 {
-            rng0 = Some(rng);
-        }
-        // Keep the freshest world for the campaign-level oracles: lane 0's
-        // last mutant (the only lane with `workers == 1`, preserving the
-        // sequential engine's choice), else any lane's.
-        if last_world.is_none() {
-            last_world = world;
-        }
-        merged = Some(match merged {
-            None => monitor,
-            Some(mut m) => {
-                m.merge(monitor);
-                m
-            }
-        });
-    }
+            .expect("lane worker missing at finalisation")
+    });
+    let (lane_monitor, lane_world, rng0) = lanes.next().expect("campaign has lane 0").into_parts();
+    // The other lanes are round lanes, which hold nothing finalisation
+    // needs: drop them and their harness clones now.
+    lanes.for_each(drop);
     // Round mode keeps its observations in the runtime's master monitor —
     // committed in slot order, so they are identical at any worker count —
     // while the lane monitors stay empty.
-    let (mut monitor, finding_records) = match round_rt {
-        Some(rt) => {
-            last_world = rt.last_world;
-            (rt.monitor, rt.records)
-        }
-        None => (merged.expect("campaign has at least one lane"), Vec::new()),
+    let (mut monitor, last_world, finding_records) = match round_rt {
+        Some(rt) => (rt.monitor, rt.last_world, rt.records),
+        None => (lane_monitor, lane_world, Vec::new()),
     };
     monitor.finalize(
         &job.ctx.harness.compiled,
@@ -914,7 +864,7 @@ fn finalize(job: &Arc<CampaignJob>, empty_corpus: bool) {
     let mut done = job.done.lock().expect("campaign done state poisoned");
     done.status = JobStatus::Completed;
     done.report = Some(report);
-    done.rng = rng0;
+    done.rng = Some(rng0);
     job.done_cv.notify_all();
 }
 
@@ -948,12 +898,12 @@ fn refresh_priority(job: &Arc<CampaignJob>) -> f64 {
     window.score
 }
 
-/// Emit fresh timeline points and `lane`'s fresh findings as events.
+/// Emit fresh timeline points and fresh findings as events.
 ///
 /// Lock order within a job is sink → state and sink → lane is never needed
 /// (the lane lock is released before the sink lock is taken), so lane tasks
 /// and the handle can pump concurrently without deadlock.
-fn pump_events(job: &Arc<CampaignJob>, lane: usize) {
+fn pump_events(job: &Arc<CampaignJob>) {
     let findings = if job.ctx.config.round_mode() {
         // Round-mode findings live in the runtime's master monitor (lane
         // monitors stay empty); they become visible at round commits.
@@ -963,7 +913,8 @@ fn pump_events(job: &Arc<CampaignJob>, lane: usize) {
             .map(RoundRt::fresh_findings)
             .unwrap_or_default()
     } else {
-        let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
+        // A free-running campaign is lane 0 alone.
+        let mut slot = job.lanes[0].lock().expect("campaign lane poisoned");
         match slot.as_mut() {
             Some(worker) => worker.fresh_findings(),
             None => Vec::new(),

@@ -1,18 +1,21 @@
 //! Versioned campaign checkpoints.
 //!
 //! A [`CampaignSnapshot`] freezes a paused campaign — corpus, coverage
-//! bitmap, timeline, per-lane RNG streams and oracle monitors, and the
-//! execution/time budget already spent — into a self-contained value that
-//! round-trips through a compact binary encoding ([`CampaignSnapshot::to_bytes`]
-//! / [`CampaignSnapshot::from_bytes`]). Resuming a single-lane snapshot on the
-//! same contract and configuration continues the campaign bit-for-bit where it
-//! left off (see `tests/fleet_service.rs`).
+//! bitmap, timeline, one lane state (lane 0's RNG stream and the campaign's
+//! oracle monitor), and the execution/time budget already spent — into a
+//! self-contained value that round-trips through a compact binary encoding
+//! ([`CampaignSnapshot::to_bytes`] / [`CampaignSnapshot::from_bytes`]).
+//! Resuming a snapshot on the same contract and configuration continues the
+//! campaign bit-for-bit where it left off (see `tests/fleet_service.rs`); a
+//! round-mode snapshot does so at any worker count.
 //!
 //! The encoding is deliberately hand-rolled: a `b"MUFZ"` magic, a `u32`
-//! format version, then length-prefixed little-endian fields. Every read is
-//! bounds-checked, unknown versions are rejected outright, and the snapshot
-//! carries an FNV-1a fingerprint of the contract's runtime bytecode and name
-//! so a snapshot cannot silently resume against the wrong contract.
+//! format version, length-prefixed little-endian fields, then a trailing
+//! FNV-1a integrity hash of everything before it. Every read is
+//! bounds-checked, unknown versions are rejected outright, a stream whose
+//! hash does not match is rejected before any field is decoded, and the
+//! snapshot carries an FNV-1a fingerprint of the contract's runtime bytecode
+//! and name so a snapshot cannot silently resume against the wrong contract.
 
 use crate::campaign::CoveragePoint;
 use crate::executor::HarnessError;
@@ -27,10 +30,11 @@ use std::fmt;
 
 /// Magic bytes opening every serialized snapshot.
 const MAGIC: [u8; 4] = *b"MUFZ";
-/// Current snapshot format version. Version 2 added the determinism profile
-/// tag and the round counter; version-1 streams (pre-round-mode) are rejected
-/// rather than guessed at.
-const VERSION: u32 = 2;
+/// Current snapshot format version. Version 3 holds exactly one lane state
+/// and ends with an integrity hash; version 2 carried a lane count and one
+/// state per free-running lane, and no hash. Streams of any other version are
+/// rejected rather than guessed at.
+const VERSION: u32 = 3;
 
 /// Wire tag for [`DeterminismProfile::FreeRunning`](crate::DeterminismProfile).
 pub(crate) const PROFILE_FREE_RUNNING: u8 = 0;
@@ -47,7 +51,6 @@ pub(crate) const PROFILE_ROUND: u8 = 1;
 pub struct CampaignSnapshot {
     pub(crate) contract_hash: u64,
     pub(crate) rng_seed: u64,
-    pub(crate) lanes: u32,
     pub(crate) profile: u8,
     pub(crate) round: u64,
     pub(crate) max_executions: u64,
@@ -61,31 +64,21 @@ pub struct CampaignSnapshot {
     pub(crate) corpus: Vec<Seed>,
     pub(crate) timeline: Vec<CoveragePoint>,
     pub(crate) shapes: Vec<String>,
-    pub(crate) lane_states: Vec<LaneState>,
+    /// Lane 0's RNG stream position.
+    pub(crate) rng: [u64; 4],
+    /// The campaign's oracle monitor: the free-running lane's own, or the
+    /// round runtime's master monitor.
+    pub(crate) monitor: MonitorState,
     /// Replayable finding records accumulated so far (round mode only;
-    /// empty under the free-running profile). Carried so a resumed round
+    /// empty for a free-running campaign). Carried so a resumed round
     /// campaign finishes with the same record list as an uninterrupted one.
     pub(crate) records: Vec<FindingRecord>,
-}
-
-/// Frozen per-lane state: the lane's RNG stream and oracle monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LaneState {
-    pub(crate) rng: [u64; 4],
-    pub(crate) monitor: MonitorState,
 }
 
 impl CampaignSnapshot {
     /// Executions already spent when the snapshot was taken.
     pub fn executions(&self) -> usize {
         self.executions as usize
-    }
-
-    /// Number of campaign lanes the snapshot was taken with. A free-running
-    /// snapshot resumes only at this lane count (`config.workers`); a
-    /// round-mode snapshot resumes at any worker count.
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
     }
 
     /// Corpus size at the pause point.
@@ -99,14 +92,14 @@ impl CampaignSnapshot {
         self.elapsed_ms
     }
 
-    /// Serialize to the versioned binary format.
+    /// Serialize to the versioned binary format with a trailing integrity
+    /// hash.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Vec::with_capacity(256 + self.coverage_words.len() * 8);
         w.extend_from_slice(&MAGIC);
         put_u32(&mut w, VERSION);
         put_u64(&mut w, self.contract_hash);
         put_u64(&mut w, self.rng_seed);
-        put_u32(&mut w, self.lanes);
         w.push(self.profile);
         put_u64(&mut w, self.round);
         put_u64(&mut w, self.max_executions);
@@ -135,23 +128,25 @@ impl CampaignSnapshot {
         for shape in &self.shapes {
             put_str(&mut w, shape);
         }
-        put_u64(&mut w, self.lane_states.len() as u64);
-        for lane in &self.lane_states {
-            for word in lane.rng {
-                put_u64(&mut w, word);
-            }
-            put_monitor(&mut w, &lane.monitor);
+        for word in self.rng {
+            put_u64(&mut w, word);
         }
+        put_monitor(&mut w, &self.monitor);
         put_u64(&mut w, self.records.len() as u64);
         for record in &self.records {
             put_bytes(&mut w, &record.to_bytes());
         }
+        let mut integrity = Digest::new();
+        integrity.eat(&w);
+        put_u64(&mut w, integrity.finish());
         w
     }
 
     /// Parse a snapshot from its binary form, rejecting bad magic, unknown
-    /// versions, truncated input, and input that decodes to a state no
-    /// campaign can be in (see `check_consistency`).
+    /// versions, a stream whose integrity hash does not match (any modified,
+    /// truncated or extended stream), and input that decodes to a state no
+    /// campaign can be in (see `check_consistency`). Magic and version are
+    /// checked first, so a stream of another version is reported as such.
     pub fn from_bytes(bytes: &[u8]) -> Result<CampaignSnapshot, SnapshotError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -162,9 +157,22 @@ impl CampaignSnapshot {
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
+        let body_len = bytes
+            .len()
+            .checked_sub(8)
+            .filter(|&len| len >= r.pos)
+            .ok_or(SnapshotError::Truncated)?;
+        let (body, tail) = bytes.split_at(body_len);
+        let mut integrity = Digest::new();
+        integrity.eat(body);
+        if integrity.finish() != u64::from_le_bytes(tail.try_into().expect("8-byte slice")) {
+            return Err(SnapshotError::Corrupt(
+                "integrity hash mismatch (snapshot was modified)".into(),
+            ));
+        }
+        r.bytes = body;
         let contract_hash = r.u64()?;
         let rng_seed = r.u64()?;
-        let lanes = r.u32()?;
         let profile = r.u8()?;
         if profile > PROFILE_ROUND {
             return Err(SnapshotError::Corrupt(format!(
@@ -204,13 +212,8 @@ impl CampaignSnapshot {
         for _ in 0..n_shapes {
             shapes.push(r.string()?);
         }
-        let n_lanes = r.len()?;
-        let mut lane_states = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            let monitor = take_monitor(&mut r)?;
-            lane_states.push(LaneState { rng, monitor });
-        }
+        let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let monitor = take_monitor(&mut r)?;
         let n_records = r.len()?;
         let mut records = Vec::with_capacity(n_records);
         for _ in 0..n_records {
@@ -220,13 +223,12 @@ impl CampaignSnapshot {
                     .map_err(|e| SnapshotError::Corrupt(format!("bad finding record: {e}")))?,
             );
         }
-        if r.pos != bytes.len() {
+        if r.pos != body.len() {
             return Err(SnapshotError::Corrupt("trailing bytes".into()));
         }
         let snapshot = CampaignSnapshot {
             contract_hash,
             rng_seed,
-            lanes,
             profile,
             round,
             max_executions,
@@ -240,7 +242,8 @@ impl CampaignSnapshot {
             corpus,
             timeline,
             shapes,
-            lane_states,
+            rng,
+            monitor,
             records,
         };
         snapshot.check_consistency()?;
@@ -250,9 +253,8 @@ impl CampaignSnapshot {
     /// The invariants every checkpoint of a real campaign satisfies: the
     /// coverage bitmap has exactly the words its edge count needs and no bit
     /// past the last edge, every seed's edges are in range, seed uids are
-    /// distinct and below the next uid to hand out, the budget covers the
-    /// executions spent, and the lane states fit the profile (one per lane
-    /// when free-running, one master state in round mode).
+    /// distinct and below the next uid to hand out, and the budget covers
+    /// the executions spent.
     fn check_consistency(&self) -> Result<(), SnapshotError> {
         let corrupt = |what: String| Err(SnapshotError::Corrupt(what));
         let edges = self.coverage_edges;
@@ -286,18 +288,6 @@ impl CampaignSnapshot {
                 self.executions, self.max_executions
             ));
         }
-        let expected = if self.profile == PROFILE_ROUND {
-            1
-        } else {
-            self.lanes()
-        };
-        if self.lane_states.len() != expected {
-            return corrupt(format!(
-                "{} lane states for {} lane(s) (expected {expected})",
-                self.lane_states.len(),
-                self.lanes
-            ));
-        }
         Ok(())
     }
 }
@@ -314,20 +304,14 @@ pub enum SnapshotError {
     /// The snapshot was taken from a different contract than the one
     /// offered for resume.
     ContractMismatch,
-    /// The snapshot was taken under a different determinism profile than
-    /// the resume configuration selects.
+    /// The snapshot was taken under a different engine than the resume
+    /// configuration runs: free-running (one lane) or rounds (the round
+    /// profile, or `workers > 1`).
     ProfileMismatch {
         /// Profile tag frozen in the snapshot (`0` free-running, `1` round).
         snapshot: u8,
-        /// Profile tag the resume configuration selects.
+        /// Profile tag of the engine the resume configuration runs.
         config: u8,
-    },
-    /// The resume configuration's lane count differs from the snapshot's.
-    LaneMismatch {
-        /// Lanes frozen in the snapshot.
-        snapshot: usize,
-        /// Lanes requested by `config.workers`.
-        config: usize,
     },
     /// The snapshot has already spent more executions than the resume
     /// configuration's budget allows.
@@ -366,15 +350,11 @@ impl fmt::Display for SnapshotError {
                 };
                 write!(
                     f,
-                    "snapshot was taken under the {} profile but the config selects {}",
+                    "snapshot was taken under the {} engine but the config runs {}",
                     name(snapshot),
                     name(config)
                 )
             }
-            SnapshotError::LaneMismatch { snapshot, config } => write!(
-                f,
-                "snapshot has {snapshot} lane(s) but the config asks for {config} worker(s)"
-            ),
             SnapshotError::BudgetExceeded { executions, budget } => write!(
                 f,
                 "snapshot has run {executions} executions, beyond the budget of {budget}"
@@ -413,7 +393,7 @@ pub(crate) fn contract_fingerprint(compiled: &CompiledContract) -> u64 {
 
 /// An incremental FNV-1a hasher over the snapshot wire encoding — the digest
 /// primitive behind `CampaignReport`'s corpus/coverage digests and the
-/// finding-record integrity hash. Same offset basis and prime as
+/// snapshot and finding-record integrity hashes. Same offset basis and prime as
 /// [`contract_fingerprint`], kept tiny and dependency-free on purpose.
 #[derive(Debug, Clone)]
 pub(crate) struct Digest(u64);
@@ -701,7 +681,6 @@ mod tests {
         CampaignSnapshot {
             contract_hash: 0xDEAD_BEEF,
             rng_seed: 11,
-            lanes: 1,
             profile: PROFILE_ROUND,
             round: 5,
             max_executions: 400,
@@ -720,19 +699,17 @@ mod tests {
                 coverage: 0.6,
             }],
             shapes: vec!["invest->refund->withdraw".into()],
-            lane_states: vec![LaneState {
-                rng: [1, 2, 3, 4],
-                monitor: MonitorState {
-                    findings: vec![BugFinding {
-                        class: BugClass::ALL[0],
-                        function: Some("withdraw".into()),
-                        pc: 42,
-                        detail: "sample".into(),
-                    }],
-                    call_value_invocations: vec![("invest".into(), 5)],
-                    held_balance: true,
-                },
-            }],
+            rng: [1, 2, 3, 4],
+            monitor: MonitorState {
+                findings: vec![BugFinding {
+                    class: BugClass::ALL[0],
+                    function: Some("withdraw".into()),
+                    pc: 42,
+                    detail: "sample".into(),
+                }],
+                call_value_invocations: vec![("invest".into(), 5)],
+                held_balance: true,
+            },
             records: vec![FindingRecord {
                 contract_hash: 0xDEAD_BEEF,
                 seed_uid: 7,
@@ -767,12 +744,16 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let mut bytes = sample_snapshot().to_bytes();
-        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            CampaignSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        ));
+        // The version is read before the integrity hash is checked, so a
+        // version-2 stream (which had no hash) is reported as such.
+        for version in [2u32, 99] {
+            let mut bytes = sample_snapshot().to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                CampaignSnapshot::from_bytes(&bytes),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -886,19 +867,6 @@ mod tests {
         let mut snapshot = crowdsale_checkpoint();
         snapshot.executions = snapshot.max_executions + 1;
         assert_corrupt(&snapshot);
-    }
-
-    #[test]
-    fn lane_state_count_must_fit_the_profile() {
-        // Free-running: one lane state per lane.
-        let mut free = crowdsale_checkpoint();
-        free.lane_states.push(free.lane_states[0].clone());
-        assert_corrupt(&free);
-        // Round mode: one master lane state, whatever the lane count.
-        let mut round = free.clone();
-        round.profile = PROFILE_ROUND;
-        round.lanes = 2;
-        assert_corrupt(&round);
     }
 
     #[test]

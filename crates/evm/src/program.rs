@@ -113,6 +113,14 @@ impl DecodedProgram {
         }
     }
 
+    /// Release the instruction capacity [`DecodedProgram::decode`] reserves
+    /// for its worst case, one instruction per code byte. Push data makes
+    /// the real count smaller, so a program that is kept — a cache entry —
+    /// is worth shrinking once; a program decoded for one frame is not.
+    pub fn shrink_to_fit(&mut self) {
+        self.instrs.shrink_to_fit();
+    }
+
     /// Byte length of the original code (`CODESIZE`).
     pub fn code_len(&self) -> usize {
         self.code_len

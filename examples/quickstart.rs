@@ -51,10 +51,11 @@ fn main() {
     );
 
     // 2. Fuzz with the full MuFuzz configuration for 1,000 sequence
-    //    executions on one worker, which makes the run deterministic: the
+    //    executions on one worker, the free-running sequential engine: the
     //    same seed prints the same report on any machine. `MUFUZZ_WORKERS`
-    //    overrides the worker count; more than one worker runs free and
-    //    the report may vary from run to run.
+    //    overrides the worker count; more than one worker runs
+    //    barrier-synchronized rounds, which print one (different) report at
+    //    every worker count above one.
     let workers = std::env::var("MUFUZZ_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())

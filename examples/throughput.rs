@@ -1,7 +1,7 @@
 //! Throughput benchmark of the campaign engine: fuzz the quickstart
-//! PiggyBank contract with 1 worker and with N workers (free-running and
-//! under the round profile), then sweep three corpus contracts through one
-//! `CampaignService` fleet pool, sequentially and concurrently. A
+//! PiggyBank contract with 1 worker (the free-running lane) and with N
+//! workers (barrier-synchronized rounds), then sweep three corpus contracts
+//! through one `CampaignService` fleet pool, sequentially and concurrently. A
 //! raw-harness interpreter A/B isolates the execution tiers from scheduler
 //! effects: four kernels — a straight-line local-arithmetic mixer, a
 //! branchy unrolled Collatz-style router, a storage-heavy mapping ledger
@@ -9,7 +9,7 @@
 //! `ContractHarness` directly on both tiers (pre-decoded
 //! instruction-at-a-time and block-lowered direct-threaded dispatch),
 //! measured best-of-N interleaved to shrug off scheduler noise. Each
-//! campaign rate (1 worker, N workers, round mode) is the median of
+//! campaign rate (1 worker, N workers) is the median of
 //! [`SAMPLES`] campaigns run in alternation, and each side of the fleet
 //! sweep the median of as many alternating sweeps, so one descheduled
 //! thread moves one sample rather than a gated rate. Reports execs/sec for
@@ -100,19 +100,6 @@ fn campaign(workers: usize, executions: usize) -> CampaignReport {
     let config = FuzzerConfig::mufuzz(executions)
         .with_rng_seed(42)
         .with_workers(workers);
-    Fuzzer::new(compiled, config)
-        .expect("deployment should succeed")
-        .run()
-}
-
-/// The same N-worker campaign under the barrier-synchronized round profile:
-/// what reproducibility costs relative to free-running workers.
-fn round_campaign(workers: usize, executions: usize) -> CampaignReport {
-    let compiled = compile_source(SOURCE).expect("contract should compile");
-    let config = FuzzerConfig::mufuzz(executions)
-        .with_rng_seed(42)
-        .with_workers(workers)
-        .with_round_mode();
     Fuzzer::new(compiled, config)
         .expect("deployment should succeed")
         .run()
@@ -317,7 +304,8 @@ fn kernel_json(kernel: &str, pre: f64, thr: f64) -> String {
 /// Sweep three corpus contracts through one fleet pool of `threads`
 /// threads. `concurrent` submits all three up front (the fleet case);
 /// otherwise each campaign is waited out before the next is submitted (the
-/// sequential baseline).
+/// sequential baseline). The campaigns keep the default worker count, so on
+/// a multi-core machine each runs rounds.
 fn fleet_sweep(threads: usize, executions: usize, concurrent: bool) -> Sweep {
     let sources = [
         contracts::crowdsale().source,
@@ -422,35 +410,22 @@ fn main() {
     // single-worker number.
     campaign(1, executions / 10);
 
-    // Three campaigns per round, in alternation, so drift in the host's
-    // speed reaches every rate alike:
-    // * one worker;
-    // * the scaling A/B: the same campaign on N free-running workers, each
-    //   drawing its seed batches from the one shared corpus;
-    // * the determinism A/B: the same N-worker campaign under the round
-    //   profile. The barriers and frozen corpus views buy cross-worker-count
-    //   reproducibility; the contract is that they cost at most 25% of the
-    //   free-running throughput (asserted after the JSON record is written).
-    let (mut singles, mut parallels, mut rounds) = (Vec::new(), Vec::new(), Vec::new());
+    // The scaling A/B, two campaigns per sample in alternation so drift in
+    // the host's speed reaches both rates alike: one free-running lane, and
+    // the same campaign on N workers, which runs barrier-synchronized rounds
+    // (bit-identical at any worker count).
+    let (mut singles, mut parallels) = (Vec::new(), Vec::new());
     for _ in 0..SAMPLES {
         singles.push(campaign(1, executions));
         parallels.push(campaign(workers, executions));
-        rounds.push(round_campaign(workers, executions));
     }
     let single = Rate::of(singles, CampaignReport::execs_per_sec);
     let parallel = Rate::of(parallels, CampaignReport::execs_per_sec);
-    let round = Rate::of(rounds, CampaignReport::execs_per_sec);
     print_rate("free-running", &single);
-    print_rate("free-running", &parallel);
+    print_rate("rounds", &parallel);
     println!(
         "speedup vs single: {:.2}x",
         parallel.execs_per_sec() / single.execs_per_sec()
-    );
-    print_rate("round mode", &round);
-    let round_cost = 1.0 - round.execs_per_sec() / parallel.execs_per_sec();
-    println!(
-        "round mode: {:.1}% cost vs free-running",
-        round_cost * 100.0
     );
 
     // The interpreter A/B: each kernel through the raw harness on both
@@ -531,7 +506,6 @@ fn main() {
         concat!(
             "{{\n  \"benchmark\": \"piggybank\",\n  \"budget\": {},\n",
             "  \"single\": {},\n  \"parallel\": {},\n",
-            "  \"round_mode\": {},\n",
             "  \"predecoded\": {},\n  \"block_lowered\": {},\n",
             "  \"kernels\": {{{}}},\n",
             "  \"fleet_sequential\": {},\n  \"fleet_concurrent\": {}\n}}\n"
@@ -539,7 +513,6 @@ fn main() {
         executions,
         json_entry(&single),
         json_entry(&parallel),
-        json_entry(&round),
         tier_json(false, predecoded),
         tier_json(true, block_lowered),
         kernel_entries.join(", "),
@@ -553,11 +526,6 @@ fn main() {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 
-    assert!(
-        round.execs_per_sec() >= 0.75 * parallel.execs_per_sec(),
-        "round mode costs {:.1}% throughput vs free-running (budget is 25%)",
-        round_cost * 100.0
-    );
     if let Some(ratio) = ingested_ratio {
         assert!(
             ratio >= 0.95,

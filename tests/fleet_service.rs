@@ -199,7 +199,9 @@ fn mismatched_snapshot_version_is_rejected() {
 }
 
 /// Resuming against the wrong contract or the wrong lane count fails
-/// loudly instead of corrupting a campaign.
+/// loudly instead of corrupting a campaign. A free-running snapshot is one
+/// lane; resumed with more workers the configuration runs rounds, so the
+/// engines do not match.
 #[test]
 fn resume_validates_contract_and_lane_count() {
     let snapshot = checkpoint_at(11, 100);
@@ -213,11 +215,11 @@ fn resume_validates_contract_and_lane_count() {
 
     let same = compile_source(&contracts::crowdsale().source).unwrap();
     match service.resume(same, crowdsale_config(11).with_workers(4), &snapshot) {
-        Err(SnapshotError::LaneMismatch {
-            snapshot: 1,
-            config: 4,
+        Err(SnapshotError::ProfileMismatch {
+            snapshot: 0,
+            config: 1,
         }) => {}
-        other => panic!("expected LaneMismatch, got {:?}", other.err()),
+        other => panic!("expected ProfileMismatch, got {:?}", other.err()),
     }
 }
 

@@ -1,10 +1,10 @@
-//! Integration tests for the parallel campaign engine.
+//! Integration tests for the campaign engines at one and several workers.
 //!
 //! The contract: `workers == 1` replays the historical single-threaded
 //! engine bit for bit (the snapshot constants below were captured from the
-//! sequential implementation before the worker refactor), multi-worker
-//! campaigns stay functionally equivalent (coverage, corpus growth, oracle
-//! findings), and oracle results merge correctly across workers.
+//! sequential implementation before the worker refactor), and multi-worker
+//! campaigns — which run barrier-synchronized rounds — stay functionally
+//! equivalent (coverage, corpus growth, oracle findings, exact budget).
 
 use mufuzz::{CampaignReport, Fuzzer, FuzzerConfig};
 use mufuzz_corpus::contracts;
@@ -88,19 +88,19 @@ fn single_worker_campaigns_are_fully_deterministic() {
     }
 }
 
-/// The concurrent engine reaches the same coverage plateau as the
+/// A four-worker campaign (rounds) reaches the same coverage plateau as the
 /// sequential one on the benchmark contract and respects the budget.
 #[test]
 fn four_workers_match_sequential_coverage_on_crowdsale() {
     let sequential = run_crowdsale(11, 1);
     let parallel = run_crowdsale(11, 4);
     assert_eq!(parallel.workers, 4);
-    // Exact budget: execution slots are reserved atomically before every
-    // execution (including mask probes), so a multi-worker campaign consumes
-    // the budget exactly — no more overshoot by in-flight mutants.
+    // Exact budget: every round sizes its slot quotas to the budget left,
+    // mask probes included, so a multi-worker campaign consumes the budget
+    // exactly.
     assert_eq!(parallel.executions, 400);
-    // 400 executions saturate this contract from many seeds; the parallel
-    // schedule must find (nearly) the same plateau regardless of interleaving.
+    // 400 executions saturate this contract from many seeds; the round
+    // schedule must find (nearly) the same plateau as the sequential one.
     assert!(
         parallel.covered_edges + 2 >= sequential.covered_edges,
         "parallel {} vs sequential {}",
@@ -110,8 +110,8 @@ fn four_workers_match_sequential_coverage_on_crowdsale() {
     assert!(parallel.corpus_size >= 3);
 }
 
-/// Oracle findings survive the per-worker monitor merge: the reentrant bank
-/// is detected with a multi-worker campaign too.
+/// Oracle findings survive the round barrier's monitor merge: the reentrant
+/// bank is detected with a multi-worker campaign too.
 #[test]
 fn parallel_campaign_detects_reentrancy() {
     let compiled = compile_source(&contracts::reentrant_bank().source).unwrap();
@@ -125,9 +125,8 @@ fn parallel_campaign_detects_reentrancy() {
 }
 
 /// Exact-budget invariant: `report.executions <= max_executions` at every
-/// worker count. Before the atomic reservation counter, workers checked the
-/// budget and executed afterwards, overshooting by up to `workers - 1`
-/// in-flight mutants plus outstanding mask-probe passes.
+/// worker count, whether one lane reserves each execution or rounds charge
+/// their slot quotas.
 #[test]
 fn budget_is_exact_at_any_worker_count() {
     for workers in [1, 2, 4, 8] {

@@ -13,6 +13,9 @@ use mufuzz::{
 };
 use mufuzz_corpus::contracts;
 use mufuzz_lang::compile_source;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::panic::catch_unwind;
 
 /// A PiggyBank in the style of the classic reentrancy example: `smash` sends
 /// the whole balance through a raw call before zeroing the savings.
@@ -126,6 +129,49 @@ fn tampered_record_bytes_are_rejected() {
             assert!(!reason.is_empty(), "tampering error explains itself");
         }
         other => panic!("expected Tampered, got {other:?}"),
+    }
+}
+
+/// One seeded corruption of `bytes`: one or two edits, each a bit flip, a
+/// byte overwrite, a truncation or an inserted byte.
+fn corrupt(bytes: &[u8], rng: &mut SmallRng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for _ in 0..rng.gen_range(1..3usize) {
+        if out.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..out.len());
+        match rng.gen_range(0..4u32) {
+            0 => out[at] ^= 1 << rng.gen_range(0..8u32),
+            1 => out[at] = rng.gen(),
+            2 => out.truncate(at),
+            _ => out.insert(at, rng.gen()),
+        }
+    }
+    out
+}
+
+/// Hostile bytes: 300 seeded corruptions each of a real checkpoint (taken
+/// after the round that recorded the campaign's first finding, so it nests
+/// that record's encoding) and of a real finding record. Every stream that
+/// differs from the original is rejected, and neither decoder panics.
+#[test]
+fn corrupted_snapshot_and_record_bytes_are_rejected() {
+    let report = run_campaign(PIGGY_BANK, round_config(9, 2));
+    let record = report.finding_records.first().expect("a record").to_bytes();
+    let snapshot = checkpoint_campaign(PIGGY_BANK, round_config(9, 2), 200).to_bytes();
+    let mut rng = SmallRng::seed_from_u64(0x0BAD_B17E);
+    for case in 0..300 {
+        let bad = corrupt(&snapshot, &mut rng);
+        if bad != snapshot {
+            let decoded = catch_unwind(|| CampaignSnapshot::from_bytes(&bad).is_ok());
+            assert_eq!(decoded.ok(), Some(false), "snapshot case {case}");
+        }
+        let bad = corrupt(&record, &mut rng);
+        if bad != record {
+            let decoded = catch_unwind(|| FindingRecord::from_bytes(&bad).is_ok());
+            assert_eq!(decoded.ok(), Some(false), "record case {case}");
+        }
     }
 }
 

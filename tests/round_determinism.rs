@@ -1,13 +1,14 @@
-//! Cross-worker-count determinism suite for the round-mode profile.
+//! Cross-worker-count determinism suite for round mode.
 //!
-//! The round-mode contract (tentpole of the determinism PR): with
-//! [`DeterminismProfile::Round`] the campaign advances in barrier-synchronized
-//! rounds of fixed work slots, so **any** worker count produces the
-//! bit-identical `CampaignReport` — same coverage bitmap, same corpus (by
-//! uid), same findings, same replayable finding records, same timeline. This
-//! suite is the multi-worker analogue of the `workers == 1` snapshot test in
-//! `tests/fleet_service.rs`: 4 seeds x 3 contracts, compared across
-//! `workers in {1, 2, 4, 8}`.
+//! The round-mode contract: with [`DeterminismProfile::Round`] — and for
+//! every campaign with more than one worker, whatever its profile — the
+//! campaign advances in barrier-synchronized rounds of fixed work slots, so
+//! **any** worker count produces the bit-identical `CampaignReport` — same
+//! coverage bitmap, same corpus (by uid), same findings, same replayable
+//! finding records, same timeline. This suite is the multi-worker analogue
+//! of the `workers == 1` snapshot test in `tests/fleet_service.rs`: 4 seeds
+//! x 3 contracts, compared across `workers in {1, 2, 4, 8}`, each
+//! multi-worker count under both the round and the default profile.
 //!
 //! CI runs this file once per worker count with `MUFUZZ_ROUND_WORKERS=<n>`
 //! set, which narrows the comparison to `{1, n}` so the matrix legs stay
@@ -120,7 +121,8 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, label: &str)
 }
 
 /// The headline property: round mode yields the bit-identical report at every
-/// worker count, across 4 seeds x 3 contracts.
+/// worker count, across 4 seeds x 3 contracts. A multi-worker campaign under
+/// the default profile runs the same rounds, so it joins the comparison too.
 #[test]
 fn round_mode_reports_are_identical_across_worker_counts() {
     let workers = worker_counts();
@@ -129,13 +131,16 @@ fn round_mode_reports_are_identical_across_worker_counts() {
             let baseline = run_round(&source, round_config(seed, workers[0]));
             assert_eq!(baseline.executions, 300, "{name} seed {seed}: full budget");
             for &w in &workers[1..] {
-                let report = run_round(&source, round_config(seed, w));
-                assert_eq!(report.workers, w);
-                assert_reports_identical(
-                    &baseline,
-                    &report,
-                    &format!("{name} seed {seed} workers {w}"),
-                );
+                for profile in [DeterminismProfile::Round, DeterminismProfile::FreeRunning] {
+                    let config = round_config(seed, w).with_determinism(profile);
+                    let report = run_round(&source, config);
+                    assert_eq!(report.workers, w);
+                    assert_reports_identical(
+                        &baseline,
+                        &report,
+                        &format!("{name} seed {seed} workers {w} {profile:?} profile"),
+                    );
+                }
             }
         }
     }
@@ -143,17 +148,33 @@ fn round_mode_reports_are_identical_across_worker_counts() {
 
 /// An absolute pin on one round-mode campaign (crowdsale, seed 11, 400
 /// executions, one worker, default rounds): the cross-worker comparisons
-/// above hold for any trajectory, this one holds the trajectory itself.
+/// above hold for any trajectory, this one holds the trajectory itself. A
+/// default-profile campaign with more than one worker runs the same rounds,
+/// so at 2 and 4 workers it is this campaign — same digests, findings and
+/// finding records.
 #[test]
 fn round_mode_reproduces_the_pinned_crowdsale_campaign() {
-    let config = FuzzerConfig::mufuzz(400)
-        .with_rng_seed(11)
-        .with_workers(1)
-        .with_determinism(DeterminismProfile::Round);
-    let report = run_round(&contracts::crowdsale().source, config);
+    let source = contracts::crowdsale().source;
+    let config = |workers| {
+        FuzzerConfig::mufuzz(400)
+            .with_rng_seed(11)
+            .with_workers(workers)
+    };
+    let report = run_round(
+        &source,
+        config(1).with_determinism(DeterminismProfile::Round),
+    );
     assert_eq!(report.executions, 400);
     assert_eq!(report.corpus_digest, 0x1722_99bc_8fa0_fa21);
     assert_eq!(report.coverage_digest, 0x5ae8_fe98_7139_df1c);
+    for workers in [2, 4] {
+        let default_profile = run_round(&source, config(workers));
+        assert_reports_identical(
+            &report,
+            &default_profile,
+            &format!("default profile at {workers} workers"),
+        );
+    }
 }
 
 /// Round-mode runs are also reproducible run-to-run at the *same* worker
@@ -168,8 +189,8 @@ fn round_mode_is_reproducible_at_a_fixed_worker_count() {
 }
 
 /// Round mode enables corpus culling by default (the uid re-keying removed
-/// the bit-identity objection that kept it off in free-running mode); the
-/// free-running default and explicit overrides are unchanged.
+/// the bit-identity objection that keeps it off for the one free-running
+/// lane); the free-running default and explicit overrides are unchanged.
 #[test]
 fn round_mode_enables_culling_by_default() {
     use mufuzz::DEFAULT_ROUND_CULL_INTERVAL;
@@ -178,7 +199,7 @@ fn round_mode_enables_culling_by_default() {
         round.effective_cull_interval(),
         Some(DEFAULT_ROUND_CULL_INTERVAL)
     );
-    let free = FuzzerConfig::mufuzz(100);
+    let free = FuzzerConfig::mufuzz(100).with_workers(1);
     assert_eq!(free.effective_cull_interval(), None);
     // An explicit setting always wins over the profile default.
     assert_eq!(

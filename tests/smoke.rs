@@ -31,8 +31,8 @@ fn bounded_campaign_exercises_the_whole_pipeline() {
     );
 
     // A small, seeded campaign: deploy + mutate + execute + oracle checks.
-    // `MUFUZZ_WORKERS` lets CI exercise the concurrent engine (a dedicated
-    // job runs this test with 4 workers); the default stays deterministic.
+    // `MUFUZZ_WORKERS` lets CI exercise round mode (a dedicated job runs
+    // this test with 4 workers); the default is the one free-running lane.
     let workers = std::env::var("MUFUZZ_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
