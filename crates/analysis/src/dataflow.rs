@@ -124,69 +124,79 @@ fn analyze_block(block: &[Stmt], state_vars: &BTreeSet<String>, out: &mut Functi
     }
 }
 
+/// Fold one statement's facts into `out`. Reads are collected as names
+/// borrowed from the AST; a name is copied only when it first enters one of
+/// `out`'s sets.
 fn analyze_stmt(stmt: &Stmt, state_vars: &BTreeSet<String>, out: &mut FunctionAccess) {
+    let mut reads = BTreeSet::new();
     match stmt {
-        Stmt::Local(_, _, init) => collect_reads(init, state_vars, &mut out.reads),
+        Stmt::Local(_, _, init) => collect_reads(init, state_vars, &mut reads),
         Stmt::Assign(lvalue, op, value) => {
-            let target = lvalue.base_name().to_string();
-            let mut rhs_reads = BTreeSet::new();
-            collect_reads(value, state_vars, &mut rhs_reads);
+            let target = lvalue.base_name();
+            collect_reads(value, state_vars, &mut reads);
             // A mapping index expression also reads state used in the key.
             if let LValue::Index(_, key) = lvalue {
-                collect_reads(key, state_vars, &mut rhs_reads);
+                collect_reads(key, state_vars, &mut reads);
             }
-            let is_state = state_vars.contains(&target);
-            if is_state {
-                out.writes.insert(target.clone());
+            if state_vars.contains(target) {
+                insert_name(&mut out.writes, target);
                 // Compound assignments read the target; an explicit
                 // self-reference on the right-hand side also counts.
                 let compound = !matches!(op, mufuzz_lang::AssignOp::Assign);
-                if compound || rhs_reads.contains(&target) {
-                    out.raw_vars.insert(target.clone());
+                if compound || reads.contains(target) {
+                    insert_name(&mut out.raw_vars, target);
                 }
                 if compound {
-                    out.reads.insert(target.clone());
+                    insert_name(&mut out.reads, target);
                 }
             }
-            out.reads.extend(rhs_reads);
         }
         Stmt::If(cond, then_block, else_block) => {
-            let mut cond_reads = BTreeSet::new();
-            collect_reads(cond, state_vars, &mut cond_reads);
-            out.branch_reads.extend(cond_reads.iter().cloned());
-            out.reads.extend(cond_reads);
+            collect_reads(cond, state_vars, &mut reads);
+            extend_names(&mut out.branch_reads, &reads);
             analyze_block(then_block, state_vars, out);
             analyze_block(else_block, state_vars, out);
         }
         Stmt::While(cond, body) => {
-            let mut cond_reads = BTreeSet::new();
-            collect_reads(cond, state_vars, &mut cond_reads);
-            out.branch_reads.extend(cond_reads.iter().cloned());
-            out.reads.extend(cond_reads);
+            collect_reads(cond, state_vars, &mut reads);
+            extend_names(&mut out.branch_reads, &reads);
             analyze_block(body, state_vars, out);
         }
         Stmt::Require(cond) => {
-            let mut cond_reads = BTreeSet::new();
-            collect_reads(cond, state_vars, &mut cond_reads);
-            out.branch_reads.extend(cond_reads.iter().cloned());
-            out.reads.extend(cond_reads);
+            collect_reads(cond, state_vars, &mut reads);
+            extend_names(&mut out.branch_reads, &reads);
         }
         Stmt::Transfer(to, amount) => {
-            collect_reads(to, state_vars, &mut out.reads);
-            collect_reads(amount, state_vars, &mut out.reads);
+            collect_reads(to, state_vars, &mut reads);
+            collect_reads(amount, state_vars, &mut reads);
         }
-        Stmt::ExprStmt(e) | Stmt::SelfDestruct(e) => collect_reads(e, state_vars, &mut out.reads),
-        Stmt::Return(Some(e)) => collect_reads(e, state_vars, &mut out.reads),
+        Stmt::ExprStmt(e) | Stmt::SelfDestruct(e) => collect_reads(e, state_vars, &mut reads),
+        Stmt::Return(Some(e)) => collect_reads(e, state_vars, &mut reads),
         Stmt::Return(None) | Stmt::BugMarker => {}
+    }
+    extend_names(&mut out.reads, &reads);
+}
+
+/// Add `name` to `set`, allocating only when it is not there yet.
+fn insert_name(set: &mut BTreeSet<String>, name: &str) {
+    if !set.contains(name) {
+        set.insert(name.to_owned());
+    }
+}
+
+/// Add every borrowed name to `set` (see [`insert_name`]).
+fn extend_names(set: &mut BTreeSet<String>, names: &BTreeSet<&str>) {
+    for name in names {
+        insert_name(set, name);
     }
 }
 
 /// Collect the state variables read by an expression.
-fn collect_reads(expr: &Expr, state_vars: &BTreeSet<String>, out: &mut BTreeSet<String>) {
+fn collect_reads<'a>(expr: &'a Expr, state_vars: &BTreeSet<String>, out: &mut BTreeSet<&'a str>) {
     match expr {
         Expr::Ident(name) => {
             if state_vars.contains(name) {
-                out.insert(name.clone());
+                out.insert(name);
             }
         }
         Expr::Index(base, key) => {

@@ -31,8 +31,8 @@
 //!   assert bit-identical results (including gas remaining) on both.
 //!
 //! Per-execution scratch (operand stacks, memory buffers, call-argument
-//! staging, the call stack, calldata and recycled traces) lives in a
-//! reusable [`ExecFrame`] so a fuzzing campaign executes without
+//! staging, the call stack, calldata, recycled traces and the `SHA3` memo)
+//! lives in a reusable [`ExecFrame`] so a fuzzing campaign executes without
 //! per-transaction heap churn; see its documentation.
 
 use crate::env::{BlockEnv, ExecutionResult, Message};
@@ -40,7 +40,7 @@ use crate::gas::{
     static_gas, AccessSets, COPY_WORD_GAS, EXP_BYTE_GAS, MAX_REFUND_QUOTIENT, SHA3_WORD_GAS,
     SSTORE_CLEAR_REFUND,
 };
-use crate::keccak::keccak256;
+use crate::keccak::{keccak256, KeccakMemo};
 use crate::opcode::Opcode;
 use crate::program::{BlockProgram, DecodedProgram, ProgramCache};
 use crate::state::{HostBehaviour, WorldState};
@@ -154,13 +154,22 @@ pub(crate) struct DepthScratch {
 
 /// Reusable per-execution scratch space: operand stacks, memory buffers and
 /// call-argument staging for every call depth, the interpreter's call stack,
-/// a calldata buffer and a pool of cleared [`ExecutionTrace`]s.
+/// a calldata buffer, a pool of cleared [`ExecutionTrace`]s and a memo of
+/// `SHA3` digests.
 ///
 /// Buffers are taken for the duration of a call frame or a transaction,
 /// cleared (capacity retained) and returned when it ends, so once they have
 /// grown to a campaign's high-water marks, executing through a long-lived
 /// `ExecFrame` allocates only for what escapes or is new: world-state
 /// copies, return data, fault messages, and a trace when the pool is empty.
+///
+/// Both interpreter tiers hash `SHA3` input through the frame's keccak
+/// memo: a fixed table of 256 entries, each a 64-byte preimage (a mapping
+/// slot is `keccak(key ‖ slot)`) and its digest, allocated on the first
+/// 64-byte `SHA3` (about 25 KB) and direct-mapped by an Fx hash of the
+/// preimage. A hit compares the whole preimage, so it returns exactly the
+/// digest hashing would; other lengths are hashed every time.
+///
 /// A trace leaves
 /// in the [`ExecutionResult`]; a caller that hands it back through
 /// [`ExecFrame::recycle_trace`] gets it reissued, cleared, by the next
@@ -201,6 +210,8 @@ pub struct ExecFrame {
     frames: Vec<FrameInfo>,
     /// The buffer [`ExecFrame::take_calldata`] hands out.
     calldata: Vec<u8>,
+    /// Digests of recent 64-byte `SHA3` preimages.
+    pub(crate) keccak: KeccakMemo,
 }
 
 impl ExecFrame {
@@ -891,7 +902,7 @@ impl<'w> Evm<'w> {
                         self.config.max_memory,
                         &mut gas_left
                     ));
-                    let digest = keccak256(&memory[offset..offset + len]);
+                    let digest = scratch.keccak.hash(&memory[offset..offset + len]);
                     push!(U256::from_be_bytes(digest), to | tl);
                 }
                 Opcode::Address => push!(code_address.to_u256(), Taint::empty()),

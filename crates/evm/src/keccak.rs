@@ -11,6 +11,13 @@
 //! tests re-derive them from the Keccak specification (the round-constant
 //! LFSR and the `(x, y) → (y, 2x + 3y)` lane walk) and pin every digest
 //! against the original 5×5-state, byte-copying implementation.
+//!
+//! The interpreter's `SHA3` hashes through a `KeccakMemo` that each
+//! execution frame owns, so a lane hashes each mapping slot it keeps
+//! revisiting once.
+
+use crate::fxhash::FxHasher;
+use std::hash::Hasher;
 
 /// Output size in bytes of Keccak-256.
 pub const KECCAK256_OUTPUT: usize = 32;
@@ -139,6 +146,70 @@ pub fn keccak256(data: &[u8]) -> [u8; KECCAK256_OUTPUT] {
 pub fn selector(signature: &str) -> [u8; 4] {
     let digest = keccak256(signature.as_bytes());
     [digest[0], digest[1], digest[2], digest[3]]
+}
+
+/// Entries in a [`KeccakMemo`]; a power of two.
+const MEMO_SLOTS: usize = 256;
+
+/// One memo entry: a 64-byte preimage and its digest.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    preimage: [u8; 64],
+    digest: [u8; KECCAK256_OUTPUT],
+}
+
+/// An exact memo of 64-byte Keccak-256 preimages: a direct-mapped table of
+/// [`MEMO_SLOTS`] entries, indexed by an Fx hash of the preimage.
+///
+/// A mapping slot is `keccak(key ‖ slot)`, 64 bytes, and a campaign hashes
+/// the same few keys over and over. A lookup compares the whole preimage,
+/// so a hit returns the digest `keccak256` would compute; a miss hashes and
+/// overwrites its entry. Every entry always holds a true pair (the table
+/// starts out filled with the all-zero preimage and its digest), so no
+/// input can read a stale or foreign digest. Inputs of any other length
+/// bypass the table. The table is allocated on the first 64-byte hash
+/// (about 25 KB) and never grows.
+#[derive(Default)]
+pub(crate) struct KeccakMemo {
+    slots: Vec<MemoSlot>,
+}
+
+impl KeccakMemo {
+    /// The Keccak-256 digest of `data`, equal to [`keccak256`]`(data)`.
+    pub(crate) fn hash(&mut self, data: &[u8]) -> [u8; KECCAK256_OUTPUT] {
+        let Ok(preimage) = <&[u8; 64]>::try_from(data) else {
+            return keccak256(data);
+        };
+        if self.slots.is_empty() {
+            let zero = [0u8; 64];
+            let filler = MemoSlot {
+                preimage: zero,
+                digest: keccak256(&zero),
+            };
+            self.slots = vec![filler; MEMO_SLOTS];
+        }
+        let slot = &mut self.slots[memo_index(preimage)];
+        if slot.preimage != *preimage {
+            slot.preimage = *preimage;
+            slot.digest = keccak256(preimage);
+        }
+        slot.digest
+    }
+}
+
+/// The memo entry of a 64-byte preimage.
+fn memo_index(preimage: &[u8; 64]) -> usize {
+    let mut hasher = FxHasher::default();
+    hasher.write(preimage);
+    hasher.finish() as usize % MEMO_SLOTS
+}
+
+impl std::fmt::Debug for KeccakMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeccakMemo")
+            .field("slots", &self.slots.len())
+            .finish()
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +401,104 @@ mod tests {
         data2[999] = 0xac;
         assert_ne!(d1, keccak256(&data2));
         assert_eq!(d1, spec::keccak256(&data));
+    }
+
+    /// Seeded splitmix64 words for the memo tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A 64-byte preimage: every other one a mapping slot (a 20-byte key
+    /// and a small slot number, zero-padded words), the rest random bytes.
+    fn preimage(state: &mut u64) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        if splitmix(state).is_multiple_of(2) {
+            for byte in &mut out[12..32] {
+                *byte = splitmix(state) as u8;
+            }
+            out[63] = (splitmix(state) % 8) as u8;
+        } else {
+            for byte in &mut out {
+                *byte = splitmix(state) as u8;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn memo_digests_equal_keccak_on_repeating_preimages() {
+        let mut state = 0x6d65_6d6f_u64;
+        let pool: Vec<[u8; 64]> = (0..300).map(|_| preimage(&mut state)).collect();
+        let mut memo = KeccakMemo::default();
+        for call in 0..20_000 {
+            let input = &pool[splitmix(&mut state) as usize % pool.len()];
+            assert_eq!(memo.hash(input), keccak256(input), "call {call}");
+        }
+        assert_eq!(memo.slots.len(), MEMO_SLOTS, "the table never grows");
+    }
+
+    #[test]
+    fn memo_preimages_sharing_a_slot_stay_exact() {
+        // Bucket preimages by entry until several entries hold two or more,
+        // the all-zero filler's entry among them, then alternate each
+        // bucket's members so every lookup evicts the previous one.
+        let zero = [0u8; 64];
+        let mut buckets: Vec<Vec<[u8; 64]>> = vec![Vec::new(); MEMO_SLOTS];
+        buckets[memo_index(&zero)].push(zero);
+        let mut state = 0x636f_6c6c_u64;
+        while buckets.iter().filter(|b| b.len() >= 2).count() < 16
+            || buckets[memo_index(&zero)].len() < 3
+        {
+            let p = preimage(&mut state);
+            buckets[memo_index(&p)].push(p);
+        }
+        // Neighbours: for every byte position, two preimages that differ
+        // only there and share an entry, so a lookup that compared less
+        // than the whole preimage would return the other's digest.
+        for at in 0..64 {
+            let neighbours = loop {
+                let base = preimage(&mut state);
+                let twin = (1..=255u8).map(|flip| {
+                    let mut twin = base;
+                    twin[at] ^= flip;
+                    twin
+                });
+                if let Some(twin) = twin
+                    .into_iter()
+                    .find(|t| memo_index(t) == memo_index(&base))
+                {
+                    break vec![base, twin];
+                }
+            };
+            buckets.push(neighbours);
+        }
+        let mut memo = KeccakMemo::default();
+        for bucket in buckets.iter().filter(|b| b.len() >= 2) {
+            for round in 0..4 {
+                for p in bucket {
+                    assert_eq!(memo.hash(p), keccak256(p), "round {round}");
+                }
+                for p in bucket.iter().rev() {
+                    assert_eq!(memo.hash(p), keccak256(p), "round {round}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hashes_every_length_exactly() {
+        let mut state = 0x6c65_6e73_u64;
+        let mut memo = KeccakMemo::default();
+        for len in 0..=160usize {
+            let data: Vec<u8> = (0..len).map(|_| splitmix(&mut state) as u8).collect();
+            for _ in 0..2 {
+                assert_eq!(memo.hash(&data), keccak256(&data), "length {len}");
+            }
+        }
     }
 
     #[test]

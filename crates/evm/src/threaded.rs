@@ -1078,7 +1078,7 @@ fn h_sha3(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         m,
         ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
     );
-    let digest = keccak256(&m.memory[offset..offset + len]);
+    let digest = m.scratch.keccak.hash(&m.memory[offset..offset + len]);
     t_push!(m, U256::from_be_bytes(digest), to | tl);
     t_recharge!(m, u);
     Step::Next
@@ -1982,7 +1982,7 @@ fn hf_push_push_sha3(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         m,
         ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
     );
-    let digest = keccak256(&m.memory[offset..offset + len]);
+    let digest = m.scratch.keccak.hash(&m.memory[offset..offset + len]);
     t_push!(m, U256::from_be_bytes(digest), Taint::empty());
     t_recharge!(m, u);
     Step::Next
@@ -2207,7 +2207,7 @@ fn hf_map_slot(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         7,
         ensure_memory(m.memory, span, m.evm.config.max_memory, &mut m.gas_left)
     );
-    let digest = U256::from_be_bytes(keccak256(&m.memory[sha_off..sha_off + sha_len]));
+    let digest = U256::from_be_bytes(m.scratch.keccak.hash(&m.memory[sha_off..sha_off + sha_len]));
     t_charge!(m, parts, 8);
     match u.fused {
         Fused::MapSlotSLoad => {

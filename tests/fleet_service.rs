@@ -300,27 +300,34 @@ fn event_stream_reports_the_campaign_lifecycle() {
 }
 
 /// A finding-rich contract streams Finding events that match the final
-/// report's deduplicated findings.
+/// report's deduplicated findings, on both engines: the one free-running
+/// lane (one worker) and rounds (two workers).
 #[test]
 fn finding_events_match_the_final_report() {
-    let compiled = compile_source(&contracts::reentrant_bank().source).unwrap();
-    let service = CampaignService::new(1);
-    let handle = service
-        .submit(compiled, FuzzerConfig::mufuzz(400).with_rng_seed(9))
-        .unwrap();
-    handle.join();
-    let events = handle.events();
-    let streamed: usize = events
-        .iter()
-        .filter(|e| matches!(e, CampaignEvent::Finding(_)))
-        .count();
-    let report = handle.wait();
-    assert!(!report.findings.is_empty(), "reentrant bank finds bugs");
-    assert!(
-        streamed >= report.findings.len(),
-        "streamed {streamed} findings, report has {}",
-        report.findings.len()
-    );
+    for workers in [1, 2] {
+        let compiled = compile_source(&contracts::reentrant_bank().source).unwrap();
+        let service = CampaignService::new(workers);
+        let config = FuzzerConfig::mufuzz(400)
+            .with_rng_seed(9)
+            .with_workers(workers);
+        let handle = service.submit(compiled, config).unwrap();
+        handle.join();
+        let events = handle.events();
+        let streamed: usize = events
+            .iter()
+            .filter(|e| matches!(e, CampaignEvent::Finding(_)))
+            .count();
+        let report = handle.wait();
+        assert!(
+            !report.findings.is_empty(),
+            "reentrant bank finds bugs at {workers} workers"
+        );
+        assert!(
+            streamed >= report.findings.len(),
+            "{workers} workers: streamed {streamed} findings, report has {}",
+            report.findings.len()
+        );
+    }
 }
 
 /// Round-mode config used by the multi-worker checkpoint tests: small

@@ -7,6 +7,7 @@
 //! captured at one worker count and replayed against a snapshot checkpointed
 //! at a *different* worker count, which round mode makes equivalent.
 
+use corrupt::corrupt;
 use mufuzz::{
     replay_finding, CampaignProgress, CampaignReport, CampaignService, CampaignSnapshot,
     DeterminismProfile, FindingRecord, FuzzerConfig, ReplayError, SubmitOptions,
@@ -14,8 +15,11 @@ use mufuzz::{
 use mufuzz_corpus::contracts;
 use mufuzz_lang::compile_source;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::panic::catch_unwind;
+
+#[path = "support/corrupt.rs"]
+mod corrupt;
 
 /// A PiggyBank in the style of the classic reentrancy example: `smash` sends
 /// the whole balance through a raw call before zeroing the savings.
@@ -130,25 +134,6 @@ fn tampered_record_bytes_are_rejected() {
         }
         other => panic!("expected Tampered, got {other:?}"),
     }
-}
-
-/// One seeded corruption of `bytes`: one or two edits, each a bit flip, a
-/// byte overwrite, a truncation or an inserted byte.
-fn corrupt(bytes: &[u8], rng: &mut SmallRng) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    for _ in 0..rng.gen_range(1..3usize) {
-        if out.is_empty() {
-            break;
-        }
-        let at = rng.gen_range(0..out.len());
-        match rng.gen_range(0..4u32) {
-            0 => out[at] ^= 1 << rng.gen_range(0..8u32),
-            1 => out[at] = rng.gen(),
-            2 => out.truncate(at),
-            _ => out.insert(at, rng.gen()),
-        }
-    }
-    out
 }
 
 /// Hostile bytes: 300 seeded corruptions each of a real checkpoint (taken
