@@ -128,10 +128,12 @@ pub struct FuzzerConfig {
     /// worker count.
     pub rng_seed: u64,
     /// Number of worker lanes running the mutate→execute→evaluate loop.
-    /// Defaults to the machine's available parallelism. With `workers == 1`
-    /// the free-running campaign is bit-for-bit identical to the historical
-    /// single-threaded engine for a given `rng_seed`; more workers run
-    /// rounds, whose report is the same at every worker count.
+    /// Defaults to 1, so a seed prints the same report on every machine.
+    /// With `workers == 1` the free-running campaign is bit-for-bit
+    /// identical to the historical single-threaded engine for a given
+    /// `rng_seed`; more workers (opt-in: [`FuzzerConfig::with_workers`],
+    /// `MUFUZZ_WORKERS`, `--workers`) run rounds, whose report is the same
+    /// at every worker count above one.
     pub workers: usize,
     /// Stopping conditions (execution and wall-clock budgets).
     pub budget: BudgetConfig,
@@ -173,11 +175,11 @@ pub struct FuzzerConfig {
     /// Install a rejecting sink account so failing external calls can be
     /// observed (exercises the unhandled-exception oracle).
     pub install_rejecting_sink: bool,
-    /// Execute through the block-lowered interpreter fast path (per-block
-    /// static gas and stack validation, fused superinstructions, direct
-    /// threaded dispatch). On by default; execution is bit-identical either
-    /// way, so turning it off selects the pre-decoded reference tier for the
-    /// decoder differential suite and A/B throughput comparisons. Maps to
+    /// Bill the contract block by block (per-block static gas and stack
+    /// validation, fused superinstructions). On by default; execution is
+    /// bit-identical either way, so turning it off, which runs the same
+    /// handlers one instruction at a time, serves the decoder differential
+    /// suite and A/B throughput comparisons. Maps to
     /// `EvmConfig::block_lowering`.
     pub block_lowering: bool,
 }
@@ -186,7 +188,7 @@ impl Default for FuzzerConfig {
     fn default() -> Self {
         FuzzerConfig {
             rng_seed: 0x5EED,
-            workers: default_workers(),
+            workers: 1,
             budget: BudgetConfig::default(),
             scheduler: SchedulerConfig::default(),
             determinism: DeterminismProfile::FreeRunning,
@@ -290,11 +292,12 @@ impl FuzzerConfig {
         self
     }
 
-    /// Choose the interpreter tier (builder style): `true` (the default)
-    /// executes through the block-lowered fast path, `false` restores
-    /// instruction-at-a-time billing over the pre-decoded stream. Both
-    /// tiers halt, trace and bill identically; the knob exists for the
-    /// decoder differential suite and A/B throughput comparisons.
+    /// Choose the billing discipline (builder style): `true` (the default)
+    /// settles gas and stack block by block over the fused lowering,
+    /// `false` runs the same handlers one instruction at a time over the
+    /// unfused lowering. Both halt, trace and bill identically; the knob
+    /// exists for the decoder differential suite and A/B throughput
+    /// comparisons.
     pub fn with_block_lowering(mut self, block_lowering: bool) -> Self {
         self.block_lowering = block_lowering;
         self
@@ -349,8 +352,9 @@ impl FuzzerConfig {
     }
 }
 
-/// The default worker count: the machine's available parallelism (1 when it
-/// cannot be determined).
+/// The machine's available parallelism (1 when it cannot be determined):
+/// what a caller sizing lanes or pools to the machine asks for. Campaigns
+/// default to one worker whatever it says.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -395,8 +399,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_defaults_to_parallelism_and_clamps_to_one() {
-        assert_eq!(FuzzerConfig::default().workers, default_workers());
+    fn worker_count_defaults_to_one_and_clamps_to_one() {
+        assert_eq!(FuzzerConfig::default().workers, 1);
+        assert_eq!(FuzzerConfig::mufuzz(10).workers, 1);
+        assert!(!FuzzerConfig::default().round_mode());
         assert!(default_workers() >= 1);
         assert_eq!(FuzzerConfig::mufuzz(10).with_workers(0).workers, 1);
     }

@@ -8,27 +8,36 @@
 //!
 //! # Execution pipeline
 //!
-//! Two tiers execute code, and both read the same lowered program:
+//! Every frame runs through one dispatcher, the direct-threaded handler
+//! chain in `threaded.rs`, over a lowering of the frame's
+//! [`DecodedProgram`] (bytecode decoded once per harness into a dense
+//! instruction stream with materialised `PUSH` immediates and O(1) `JUMP`
+//! resolution, shared via a [`ProgramCache`]). Each unit of a lowering
+//! carries a handler pointer resolved at lowering time, and that handler is
+//! the only code that gives its opcode, or its fused idiom, its effect. The
+//! lowering decides how gas is billed:
 //!
-//! * the **block** tier walks a [`BlockProgram`] — the decoded stream
-//!   lowered into basic blocks with a pre-summed static gas cost and stack
-//!   envelope, validated once per block instead of per instruction, plus
-//!   fused superinstructions for common compiler idioms. Every unit carries
-//!   a handler pointer resolved at lowering time, and `threaded.rs` runs the
-//!   units as a chain of indirect calls. This is the default fuzzing fast
-//!   path ([`EvmConfig::block_lowering`]). A block whose envelope cannot be
-//!   prevalidated (near-OOG, stack near the limits) *deopts*: the frame
-//!   resumes per-instruction from the block entry, so faults and
-//!   out-of-gas halts are bit-identical to per-instruction billing by
-//!   construction.
-//! * the **pre-decoded** tier walks a [`DecodedProgram`] — bytecode is
-//!   lowered once (per harness, shared via a [`ProgramCache`]) into a dense
-//!   instruction stream with materialised `PUSH` immediates and O(1)
-//!   `JUMP` resolution, one `match` arm per opcode with instruction-at-a-time
-//!   billing. It is the deopt target of the block tier, runs every blob the
-//!   cache does not hold, and is the reference the block tier is checked
-//!   against: `tests/decoder_differential.rs` and the conformance vectors
-//!   assert bit-identical results (including gas remaining) on both.
+//! * a cached program's **block lowering** ([`BlockProgram::lower`], the
+//!   default, [`EvmConfig::block_lowering`]) splits the stream into basic
+//!   blocks with a pre-summed static gas cost and stack envelope, validated
+//!   once per block instead of per instruction, and fuses common compiler
+//!   idioms into superinstructions. A block whose envelope cannot be
+//!   settled (near-OOG, stack near the limits, a possible instruction-cap
+//!   crossing) *deopts*: the frame continues, with the same machine state,
+//!   one instruction at a time from the block's first instruction, so faults
+//!   and out-of-gas halts are those of per-instruction billing by
+//!   construction;
+//! * an **unfused lowering** ([`BlockProgram::unfused`]) has one instruction
+//!   per unit and per block and runs one instruction at a time: cap check,
+//!   static gas, handler. It serves block lowering turned off (cached, so
+//!   the differential suites compare block settlement, fusion and deopt
+//!   against it), blobs the cache does not hold (constructors, `CREATE2`
+//!   init code; lowered per frame) and the rest of a deopting frame
+//!   (lowered per frame).
+//!
+//! The two disciplines share every plain handler, so their comparison
+//! checks settlement and fusion, not each opcode's effect: the conformance
+//! vectors and the EVM crate's semantics tests pin those by absolute value.
 //!
 //! Per-execution scratch (operand stacks, memory buffers, call-argument
 //! staging, the call stack, calldata, recycled traces and the `SHA3` memo)
@@ -36,18 +45,11 @@
 //! per-transaction heap churn; see its documentation.
 
 use crate::env::{BlockEnv, ExecutionResult, Message};
-use crate::gas::{
-    static_gas, AccessSets, COPY_WORD_GAS, EXP_BYTE_GAS, MAX_REFUND_QUOTIENT, SHA3_WORD_GAS,
-    SSTORE_CLEAR_REFUND,
-};
+use crate::gas::{AccessSets, MAX_REFUND_QUOTIENT};
 use crate::keccak::{keccak256, KeccakMemo};
-use crate::opcode::Opcode;
 use crate::program::{BlockProgram, DecodedProgram, ProgramCache};
 use crate::state::{HostBehaviour, WorldState};
-use crate::trace::{
-    ArithEvent, BranchRecord, CallEvent, CallKind, CmpKind, Comparison, ConformanceEvent,
-    ExecutionTrace, HaltReason, SelfDestructEvent, StorageWrite, Taint,
-};
+use crate::trace::{CallKind, ExecutionTrace, HaltReason, Taint};
 use crate::types::Address;
 use crate::u256::U256;
 use std::sync::Arc;
@@ -64,13 +66,14 @@ pub struct EvmConfig {
     pub max_instructions: usize,
     /// Gas stipend forwarded on value-bearing `transfer`/`send` style calls.
     pub call_stipend: u64,
-    /// Execute cached programs through the block-lowered fast path: static
-    /// gas and the stack envelope validated once per basic block, fused
-    /// superinstructions for common idioms, dispatched direct-threaded.
-    /// Execution semantics are identical to instruction-at-a-time billing
-    /// (blocks that cannot be prevalidated deopt to it); turning the knob off
-    /// selects the pre-decoded per-instruction tier, the reference the
-    /// differential suites and A/B benchmarks compare against.
+    /// Bill cached programs block by block: static gas and the stack
+    /// envelope validated once per basic block, with fused superinstructions
+    /// for common idioms. Execution semantics are identical to
+    /// instruction-at-a-time billing (blocks that cannot be settled deopt to
+    /// it). Turning the knob off runs cached programs one instruction at a
+    /// time through the same handlers over an unfused lowering: the
+    /// discipline the differential suites and A/B benchmarks compare block
+    /// settlement and fusion against.
     pub block_lowering: bool,
 }
 
@@ -91,44 +94,6 @@ pub(crate) struct FrameResult {
     pub(crate) halt: HaltReason,
     pub(crate) output: Vec<u8>,
     pub(crate) gas_left: u64,
-}
-
-/// Resumable state of the dispatch loop: everything live across a deopt from
-/// the block-billed fast path to per-instruction execution. Stack, memory,
-/// call-argument buffers and the frame's event index lists live in its
-/// [`DepthScratch`] and carry over untouched.
-pub(crate) struct LoopState {
-    pub(crate) cursor: usize,
-    pub(crate) gas_left: u64,
-    pub(crate) last_cmp: Option<Comparison>,
-    pub(crate) caller_guard_seen: bool,
-    /// The frame's RETURNDATA buffer (EIP-211): output of the most recent
-    /// completed call or create, empty at frame entry and after an
-    /// exceptional callee halt.
-    pub(crate) return_data: Vec<u8>,
-}
-
-impl LoopState {
-    /// Fresh state at frame entry.
-    fn start(gas: u64) -> LoopState {
-        LoopState {
-            cursor: 0,
-            gas_left: gas,
-            last_cmp: None,
-            caller_guard_seen: false,
-            return_data: Vec::new(),
-        }
-    }
-}
-
-/// How a pass of the block dispatcher ended.
-pub(crate) enum FrameOutcome {
-    /// The frame halted (normally or otherwise).
-    Done(FrameResult),
-    /// The block dispatcher reached code whose gas or stack bounds it could
-    /// not settle in advance (near-OOG or near the stack limits); resume
-    /// per-instruction at the state's cursor.
-    Deopt(LoopState),
 }
 
 /// One entry on the interpreter's internal call stack: which contract's code
@@ -163,12 +128,12 @@ pub(crate) struct DepthScratch {
 /// `ExecFrame` allocates only for what escapes or is new: world-state
 /// copies, return data, fault messages, and a trace when the pool is empty.
 ///
-/// Both interpreter tiers hash `SHA3` input through the frame's keccak
-/// memo: a fixed table of 256 entries, each a 64-byte preimage (a mapping
-/// slot is `keccak(key ‖ slot)`) and its digest, allocated on the first
-/// 64-byte `SHA3` (about 25 KB) and direct-mapped by an Fx hash of the
-/// preimage. A hit compares the whole preimage, so it returns exactly the
-/// digest hashing would; other lengths are hashed every time.
+/// Every `SHA3` hashes its input through the frame's keccak memo: a fixed
+/// table of 256 entries, each a 64-byte preimage (a mapping slot is
+/// `keccak(key ‖ slot)`) and its digest, allocated on the first 64-byte
+/// `SHA3` (about 25 KB) and direct-mapped by an Fx hash of the preimage. A
+/// hit compares the whole preimage, so it returns exactly the digest
+/// hashing would; other lengths are hashed every time.
 ///
 /// A trace leaves
 /// in the [`ExecutionResult`]; a caller that hands it back through
@@ -299,8 +264,8 @@ pub(crate) struct FrameCtx<'a> {
     pub(crate) depth: usize,
 }
 
-/// The per-call mutable environment threaded through every dispatch tier:
-/// the interpreter's internal call stack, the transaction trace, and the
+/// The per-call mutable environment threaded through every frame: the
+/// interpreter's internal call stack, the transaction trace, and the
 /// reusable scratch frame (depth buffers plus the transaction's EIP-2929
 /// access sets).
 pub(crate) struct ExecEnv<'e> {
@@ -486,9 +451,12 @@ impl<'w> Evm<'w> {
         }
     }
 
-    /// Run a call frame on the right tier: the block-lowered program through
-    /// the direct-threaded dispatcher on a cache hit (default), the
-    /// pre-decoded stream when block lowering is off or the blob is uncached.
+    /// Run a call frame through the threaded dispatcher: a cached blob's
+    /// block lowering by default, its unfused lowering when block lowering
+    /// is off, and an unfused lowering built for this frame when the blob is
+    /// uncached (constructors, `CREATE2` init code). The depth's scratch
+    /// buffers are borrowed for the frame and returned for reuse whatever
+    /// way it halts.
     fn dispatch_frame(
         &mut self,
         code: &Arc<Vec<u8>>,
@@ -497,1015 +465,33 @@ impl<'w> Evm<'w> {
         trace: &mut ExecutionTrace,
         scratch: &mut ExecFrame,
     ) -> FrameResult {
-        let programs = self.programs;
-        if self.config.block_lowering {
-            if let Some(blocks) = programs.and_then(|cache| cache.get_block(code)) {
-                return self.run_block_frame(blocks.as_ref(), ctx, frames, trace, scratch);
+        let cached = self.programs.and_then(|cache| {
+            if self.config.block_lowering {
+                cache.get_block(code).map(Arc::as_ref)
+            } else {
+                cache.get_unfused(code)
             }
-        } else if let Some(program) = programs.and_then(|cache| cache.get(code)) {
-            return self.run_frame(program.as_ref(), ctx, frames, trace, scratch);
-        }
-        let program = DecodedProgram::decode(code);
-        self.run_frame(&program, ctx, frames, trace, scratch)
-    }
-
-    /// Execute one call frame on the per-instruction tier: borrow the depth's
-    /// scratch buffers, run the dispatch loop, and return the buffers for
-    /// reuse whatever way the frame halts.
-    fn run_frame(
-        &mut self,
-        program: &DecodedProgram,
-        ctx: FrameCtx<'_>,
-        frames: &mut Vec<FrameInfo>,
-        trace: &mut ExecutionTrace,
-        scratch: &mut ExecFrame,
-    ) -> FrameResult {
+        });
+        let uncached;
+        let program = match cached {
+            Some(program) => program,
+            None => {
+                uncached = BlockProgram::unfused(Arc::new(DecodedProgram::decode(code)));
+                &uncached
+            }
+        };
         let mut owned = scratch.take(ctx.depth);
         if owned.stack.capacity() == 0 {
             owned.stack.reserve(64);
         }
         let env = ExecEnv {
-            frames: &mut *frames,
-            trace: &mut *trace,
-            scratch: &mut *scratch,
-        };
-        let result = self.run_frame_inner(program, ctx, env, &mut owned, LoopState::start(ctx.gas));
-        scratch.put(ctx.depth, owned);
-        result
-    }
-
-    /// Execute one call frame through the direct-threaded block dispatcher,
-    /// falling back to per-instruction execution mid-frame if a block's
-    /// envelope cannot be prevalidated. The scratch buffers are borrowed once
-    /// around both passes (returning them in between would clear live frame
-    /// state).
-    fn run_block_frame(
-        &mut self,
-        program: &BlockProgram,
-        ctx: FrameCtx<'_>,
-        frames: &mut Vec<FrameInfo>,
-        trace: &mut ExecutionTrace,
-        scratch: &mut ExecFrame,
-    ) -> FrameResult {
-        let mut owned = scratch.take(ctx.depth);
-        if owned.stack.capacity() == 0 {
-            owned.stack.reserve(64);
-        }
-        let env = ExecEnv {
-            frames: &mut *frames,
-            trace: &mut *trace,
-            scratch: &mut *scratch,
-        };
-        let outcome = crate::threaded::run(
-            self,
-            program,
-            ctx,
-            env,
-            &mut owned,
-            LoopState::start(ctx.gas),
-        );
-        let result = match outcome {
-            FrameOutcome::Done(result) => result,
-            FrameOutcome::Deopt(state) => {
-                // The deopt state points at the instruction where block
-                // billing bailed — a leader whose envelope failed to settle,
-                // or a mid-block unit whose pre-validation or dynamic
-                // billing fell through. The per-instruction loop replays
-                // from there (through the rest of the frame), reproducing
-                // the exact fault or out-of-gas point the block's envelope
-                // could not rule out.
-                let env = ExecEnv {
-                    frames: &mut *frames,
-                    trace: &mut *trace,
-                    scratch: &mut *scratch,
-                };
-                self.run_frame_inner(program.base(), ctx, env, &mut owned, state)
-            }
-        };
-        scratch.put(ctx.depth, owned);
-        result
-    }
-
-    /// The per-instruction dispatch loop over a [`DecodedProgram`]. `state`
-    /// is fresh at frame entry and carries the live loop variables across a
-    /// deopt from the block dispatcher (its cursor is an instruction index).
-    fn run_frame_inner(
-        &mut self,
-        program: &DecodedProgram,
-        ctx: FrameCtx<'_>,
-        env: ExecEnv<'_>,
-        owned: &mut DepthScratch,
-        state: LoopState,
-    ) -> FrameResult {
-        let ExecEnv {
             frames,
             trace,
-            scratch,
-        } = env;
-        let FrameCtx {
-            code_address,
-            storage_address,
-            caller,
-            origin,
-            value,
-            calldata,
-            code,
-            gas: _,
-            depth,
-        } = ctx;
-        trace.max_depth = trace.max_depth.max(depth);
-        let DepthScratch {
-            stack,
-            memory,
-            args: args_buf,
-            unchecked_calls,
-            truncated_events,
-        } = owned;
-        let LoopState {
-            mut cursor,
-            mut gas_left,
-            mut last_cmp,
-            mut caller_guard_seen,
-            mut return_data,
-        } = state;
-        let instrs = program.instructions();
-
-        macro_rules! fault {
-            ($msg:expr) => {
-                return FrameResult {
-                    halt: HaltReason::Fault($msg.to_string()),
-                    output: vec![],
-                    gas_left,
-                }
-            };
-        }
-
-        macro_rules! out_of_gas {
-            () => {
-                return FrameResult {
-                    halt: HaltReason::OutOfGas,
-                    output: vec![],
-                    gas_left: 0,
-                }
-            };
-        }
-
-        // Unwrap a memory operation: expansion the remaining gas cannot pay
-        // halts the frame with `OutOfGas`, structural violations fault.
-        macro_rules! mem_try {
-            ($res:expr) => {
-                match $res {
-                    Ok(value) => value,
-                    Err(MemFail::Fault(msg)) => fault!(msg),
-                    Err(MemFail::OutOfGas) => out_of_gas!(),
-                }
-            };
-        }
-
-        macro_rules! pop {
-            () => {
-                match stack.pop() {
-                    Some(v) => v,
-                    None => fault!("stack underflow"),
-                }
-            };
-        }
-
-        macro_rules! push {
-            ($val:expr, $taint:expr) => {{
-                if stack.len() >= 1024 {
-                    fault!("stack overflow");
-                }
-                stack.push(($val, $taint));
-            }};
-        }
-
-        loop {
-            if trace.instr_count as usize >= self.config.max_instructions {
-                out_of_gas!();
-            }
-            let Some(instr) = instrs.get(cursor) else {
-                // Running off the end of the code is an implicit STOP.
-                return FrameResult {
-                    halt: HaltReason::Normal,
-                    output: vec![],
-                    gas_left,
-                };
-            };
-            let op = instr.op;
-            let pc = instr.pc as usize;
-            trace.record_instr(op);
-            let cost = static_gas(op);
-            if gas_left < cost {
-                out_of_gas!();
-            }
-            gas_left -= cost;
-
-            match op {
-                Opcode::Stop => {
-                    return FrameResult {
-                        halt: HaltReason::Normal,
-                        output: vec![],
-                        gas_left,
-                    }
-                }
-                Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Exp => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let taint = ta | tb;
-                    if op == Opcode::Exp {
-                        // Dynamic EXP pricing: 50 gas per significant byte of
-                        // the exponent on top of the static base, so the cost
-                        // scales with the exponent's magnitude as in the EVM.
-                        let exp_bytes = u64::from(b.bits().div_ceil(8));
-                        let dynamic = EXP_BYTE_GAS * exp_bytes;
-                        if gas_left < dynamic {
-                            out_of_gas!();
-                        }
-                        gas_left -= dynamic;
-                    }
-                    let (result, truncated) = match op {
-                        Opcode::Add => a.overflowing_add(b),
-                        Opcode::Sub => a.overflowing_sub(b),
-                        Opcode::Mul => a.overflowing_mul(b),
-                        Opcode::Exp => exp_u256(a, b),
-                        _ => unreachable!(),
-                    };
-                    if truncated {
-                        truncated_events.push(trace.arith_events.len());
-                        trace.arith_events.push(ArithEvent {
-                            pc,
-                            opcode: op,
-                            truncated: true,
-                            taint,
-                            reached_storage: false,
-                            depth,
-                        });
-                    }
-                    let result_taint = if truncated {
-                        taint | Taint::TRUNCATED
-                    } else {
-                        taint
-                    };
-                    push!(result, result_taint);
-                }
-                Opcode::Div | Opcode::Mod => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let (q, r) = a.div_rem(b);
-                    push!(if op == Opcode::Div { q } else { r }, ta | tb);
-                }
-                Opcode::Sdiv | Opcode::Smod => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let (q, r) = a.signed_div_rem(b);
-                    push!(if op == Opcode::Sdiv { q } else { r }, ta | tb);
-                }
-                Opcode::AddMod => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let (n, tn) = pop!();
-                    push!(a.add_mod(b, n), ta | tb | tn);
-                }
-                Opcode::MulMod => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let (n, tn) = pop!();
-                    push!(a.mul_mod(b, n), ta | tb | tn);
-                }
-                Opcode::SignExtend => {
-                    let (b, tb) = pop!();
-                    let (x, tx) = pop!();
-                    // Byte indices >= 31 (or beyond usize) leave x unchanged.
-                    let extended = match b.to_usize() {
-                        Some(i) => x.sign_extend(i),
-                        None => x,
-                    };
-                    push!(extended, tb | tx);
-                }
-                Opcode::Lt | Opcode::Gt | Opcode::Slt | Opcode::Sgt | Opcode::Eq => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    let taint = ta | tb;
-                    let result = match op {
-                        Opcode::Lt => a < b,
-                        Opcode::Gt => a > b,
-                        Opcode::Slt => a.signed_cmp(&b) == std::cmp::Ordering::Less,
-                        Opcode::Sgt => a.signed_cmp(&b) == std::cmp::Ordering::Greater,
-                        Opcode::Eq => a == b,
-                        _ => unreachable!(),
-                    };
-                    let kind = match op {
-                        Opcode::Lt | Opcode::Slt => CmpKind::Lt,
-                        Opcode::Gt | Opcode::Sgt => CmpKind::Gt,
-                        _ => CmpKind::Eq,
-                    };
-                    last_cmp = Some(Comparison {
-                        pc,
-                        kind,
-                        lhs: a,
-                        rhs: b,
-                        taint,
-                    });
-                    push!(U256::from(result), taint);
-                }
-                Opcode::IsZero => {
-                    let (a, ta) = pop!();
-                    // Keep the previous comparison if the operand is already a
-                    // boolean produced by it (ISZERO is just a negation then);
-                    // otherwise treat ISZERO itself as the comparison.
-                    let is_bool = a.is_zero() || a == U256::ONE;
-                    if !(is_bool && last_cmp.is_some()) {
-                        last_cmp = Some(Comparison {
-                            pc,
-                            kind: CmpKind::IsZero,
-                            lhs: a,
-                            rhs: U256::ZERO,
-                            taint: ta,
-                        });
-                    }
-                    push!(U256::from(a.is_zero()), ta);
-                }
-                Opcode::And => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    push!(a & b, ta | tb);
-                }
-                Opcode::Or => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    push!(a | b, ta | tb);
-                }
-                Opcode::Xor => {
-                    let (a, ta) = pop!();
-                    let (b, tb) = pop!();
-                    push!(a ^ b, ta | tb);
-                }
-                Opcode::Not => {
-                    let (a, ta) = pop!();
-                    push!(!a, ta);
-                }
-                Opcode::Byte => {
-                    let (i, ti) = pop!();
-                    let (x, tx) = pop!();
-                    let byte = i
-                        .to_usize()
-                        .filter(|&i| i < 32)
-                        .map(|i| U256::from_u64(x.to_be_bytes()[i] as u64))
-                        .unwrap_or(U256::ZERO);
-                    push!(byte, ti | tx);
-                }
-                Opcode::Shl => {
-                    let (shift, ts) = pop!();
-                    let (x, tx) = pop!();
-                    let shifted = shift
-                        .to_u64()
-                        .map(|s| x.shl_bits(s.min(256) as u32))
-                        .unwrap_or(U256::ZERO);
-                    push!(shifted, ts | tx);
-                }
-                Opcode::Shr => {
-                    let (shift, ts) = pop!();
-                    let (x, tx) = pop!();
-                    let shifted = shift
-                        .to_u64()
-                        .map(|s| x.shr_bits(s.min(256) as u32))
-                        .unwrap_or(U256::ZERO);
-                    push!(shifted, ts | tx);
-                }
-                Opcode::Sar => {
-                    let (shift, ts) = pop!();
-                    let (x, tx) = pop!();
-                    // Shift amounts >= 256 (or beyond u64) saturate to the
-                    // sign: zero for non-negative values, -1 for negative.
-                    let shifted = match shift.to_u64() {
-                        Some(s) => x.sar_bits(s.min(256) as u32),
-                        None if x.is_negative_signed() => U256::MAX,
-                        None => U256::ZERO,
-                    };
-                    push!(shifted, ts | tx);
-                }
-                Opcode::Sha3 => {
-                    let (offset, to) = pop!();
-                    let (len, tl) = pop!();
-                    let (offset, len) = match (offset.to_usize(), len.to_usize()) {
-                        (Some(o), Some(l)) if l <= self.config.max_memory => (o, l),
-                        _ => fault!("sha3 out of bounds"),
-                    };
-                    let span = match mem_span(offset, len) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    let digest = scratch.keccak.hash(&memory[offset..offset + len]);
-                    push!(U256::from_be_bytes(digest), to | tl);
-                }
-                Opcode::Address => push!(code_address.to_u256(), Taint::empty()),
-                Opcode::Balance => {
-                    let (who, _t) = pop!();
-                    let who = Address::from_u256(who);
-                    // EIP-2929: the first touch of the account this
-                    // transaction pays the cold surcharge.
-                    let surcharge = scratch.access.address_surcharge(who);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    let bal = self.world.balance(who);
-                    push!(bal, Taint::BALANCE);
-                }
-                Opcode::ExtCodeSize => {
-                    let (who, _t) = pop!();
-                    let who = Address::from_u256(who);
-                    let surcharge = scratch.access.address_surcharge(who);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    let size = self.world.code(who).len();
-                    push!(U256::from_u64(size as u64), Taint::empty());
-                }
-                Opcode::ExtCodeHash => {
-                    let (who, _t) = pop!();
-                    let who = Address::from_u256(who);
-                    let surcharge = scratch.access.address_surcharge(who);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    // Zero for a non-existent account, the code hash (of the
-                    // empty blob for an EOA) otherwise.
-                    let hash = match self.world.account(who) {
-                        None => U256::ZERO,
-                        Some(account) => U256::from_be_bytes(keccak256(&account.code)),
-                    };
-                    push!(hash, Taint::empty());
-                }
-                Opcode::ExtCodeCopy => {
-                    let (who, _t) = pop!();
-                    let (dst, _) = pop!();
-                    let (src, _) = pop!();
-                    let (len, _) = pop!();
-                    let who = Address::from_u256(who);
-                    let surcharge = scratch.access.address_surcharge(who);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    let (dst, src, len) = match (dst.to_usize(), src.to_usize(), len.to_usize()) {
-                        (Some(d), Some(s), Some(l)) if l <= self.config.max_memory => (d, s, l),
-                        _ => fault!("extcodecopy out of bounds"),
-                    };
-                    let dynamic = COPY_WORD_GAS * (len as u64).div_ceil(32);
-                    if gas_left < dynamic {
-                        out_of_gas!();
-                    }
-                    gas_left -= dynamic;
-                    let span = match mem_span(dst, len) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    let ext = self.world.code(who);
-                    for i in 0..len {
-                        memory[dst + i] = ext.get(src.saturating_add(i)).copied().unwrap_or(0);
-                    }
-                }
-                Opcode::SelfBalance => {
-                    push!(self.world.balance(storage_address), Taint::BALANCE);
-                }
-                Opcode::Origin => push!(origin.to_u256(), Taint::ORIGIN),
-                Opcode::Caller => push!(caller.to_u256(), Taint::CALLER),
-                Opcode::CallValue => push!(value, Taint::CALLVALUE),
-                Opcode::CallDataLoad => {
-                    let (offset, _t) = pop!();
-                    let word = calldata_word(calldata, offset);
-                    push!(word, Taint::CALLDATA);
-                }
-                Opcode::CallDataSize => {
-                    push!(U256::from_u64(calldata.len() as u64), Taint::CALLDATA)
-                }
-                Opcode::CallDataCopy => {
-                    let (dst, _td) = pop!();
-                    let (src, _ts) = pop!();
-                    let (len, _tl) = pop!();
-                    let (dst, src, len) = match (dst.to_usize(), src.to_usize(), len.to_usize()) {
-                        (Some(d), Some(s), Some(l)) if l <= self.config.max_memory => (d, s, l),
-                        _ => fault!("calldatacopy out of bounds"),
-                    };
-                    let span = match mem_span(dst, len) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    for i in 0..len {
-                        memory[dst + i] = calldata.get(src + i).copied().unwrap_or(0);
-                    }
-                }
-                Opcode::CodeSize => {
-                    push!(U256::from_u64(program.code_len() as u64), Taint::empty())
-                }
-                Opcode::CodeCopy => {
-                    let (dst, _) = pop!();
-                    let (src, _) = pop!();
-                    let (len, _) = pop!();
-                    let (dst, src, len) = match (dst.to_usize(), src.to_usize(), len.to_usize()) {
-                        (Some(d), Some(s), Some(l)) if l <= self.config.max_memory => (d, s, l),
-                        _ => fault!("codecopy out of bounds"),
-                    };
-                    let dynamic = COPY_WORD_GAS * (len as u64).div_ceil(32);
-                    if gas_left < dynamic {
-                        out_of_gas!();
-                    }
-                    gas_left -= dynamic;
-                    let span = match mem_span(dst, len) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    // Reads past the end of the code are zero-padded (the
-                    // EVM's implicit trailing STOP region).
-                    for i in 0..len {
-                        memory[dst + i] = code.get(src.saturating_add(i)).copied().unwrap_or(0);
-                    }
-                }
-                Opcode::ReturnDataSize => {
-                    push!(U256::from_u64(return_data.len() as u64), Taint::empty())
-                }
-                Opcode::ReturnDataCopy => {
-                    let (dst, _) = pop!();
-                    let (src, _) = pop!();
-                    let (len, _) = pop!();
-                    let (dst, src, len) = match (dst.to_usize(), src.to_usize(), len.to_usize()) {
-                        (Some(d), Some(s), Some(l)) if l <= self.config.max_memory => (d, s, l),
-                        _ => fault!("returndatacopy out of bounds"),
-                    };
-                    // Unlike CALLDATACOPY's zero padding, reading past the
-                    // end of the return buffer is an exceptional halt
-                    // (EIP-211).
-                    match src.checked_add(len) {
-                        Some(end) if end <= return_data.len() => {}
-                        _ => fault!("returndatacopy out of bounds"),
-                    }
-                    let dynamic = COPY_WORD_GAS * (len as u64).div_ceil(32);
-                    if gas_left < dynamic {
-                        out_of_gas!();
-                    }
-                    gas_left -= dynamic;
-                    let span = match mem_span(dst, len) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    memory[dst..dst + len].copy_from_slice(&return_data[src..src + len]);
-                }
-                Opcode::GasPrice => push!(U256::from_u64(1_000_000_000), Taint::empty()),
-                Opcode::BlockHash => {
-                    let (n, _t) = pop!();
-                    let hash = keccak256(&n.to_be_bytes());
-                    push!(U256::from_be_bytes(hash), Taint::BLOCK);
-                }
-                Opcode::Coinbase => push!(self.block.coinbase.to_u256(), Taint::BLOCK),
-                Opcode::Timestamp => push!(U256::from_u64(self.block.timestamp), Taint::BLOCK),
-                Opcode::Number => push!(U256::from_u64(self.block.number), Taint::BLOCK),
-                Opcode::Difficulty => push!(self.block.difficulty, Taint::BLOCK),
-                Opcode::GasLimit => push!(U256::from_u64(self.block.gas_limit), Taint::empty()),
-                Opcode::ChainId => push!(U256::from_u64(self.block.chain_id), Taint::BLOCK),
-                Opcode::BaseFee => push!(self.block.base_fee, Taint::BLOCK),
-                Opcode::Pop => {
-                    pop!();
-                }
-                Opcode::MLoad => {
-                    let (offset, to) = pop!();
-                    let offset = match offset.to_usize() {
-                        Some(o) => o,
-                        None => fault!("mload out of bounds"),
-                    };
-                    let span = match mem_span(offset, 32) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    let mut word = [0u8; 32];
-                    word.copy_from_slice(&memory[offset..offset + 32]);
-                    push!(U256::from_be_bytes(word), to);
-                }
-                Opcode::MStore => {
-                    let (offset, _to) = pop!();
-                    let (val, _tv) = pop!();
-                    let offset = match offset.to_usize() {
-                        Some(o) => o,
-                        None => fault!("mstore out of bounds"),
-                    };
-                    let span = match mem_span(offset, 32) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    memory[offset..offset + 32].copy_from_slice(&val.to_be_bytes());
-                }
-                Opcode::MStore8 => {
-                    let (offset, _to) = pop!();
-                    let (val, _tv) = pop!();
-                    let offset = match offset.to_usize() {
-                        Some(o) => o,
-                        None => fault!("mstore8 out of bounds"),
-                    };
-                    let span = match mem_span(offset, 1) {
-                        Ok(s) => s,
-                        Err(e) => fault!(e),
-                    };
-                    mem_try!(ensure_memory(
-                        memory,
-                        span,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    memory[offset] = val.low_u64() as u8;
-                }
-                Opcode::SLoad => {
-                    let (slot, _ts) = pop!();
-                    // EIP-2929: cold slots pay the surcharge on first touch.
-                    let surcharge = scratch.access.slot_surcharge(storage_address, slot);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    let (val, stored_taint) = self.world.storage_entry(storage_address, slot);
-                    push!(val, Taint::STORAGE | stored_taint);
-                }
-                Opcode::SStore => {
-                    let (slot, _ts) = pop!();
-                    let (val, tv) = pop!();
-                    let surcharge = scratch.access.slot_surcharge(storage_address, slot);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    let old = self.world.set_storage(storage_address, slot, val, tv);
-                    if !old.is_zero() && val.is_zero() {
-                        // EIP-3529: clearing a slot earns a (journaled,
-                        // settlement-capped) refund.
-                        scratch.access.add_refund(SSTORE_CLEAR_REFUND);
-                    }
-                    trace.storage_writes.push(StorageWrite {
-                        pc,
-                        contract: storage_address,
-                        slot,
-                        old,
-                        new: val,
-                        taint: tv,
-                    });
-                    if tv.contains(Taint::TRUNCATED) {
-                        for &idx in truncated_events.iter() {
-                            if let Some(ev) = trace.arith_events.get_mut(idx) {
-                                ev.reached_storage = true;
-                            }
-                        }
-                    }
-                }
-                Opcode::Jump => {
-                    let (dest, _t) = pop!();
-                    let target = dest.to_usize().and_then(|d| program.jump_cursor(d));
-                    match target {
-                        Some(t) => {
-                            cursor = t;
-                            continue;
-                        }
-                        None => fault!("invalid jump destination"),
-                    }
-                }
-                Opcode::JumpI => {
-                    let (dest, _td) = pop!();
-                    let (cond, tc) = pop!();
-                    let taken = !cond.is_zero();
-                    let dest_usize = dest.to_usize().unwrap_or(usize::MAX);
-                    if tc.intersects(Taint::CALLER | Taint::ORIGIN) {
-                        caller_guard_seen = true;
-                    }
-                    if tc.contains(Taint::CALL_RESULT) {
-                        if let Some(idx) = unchecked_calls.pop() {
-                            if let Some(ev) = trace.calls.get_mut(idx) {
-                                ev.result_checked = true;
-                            }
-                        }
-                    }
-                    let record = BranchRecord {
-                        pc,
-                        dest: dest_usize,
-                        taken,
-                        cond_taint: tc,
-                        comparison: last_cmp,
-                        depth,
-                        code_address,
-                    };
-                    trace.branches.push(record);
-                    last_cmp = None;
-                    if taken {
-                        match program.jump_cursor(dest_usize) {
-                            Some(t) => {
-                                cursor = t;
-                                continue;
-                            }
-                            None => fault!("invalid jump destination"),
-                        }
-                    }
-                }
-                Opcode::Pc => push!(U256::from_u64(pc as u64), Taint::empty()),
-                Opcode::MSize => push!(U256::from_u64(memory.len() as u64), Taint::empty()),
-                Opcode::Gas => push!(U256::from_u64(gas_left), Taint::empty()),
-                Opcode::JumpDest => {}
-                Opcode::Push(_) => {
-                    push!(instr.imm, Taint::empty());
-                }
-                Opcode::Dup(n) => {
-                    let n = n as usize;
-                    if stack.len() < n {
-                        fault!("stack underflow");
-                    }
-                    let item = stack[stack.len() - n];
-                    push!(item.0, item.1);
-                }
-                Opcode::Swap(n) => {
-                    let n = n as usize;
-                    if stack.len() < n + 1 {
-                        fault!("stack underflow");
-                    }
-                    let top = stack.len() - 1;
-                    stack.swap(top, top - n);
-                }
-                Opcode::Log(n) => {
-                    // Topics and data are popped and discarded; logs are not
-                    // needed by the oracles.
-                    let (_offset, _) = pop!();
-                    let (_len, _) = pop!();
-                    for _ in 0..n {
-                        pop!();
-                    }
-                }
-                Opcode::Call | Opcode::CallCode | Opcode::DelegateCall | Opcode::StaticCall => {
-                    let (gas_req, _tg) = pop!();
-                    let (to_word, t_to) = pop!();
-                    let (call_value, tv) = if matches!(op, Opcode::Call | Opcode::CallCode) {
-                        pop!()
-                    } else {
-                        (U256::ZERO, Taint::empty())
-                    };
-                    let (args_offset, _) = pop!();
-                    let (args_len, _) = pop!();
-                    let (ret_offset, _) = pop!();
-                    let (ret_len, _) = pop!();
-
-                    let to = Address::from_u256(to_word);
-                    let kind = match op {
-                        Opcode::Call => CallKind::Call,
-                        Opcode::CallCode => CallKind::CallCode,
-                        Opcode::DelegateCall => CallKind::DelegateCall,
-                        _ => CallKind::StaticCall,
-                    };
-                    args_buf.clear();
-                    mem_try!(read_memory_into(
-                        memory,
-                        args_offset,
-                        args_len,
-                        self.config.max_memory,
-                        &mut gas_left,
-                        args_buf,
-                    ));
-                    // EIP-2929: the first touch of the callee account this
-                    // transaction pays the cold surcharge, before any gas is
-                    // forwarded.
-                    let surcharge = scratch.access.address_surcharge(to);
-                    if gas_left < surcharge {
-                        out_of_gas!();
-                    }
-                    gas_left -= surcharge;
-                    // EIP-150 all-but-one-64th: the caller always retains at
-                    // least 1/64 of its remaining gas, so an outer frame can
-                    // finish (and e.g. persist state) even when the callee
-                    // burns everything it was forwarded.
-                    let available = gas_left - gas_left / 64;
-                    let forwarded_gas = gas_req.to_u64().unwrap_or(u64::MAX).min(available);
-
-                    let call_idx = trace.calls.len();
-                    trace.calls.push(CallEvent {
-                        pc,
-                        kind,
-                        from: code_address,
-                        to,
-                        value: call_value,
-                        gas: forwarded_gas,
-                        success: false,
-                        callee_exception: false,
-                        result_checked: false,
-                        depth,
-                        caller_selector: trace.entered_selector,
-                        arg_taint: t_to | tv,
-                        caller_guarded: caller_guard_seen,
-                    });
-
-                    // Re-entrancy detection: callee already on the frame stack.
-                    if frames.iter().any(|f| f.code_address == to) {
-                        trace.reentered = true;
-                    }
-
-                    let (success, callee_exception, output, gas_spent) = self.do_call(
-                        CallContext {
-                            kind,
-                            code_address,
-                            storage_address,
-                            caller,
-                            origin,
-                            current_value: value,
-                            to,
-                            call_value,
-                            gas: forwarded_gas,
-                            depth,
-                        },
-                        args_buf,
-                        frames,
-                        trace,
-                        scratch,
-                    );
-                    // The caller pays what the callee actually consumed;
-                    // unspent forwarded gas is refunded. Combined with the
-                    // 63/64 forwarding cap above this bounds the damage a
-                    // draining callee can do to `gas_left / 64`.
-                    gas_left = gas_left.saturating_sub(gas_spent);
-                    if let Some(ev) = trace.calls.get_mut(call_idx) {
-                        ev.success = success;
-                        ev.callee_exception = callee_exception;
-                    }
-                    unchecked_calls.push(call_idx);
-                    // The callee's output becomes this frame's RETURNDATA
-                    // buffer (empty after an exceptional halt), and the part
-                    // that fits is copied into the caller's return region.
-                    return_data = output;
-                    let ret_n = ret_len.to_usize().unwrap_or(0).min(return_data.len());
-                    if ret_n > 0 {
-                        let offset = match ret_offset.to_usize() {
-                            Some(o) => o,
-                            None => fault!("return region out of bounds"),
-                        };
-                        let span = match mem_span(offset, ret_n) {
-                            Ok(s) => s,
-                            Err(e) => fault!(e),
-                        };
-                        mem_try!(ensure_memory(
-                            memory,
-                            span,
-                            self.config.max_memory,
-                            &mut gas_left
-                        ));
-                        memory[offset..offset + ret_n].copy_from_slice(&return_data[..ret_n]);
-                    }
-                    push!(U256::from(success), Taint::CALL_RESULT);
-                }
-                Opcode::Create => {
-                    // Contract creation from within contracts is not emitted
-                    // by the compiler; treat it as pushing a zero address.
-                    let (_value, _) = pop!();
-                    let (_offset, _) = pop!();
-                    let (_len, _) = pop!();
-                    push!(U256::ZERO, Taint::empty());
-                }
-                Opcode::Create2 => {
-                    let (create_value, _tv) = pop!();
-                    let (offset, _) = pop!();
-                    let (len, _) = pop!();
-                    let (salt, _) = pop!();
-                    let init = mem_try!(read_memory_range(
-                        memory,
-                        offset,
-                        len,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    // Hashing the init code for the deterministic address
-                    // derivation costs the Keccak word price.
-                    let dynamic = SHA3_WORD_GAS * (init.len() as u64).div_ceil(32);
-                    if gas_left < dynamic {
-                        out_of_gas!();
-                    }
-                    gas_left -= dynamic;
-                    let site = CreateSite {
-                        creator: storage_address,
-                        origin,
-                        value: create_value,
-                        salt,
-                        depth,
-                    };
-                    let (created, out) =
-                        self.do_create2(site, &init, frames, trace, scratch, &mut gas_left);
-                    return_data = out;
-                    push!(created, Taint::CALL_RESULT);
-                }
-                Opcode::Return => {
-                    let (offset, _) = pop!();
-                    let (len, _) = pop!();
-                    let out = mem_try!(read_memory_range(
-                        memory,
-                        offset,
-                        len,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    return FrameResult {
-                        halt: HaltReason::Normal,
-                        output: out,
-                        gas_left,
-                    };
-                }
-                Opcode::Revert => {
-                    let (offset, _) = pop!();
-                    let (len, _) = pop!();
-                    let out = mem_try!(read_memory_range(
-                        memory,
-                        offset,
-                        len,
-                        self.config.max_memory,
-                        &mut gas_left
-                    ));
-                    return FrameResult {
-                        halt: HaltReason::Revert,
-                        output: out,
-                        gas_left,
-                    };
-                }
-                Opcode::Invalid => {
-                    return FrameResult {
-                        halt: HaltReason::Invalid,
-                        output: vec![],
-                        gas_left: 0,
-                    };
-                }
-                Opcode::SelfDestruct => {
-                    let (beneficiary_word, tb) = pop!();
-                    let beneficiary = Address::from_u256(beneficiary_word);
-                    let balance = self.world.balance(storage_address);
-                    self.world.transfer(storage_address, beneficiary, balance);
-                    self.world.mark_destroyed(storage_address);
-                    trace.self_destructs.push(SelfDestructEvent {
-                        pc,
-                        contract: storage_address,
-                        beneficiary,
-                        caller_guarded: caller_guard_seen,
-                        beneficiary_taint: tb,
-                    });
-                    return FrameResult {
-                        halt: HaltReason::Normal,
-                        output: vec![],
-                        gas_left,
-                    };
-                }
-                Opcode::Unknown(b) => {
-                    // Conformance-tagged exceptional halt: record which byte
-                    // at which pc fell outside the implemented surface, so
-                    // vector runs and ingested-blob campaigns can separate
-                    // "unsupported opcode" from "interpreter bug".
-                    trace
-                        .conformance
-                        .push(ConformanceEvent { pc, byte: b, depth });
-                    fault!(format!("unknown opcode 0x{b:02x}"));
-                }
-            }
-            cursor += 1;
-        }
+            scratch: &mut *scratch,
+        };
+        let result = crate::threaded::run(self, program, ctx, env, &mut owned);
+        scratch.put(ctx.depth, owned);
+        result
     }
 
     /// Perform a nested message call (CALL/CALLCODE/DELEGATECALL/STATICCALL).
@@ -2268,8 +1254,8 @@ mod tests {
         ];
         let exec = |block_lowering: bool| {
             let mut world = world_with_code(code.clone());
-            // Cache the blob: without a cache entry both settings fall
-            // through to the pre-decoded tier.
+            // Cache the blob: without a cache entry both settings run it
+            // one instruction at a time.
             let blob = world.code(addr(0x100));
             let mut cache = ProgramCache::new();
             cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));

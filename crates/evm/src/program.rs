@@ -23,21 +23,24 @@
 //! its pre-summed static gas cost and stack envelope, so the dispatch loop
 //! charges gas and bounds-checks the stack once per block instead of per
 //! instruction. Within a block, common compiler idioms are fused into
-//! superinstructions ([`Fused`]) with dedicated dispatch arms.
+//! superinstructions ([`Fused`]) with dedicated dispatch arms. The
+//! *unfused* lowering ([`BlockProgram::unfused`]) is the same program with
+//! one instruction per unit and per block and nothing fused: the form the
+//! interpreter runs one instruction at a time.
 //!
 //! [`ProgramCache`] maps code blobs (by `Arc` pointer identity — the world
 //! state shares code blobs across snapshots, so the pointer is stable) to
-//! their decoded *and* block-lowered programs. The fuzzing harness decodes
-//! the contract under test once at build time and shares the cache
-//! `Arc`-style across worker harness clones, exactly like the dense edge
-//! index.
+//! their decoded and block-lowered programs, and to an unfused lowering
+//! built on first request. The fuzzing harness decodes the contract under
+//! test once at build time and shares the cache `Arc`-style across worker
+//! harness clones, exactly like the dense edge index.
 
 use crate::gas::static_gas;
 use crate::opcode::Opcode;
 use crate::threaded::{select_handler, UnitHandler};
 use crate::trace::OpcodeSet;
 use crate::u256::U256;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One pre-decoded instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -384,6 +387,8 @@ pub struct BlockProgram {
     /// Instruction index → unit index (every instruction belongs to exactly
     /// one unit).
     instr_to_unit: Vec<u32>,
+    /// One instruction per unit and per block, nothing fused.
+    unfused: bool,
 }
 
 impl BlockProgram {
@@ -391,12 +396,46 @@ impl BlockProgram {
     /// fall-throughs of block-ending instructions), fold the per-block
     /// static-gas/stack envelope, and fuse idioms into superinstructions.
     pub fn lower(base: Arc<DecodedProgram>) -> BlockProgram {
+        BlockProgram::lower_with(base, true)
+    }
+
+    /// The unfused lowering: every instruction is its own unit and its own
+    /// block, so each unit's `head` is its instruction's static gas and its
+    /// `tail` is zero. The interpreter runs this form one instruction at a
+    /// time — with block lowering off, for code the cache does not hold,
+    /// and for the rest of a frame whose block could not be settled.
+    ///
+    /// ```
+    /// use mufuzz_evm::{BlockProgram, DecodedProgram, Fused};
+    /// use std::sync::Arc;
+    ///
+    /// // PUSH1 0x04, JUMP, INVALID, JUMPDEST, STOP
+    /// let base = Arc::new(DecodedProgram::decode(&[0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00]));
+    /// let program = BlockProgram::unfused(base);
+    /// assert!(program.is_unfused());
+    /// assert_eq!(program.units().len(), 5);
+    /// assert_eq!(program.blocks().len(), 5);
+    /// assert!(program.units().iter().all(|u| u.fused == Fused::None && u.tail == 0));
+    /// // Unit cursors are instruction indices.
+    /// assert_eq!(program.jump_unit(4), Some(3));
+    /// ```
+    pub fn unfused(base: Arc<DecodedProgram>) -> BlockProgram {
+        BlockProgram::lower_with(base, false)
+    }
+
+    /// True for [`BlockProgram::unfused`]'s form.
+    pub fn is_unfused(&self) -> bool {
+        self.unfused
+    }
+
+    fn lower_with(base: Arc<DecodedProgram>, fuse: bool) -> BlockProgram {
         let instrs = base.instructions();
         let n = instrs.len();
 
         // 1. Mark leaders. Jump targets are always `JUMPDEST`s, so every
         //    reachable control transfer lands on a leader by construction.
-        let mut leader = vec![false; n];
+        //    Unfused, every instruction leads its own block.
+        let mut leader = vec![!fuse; n];
         if n > 0 {
             leader[0] = true;
         }
@@ -429,7 +468,11 @@ impl BlockProgram {
             // subtracting a unit's constituents it is that unit's tail.
             let mut remaining = block.static_gas;
             while i < end {
-                let (count, fused) = Self::match_fusion(&instrs[i..end], &base);
+                let (count, fused) = if fuse {
+                    Self::match_fusion(&instrs[i..end], &base)
+                } else {
+                    (1, Fused::None)
+                };
                 let unit_idx = units.len() as u32;
                 for slot in &mut instr_to_unit[i..i + count] {
                     *slot = unit_idx;
@@ -497,6 +540,7 @@ impl BlockProgram {
             blocks,
             units,
             instr_to_unit,
+            unfused: !fuse,
         }
     }
 
@@ -631,7 +675,11 @@ impl BlockProgram {
 /// the same `Arc<Vec<u8>>` for an account's code across snapshots, so the
 /// pointer is a stable identity for "the same deployed code". The cache is
 /// built once by the harness and then only read (it is shared across worker
-/// threads behind an `Arc`), so there is no interior mutability.
+/// threads behind an `Arc`); the one exception is each entry's unfused
+/// lowering, set once on the first frame that runs with block lowering off.
+/// Campaigns with block lowering on (the default) never build it: a frame
+/// whose block cannot be settled lowers its own unfused copy, and on the
+/// benchmark workloads no frame does.
 ///
 /// Pointer identity alone is a footgun: an entry pins its blob alive, but a
 /// cache that outlives its blob's other owners — or an entry constructed
@@ -683,13 +731,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One cached code blob with its program for each execution tier.
+/// One cached code blob with its decoded program and its lowerings.
 #[derive(Clone, Debug)]
 struct CacheEntry {
     code: Arc<Vec<u8>>,
     fingerprint: BlobFingerprint,
     decoded: Arc<DecodedProgram>,
     lowered: Arc<BlockProgram>,
+    /// The unfused lowering, built on the first request.
+    unfused: OnceLock<BlockProgram>,
 }
 
 impl CacheEntry {
@@ -709,7 +759,7 @@ impl ProgramCache {
     }
 
     /// Register the decoded program of a code blob. The block lowering is
-    /// derived here, once, so every entry serves both execution tiers.
+    /// derived here, once; the unfused lowering waits for its first use.
     pub fn insert(&mut self, code: Arc<Vec<u8>>, program: Arc<DecodedProgram>) {
         let lowered = Arc::new(BlockProgram::lower(Arc::clone(&program)));
         let fingerprint = BlobFingerprint::of(&code);
@@ -718,6 +768,7 @@ impl ProgramCache {
             fingerprint,
             decoded: program,
             lowered,
+            unfused: OnceLock::new(),
         });
     }
 
@@ -739,6 +790,17 @@ impl ProgramCache {
             .iter()
             .find(|e| e.matches(code))
             .map(|e| &e.lowered)
+    }
+
+    /// Look up the unfused lowering of a code blob, lowering it on the
+    /// first request.
+    pub(crate) fn get_unfused(&self, code: &Arc<Vec<u8>>) -> Option<&BlockProgram> {
+        let entry = self.entries.iter().find(|e| e.matches(code))?;
+        Some(
+            entry
+                .unfused
+                .get_or_init(|| BlockProgram::unfused(Arc::clone(&entry.decoded))),
+        )
     }
 
     /// Number of registered programs.
@@ -872,10 +934,12 @@ mod tests {
                 lowered: Arc::new(BlockProgram::lower(Arc::new(DecodedProgram::decode(
                     &original,
                 )))),
+                unfused: OnceLock::new(),
             }],
         };
         assert!(cache.get(&reallocated).is_none());
         assert!(cache.get_block(&reallocated).is_none());
+        assert!(cache.get_unfused(&reallocated).is_none());
     }
 
     #[test]

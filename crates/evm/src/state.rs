@@ -443,8 +443,8 @@ impl WorldState {
 /// Logical equality: two worlds are equal when they map the same addresses
 /// to equal accounts, regardless of how the accounts are split between the
 /// frozen base and the overlay, and of any open checkpoints. Used by the
-/// decoder differential suite to assert that the pre-decoded pipeline
-/// commits identical state.
+/// decoder differential suite to assert that both billing disciplines
+/// commit identical state.
 impl PartialEq for WorldState {
     fn eq(&self, other: &WorldState) -> bool {
         let view = |w: &'_ WorldState| -> BTreeMap<Address, Account> {

@@ -1,29 +1,43 @@
-//! Direct-threaded dispatch: the block tier's only dispatcher.
+//! Direct-threaded dispatch: the interpreter's only dispatcher, and the one
+//! place each opcode's effect is written.
 //!
 //! [`select_handler`] resolves every `(fused, opcode)` pair of a
 //! [`BlockProgram`] to a handler function pointer *once at lowering time*
-//! (stored in [`BlockUnit::handler`]), and [`run`] is a tight loop of
-//! indirect calls — fetch unit, settle the block envelope at leaders, call
-//! the handler. The envelope includes the instruction cap: a block that
-//! might cross it deopts whole, so no handler checks the cap. Each call
-//! site's target correlates with the unit stream, so the indirect-branch
-//! predictor learns the program's shape, and handlers for fused binops and
-//! `DUP`/`SWAP` depths are monomorphized so their operands constant-fold.
+//! (stored in [`BlockUnit::handler`]), and [`run`] drives the units through
+//! those pointers under one of two billing disciplines:
 //!
-//! The reference for every handler is the per-instruction loop in
-//! `interpreter.rs` (`run_frame_inner`), which is also the deopt target.
-//! Handlers produce the same trace records (bulk per-unit masks, prefix
-//! records on mid-pattern faults), spend gas the same way (block
-//! pre-charge, tail un-charge/re-charge around gas-exact ops,
+//! * **block settlement**, over a cached program's fused lowering: at each
+//!   block leader the block's pre-summed static gas, its stack envelope and
+//!   the instruction cap are settled in one test, then the block's units run
+//!   as a tight chain of indirect calls with no per-unit bookkeeping;
+//! * **one instruction at a time**, over an unfused lowering
+//!   ([`BlockProgram::unfused`]): before each instruction the cap is
+//!   checked and the instruction's static gas charged, or the frame halts
+//!   `OutOfGas` with the instruction recorded.
+//!
+//! A block whose envelope cannot be settled (near out-of-gas, near the
+//! stack limits, possibly crossing the cap) *deopts*: the frame keeps its
+//! [`Machine`] — stack, memory, gas, pending comparison, return data — and
+//! continues one instruction at a time on an unfused lowering of the same
+//! decoded program, at the same instruction index, so faults and
+//! out-of-gas halts land exactly where per-instruction billing puts them.
+//!
+//! Each call site's target correlates with the unit stream, so the
+//! indirect-branch predictor learns the program's shape, and handlers for
+//! fused binops and `DUP`/`SWAP` depths are monomorphized so their operands
+//! constant-fold. Plain handlers serve both disciplines; a fused handler
+//! must equal its constituents run one at a time — the same trace records
+//! (bulk per-unit masks, prefix records on mid-pattern faults), the same
+//! gas (block pre-charge, tail un-charge/re-charge around gas-exact ops,
 //! per-constituent replay in the storage-statement and `MapSlot*` arms) and
-//! halt with the same fault messages. `tests/decoder_differential.rs` and
-//! the conformance vectors pin the two tiers bit-identical.
+//! the same fault messages. `tests/decoder_differential.rs` and the
+//! conformance vectors pin the two disciplines bit-identical.
 
 use crate::gas::{static_gas, COPY_WORD_GAS, EXP_BYTE_GAS, SHA3_WORD_GAS, SSTORE_CLEAR_REFUND};
 use crate::interpreter::{
     calldata_word, ensure_memory, exp_u256, mem_span, read_memory_into, read_memory_range,
     CallContext, CreateSite, DepthScratch, Evm, ExecEnv, ExecFrame, FrameCtx, FrameInfo,
-    FrameOutcome, FrameResult, LoopState, MemFail,
+    FrameResult, MemFail,
 };
 use crate::keccak::keccak256;
 use crate::opcode::Opcode;
@@ -34,14 +48,13 @@ use crate::trace::{
 };
 use crate::types::Address;
 use crate::u256::U256;
+use std::sync::Arc;
 
 /// How one handler invocation ended.
 ///
 /// Deliberately two words wide so every indirect call returns in registers
-/// instead of through a stack slot: the cold payloads live elsewhere — a
-/// halting handler stashes its [`FrameResult`] in [`Machine::halt`], and a
-/// deopting handler carries only the *instruction* cursor, from which the
-/// driver snapshots the full [`LoopState`].
+/// instead of through a stack slot: a halting handler stashes its
+/// [`FrameResult`] in [`Machine::halt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Step {
     /// Continue with the next unit in sequence.
@@ -51,8 +64,8 @@ pub(crate) enum Step {
     Jump(u32),
     /// The frame halted; the result is in [`Machine::halt`].
     Done,
-    /// Hand off to per-instruction execution at this *instruction* cursor
-    /// (same contract as [`FrameOutcome::Deopt`]).
+    /// Continue one instruction at a time from this *instruction* cursor:
+    /// a dynamic bill ate into gas the block had pre-paid.
     Deopt(u32),
 }
 
@@ -86,24 +99,12 @@ pub(crate) struct Machine<'m, 'w> {
     gas_left: u64,
     last_cmp: Option<Comparison>,
     caller_guard_seen: bool,
-    /// The frame's RETURNDATA buffer (EIP-211).
+    /// The frame's RETURNDATA buffer (EIP-211): output of the most recent
+    /// completed call or create, empty at frame entry and after an
+    /// exceptional callee halt.
     return_data: Vec<u8>,
     /// Halt payload parked by a handler returning [`Step::Done`].
     halt: Option<FrameResult>,
-}
-
-impl Machine<'_, '_> {
-    /// Snapshot the live loop variables for a deopt hand-off. `cursor` is an
-    /// instruction index into the per-instruction tier's stream.
-    fn state_at(&mut self, cursor: usize) -> LoopState {
-        LoopState {
-            cursor,
-            gas_left: self.gas_left,
-            last_cmp: self.last_cmp,
-            caller_guard_seen: self.caller_guard_seen,
-            return_data: std::mem::take(&mut self.return_data),
-        }
-    }
 }
 
 /// The unit's constituent instructions. Borrowed from the program (not the
@@ -246,28 +247,25 @@ macro_rules! t_binop {
     };
 }
 
-/// Run one call frame through the direct-threaded dispatch chain, as two
-/// nested loops: the outer loop runs once per
-/// *block* (control only enters at leaders: frame entry, jump targets and
-/// block fall-through all land on one), where the instruction cap and the
-/// envelope are settled; the inner loop then drives the block's units
-/// through their pre-resolved handlers with the unit cursor in a register
-/// and no per-unit bookkeeping beyond the indirect call itself.
+/// Run one call frame on `program`: block by block if it is a fused
+/// lowering, one instruction at a time if it is unfused. A fused block that
+/// cannot be settled hands the frame, machine and all, to an unfused
+/// lowering of the same decoded program, built for this frame (deopts are
+/// rare enough that caching one beside every program would cost memory for
+/// nothing), which continues at the instruction where settling failed.
 pub(crate) fn run(
     evm: &mut Evm<'_>,
     program: &BlockProgram,
     ctx: FrameCtx<'_>,
     env: ExecEnv<'_>,
     owned: &mut DepthScratch,
-    state: LoopState,
-) -> FrameOutcome {
+) -> FrameResult {
     let ExecEnv {
         frames,
         trace,
         scratch,
     } = env;
     trace.max_depth = trace.max_depth.max(ctx.depth);
-    let max_instructions = evm.config.max_instructions;
     let DepthScratch {
         stack,
         memory,
@@ -275,13 +273,8 @@ pub(crate) fn run(
         unchecked_calls,
         truncated_events,
     } = owned;
-    let LoopState {
-        cursor,
-        gas_left,
-        last_cmp,
-        caller_guard_seen,
-        return_data,
-    } = state;
+    // Declared before the machine so it outlives the machine's borrow.
+    let unfused;
     let mut m = Machine {
         evm,
         program,
@@ -301,21 +294,45 @@ pub(crate) fn run(
         args_buf: args,
         unchecked_calls,
         truncated_events,
-        gas_left,
-        last_cmp,
-        caller_guard_seen,
-        return_data,
+        gas_left: ctx.gas,
+        last_cmp: None,
+        caller_guard_seen: false,
+        return_data: Vec::new(),
         halt: None,
     };
-    let units = program.units();
-    let blocks = program.blocks();
-    let mut cursor = cursor;
+    let mut cursor = 0;
+    if !program.is_unfused() {
+        match run_blocks(&mut m) {
+            Ok(result) => return result,
+            Err(deopt) => {
+                unfused = BlockProgram::unfused(Arc::clone(program.base()));
+                m.program = &unfused;
+                cursor = deopt;
+            }
+        }
+    }
+    run_instructions(&mut m, cursor)
+}
+
+/// The block discipline, as two nested loops: the outer loop runs once per
+/// *block* (control only enters at leaders: frame entry, jump targets and
+/// block fall-through all land on one), where the instruction cap and the
+/// envelope are settled; the inner loop then drives the block's units
+/// through their pre-resolved handlers with the unit cursor in a register
+/// and no per-unit bookkeeping beyond the indirect call itself. Returns the
+/// frame's result, or the instruction cursor to continue from one
+/// instruction at a time.
+fn run_blocks(m: &mut Machine<'_, '_>) -> Result<FrameResult, usize> {
+    let max_instructions = m.evm.config.max_instructions;
+    let units = m.program.units();
+    let blocks = m.program.blocks();
+    let mut cursor = 0;
     'blocks: loop {
         // The cap check that no block envelope covers: running off the end
         // of the code, and a block entered after a call's child frames
         // (calls end blocks) spent the rest of the cap.
         if m.trace.instr_count as usize >= max_instructions {
-            return FrameOutcome::Done(FrameResult {
+            return Ok(FrameResult {
                 halt: HaltReason::OutOfGas,
                 output: vec![],
                 gas_left: 0,
@@ -323,7 +340,7 @@ pub(crate) fn run(
         }
         let Some(unit) = units.get(cursor) else {
             // Running off the end of the code is an implicit STOP.
-            return FrameOutcome::Done(FrameResult {
+            return Ok(FrameResult {
                 halt: HaltReason::Normal,
                 output: vec![],
                 gas_left: m.gas_left,
@@ -331,16 +348,16 @@ pub(crate) fn run(
         };
         if unit.leader == u32::MAX {
             // Unreachable by construction (entry, jumps and fall-through all
-            // land on leaders); hand the frame to the per-instruction tier
-            // if not.
-            return FrameOutcome::Deopt(m.state_at(unit.instr_start as usize));
+            // land on leaders); continue one instruction at a time if not.
+            return Err(unit.instr_start as usize);
         }
         // Settle the whole block at its leader: pre-summed static gas, the
         // stack envelope and the instruction cap, validated once, deopting
         // when any part could fail mid-block. Within the cap, no unit of the
-        // block can start at or past it; the per-instruction tier checks the
-        // cap before every instruction of a block that might cross it.
-        // Control flow only lands on leaders, so this runs once per block.
+        // block can start at or past it; the per-instruction discipline
+        // checks the cap before every instruction of a block that might
+        // cross it. Control flow only lands on leaders, so this runs once
+        // per block.
         let block = &blocks[unit.leader as usize];
         let block_instrs = (block.instr_end - block.instr_start) as usize;
         if m.gas_left < block.static_gas
@@ -348,28 +365,64 @@ pub(crate) fn run(
             || m.stack.len() + block.max_growth as usize > 1024
             || m.trace.instr_count as usize + block_instrs > max_instructions
         {
-            return FrameOutcome::Deopt(m.state_at(block.instr_start as usize));
+            return Err(block.instr_start as usize);
         }
         m.gas_left -= block.static_gas;
         let end = block.unit_end as usize;
         // Slice iteration: no per-unit bounds check, and the only way out of
         // the block mid-flight is through a handler's non-`Next` step.
         for unit in &units[cursor..end] {
-            match (unit.handler)(&mut m, unit) {
+            match (unit.handler)(m, unit) {
                 Step::Next => {}
                 Step::Jump(target) => {
                     cursor = target as usize;
                     continue 'blocks;
                 }
-                Step::Done => {
-                    return FrameOutcome::Done(m.halt.take().expect("Step::Done parks a result"));
-                }
-                Step::Deopt(instr_cursor) => {
-                    return FrameOutcome::Deopt(m.state_at(instr_cursor as usize));
-                }
+                Step::Done => return Ok(m.halt.take().expect("Step::Done parks a result")),
+                Step::Deopt(instr_cursor) => return Err(instr_cursor as usize),
             }
         }
         cursor = end;
+    }
+}
+
+/// The per-instruction discipline over an unfused lowering, whose unit
+/// cursors are instruction indices, from `cursor`: before each instruction,
+/// the instruction cap, then its static gas (the unit's `head`).
+fn run_instructions(m: &mut Machine<'_, '_>, mut cursor: usize) -> FrameResult {
+    debug_assert!(m.program.is_unfused());
+    let max_instructions = m.evm.config.max_instructions;
+    let units = m.program.units();
+    loop {
+        if m.trace.instr_count as usize >= max_instructions {
+            return FrameResult {
+                halt: HaltReason::OutOfGas,
+                output: vec![],
+                gas_left: 0,
+            };
+        }
+        let Some(unit) = units.get(cursor) else {
+            // Running off the end of the code is an implicit STOP.
+            return FrameResult {
+                halt: HaltReason::Normal,
+                output: vec![],
+                gas_left: m.gas_left,
+            };
+        };
+        if m.gas_left < unit.head {
+            m.trace.record_instr(unit.op);
+            return FrameResult {
+                halt: HaltReason::OutOfGas,
+                output: vec![],
+                gas_left: 0,
+            };
+        }
+        m.gas_left -= unit.head;
+        cursor = match (unit.handler)(m, unit) {
+            Step::Next => cursor + 1,
+            Step::Jump(target) | Step::Deopt(target) => target as usize,
+            Step::Done => return m.halt.take().expect("Step::Done parks a result"),
+        };
     }
 }
 
@@ -439,10 +492,10 @@ struct BinopSite<'a> {
 }
 
 /// The binop core shared by every fused pattern ending in an arithmetic /
-/// comparison / bitwise op: replicates the generic arms' truncation events
-/// and comparison bookkeeping and evaluates to `(result, taint)`. Operand
-/// roles mirror the generic arms: `a` is the first pop (the later push),
-/// `b` the second.
+/// comparison / bitwise op: replicates the plain handlers' truncation
+/// events and comparison bookkeeping and evaluates to `(result, taint)`.
+/// Operand roles mirror the plain handlers: `a` is the first pop (the later
+/// push), `b` the second.
 #[inline(always)]
 fn fused_binop_eval(
     op: Opcode,
@@ -745,9 +798,9 @@ pub(crate) fn select_handler(fused: Fused, parts: &[DecodedInstr]) -> UnitHandle
 }
 
 // ---------------------------------------------------------------------------
-// Plain handlers: one per `match` arm of the per-instruction loop. Each
-// starts by recording its instruction (before the arm can fault, like the
-// per-instruction tier); gas-exact ops un-charge their tail around the body.
+// Plain handlers: one per opcode, serving both disciplines. Each starts by
+// recording its instruction (before it can fault); gas-exact ops un-charge
+// their tail around the body (zero in an unfused lowering).
 // ---------------------------------------------------------------------------
 
 fn h_stop(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
@@ -1828,7 +1881,9 @@ fn h_unknown(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         Opcode::Unknown(b) => b,
         _ => unreachable!("h_unknown dispatches Unknown"),
     };
-    // Conformance-tagged exceptional halt (see the per-instruction arm).
+    // Conformance-tagged exceptional halt: record which byte at which pc fell
+    // outside the implemented surface, so vector runs and ingested-blob
+    // campaigns can separate "unsupported opcode" from "interpreter bug".
     m.trace.conformance.push(ConformanceEvent {
         pc: u.pc as usize,
         byte: b,

@@ -402,9 +402,9 @@ pub struct ConformanceEvent {
 
 /// Instrumentation record of a single top-level transaction execution.
 ///
-/// `PartialEq` compares every recorded event — the tier differential suite
-/// relies on it to assert that the block tier traces bit-identically to the
-/// pre-decoded reference.
+/// `PartialEq` compares every recorded event — the differential suites rely
+/// on it to assert that block settlement traces bit-identically to running
+/// one instruction at a time.
 ///
 /// `Clone::clone_from` is field-wise and reuses the target's vectors, so a
 /// recorded trace can be copied into a pooled one without allocating.

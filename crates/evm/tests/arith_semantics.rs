@@ -63,7 +63,7 @@ fn eval_op_with(op: u8, operands: &[U256], block_lowering: bool) -> U256 {
     let mut world = WorldState::new();
     world.put_account(sender, Account::eoa(U256::from_u64(1)));
     world.put_account(contract, Account::contract(code, U256::ZERO));
-    // Cache the blob: an uncached one always runs on the pre-decoded tier.
+    // Cache the blob: an uncached one always runs one instruction at a time.
     let blob = world.code(contract);
     let mut cache = ProgramCache::new();
     cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));

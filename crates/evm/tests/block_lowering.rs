@@ -2,14 +2,16 @@
 //! blobs, the blocks must partition the decoded stream, every `JUMPDEST`
 //! must lead a block, the precomputed per-block envelope must equal an
 //! independent instruction-by-instruction fold, and the dispatch units must
-//! tile the stream exactly. A final property executes random code on both
-//! tiers (the direct-threaded block tier and the pre-decoded reference) and
-//! demands bit-identical results, and targeted gas sweeps drive every fused
-//! storage arm through each possible mid-pattern halt.
+//! tile the stream exactly; the unfused lowering has one instruction per
+//! unit and per block. A final property executes random code under both
+//! billing disciplines (block settlement, and one instruction at a time
+//! over the unfused lowering) and demands bit-identical results, and
+//! targeted gas sweeps drive every fused storage arm through each possible
+//! mid-pattern halt and deopt hand-off.
 
 use mufuzz_evm::{
-    static_gas, Account, Address, BlockEnv, BlockProgram, DecodedProgram, Evm, Message, Opcode,
-    ProgramCache, WorldState, U256,
+    static_gas, Account, Address, BlockEnv, BlockProgram, DecodedProgram, Evm, Fused, Message,
+    Opcode, ProgramCache, WorldState, U256,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -111,6 +113,31 @@ proptest! {
     }
 
     #[test]
+    fn unfused_lowering_is_one_instruction_per_unit_and_block(code in proptest::collection::vec(any::<u8>(), 0..600)) {
+        let base = Arc::new(DecodedProgram::decode(&code));
+        let program = BlockProgram::unfused(Arc::clone(&base));
+        prop_assert!(program.is_unfused());
+        prop_assert!(!lowered(&code).is_unfused());
+        let instrs = base.instructions();
+        prop_assert_eq!(program.units().len(), instrs.len());
+        prop_assert_eq!(program.blocks().len(), instrs.len());
+        for (i, (unit, instr)) in program.units().iter().zip(instrs).enumerate() {
+            prop_assert_eq!(unit.fused, Fused::None);
+            prop_assert_eq!(unit.op, instr.op);
+            prop_assert_eq!(unit.instr_start as usize, i);
+            prop_assert_eq!(unit.instr_count, 1);
+            prop_assert_eq!(unit.leader as usize, i);
+            // The per-instruction discipline charges `head` before the
+            // handler and nothing is pre-paid for a `tail` to cover.
+            prop_assert_eq!(unit.head, static_gas(instr.op));
+            prop_assert_eq!(unit.tail, 0);
+        }
+        for dest in 0..=code.len() {
+            prop_assert_eq!(program.jump_unit(dest), base.jump_cursor(dest));
+        }
+    }
+
+    #[test]
     fn jump_unit_agrees_with_jump_cursor(code in proptest::collection::vec(any::<u8>(), 0..600)) {
         let program = lowered(&code);
         for dest in 0..=code.len() {
@@ -157,9 +184,9 @@ proptest! {
     }
 }
 
-/// Run `code` with the given gas limit and call value on the direct-threaded
-/// and pre-decoded tiers and demand bit-identical results (including the
-/// trace, hence the instruction count) and committed state.
+/// Run `code` with the given gas limit and call value block by block and
+/// one instruction at a time, and demand bit-identical results (including
+/// the trace, hence the instruction count) and committed state.
 fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
     let sender = Address::from_low_u64(1);
     let contract = Address::from_low_u64(0x42);
@@ -217,8 +244,9 @@ fn assert_tiers_agree_at_every_gas_level(code: &[u8], value: u64) {
 }
 
 /// A fused memory arm whose mid-unit MLOAD faults must leave the same trace
-/// as the per-instruction tier, which records only the constituents up to
-/// and including the faulting op — not the trailing binop.
+/// as running one instruction at a time, which records only the
+/// constituents up to and including the faulting op — not the trailing
+/// binop.
 #[test]
 fn mid_unit_mload_fault_keeps_the_trace_exact() {
     // PUSH1 0; PUSH32 <huge>; MLOAD; ADD; STOP — fuses to

@@ -12,8 +12,8 @@
 //!    the caller pays the callee's actual consumption, so a draining callee
 //!    always leaves the outer frame at least `gas_left / 64` to finish.
 //!
-//! Every vector executes on both interpreter tiers (the direct-threaded
-//! block tier and the pre-decoded per-instruction reference) and asserts
+//! Every vector executes under both billing disciplines (block settlement
+//! and one instruction at a time, through the same handlers) and asserts
 //! bit-identical results; the decoder differential suite covers the corpus
 //! contracts, this file covers the gas-edge programs.
 
@@ -28,8 +28,8 @@ fn addr(n: u64) -> Address {
 }
 
 /// A program cache holding every code blob deployed at `addresses`, so both
-/// tiers run them (an uncached blob always falls through to the pre-decoded
-/// tier).
+/// disciplines run them (an uncached blob always runs one instruction at a
+/// time).
 fn cache_code(world: &WorldState, addresses: &[Address]) -> ProgramCache {
     let mut cache = ProgramCache::new();
     for &address in addresses {

@@ -4,7 +4,7 @@
 //! more distinct preimages exist than the memo has entries. Each store
 //! takes one of three shapes, so the block tier runs each of its hashing
 //! handlers (the fused mapping store, a fused `PUSH PUSH SHA3` and a plain
-//! `SHA3`); the pre-decoded tier runs its `SHA3` arm. Every write must land
+//! `SHA3`); one instruction at a time, only the plain one runs. Every write must land
 //! on `keccak256(key ‖ slot)`, on both tiers, in every run of a frame that
 //! is reused so later runs hit the memo.
 

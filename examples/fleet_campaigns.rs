@@ -20,7 +20,9 @@ fn main() {
         .unwrap_or(4);
 
     // One pool for the whole fleet; every campaign is scheduled as
-    // (campaign, mutant-batch) tasks across these threads.
+    // (campaign, mutant-batch) tasks across these threads. Each campaign
+    // keeps the default single lane, so the pool's parallelism comes from
+    // fuzzing the contracts side by side.
     let service = CampaignService::new(threads);
     println!("fleet pool: {} thread(s)\n", service.thread_count());
 

@@ -50,7 +50,8 @@ fn main() {
     }
 
     // 2. Fuzz exactly like a compiled contract: the ingested blob feeds the
-    //    same edge index, program cache and block-lowered interpreter.
+    //    same edge index, program cache and block-lowered interpreter. One
+    //    lane by default; `MUFUZZ_WORKERS` opts in to rounds.
     let mut config = FuzzerConfig::mufuzz(1_000).with_rng_seed(42);
     if let Some(workers) = std::env::var("MUFUZZ_WORKERS")
         .ok()

@@ -6,8 +6,9 @@
 //! effects: four kernels — a straight-line local-arithmetic mixer, a
 //! branchy unrolled Collatz-style router, a storage-heavy mapping ledger
 //! and the ingested real-bytecode fixture — each executed through
-//! `ContractHarness` directly on both tiers (pre-decoded
-//! instruction-at-a-time and block-lowered direct-threaded dispatch),
+//! `ContractHarness` directly under both billing disciplines (the same
+//! threaded handlers one instruction at a time, reported as `predecoded`,
+//! and block settlement with fused superinstructions, as `threaded`),
 //! measured best-of-N interleaved to shrug off scheduler noise. Each
 //! campaign rate (1 worker, N workers) is the median of
 //! [`SAMPLES`] campaigns run in alternation, and each side of the fleet
@@ -304,8 +305,8 @@ fn kernel_json(kernel: &str, pre: f64, thr: f64) -> String {
 /// Sweep three corpus contracts through one fleet pool of `threads`
 /// threads. `concurrent` submits all three up front (the fleet case);
 /// otherwise each campaign is waited out before the next is submitted (the
-/// sequential baseline). The campaigns keep the default worker count, so on
-/// a multi-core machine each runs rounds.
+/// sequential baseline). Each campaign keeps the default single lane, so the
+/// concurrent sweep's parallelism is the three campaigns running at once.
 fn fleet_sweep(threads: usize, executions: usize, concurrent: bool) -> Sweep {
     let sources = [
         contracts::crowdsale().source,

@@ -1,10 +1,14 @@
-//! Tier differential suite: the production interpreter tier must be
-//! observably identical to the reference tier.
+//! Billing differential suite: block settlement must be observably
+//! identical to running one instruction at a time.
 //!
-//! The production tier runs the block-lowered program through the
-//! direct-threaded dispatcher (the default); the reference tier runs the
-//! pre-decoded instruction stream one instruction at a time
-//! (`block_lowering = false`). Decoding itself is pinned against
+//! Both disciplines run the same threaded handlers over the decoded
+//! program. The production one (the default) settles gas and stack block
+//! by block over the fused lowering and deopts near the limits; the
+//! reference (`block_lowering = false`) runs the unfused lowering one
+//! instruction at a time. So the suite checks block settlement, fusion and
+//! the deopt hand-off, not each opcode's effect, which the conformance
+//! vectors and the EVM crate's semantics tests pin by absolute value.
+//! Decoding itself is pinned against
 //! `opcode::disassemble` by the unit tests in `program.rs` and by
 //! [`corpus_runtimes_decode_like_the_disassembler`].
 //!
@@ -98,8 +102,8 @@ fn runtime_cache(harness: &ContractHarness) -> ProgramCache {
     cache
 }
 
-/// Execute one message from a fresh snapshot of the harness base world, on
-/// the block tier (`block_lowering`) or the pre-decoded reference, under an
+/// Execute one message from a fresh snapshot of the harness base world,
+/// block by block (`block_lowering`) or one instruction at a time, under an
 /// instruction cap of `max_instructions`. Returns the result and the
 /// post-execution world.
 fn run_once(
@@ -357,7 +361,7 @@ fn fuzzer_generated_sequences_are_bit_identical_on_both_tiers() {
 
 /// Whole-sequence equivalence: the harness's production path (block-lowered,
 /// cached, frame-reusing) produces the same traces as a manual re-execution
-/// of the same transactions on the pre-decoded tier.
+/// of the same transactions one instruction at a time.
 #[test]
 fn harness_sequences_replay_identically_on_the_predecoded_tier() {
     use mufuzz::TxInput;
@@ -371,7 +375,7 @@ fn harness_sequences_replay_identically_on_the_predecoded_tier() {
     ]);
     let outcome = harness.execute_sequence(&sequence);
 
-    // Replay the same messages manually on the reference tier.
+    // Replay the same messages manually, one instruction at a time.
     let mut world = harness.base_world().snapshot();
     let mut block = harness.base_block();
     for (tx, trace) in sequence.txs.iter().zip(&outcome.traces) {

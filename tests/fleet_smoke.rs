@@ -10,8 +10,8 @@ use mufuzz_lang::compile_source;
 
 /// The acceptance check for fleet mode: submitting a whole sweep of
 /// contracts to a 4-thread service spawns exactly 4 OS threads — campaigns
-/// are scheduled as `(campaign, mutant-batch)` tasks on the shared pool, not
-/// as nested per-campaign worker threads.
+/// (one lane each, the default) are scheduled as `(campaign, mutant-batch)`
+/// tasks on the shared pool, not as nested per-campaign worker threads.
 #[test]
 fn sweep_runs_on_one_shared_pool_with_no_nested_spawns() {
     let before = pool_threads_spawned();
