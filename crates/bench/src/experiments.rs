@@ -4,12 +4,13 @@
 //! dataset, run one or more fuzzing strategies / static analyzers on every
 //! contract, and aggregate coverage or detection statistics the way the paper
 //! reports them. Campaigns on different contracts are independent: each
-//! experiment submits them all to one [`CampaignService`] — a single
-//! work-stealing fleet pool — and collects the reports in submission order.
+//! experiment submits them all to one [`CampaignService`] — a single fleet
+//! pool whose campaigns take turns on one run queue — and collects the
+//! reports in submission order.
 //! Campaigns stay single-lane, so per-contract results are deterministic for
 //! a seed no matter how many pool threads the service has.
 
-use mufuzz::{CampaignHandle, CampaignReport, CampaignService, FuzzerConfig};
+use mufuzz::{default_workers, CampaignHandle, CampaignReport, CampaignService, FuzzerConfig};
 use mufuzz_baselines::{
     all_static_analyzers, coverage_baselines, FuzzRequest, FuzzingStrategy, MuFuzzStrategy,
 };
@@ -17,20 +18,16 @@ use mufuzz_corpus::{BenchContract, Dataset};
 use mufuzz_lang::compile_source;
 use mufuzz_oracles::{score_contract, BugClass, DetectionScore};
 use std::collections::BTreeMap;
-use std::thread;
 
 /// Cap on the auto-sized fleet pool (`workers == 0`).
 const MAX_WORKERS: usize = 8;
 
 /// Resolve a `--workers` value to a fleet pool size: `0` means auto (the
-/// machine's available parallelism, capped at 8), anything else is taken
-/// literally.
+/// machine's available parallelism, [`default_workers`], capped at 8),
+/// anything else is taken literally.
 pub fn fleet_threads(workers: usize) -> usize {
     if workers == 0 {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(MAX_WORKERS)
+        default_workers().min(MAX_WORKERS)
     } else {
         workers
     }

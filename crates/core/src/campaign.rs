@@ -10,8 +10,8 @@
 //! # One engine per lane count
 //!
 //! A campaign runs as `FuzzerConfig::workers` *lanes* — sequential strands
-//! of batch tasks scheduled on a shared work-stealing
-//! [`crate::fleet::FleetPool`] by the [`crate::service::CampaignService`]. A
+//! of batch tasks that the [`crate::service::CampaignService`] queues on its
+//! shared thread pool, where the lanes of every campaign take turns. A
 //! lane's batches run one at a time in order, so a campaign's result never
 //! depends on which pool thread ran a batch. There is one engine per lane
 //! count:

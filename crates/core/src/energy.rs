@@ -88,22 +88,6 @@ pub fn allocate_energy(weight: f64, mean_weight: f64, base: usize, dynamic: bool
     ((base as f64 * ratio).round() as usize).max(1)
 }
 
-/// Cross-campaign scheduling priority: the exponentially smoothed marginal
-/// coverage per execution.
-///
-/// The fleet scheduler ranks campaigns by how much new coverage each recent
-/// execution bought (`new_edges / executions` over the window since the last
-/// refresh) and smooths it against the previous score so one lucky batch does
-/// not monopolise the pool. Campaigns that stopped discovering edges decay
-/// toward zero and yield their slots to fresher submissions.
-pub fn marginal_coverage_priority(previous: f64, new_edges: usize, executions: usize) -> f64 {
-    if executions == 0 {
-        return previous;
-    }
-    let marginal = new_edges as f64 / executions as f64;
-    0.5 * previous + 0.5 * marginal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,18 +178,6 @@ mod tests {
         }
         assert_eq!(corpus_mean_weight(&seeds), 2.5);
         assert_eq!(corpus_mean_weight(&[]), 1.0);
-    }
-
-    #[test]
-    fn marginal_priority_rewards_discovery_and_decays_without_it() {
-        // A productive window raises the score toward its marginal rate...
-        let hot = marginal_coverage_priority(0.0, 50, 100);
-        assert!(hot > 0.2);
-        // ...a dry window halves the previous score...
-        let cooling = marginal_coverage_priority(hot, 0, 100);
-        assert_eq!(cooling, hot / 2.0);
-        // ...and an empty window (no executions yet) changes nothing.
-        assert_eq!(marginal_coverage_priority(0.75, 9, 0), 0.75);
     }
 
     #[test]

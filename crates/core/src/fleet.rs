@@ -1,39 +1,24 @@
-//! The fleet executor pool: one work-stealing thread pool shared by every
-//! submitted campaign.
+//! The fleet executor pool: one FIFO run queue served by a fixed set of
+//! threads, shared by every submitted campaign. Campaigns submit tasks and
+//! spawn no threads of their own, so the process runs exactly the pool's
+//! threads no matter how many campaigns are in flight.
 //!
-//! Historically the repo ran two nested pools — `mufuzz_bench::parallel_map`
-//! fanned contracts out over scoped threads while every `Fuzzer::run` spawned
-//! its own per-campaign workers — which oversubscribed the machine on every
-//! dataset sweep. The [`FleetPool`] replaces both: it owns a fixed set of
-//! threads, campaigns submit `(campaign, mutant-batch)` tasks, and idle
-//! threads steal work from busy ones, so the total thread count is exactly
-//! the pool size no matter how many campaigns are in flight.
-//!
-//! Scheduling is two-level:
-//!
-//! * a global **injector** — a priority queue ordered by the submitting
-//!   campaign's score (marginal coverage per execution, see
-//!   [`crate::energy::marginal_coverage_priority`]) with FIFO order among
-//!   equals — receives fresh submissions and periodic re-prioritisations;
-//! * per-thread **local deques** receive a lane's continuation batches, so a
-//!   campaign lane keeps running on a warm thread until another thread
-//!   steals it or the lane routes through the injector to be re-ranked.
-//!
-//! Local deques are popped FIFO (not the classic LIFO) so the lanes of
-//! co-scheduled campaigns interleave fairly even on a single thread.
+//! Tasks run in submission order. A long-lived task — a campaign lane — runs
+//! a slice of its work and re-enqueues its continuation at the back of the
+//! queue ([`WorkerCtx::respawn`]), so the lanes of every campaign take turns
+//! and none waits more than one pass of the queue.
 //!
 //! Dropping the pool drains every queued task before joining the threads, so
 //! submitted campaigns always run to completion.
 
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 /// A unit of pool work. Tasks are one-shot; long-lived work (a campaign
 /// lane) re-enqueues its continuation through the [`WorkerCtx`].
-pub type Task = Box<dyn FnOnce(&WorkerCtx) + Send + 'static>;
+type Task = Box<dyn FnOnce(&WorkerCtx) + Send + 'static>;
 
 /// Process-wide count of fleet threads ever spawned. The fleet smoke test
 /// asserts on deltas of this counter to prove that running campaigns through
@@ -45,153 +30,72 @@ pub fn pool_threads_spawned() -> usize {
     POOL_THREADS_SPAWNED.load(Ordering::Relaxed)
 }
 
-/// An injector entry: higher `priority` pops first; among equal priorities,
-/// earlier submissions (`seq`) pop first.
-struct PrioritizedTask {
-    priority: f64,
-    seq: u64,
-    task: Task,
-}
-
-impl PartialEq for PrioritizedTask {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for PrioritizedTask {}
-impl PartialOrd for PrioritizedTask {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PrioritizedTask {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .partial_cmp(&other.priority)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            // Max-heap: the lower sequence number must compare greater so
-            // equal-priority tasks pop in submission order.
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// The run queue and the shutdown flag, guarded together so a worker's
+/// "nothing queued, not shutting down" check and its wait are one step.
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
 }
 
 struct PoolShared {
-    injector: Mutex<BinaryHeap<PrioritizedTask>>,
-    locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Tasks currently sitting in the injector or a local deque. Lets idle
-    /// workers check "is there anything at all?" without sweeping every
-    /// queue, and closes the check-then-park wakeup race.
-    pending: AtomicUsize,
-    shutdown: AtomicBool,
-    seq: AtomicU64,
-    idle: Mutex<()>,
-    wake: Condvar,
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
 impl PoolShared {
-    fn push_injector(&self, priority: f64, task: Task) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        self.injector
+    fn push(&self, task: Task) {
+        self.queue
             .lock()
-            .expect("fleet injector poisoned")
-            .push(PrioritizedTask {
-                priority,
-                seq,
-                task,
-            });
-        // Taking (and immediately dropping) the idle lock orders this push
-        // after any worker's empty-queue check, so the notify cannot be lost.
-        drop(self.idle.lock().expect("fleet idle lock poisoned"));
-        self.wake.notify_all();
-    }
-
-    fn push_local(&self, index: usize, task: Task) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        self.locals[index]
-            .lock()
-            .expect("fleet local deque poisoned")
+            .expect("fleet queue poisoned")
+            .tasks
             .push_back(task);
-        drop(self.idle.lock().expect("fleet idle lock poisoned"));
-        self.wake.notify_all();
+        self.ready.notify_one();
     }
 
-    /// Pop the next task for worker `index`: own deque first (FIFO), then
-    /// the highest-priority injector entry, then steal from a sibling.
-    fn next_task(&self, index: usize) -> Option<Task> {
-        if let Some(task) = self.locals[index]
-            .lock()
-            .expect("fleet local deque poisoned")
-            .pop_front()
-        {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            return Some(task);
-        }
-        if let Some(entry) = self.injector.lock().expect("fleet injector poisoned").pop() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            return Some(entry.task);
-        }
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (index + offset) % n;
-            if let Some(task) = self.locals[victim]
-                .lock()
-                .expect("fleet local deque poisoned")
-                .pop_front()
-            {
-                self.pending.fetch_sub(1, Ordering::Relaxed);
+    /// The next task in submission order, blocking while the queue is empty;
+    /// `None` once the pool is shutting down and the queue is drained.
+    fn next_task(&self) -> Option<Task> {
+        let mut queue = self.queue.lock().expect("fleet queue poisoned");
+        loop {
+            if let Some(task) = queue.tasks.pop_front() {
                 return Some(task);
             }
+            if queue.shutdown {
+                return None;
+            }
+            queue = self.ready.wait(queue).expect("fleet queue poisoned");
         }
-        None
     }
 }
 
-/// Handle a running task gets to its executing pool thread: its index and
-/// the two re-enqueue paths (warm local continuation vs re-prioritised
-/// injector submission).
-pub struct WorkerCtx {
+/// Handle a running task gets to its pool, to re-enqueue a continuation.
+pub(crate) struct WorkerCtx {
     shared: Arc<PoolShared>,
-    index: usize,
 }
 
 impl WorkerCtx {
-    /// The executing thread's index in `0..thread_count`.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Re-enqueue a continuation on this thread's local deque (runs soon,
-    /// cache-warm, stealable by idle siblings).
-    pub fn respawn_local(&self, task: impl FnOnce(&WorkerCtx) + Send + 'static) {
-        self.shared.push_local(self.index, Box::new(task));
-    }
-
-    /// Re-enqueue a continuation through the global injector at `priority`,
-    /// letting the pool re-rank it against every other campaign.
-    pub fn respawn_global(&self, priority: f64, task: impl FnOnce(&WorkerCtx) + Send + 'static) {
-        self.shared.push_injector(priority, Box::new(task));
+    /// Re-enqueue a continuation at the back of the queue.
+    pub(crate) fn respawn(&self, task: impl FnOnce(&WorkerCtx) + Send + 'static) {
+        self.shared.push(Box::new(task));
     }
 }
 
-/// The work-stealing executor pool. See the module docs for the design.
-pub struct FleetPool {
+/// The executor pool. See the module docs for the design.
+pub(crate) struct FleetPool {
     shared: Arc<PoolShared>,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl FleetPool {
     /// Spawn a pool of `threads` workers (clamped to at least one).
-    pub fn new(threads: usize) -> FleetPool {
+    pub(crate) fn new(threads: usize) -> FleetPool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
-            injector: Mutex::new(BinaryHeap::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         });
         let handles = (0..threads)
             .map(|index| {
@@ -199,122 +103,44 @@ impl FleetPool {
                 POOL_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
                 thread::Builder::new()
                     .name(format!("fleet-worker-{index}"))
-                    .spawn(move || Self::worker_loop(shared, index))
+                    .spawn(move || Self::worker_loop(shared))
                     .expect("failed to spawn fleet worker thread")
             })
             .collect();
         FleetPool { shared, handles }
     }
 
-    fn worker_loop(shared: Arc<PoolShared>, index: usize) {
-        let ctx = WorkerCtx {
-            shared: Arc::clone(&shared),
-            index,
-        };
-        loop {
-            if let Some(task) = shared.next_task(index) {
-                // Keep the pool alive across a panicking task: the panic is
-                // contained to the task (map() re-raises it at the join
-                // point; campaign lanes are expected not to panic).
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&ctx)));
-                continue;
-            }
-            if shared.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            let guard = shared.idle.lock().expect("fleet idle lock poisoned");
-            if shared.pending.load(Ordering::Relaxed) > 0 || shared.shutdown.load(Ordering::Relaxed)
-            {
-                continue;
-            }
-            // The timeout is belt and braces only; the push paths take the
-            // idle lock before notifying, so wakeups cannot be lost.
-            let _ = shared
-                .wake
-                .wait_timeout(guard, Duration::from_millis(100))
-                .expect("fleet idle lock poisoned");
+    fn worker_loop(shared: Arc<PoolShared>) {
+        let ctx = WorkerCtx { shared };
+        while let Some(task) = ctx.shared.next_task() {
+            // Keep the pool alive across a panicking task: the panic is
+            // contained to the task (a campaign lane records its own panics
+            // and fails its campaign before they reach this point).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(&ctx)));
         }
     }
 
     /// Number of worker threads in the pool.
-    pub fn thread_count(&self) -> usize {
+    pub(crate) fn thread_count(&self) -> usize {
         self.handles.len()
     }
 
-    /// Submit a task through the prioritised injector. Higher `priority`
-    /// runs first; equal priorities run in submission order.
-    pub fn spawn(&self, priority: f64, task: impl FnOnce(&WorkerCtx) + Send + 'static) {
-        self.shared.push_injector(priority, Box::new(task));
-    }
-
-    /// Apply `f` to every item on the pool and return the results in input
-    /// order (the fleet's replacement for the retired
-    /// `mufuzz_bench::parallel_map`).
-    ///
-    /// Blocks the calling thread until every item has completed. Must not be
-    /// called from inside a pool task (a pool thread blocking on its own
-    /// pool can deadlock); call it from driver threads only. Panics if `f`
-    /// panicked on any item.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        struct MapState<R> {
-            results: Mutex<Vec<Option<R>>>,
-            remaining: Mutex<usize>,
-            done: Condvar,
-            panicked: AtomicBool,
-        }
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let f = Arc::new(f);
-        let state = Arc::new(MapState::<R> {
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        });
-        for (i, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let state = Arc::clone(&state);
-            self.spawn(0.0, move |_| {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item)));
-                match result {
-                    Ok(r) => state.results.lock().expect("fleet map poisoned")[i] = Some(r),
-                    Err(_) => state.panicked.store(true, Ordering::Relaxed),
-                }
-                let mut remaining = state.remaining.lock().expect("fleet map poisoned");
-                *remaining -= 1;
-                if *remaining == 0 {
-                    state.done.notify_all();
-                }
-            });
-        }
-        let mut remaining = state.remaining.lock().expect("fleet map poisoned");
-        while *remaining > 0 {
-            remaining = state.done.wait(remaining).expect("fleet map poisoned");
-        }
-        drop(remaining);
-        if state.panicked.load(Ordering::Relaxed) {
-            panic!("a fleet map task panicked");
-        }
-        let mut results = state.results.lock().expect("fleet map poisoned");
-        results
-            .iter_mut()
-            .map(|slot| slot.take().expect("fleet map slot unfilled"))
-            .collect()
+    /// Submit a task at the back of the queue.
+    pub(crate) fn spawn(&self, task: impl FnOnce(&WorkerCtx) + Send + 'static) {
+        self.shared.push(Box::new(task));
     }
 }
 
 impl Drop for FleetPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        drop(self.shared.idle.lock().expect("fleet idle lock poisoned"));
-        self.shared.wake.notify_all();
+        // Every update under the queue lock is a single push, pop or flag
+        // store, so a poisoned queue is still a valid one.
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -325,27 +151,16 @@ impl Drop for FleetPool {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
-    /// Ported from the retired `mufuzz_bench::parallel_map` test: results
-    /// come back in input order with every item processed exactly once.
-    #[test]
-    fn map_preserves_order_and_runs_everything() {
-        let pool = FleetPool::new(4);
-        let items: Vec<usize> = (0..50).collect();
-        let results = pool.map(items, |x| {
-            if x % 7 == 0 {
-                thread::sleep(Duration::from_millis(2));
-            }
-            x * 2
+    /// Occupy the only thread of a one-thread `pool` until the returned
+    /// sender is dropped or sent to, so later submissions queue up.
+    fn hold(pool: &FleetPool) -> mpsc::Sender<()> {
+        let (release, gate) = mpsc::channel::<()>();
+        pool.spawn(move |_| {
+            let _ = gate.recv();
         });
-        assert_eq!(results, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_of_nothing_is_nothing() {
-        let pool = FleetPool::new(2);
-        let results: Vec<usize> = pool.map(Vec::<usize>::new(), |x| x);
-        assert!(results.is_empty());
+        release
     }
 
     #[test]
@@ -353,52 +168,60 @@ mod tests {
         let before = pool_threads_spawned();
         let pool = FleetPool::new(0);
         assert_eq!(pool.thread_count(), 1);
-        assert_eq!(pool.map(vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move |_| tx.send(7).expect("receiver dropped"));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(7));
         drop(pool);
         assert!(pool_threads_spawned() > before);
     }
 
-    /// The injector is a priority queue: with the single worker gated, later
-    /// high-priority submissions overtake earlier low-priority ones, and
-    /// equal priorities keep submission order.
+    /// The queue is FIFO: with the single worker gated, queued tasks run in
+    /// submission order.
     #[test]
-    fn injector_pops_by_priority_then_submission_order() {
+    fn tasks_run_in_submission_order() {
         let pool = FleetPool::new(1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let (tag_tx, tag_rx) = mpsc::channel::<&'static str>();
-        // Occupy the only worker so the next submissions queue up.
-        pool.spawn(10.0, move |_| {
-            gate_rx.recv().expect("gate sender dropped");
-        });
-        for (priority, tag) in [(0.1, "low"), (0.9, "high"), (0.5, "mid-a"), (0.5, "mid-b")] {
-            let tag_tx = tag_tx.clone();
-            pool.spawn(priority, move |_| {
-                tag_tx.send(tag).expect("tag receiver dropped");
-            });
+        let release = hold(&pool);
+        let (tx, rx) = mpsc::channel::<usize>();
+        for n in 0..16 {
+            let tx = tx.clone();
+            pool.spawn(move |_| tx.send(n).expect("receiver dropped"));
         }
-        gate_tx.send(()).expect("gate receiver dropped");
-        let order: Vec<&str> = (0..4).map(|_| tag_rx.recv().unwrap()).collect();
-        assert_eq!(order, ["high", "mid-a", "mid-b", "low"]);
+        drop(release);
+        let order: Vec<usize> = (0..16).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
     }
 
-    /// Local continuations run on the pushing thread's deque and idle
-    /// siblings steal them: a chain of respawn_local tasks completes even
-    /// though only the first link went through the injector.
+    /// A respawned continuation goes to the back of the queue, so two
+    /// self-respawning chains on one thread take turns.
     #[test]
-    fn respawned_continuations_complete() {
-        let pool = FleetPool::new(2);
-        let (tx, rx) = mpsc::channel::<usize>();
-        fn link(n: usize, tx: mpsc::Sender<usize>, ctx: &WorkerCtx) {
-            if n == 0 {
-                tx.send(0).expect("receiver dropped");
-            } else if n.is_multiple_of(3) {
-                ctx.respawn_global(1.0, move |ctx| link(n - 1, tx, ctx));
-            } else {
-                ctx.respawn_local(move |ctx| link(n - 1, tx, ctx));
+    fn respawning_chains_take_turns() {
+        fn link(tag: char, left: usize, tx: mpsc::Sender<char>, ctx: &WorkerCtx) {
+            tx.send(tag).expect("receiver dropped");
+            if left > 1 {
+                ctx.respawn(move |ctx| link(tag, left - 1, tx, ctx));
             }
         }
-        pool.spawn(1.0, move |ctx| link(20, tx, ctx));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(0));
+        let pool = FleetPool::new(1);
+        let release = hold(&pool);
+        let (tx, rx) = mpsc::channel::<char>();
+        for tag in ['a', 'b'] {
+            let tx = tx.clone();
+            pool.spawn(move |ctx| link(tag, 4, tx, ctx));
+        }
+        drop(release);
+        let order: String = (0..8).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(order, "abababab");
+    }
+
+    /// A panicking task is contained: its thread goes on to serve the next
+    /// task.
+    #[test]
+    fn a_panicking_task_leaves_its_thread_serving() {
+        let pool = FleetPool::new(1);
+        pool.spawn(|_| panic!("a pool task panicked"));
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move |_| tx.send(()).expect("receiver dropped"));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(()));
     }
 
     #[test]
@@ -408,7 +231,7 @@ mod tests {
             let pool = FleetPool::new(2);
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
-                pool.spawn(0.0, move |_| {
+                pool.spawn(move |_| {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }

@@ -20,9 +20,10 @@
 //!
 //! Campaigns run in **fleet mode**: a [`CampaignService`] schedules every
 //! submitted contract's campaign — as [`FuzzerConfig::workers`] sequential
-//! *lanes* — on one work-stealing [`fleet::FleetPool`], prioritised across
-//! campaigns by marginal coverage per execution. Lanes share one corpus and
-//! energy scheduler per campaign (see [`campaign`]); branch coverage is
+//! *lanes* — on one thread pool with a single FIFO run queue, where the
+//! lanes of every campaign take turns a short slice of batches at a time.
+//! Lanes share one corpus and energy scheduler per campaign (see
+//! [`campaign`]); branch coverage is
 //! merged into a lock-free atomic bitmap ([`coverage::CoverageMap`]) keyed
 //! by the dense edge ids of [`mufuzz_analysis::EdgeIndex`], and the
 //! execution budget is exact, so `report.executions` never exceeds
@@ -68,7 +69,7 @@ pub mod config;
 pub mod coverage;
 pub mod energy;
 pub mod executor;
-pub mod fleet;
+mod fleet;
 pub mod input;
 pub mod mutation;
 mod prefix;
@@ -85,7 +86,7 @@ pub use config::{
 };
 pub use coverage::{CoverageMap, LocalCoverage};
 pub use executor::{ContractHarness, HarnessError, SequenceOutcome};
-pub use fleet::{pool_threads_spawned, FleetPool};
+pub use fleet::pool_threads_spawned;
 pub use input::{Seed, Sequence, TxInput};
 pub use mutation::{InterestingValues, MutationMask, MutationOp};
 pub use replay::{replay_finding, FindingRecord, ReplayError, ReplayOutcome};

@@ -395,7 +395,7 @@ pub(crate) fn round_step(
     };
     let Some((slot, quota, round, view)) = claim else {
         // Every slot of this round is claimed; the round advances when the
-        // lanes running them return. Yield so the respawned step doesn't
+        // lanes running them return. Yield so the lane's next step doesn't
         // spin the pool hot.
         std::thread::yield_now();
         return LaneStep::Continue;

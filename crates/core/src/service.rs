@@ -1,19 +1,17 @@
 //! The resumable campaign service: many contracts, one fleet pool.
 //!
-//! [`CampaignService`] owns a [`FleetPool`] and
-//! schedules every submitted campaign on it as a set of *lanes* — sequential
-//! strands that run one seed batch at a time. `submit` is non-blocking and
-//! returns a [`CampaignHandle`] for polling progress ([`CampaignHandle::poll`]),
+//! [`CampaignService`] owns a pool of threads and schedules every submitted
+//! campaign on it as a set of *lanes* — sequential strands that run one seed
+//! batch at a time. `submit` is non-blocking and returns a
+//! [`CampaignHandle`] for polling progress ([`CampaignHandle::poll`]),
 //! draining coverage/finding events ([`CampaignHandle::events`]), pausing,
 //! checkpointing ([`CampaignHandle::checkpoint`]) and waiting for the final
 //! [`CampaignReport`].
 //!
-//! Scheduling across campaigns is priority-driven: every few batches a lane
-//! re-enters the pool's global injector at
-//! the campaign's *marginal coverage per execution*
-//! ([`marginal_coverage_priority`]), so campaigns still discovering edges
-//! outrank campaigns grinding a plateau, and a fresh submission (which starts
-//! at the top priority) gets on CPU quickly.
+//! Campaigns take turns: the pool serves one FIFO run queue, and a lane runs
+//! a short slice of batches on a pool thread, then re-enqueues itself at the
+//! back of the queue. The lanes of every campaign interleave, and none —
+//! a fresh submission's included — waits more than one pass of the queue.
 //!
 //! Determinism: a lane's batches run in order no matter which pool thread
 //! picks them up, and there is one engine per lane count. A one-lane
@@ -32,7 +30,6 @@ use crate::campaign::{
 };
 use crate::config::FuzzerConfig;
 use crate::coverage::CoverageMap;
-use crate::energy::marginal_coverage_priority;
 use crate::executor::HarnessError;
 use crate::fleet::{FleetPool, WorkerCtx};
 use crate::replay::FindingRecord;
@@ -51,15 +48,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
-/// Batches a lane runs before re-entering the global injector at its
-/// campaign's refreshed priority. Between re-injections the lane stays on
-/// its thread's local deque (cheap, cache-friendly); at each re-injection
-/// the cross-campaign scheduler gets a chance to prefer someone else.
-const REINJECT_STEPS: usize = 8;
-
-/// Priority for freshly submitted (and just-resumed) campaigns: above any
-/// marginal-coverage score, so new work starts promptly.
-const LAUNCH_PRIORITY: f64 = 1.0;
+/// Batches a lane runs per turn on a pool thread before it re-enqueues
+/// itself at the back of the pool's queue.
+const SLICE_STEPS: usize = 8;
 
 /// Options attached to a campaign submission.
 #[derive(Debug, Clone, Default)]
@@ -162,14 +153,6 @@ struct JobState {
     rng: Option<SmallRng>,
 }
 
-/// The cross-campaign scheduling signal: an exponentially smoothed marginal
-/// coverage per execution over the window since the last refresh.
-struct PriorityWindow {
-    score: f64,
-    last_executions: usize,
-    last_covered: usize,
-}
-
 /// Event emission state. `Sender` is single-consumer plumbing; the mutex
 /// also serialises "what has been reported" bookkeeping so events are not
 /// duplicated across lanes.
@@ -215,7 +198,6 @@ struct CampaignJob {
     /// The message of the first panic in one of the campaign's pool tasks.
     /// Once set, every lane stops at its next step and the campaign fails.
     failure: OnceLock<String>,
-    priority: Mutex<PriorityWindow>,
     sink: Mutex<EventSink>,
     done: Mutex<JobState>,
     done_cv: Condvar,
@@ -237,7 +219,8 @@ pub struct CampaignHandle {
     events: Receiver<CampaignEvent>,
 }
 
-/// A fleet of fuzzing campaigns over one work-stealing thread pool.
+/// A fleet of fuzzing campaigns over one thread pool, taking turns on its
+/// run queue.
 ///
 /// ```no_run
 /// # use mufuzz::{CampaignService, FuzzerConfig};
@@ -418,11 +401,6 @@ impl CampaignService {
             resume_records: Mutex::new(resume.records),
             paused_elapsed_ms: AtomicU64::new(0),
             failure: OnceLock::new(),
-            priority: Mutex::new(PriorityWindow {
-                score: LAUNCH_PRIORITY,
-                last_executions: 0,
-                last_covered: 0,
-            }),
             sink: Mutex::new(EventSink {
                 sender,
                 timeline_sent: 0,
@@ -436,8 +414,7 @@ impl CampaignService {
             done_cv: Condvar::new(),
         });
         let bootstrap_job = Arc::clone(&job);
-        self.pool
-            .spawn(LAUNCH_PRIORITY, move |wctx| bootstrap(bootstrap_job, wctx));
+        self.pool.spawn(move |wctx| bootstrap(bootstrap_job, wctx));
         CampaignHandle { job, events }
     }
 }
@@ -633,10 +610,10 @@ impl CampaignHandle {
 }
 
 /// First task of every campaign: run the seeding prologue (unless resumed),
-/// then fan the lanes out onto the pool. Lane 0 continues on this thread —
-/// for a fresh single-lane campaign that reproduces the sequential engine's
-/// thread usage exactly. The prologue counts as lane 0's first step: if it
-/// panics, lane 0 leaves the pool and the campaign fails.
+/// then fan the lanes out onto the pool. Lane 0 continues on this thread;
+/// the others queue behind every task already submitted. The prologue counts
+/// as lane 0's first step: if it panics, lane 0 leaves the pool and the
+/// campaign fails.
 fn bootstrap(job: Arc<CampaignJob>, wctx: &WorkerCtx) {
     match guarded(&job, || prologue(&job)) {
         Some(true) => {}
@@ -650,9 +627,9 @@ fn bootstrap(job: Arc<CampaignJob>, wctx: &WorkerCtx) {
     job.active.store(lane_count, Ordering::SeqCst);
     for lane in 1..lane_count {
         let lane_job = Arc::clone(&job);
-        wctx.respawn_global(LAUNCH_PRIORITY, move |w| drive_lane(&lane_job, lane, 0, w));
+        wctx.respawn(move |w| drive_lane(&lane_job, lane, w));
     }
-    drive_lane(&job, 0, 0, wctx);
+    drive_lane(&job, 0, wctx);
 }
 
 /// The seeding prologue: execute the initial corpus (unless resumed) and,
@@ -705,45 +682,37 @@ fn prologue(job: &Arc<CampaignJob>) -> bool {
     true
 }
 
-/// Run one batch of `lane`, then reschedule it: locally for up to
-/// [`REINJECT_STEPS`] batches, then through the global injector at the
-/// campaign's refreshed marginal-coverage priority. A lane of a failed
-/// campaign stops instead, and a lane that panics fails its campaign.
-fn drive_lane(job: &Arc<CampaignJob>, lane: usize, steps: usize, wctx: &WorkerCtx) {
-    if job.failure.get().is_some() {
-        lane_done(job);
-        return;
-    }
-    let step = guarded(job, || {
-        let step = {
-            let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
-            let worker = slot.as_mut().expect("lane worker missing");
-            worker.step(&job.shared, &job.params, &job.pause)
-        };
-        pump_events(job);
-        step
-    });
-    let Some(step) = step else {
-        lane_done(job);
-        return;
-    };
-    match step {
-        LaneStep::Continue => {
-            let steps = steps + 1;
-            let lane_job = Arc::clone(job);
-            if steps >= REINJECT_STEPS {
-                let score = refresh_priority(job);
-                wctx.respawn_global(score, move |w| drive_lane(&lane_job, lane, 0, w));
-            } else {
-                wctx.respawn_local(move |w| drive_lane(&lane_job, lane, steps, w));
-            }
-        }
-        LaneStep::Finished => {
-            job.finished_lanes.fetch_add(1, Ordering::SeqCst);
+/// Run up to [`SLICE_STEPS`] batches of `lane`, then re-enqueue it at the
+/// back of the pool's queue, behind every other campaign's waiting lanes. A
+/// lane of a failed campaign stops instead, and a lane that panics fails its
+/// campaign.
+fn drive_lane(job: &Arc<CampaignJob>, lane: usize, wctx: &WorkerCtx) {
+    for _ in 0..SLICE_STEPS {
+        if job.failure.get().is_some() {
             lane_done(job);
+            return;
         }
-        LaneStep::Paused => lane_done(job),
+        let step = guarded(job, || {
+            let step = {
+                let mut slot = job.lanes[lane].lock().expect("campaign lane poisoned");
+                let worker = slot.as_mut().expect("lane worker missing");
+                worker.step(&job.shared, &job.params, &job.pause)
+            };
+            pump_events(job);
+            step
+        });
+        match step {
+            Some(LaneStep::Continue) => continue,
+            Some(LaneStep::Finished) => {
+                job.finished_lanes.fetch_add(1, Ordering::SeqCst);
+            }
+            Some(LaneStep::Paused) | None => {}
+        }
+        lane_done(job);
+        return;
     }
+    let lane_job = Arc::clone(job);
+    wctx.respawn(move |w| drive_lane(&lane_job, lane, w));
 }
 
 /// A lane left the pool. The last lane out settles the campaign: if a lane
@@ -884,20 +853,6 @@ fn mark_paused(job: &Arc<CampaignJob>) {
     job.done_cv.notify_all();
 }
 
-/// Refresh the campaign's cross-campaign priority from the coverage and
-/// executions accumulated since the last refresh.
-fn refresh_priority(job: &Arc<CampaignJob>) -> f64 {
-    let executions = job.shared.executions();
-    let covered = job.shared.coverage.covered_count();
-    let mut window = job.priority.lock().expect("campaign priority poisoned");
-    let new_executions = executions.saturating_sub(window.last_executions);
-    let new_edges = covered.saturating_sub(window.last_covered);
-    window.score = marginal_coverage_priority(window.score, new_edges, new_executions);
-    window.last_executions = executions;
-    window.last_covered = covered;
-    window.score
-}
-
 /// Emit fresh timeline points and fresh findings as events.
 ///
 /// Lock order within a job is sink → state and sink → lane is never needed
@@ -958,12 +913,12 @@ mod tests {
     use std::time::{Duration, Instant};
 
     /// Occupy every thread of `service`'s pool until the returned senders
-    /// are dropped, so a submitted campaign waits in the injector.
+    /// are dropped, so a submitted campaign waits in the queue.
     fn hold_pool(service: &CampaignService) -> Vec<Sender<()>> {
         (0..service.thread_count())
             .map(|_| {
                 let (release, gate) = channel::<()>();
-                service.pool.spawn(f64::MAX, move |_| {
+                service.pool.spawn(move |_| {
                     let _ = gate.recv();
                 });
                 release
@@ -1044,5 +999,33 @@ mod tests {
         let job = Arc::clone(&handle.job);
         assert_failed_with(handle, "campaign lane poisoned");
         assert!(job.shared.executions() < 100_000_000);
+    }
+
+    /// Lanes of different campaigns take turns on the pool's queue: on one
+    /// thread, a long campaign submitted behind a short one has run by the
+    /// time the short one completes, and still answers a pause.
+    #[test]
+    fn campaigns_on_one_thread_take_turns() {
+        let service = CampaignService::new(1);
+        let held = hold_pool(&service);
+        let submit = |budget| {
+            let config = FuzzerConfig::mufuzz(budget).with_workers(1);
+            service
+                .submit(compile_source(CROWDSALE).unwrap(), config)
+                .unwrap()
+        };
+        let short = submit(2_000);
+        let long = submit(100_000_000);
+        drop(held);
+        assert_eq!(short.wait().executions, 2_000);
+        match long.poll() {
+            CampaignProgress::Running { executions, .. } => assert!(executions > 0),
+            other => panic!("the long campaign is not running: {other:?}"),
+        }
+        long.pause();
+        assert!(matches!(
+            settle(&long, Duration::from_secs(30)),
+            CampaignProgress::Paused { .. }
+        ));
     }
 }

@@ -19,8 +19,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
 
-    // One pool for the whole fleet; every campaign is scheduled as
-    // (campaign, mutant-batch) tasks across these threads. Each campaign
+    // One pool for the whole fleet; every campaign's lane takes turns on
+    // the pool's run queue, a few mutant batches at a time. Each campaign
     // keeps the default single lane, so the pool's parallelism comes from
     // fuzzing the contracts side by side.
     let service = CampaignService::new(threads);

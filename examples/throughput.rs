@@ -8,8 +8,9 @@
 //! and the ingested real-bytecode fixture — each executed through
 //! `ContractHarness` directly under both billing disciplines (the same
 //! threaded handlers one instruction at a time, reported as `predecoded`,
-//! and block settlement with fused superinstructions, as `threaded`),
-//! measured best-of-N interleaved to shrug off scheduler noise. Each
+//! and block settlement with fused superinstructions, as `threaded`), each
+//! tier's rate the median of 12 interleaved chunks, so one disturbed chunk
+//! moves neither side. Each
 //! campaign rate (1 worker, N workers) is the median of
 //! [`SAMPLES`] campaigns run in alternation, and each side of the fleet
 //! sweep the median of as many alternating sweeps, so one descheduled
@@ -235,18 +236,30 @@ fn tier_chunk(kernel: &str, block_lowering: bool, iters: usize) -> f64 {
     iters as f64 / elapsed
 }
 
-/// Best-of-N rates for one kernel on both tiers, interleaved so a
-/// machine-noise spike hits both sides instead of biasing one. Returns
+/// Median rates for one kernel on both tiers over `rounds` chunks each,
+/// interleaved so a machine-noise spike hits both sides instead of biasing
+/// one, and one lucky or unlucky chunk moves neither. Returns
 /// `(predecoded, threaded)` tx/sec.
 fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64) {
     tier_chunk(kernel, true, iters / 2); // warm-up: page in both tiers
     tier_chunk(kernel, false, iters / 2);
-    let (mut pre, mut thr) = (0.0f64, 0.0f64);
+    let (mut pre, mut thr) = (Vec::new(), Vec::new());
     for _ in 0..rounds {
-        pre = pre.max(tier_chunk(kernel, false, iters));
-        thr = thr.max(tier_chunk(kernel, true, iters));
+        pre.push(tier_chunk(kernel, false, iters));
+        thr.push(tier_chunk(kernel, true, iters));
     }
-    (pre, thr)
+    (median(pre), median(thr))
+}
+
+/// The median of `samples`: the mean of the middle two for an even count.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    if samples.len().is_multiple_of(2) {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    } else {
+        samples[mid]
+    }
 }
 
 fn print_rate(label: &str, rate: &Rate<CampaignReport>) {

@@ -82,7 +82,9 @@ const B2: usize = 3_000;
 /// (free-running) and 6.22 (round mode) plus a little headroom. Before the
 /// lane reused its mutant, outcome and interpreter buffers the same
 /// campaigns measured 48.01 and 51.66; since probes and mutants resume from
-/// their seed's prefix record they measure 5.10 and 5.27.
+/// their seed's prefix record they measured 5.10 and 5.27, and since a lane
+/// boxes one pool task per slice of batches instead of one per batch they
+/// measure 5.00 and 5.26.
 const FREE_RUNNING_CEILING: f64 = 7.0;
 const ROUND_MODE_CEILING: f64 = 7.0;
 

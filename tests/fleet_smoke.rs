@@ -1,4 +1,5 @@
-//! Fleet smoke test: several campaigns share ONE work-stealing pool.
+//! Fleet smoke test: several campaigns share ONE pool and take turns on its
+//! run queue.
 //!
 //! This file holds exactly one `#[test]` on purpose: the assertion below
 //! reads the process-global pool-thread counter, and a sibling test spawning
@@ -10,8 +11,8 @@ use mufuzz_lang::compile_source;
 
 /// The acceptance check for fleet mode: submitting a whole sweep of
 /// contracts to a 4-thread service spawns exactly 4 OS threads — campaigns
-/// (one lane each, the default) are scheduled as `(campaign, mutant-batch)`
-/// tasks on the shared pool, not as nested per-campaign worker threads.
+/// (one lane each, the default) run as lane tasks on the shared pool's
+/// queue, not as nested per-campaign worker threads.
 #[test]
 fn sweep_runs_on_one_shared_pool_with_no_nested_spawns() {
     let before = pool_threads_spawned();
