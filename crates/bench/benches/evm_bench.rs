@@ -73,19 +73,20 @@ fn bench_interpreter(c: &mut Criterion) {
     let invest = compiled.abi.function("invest").unwrap();
     let calldata = invest.encode_call(&[AbiValue::Uint(mufuzz_evm::ether(10))]);
 
-    // Freeze the deployed world: the per-iteration snapshot is then the
-    // production-shaped O(changed) copy-on-write clone.
+    // Freeze the deployed world: each iteration then resets one reused
+    // world to it in place, as the fuzzing harness does.
     world.freeze();
     let msg = Message::new(sender, target, mufuzz_evm::ether(10), calldata);
 
     // The production pipeline: decode-once program cache + reusable frame.
-    let blob = world.code(target);
+    let blob = Arc::clone(world.code(target));
     let mut cache = ProgramCache::new();
     cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
     let mut frame = ExecFrame::new();
+    let mut w = world.snapshot();
     c.bench_function("evm_execute_invest_tx_predecoded", |bencher| {
         bencher.iter(|| {
-            let mut w = world.snapshot();
+            w.reset_to(&world);
             let mut evm = Evm::new(&mut w, BlockEnv::default()).with_programs(&cache);
             let result = evm.execute_in(&msg, &mut frame);
             black_box(result.trace.instruction_count())

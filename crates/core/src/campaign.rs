@@ -673,16 +673,17 @@ pub(crate) fn swap_world(kept: &mut Option<WorldState>, world: &mut WorldState) 
 }
 
 /// The execution side of a lane: the shared campaign context, the lane's
-/// harness clone and its reusable buffers. Runs Algorithm 2 and the mutant
-/// loop for both determinism profiles; the caller supplies the RNG and the
-/// [`Ledger`].
+/// harness clone (with a deployed world of its own, see
+/// [`ContractHarness::for_lane`]) and its reusable buffers. Runs Algorithm 2
+/// and the mutant loop for both determinism profiles; the caller supplies
+/// the RNG and the [`Ledger`].
 ///
-/// Every execution reuses the same candidate sequence, outcome and
-/// interpreter scratch, so once they have grown to the lane's high-water
-/// marks an execution that admits nothing allocates only the world-state
-/// copies its transactions write. A buffer's contents escape only by copy:
-/// into the corpus on admission, into a round slot's candidate or finding
-/// record.
+/// Every execution reuses the same candidate sequence, outcome (world
+/// included) and interpreter scratch, so once they have grown to the lane's
+/// high-water marks an execution that admits nothing allocates only what
+/// its transactions create or what escapes them, such as a new account or
+/// a fault message. A buffer's contents escape only by copy: into the
+/// corpus on admission, into a round slot's candidate or finding record.
 ///
 /// Every probe and mutant executes through its seed's prefix record (see
 /// [`crate::prefix`]), so only the transactions from the first one it
@@ -709,7 +710,7 @@ pub(crate) struct Executor {
 impl Executor {
     fn new(ctx: Arc<CampaignContext>) -> Executor {
         Executor {
-            harness: ctx.harness.clone(),
+            harness: ctx.harness.for_lane(),
             ctx,
             frame: ExecFrame::new(),
             candidate: Sequence::default(),

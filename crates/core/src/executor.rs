@@ -21,7 +21,7 @@ use mufuzz_evm::{
     ether, Account, Address, BlockEnv, DecodedProgram, Evm, ExecFrame, ExecutionTrace,
     HostBehaviour, Message, ProgramCache, WorldState, U256,
 };
-use mufuzz_lang::CompiledContract;
+use mufuzz_lang::{CompiledContract, FunctionAbi};
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,6 +56,39 @@ pub struct SequenceOutcome {
     pub final_world: WorldState,
     /// Number of transactions that completed successfully.
     pub successes: usize,
+    /// The bitmap `covered_edge_ids` is collected in, kept with the outcome
+    /// so a lane that reuses its outcome reuses the bitmap too.
+    edge_bits: EdgeBits,
+}
+
+/// A set of edge ids collected as bits and read out in ascending order,
+/// which sorts and deduplicates them in one pass. Every bit is clear
+/// between collections.
+#[derive(Clone, Debug, Default)]
+struct EdgeBits {
+    words: Vec<u64>,
+}
+
+impl EdgeBits {
+    /// Replace `out` with the distinct `ids`, ascending. Every id is below
+    /// `len`.
+    fn collect(&mut self, len: usize, ids: impl IntoIterator<Item = u32>, out: &mut Vec<u32>) {
+        self.words.resize(len.div_ceil(64), 0);
+        for id in ids {
+            self.words[id as usize / 64] |= 1 << (id % 64);
+        }
+        out.clear();
+        for (base, word) in (0u32..).step_by(64).zip(&mut self.words) {
+            if *word == 0 {
+                continue;
+            }
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(base + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 impl SequenceOutcome {
@@ -114,10 +147,7 @@ impl ContractHarness {
                 attacker,
                 Account {
                     balance: ether(1_000_000),
-                    behaviour: HostBehaviour::ReentrantAttacker {
-                        callback_data: vec![],
-                        max_depth: 3,
-                    },
+                    behaviour: HostBehaviour::ReentrantAttacker { max_depth: 3 },
                     ..Default::default()
                 },
             );
@@ -163,7 +193,7 @@ impl ContractHarness {
         // cache, keyed on the deployed code blob) and the dense edge
         // numbering — block-granular, provably identical to the per-`JUMPI`
         // numbering — with no re-scan.
-        let runtime_code = world.code(contract_address);
+        let runtime_code = Arc::clone(world.code(contract_address));
         let mut program = DecodedProgram::decode(&runtime_code);
         program.shrink_to_fit();
         let mut programs = ProgramCache::new();
@@ -176,8 +206,8 @@ impl ContractHarness {
         ));
 
         // Freeze the post-constructor world: every sequence execution
-        // restores this constructor snapshot with one Arc clone instead of
-        // copying (or re-deploying) the whole world.
+        // resets its world to this one in place instead of copying (or
+        // re-deploying) it.
         world.freeze();
 
         Ok(ContractHarness {
@@ -192,6 +222,24 @@ impl ContractHarness {
             base_world: world,
             base_block,
         })
+    }
+
+    /// A clone for one lane: the compiled contract, the edge numbering and
+    /// the program cache stay shared, but the deployed world is copied into
+    /// a frozen base of the lane's own (the accounts keep their code blobs,
+    /// which the cache is keyed by). Every execution resets its world to
+    /// that base, so no lane updates a reference count another lane
+    /// updates too.
+    pub(crate) fn for_lane(&self) -> ContractHarness {
+        let mut base_world = WorldState::new();
+        for (address, account) in self.base_world.accounts() {
+            base_world.put_account(address, account.into_owned());
+        }
+        base_world.freeze();
+        ContractHarness {
+            base_world,
+            ..self.clone()
+        }
     }
 
     /// The dense branch-edge numbering of the contract under test.
@@ -211,7 +259,7 @@ impl ContractHarness {
     /// verbatim, so this is the decoding of those bytes.
     pub(crate) fn runtime_program(&self) -> &DecodedProgram {
         self.programs
-            .get(&self.base_world.code(self.contract_address))
+            .get(self.base_world.code(self.contract_address))
             .expect("the runtime program is cached at deployment")
     }
 
@@ -251,17 +299,16 @@ impl ContractHarness {
 
     /// Like [`ContractHarness::execute_sequence_with`], writing the result
     /// into `outcome` in place: its previous traces go back to `frame` for
-    /// reuse, and its vectors keep their capacity. The previous final world
-    /// is dropped.
+    /// reuse, and its vectors and world keep their capacity.
     ///
     /// With a `prefix` record, the `k` leading transactions `sequence`
     /// shares with the recorded sequence are not executed again: the
-    /// outcome starts from the recorded world after them (one `Arc` clone),
-    /// copies of their recorded traces and their success count, with the
-    /// block advanced `k` times, and execution continues from transaction
-    /// `k`. Without a record, or when nothing is shared, `k` is zero and
-    /// the whole sequence runs from the deployed world. The outcome is the
-    /// same either way.
+    /// outcome starts from the recorded world after them, copies of their
+    /// recorded traces and their success count, and execution continues
+    /// from transaction `k`. Without a record, or when nothing is shared,
+    /// `k` is zero and the whole sequence runs from the deployed world.
+    /// Either way the outcome's world is reset to the starting world in
+    /// place (see [`WorldState::reset_to`]), and the outcome is the same.
     pub(crate) fn execute_sequence_into(
         &self,
         sequence: &Sequence,
@@ -273,16 +320,10 @@ impl ContractHarness {
             frame.recycle_trace(trace);
         }
         let shared = prefix.map_or(0, |record| record.shared_len(sequence));
-        let mut block = self.base_block;
         match prefix.filter(|_| shared > 0) {
-            Some(record) => {
-                record.restore(shared, frame, outcome);
-                for _ in 0..shared {
-                    block.advance();
-                }
-            }
+            Some(record) => record.restore(shared, frame, outcome),
             None => {
-                outcome.final_world = self.base_world.snapshot();
+                outcome.final_world.reset_to(&self.base_world);
                 outcome.successes = 0;
             }
         }
@@ -292,46 +333,65 @@ impl ContractHarness {
             successes,
             ..
         } = outcome;
-        self.run_txs(
-            &sequence.txs[shared..],
-            final_world,
-            block,
-            frame,
-            |_, trace| {
-                *successes += usize::from(trace.success());
-                traces.push(trace);
-            },
-        );
+        self.run_txs(sequence, shared, final_world, frame, |_, trace| {
+            *successes += usize::from(trace.success());
+            traces.push(trace);
+        });
 
-        let ids = &mut outcome.covered_edge_ids;
-        ids.clear();
-        ids.extend(
+        let index = &*self.edge_index;
+        outcome.edge_bits.collect(
+            index.len(),
             outcome
                 .traces
                 .iter()
                 .flat_map(|trace| &trace.branches)
-                .filter_map(|branch| self.edge_index.id_of(&branch.edge())),
+                .filter_map(|branch| index.id_of(&branch.edge())),
+            &mut outcome.covered_edge_ids,
         );
-        ids.sort_unstable();
-        ids.dedup();
     }
 
-    /// Execute `txs` in order against `world`, advancing `block` once before
-    /// each, and hand every transaction's trace to `each` together with the
-    /// world it left behind.
+    /// Execute `sequence.txs[from..]` in order against `world`, the world
+    /// the first `from` transactions left, and hand every transaction's
+    /// trace to `each` together with the world it left behind. The block is
+    /// advanced once per transaction, counting the `from` already run. The
+    /// attacker's callback starts as those transactions left it: the
+    /// calldata of the latest one the attacker sent, or empty.
     pub(crate) fn run_txs(
         &self,
-        txs: &[TxInput],
+        sequence: &Sequence,
+        from: usize,
         world: &mut WorldState,
-        mut block: BlockEnv,
         frame: &mut ExecFrame,
         mut each: impl FnMut(&mut WorldState, ExecutionTrace),
     ) {
-        for tx in txs {
+        let callback = frame.attacker_callback_mut();
+        callback.clear();
+        let latest = sequence.txs[..from]
+            .iter()
+            .rev()
+            .find_map(|tx| Some((tx, self.callback_abi(tx)?)));
+        if let Some((tx, abi)) = latest {
+            tx.calldata_into(abi, callback);
+        }
+        let mut block = self.base_block;
+        for _ in 0..from {
+            block.advance();
+        }
+        for tx in &sequence.txs[from..] {
             block.advance();
             let trace = self.execute_tx(world, block, tx, frame);
             each(world, trace);
         }
+    }
+
+    /// The ABI of `tx`'s function when `tx` sets the attacker's callback:
+    /// the attacker sends it, to a function the contract has.
+    fn callback_abi(&self, tx: &TxInput) -> Option<&FunctionAbi> {
+        let sender = self.senders[tx.sender_index % self.senders.len()];
+        if Some(sender) != self.attacker {
+            return None;
+        }
+        self.compiled.abi.function(&tx.function)
     }
 
     /// Execute one transaction against the given world.
@@ -342,7 +402,8 @@ impl ContractHarness {
         tx: &TxInput,
         frame: &mut ExecFrame,
     ) -> ExecutionTrace {
-        let Some(abi) = self.compiled.abi.function(&tx.function) else {
+        let callback_abi = self.callback_abi(tx);
+        let Some(abi) = callback_abi.or_else(|| self.compiled.abi.function(&tx.function)) else {
             // Unknown function (e.g. after a corpus merge): skip by returning
             // an empty trace, taken from the pool like every other.
             return frame.take_trace();
@@ -352,13 +413,10 @@ impl ContractHarness {
         tx.calldata_into(abi, &mut calldata);
 
         // The re-entrant attacker, when it is the sender, re-invokes the same
-        // function on the contract when it receives ether.
-        if Some(sender) == self.attacker {
-            if let HostBehaviour::ReentrantAttacker { callback_data, .. } =
-                &mut world.account_mut(sender).behaviour
-            {
-                callback_data.clone_from(&calldata);
-            }
+        // function on the contract when it receives ether, in this and in
+        // later transactions, until it sends another.
+        if callback_abi.is_some() {
+            frame.attacker_callback_mut().clone_from(&calldata);
         }
 
         let mut value = tx.value();
@@ -511,6 +569,64 @@ mod tests {
         }
     }
 
+    /// The sorted, deduplicated ids the bitmap must read out.
+    fn sorted_distinct(ids: &[u32]) -> Vec<u32> {
+        let mut reference = ids.to_vec();
+        reference.sort_unstable();
+        reference.dedup();
+        reference
+    }
+
+    #[test]
+    fn edge_bits_handle_an_empty_index_and_word_boundaries() {
+        let mut bits = EdgeBits::default();
+        let mut out = vec![7];
+        bits.collect(0, [], &mut out);
+        assert!(out.is_empty());
+        let ids = [64, 63, 0, 127, 128, 63, 64, 129];
+        bits.collect(130, ids, &mut out);
+        assert_eq!(out, sorted_distinct(&ids));
+        // Reading out cleared every bit: the next collection starts empty.
+        assert!(bits.words.iter().all(|&word| word == 0));
+        bits.collect(130, [5], &mut out);
+        assert_eq!(out, [5]);
+    }
+
+    proptest::proptest! {
+        /// Random id multisets over random index lengths (zero included),
+        /// half of the ids drawn next to a 64-bit word boundary, collected
+        /// three times through one bitmap: each read-out equals sorting and
+        /// deduplicating the ids.
+        #[test]
+        fn edge_bits_read_out_like_sort_and_dedup(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..200)
+        ) {
+            let len = (words[0] % 300) as usize;
+            let mut bits = EdgeBits::default();
+            let mut out = Vec::new();
+            for chunk in words[1..].chunks(words.len() / 3 + 1) {
+                let ids: Vec<u32> = if len == 0 {
+                    Vec::new()
+                } else {
+                    chunk
+                        .iter()
+                        .map(|&word| {
+                            let id = if word & 1 == 0 {
+                                // 63, 64, 127, 128, ... and their neighbours.
+                                (word >> 1) % 5 + ((word >> 4) % 5) * 64 + 62
+                            } else {
+                                word >> 1
+                            };
+                            (id % len as u64) as u32
+                        })
+                        .collect()
+                };
+                bits.collect(len, ids.iter().copied(), &mut out);
+                proptest::prop_assert_eq!(&out, &sorted_distinct(&ids));
+            }
+        }
+    }
+
     #[test]
     fn runtime_program_is_the_decoding_of_the_compiled_runtime() {
         // The campaign builds its CFG from this program instead of decoding
@@ -531,10 +647,10 @@ mod tests {
         assert!(Arc::ptr_eq(h.programs(), clone.programs()));
         let code = h.base_world().code(h.contract_address);
         assert_eq!(h.programs().len(), 1);
-        let program = h.programs().get(&code).expect("runtime code is cached");
-        let from_clone = clone.programs().get(&code).expect("clone sees the entry");
+        let program = h.programs().get(code).expect("runtime code is cached");
+        let from_clone = clone.programs().get(code).expect("clone sees the entry");
         assert!(Arc::ptr_eq(program, from_clone));
-        let blocks = h.programs().get_block(&code).expect("lowering is cached");
+        let blocks = h.programs().get_block(code).expect("lowering is cached");
         assert!(Arc::ptr_eq(blocks.base(), program));
     }
 
@@ -549,9 +665,9 @@ mod tests {
         let code1 = h1.base_world().code(h1.contract_address);
         let code2 = h2.base_world().code(h2.contract_address);
         assert_eq!(*code1, *code2);
-        assert!(!Arc::ptr_eq(&code1, &code2));
-        assert!(h1.programs().get(&code2).is_none());
-        assert!(h2.programs().get(&code1).is_none());
+        assert!(!Arc::ptr_eq(code1, code2));
+        assert!(h1.programs().get(code2).is_none());
+        assert!(h2.programs().get(code1).is_none());
         // Both harnesses still execute correctly through their own entries.
         let seq = Sequence::new(vec![
             TxInput::new("invest", 0, ether(100), &[ether(100)]),

@@ -35,8 +35,8 @@ pub(crate) struct PrefixRecord {
     /// The seed's sequence.
     sequence: Sequence,
     /// `worlds[i]`: the world after transaction `i`, frozen, so restoring
-    /// it is one `Arc` clone. A transaction that left the world unchanged
-    /// shares the previous position's frozen map.
+    /// it resets a world in place to its base. A transaction that left the
+    /// world unchanged shares the previous position's frozen map.
     worlds: Vec<WorldState>,
     /// `traces[i]`: transaction `i`'s trace.
     traces: Vec<ExecutionTrace>,
@@ -59,10 +59,10 @@ impl PrefixRecord {
     }
 
     /// Start `outcome` where the first `k` recorded transactions left off
-    /// (`1 <= k <= len`): their world, copies of their traces in traces
-    /// taken from `frame`'s pool, and their success count.
+    /// (`1 <= k <= len`): their world (reset in place), copies of their
+    /// traces in traces taken from `frame`'s pool, and their success count.
     pub(crate) fn restore(&self, k: usize, frame: &mut ExecFrame, outcome: &mut SequenceOutcome) {
-        outcome.final_world = self.worlds[k - 1].snapshot();
+        outcome.final_world.reset_to(&self.worlds[k - 1]);
         outcome.successes = self.successes[k - 1];
         for recorded in &self.traces[..k] {
             let mut trace = frame.take_trace();
@@ -90,19 +90,13 @@ impl PrefixRecord {
         successes.clear();
         let mut world = harness.base_world().snapshot();
         let mut succeeded = 0;
-        harness.run_txs(
-            &seed.sequence.txs,
-            &mut world,
-            harness.base_block(),
-            frame,
-            |world, trace| {
-                succeeded += usize::from(trace.success());
-                world.freeze();
-                worlds.push(world.snapshot());
-                traces.push(trace);
-                successes.push(succeeded);
-            },
-        );
+        harness.run_txs(&seed.sequence, 0, &mut world, frame, |world, trace| {
+            succeeded += usize::from(trace.success());
+            world.freeze();
+            worlds.push(world.snapshot());
+            traces.push(trace);
+            successes.push(succeeded);
+        });
     }
 }
 
@@ -279,8 +273,8 @@ mod tests {
         assert_eq!(record.worlds.len(), 4);
         for world in &record.worlds {
             let code = world.code(harness.contract_address);
-            assert!(Arc::ptr_eq(&code, &deployed));
-            assert!(harness.programs().get_block(&code).is_some());
+            assert!(Arc::ptr_eq(code, deployed));
+            assert!(harness.programs().get_block(code).is_some());
         }
     }
 

@@ -4,8 +4,8 @@
 //! first time a mutant triggers it: the exact mutant [`Sequence`], its
 //! `(seed uid, round, slot)` provenance, the worker count of the producing
 //! campaign and a digest of the triggering execution's outcome. Because every
-//! sequence executes against the harness's copy-on-write constructor
-//! snapshot — never against mutable campaign state — re-executing the
+//! sequence executes against the harness's frozen constructor world — never
+//! against mutable campaign state — re-executing the
 //! recorded sequence on a fresh harness reproduces the original execution
 //! bit for bit, at any worker count and on any machine.
 //!
@@ -283,8 +283,8 @@ pub struct ReplayOutcome {
 /// Validates that record and snapshot belong to `compiled`, that the
 /// record's seed uid was already assigned when the snapshot was taken, then
 /// executes the recorded mutant sequence on a fresh harness (sequences
-/// always start from the constructor's copy-on-write world snapshot, so the
-/// replay is a standalone re-execution of the original) and checks the
+/// always start from the frozen constructor world, so the replay is a
+/// standalone re-execution of the original) and checks the
 /// outcome digest and oracle verdict against the record.
 pub fn replay_finding(
     compiled: CompiledContract,

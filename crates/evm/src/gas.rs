@@ -269,6 +269,84 @@ mod tests {
         assert_eq!(access.refund(), 0);
     }
 
+    /// What the access-set test checks against: two plain hash sets and a
+    /// refund counter.
+    #[derive(Clone, Default)]
+    struct Model {
+        addresses: std::collections::HashSet<Address>,
+        slots: std::collections::HashSet<(Address, U256)>,
+        refund: u64,
+    }
+
+    proptest::proptest! {
+        /// Touches of 24 addresses and of 24 slots of each, and refunds,
+        /// under randomly nested checkpoints that are reverted or dropped,
+        /// with an occasional reset and prewarm while none is open. On
+        /// revert the model goes back to the copy saved at the checkpoint.
+        /// Every touch must report the model's coldness, and after every
+        /// step the sets must hold exactly the model's keys.
+        #[test]
+        fn access_sets_match_hash_sets_under_nested_checkpoints(
+            script in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160)
+        ) {
+            const KEYS: u64 = 24;
+            let mut access = AccessSets::default();
+            let mut model = Model::default();
+            let mut open: Vec<(AccessCheckpoint, Model)> = Vec::new();
+            for &word in &script {
+                let a = Address::from_low_u64(word % KEYS);
+                let slot = U256::from_u64((word >> 8) % KEYS);
+                match (word >> 16) % 8 {
+                    0 => open.push((access.checkpoint(), model.clone())),
+                    1 => {
+                        if let Some((cp, saved)) = open.pop() {
+                            if (word >> 20) & 1 == 1 {
+                                access.revert_to(cp);
+                                model = saved;
+                            }
+                        }
+                    }
+                    2 => {
+                        access.add_refund(word >> 40);
+                        model.refund += word >> 40;
+                    }
+                    3 => {
+                        if open.is_empty() && (word >> 20) % 4 == 0 {
+                            access.reset();
+                            access.prewarm(a);
+                            model = Model::default();
+                            model.addresses.insert(a);
+                        }
+                    }
+                    4 | 5 => proptest::prop_assert_eq!(
+                        access.touch_address(a),
+                        model.addresses.insert(a)
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        access.touch_slot(a, slot),
+                        model.slots.insert((a, slot))
+                    ),
+                }
+                proptest::prop_assert_eq!(access.refund(), model.refund);
+                for n in 0..KEYS {
+                    let a = Address::from_low_u64(n);
+                    proptest::prop_assert_eq!(
+                        access.warm_addresses.contains(&a),
+                        model.addresses.contains(&a)
+                    );
+                    for slot in (0..KEYS).map(U256::from_u64) {
+                        proptest::prop_assert_eq!(
+                            access.warm_slots.contains(&(a, slot)),
+                            model.slots.contains(&(a, slot))
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(access.warm_addresses.len(), model.addresses.len());
+                proptest::prop_assert_eq!(access.warm_slots.len(), model.slots.len());
+            }
+        }
+    }
+
     #[test]
     fn schedule_spot_checks() {
         assert_eq!(static_gas(Opcode::Stop), 1);

@@ -52,6 +52,7 @@ use crate::state::{HostBehaviour, WorldState};
 use crate::trace::{CallKind, ExecutionTrace, HaltReason, Taint};
 use crate::types::Address;
 use crate::u256::U256;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Configuration knobs for the interpreter.
@@ -120,13 +121,16 @@ pub(crate) struct DepthScratch {
 /// Reusable per-execution scratch space: operand stacks, memory buffers and
 /// call-argument staging for every call depth, the interpreter's call stack,
 /// a calldata buffer, a pool of cleared [`ExecutionTrace`]s and a memo of
-/// `SHA3` digests.
+/// `SHA3` digests; plus one input that outlives a transaction, the
+/// [attacker callback](ExecFrame::attacker_callback_mut).
 ///
 /// Buffers are taken for the duration of a call frame or a transaction,
 /// cleared (capacity retained) and returned when it ends, so once they have
 /// grown to a campaign's high-water marks, executing through a long-lived
-/// `ExecFrame` allocates only for what escapes or is new: world-state
-/// copies, return data, fault messages, and a trace when the pool is empty.
+/// `ExecFrame` allocates only for what escapes or is new: a whole-account
+/// copy (an account created, or its code, nonce or destroyed flag
+/// written), an override table outgrowing its capacity, return data, fault
+/// messages, and a trace when the pool is empty.
 ///
 /// Every `SHA3` hashes its input through the frame's keccak memo: a fixed
 /// table of 256 entries, each a 64-byte preimage (a mapping slot is
@@ -175,6 +179,8 @@ pub struct ExecFrame {
     frames: Vec<FrameInfo>,
     /// The buffer [`ExecFrame::take_calldata`] hands out.
     calldata: Vec<u8>,
+    /// The calldata a re-entrant attacker calls back with.
+    attacker_callback: Vec<u8>,
     /// Digests of recent 64-byte `SHA3` preimages.
     pub(crate) keccak: KeccakMemo,
 }
@@ -203,6 +209,15 @@ impl ExecFrame {
     pub fn recycle_calldata(&mut self, mut calldata: Vec<u8>) {
         calldata.clear();
         self.calldata = calldata;
+    }
+
+    /// The calldata a [`HostBehaviour::ReentrantAttacker`] re-enters its
+    /// caller with, for the caller to fill. Unlike the scratch buffers it
+    /// is an input: it starts empty and keeps its contents across
+    /// transactions until the caller changes them. The fuzzing harness sets
+    /// it to the calldata of the latest transaction the attacker sent.
+    pub fn attacker_callback_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.attacker_callback
     }
 
     fn slot(&mut self, depth: usize) -> &mut DepthScratch {
@@ -348,7 +363,7 @@ impl<'w> Evm<'w> {
             gas: 10_000_000,
         };
         let mut scratch = ExecFrame::new();
-        self.execute_with_code(&msg, Arc::new(constructor_code.to_vec()), &mut scratch)
+        self.execute_with_code(&msg, &Arc::new(constructor_code.to_vec()), &mut scratch)
     }
 
     /// Execute a top-level transaction. State changes are committed only if
@@ -361,14 +376,26 @@ impl<'w> Evm<'w> {
     /// Like [`Evm::execute`], reusing the caller's [`ExecFrame`] scratch
     /// buffers instead of allocating fresh ones.
     pub fn execute_in(&mut self, msg: &Message, scratch: &mut ExecFrame) -> ExecutionResult {
-        let code = self.world.code(msg.to);
-        self.execute_with_code(msg, code, scratch)
+        let code = self.code_of(msg.to);
+        self.execute_with_code(msg, &code, scratch)
+    }
+
+    /// The code of `address`, borrowed from the program cache's entry when
+    /// the cache holds that blob, so running cached code changes no
+    /// reference count (the blob is shared by every worker's world);
+    /// otherwise a counted clone of the world's.
+    fn code_of(&self, address: Address) -> Cow<'w, Arc<Vec<u8>>> {
+        let code = self.world.code(address);
+        match self.programs.and_then(|cache| cache.code(code)) {
+            Some(cached) => Cow::Borrowed(cached),
+            None => Cow::Owned(Arc::clone(code)),
+        }
     }
 
     fn execute_with_code(
         &mut self,
         msg: &Message,
-        code: Arc<Vec<u8>>,
+        code: &Arc<Vec<u8>>,
         scratch: &mut ExecFrame,
     ) -> ExecutionResult {
         // Undo point for the whole transaction: every world write below is
@@ -415,11 +442,11 @@ impl<'w> Evm<'w> {
                 origin: msg.origin,
                 value: msg.value,
                 calldata: &msg.data,
-                code: &code,
+                code,
                 gas: msg.gas,
                 depth: 0,
             };
-            let result = self.dispatch_frame(&code, ctx, &mut frames, &mut trace, scratch);
+            let result = self.dispatch_frame(code, ctx, &mut frames, &mut trace, scratch);
             frames.clear();
             scratch.frames = frames;
             result
@@ -531,8 +558,8 @@ impl<'w> Evm<'w> {
             }
         }
 
-        match self.world.account(to).map(|a| &a.behaviour) {
-            Some(HostBehaviour::RejectingSink) => {
+        match self.world.behaviour(to) {
+            HostBehaviour::RejectingSink => {
                 // The sink rejects: undo the transfer and report failure with
                 // an exception in the callee.
                 if kind == CallKind::Call && !call_value.is_zero() {
@@ -540,24 +567,20 @@ impl<'w> Evm<'w> {
                 }
                 (false, true, vec![], 0)
             }
-            Some(&HostBehaviour::ReentrantAttacker { max_depth, .. }) => {
+            &HostBehaviour::ReentrantAttacker { max_depth } => {
                 // The attacker immediately calls back into the calling
                 // contract, provided it still has gas and depth budget.
                 let mut gas_spent = 0u64;
                 if depth + 2 < self.config.max_call_depth && depth < max_depth && gas > 10_000 {
                     trace.reentered = true;
-                    let callee_code = self.world.code(code_address);
+                    let callee_code = self.code_of(code_address);
                     if !callee_code.is_empty() {
                         // The attacker stub runs no frame at its own depth,
                         // so that depth's argument buffer stages the
-                        // callback bytes (the interpreter needs the world
+                        // callback bytes (the frame's scratch is borrowed
                         // mutably while they are read).
                         let mut stub = scratch.take(depth + 1);
-                        if let Some(HostBehaviour::ReentrantAttacker { callback_data, .. }) =
-                            self.world.account(to).map(|a| &a.behaviour)
-                        {
-                            stub.args.extend_from_slice(callback_data);
-                        }
+                        stub.args.extend_from_slice(&scratch.attacker_callback);
                         frames.push(FrameInfo { code_address: to });
                         let callback_gas = gas.saturating_sub(5_000);
                         let ctx = FrameCtx {
@@ -583,12 +606,12 @@ impl<'w> Evm<'w> {
                 }
                 (true, false, vec![], gas_spent)
             }
-            Some(HostBehaviour::None) | None => {
-                let code = match self.world.account(to) {
-                    Some(account) if !account.code.is_empty() => Arc::clone(&account.code),
+            HostBehaviour::None => {
+                let code = self.code_of(to);
+                if code.is_empty() {
                     // Plain transfer to an EOA succeeds.
-                    _ => return (true, false, vec![], 0),
-                };
+                    return (true, false, vec![], 0);
+                }
                 // Determine execution context per call kind.
                 let (exec_code_addr, exec_storage_addr, exec_caller, exec_value) = match kind {
                     CallKind::Call | CallKind::StaticCall => (to, to, code_address, call_value),
@@ -679,10 +702,8 @@ impl<'w> Evm<'w> {
 
         // Address collision (an account with code or a used nonce already
         // lives there) fails the creation outright.
-        if let Some(acct) = self.world.account(created) {
-            if !acct.code.is_empty() || acct.nonce != 0 {
-                return (U256::ZERO, vec![]);
-            }
+        if !self.world.code(created).is_empty() || self.world.nonce(created) != 0 {
+            return (U256::ZERO, vec![]);
         }
 
         // The journal checkpoint is taken *before* the new account is
@@ -1110,7 +1131,7 @@ mod tests {
             0xff, 0xf1, 0x50, 0x00,
         ];
         let mut world = world_with_code(code);
-        world.account_mut(addr(0x100)).balance = U256::from_u64(100);
+        world.set_balance(addr(0x100), U256::from_u64(100));
         let mut evm = Evm::new(&mut world, BlockEnv::default());
         let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
         assert!(result.success);
@@ -1127,8 +1148,14 @@ mod tests {
             0xff, 0xf1, 0x50, 0x00,
         ];
         let mut world = world_with_code(code);
-        world.account_mut(addr(0x100)).balance = U256::from_u64(100);
-        world.account_mut(addr(2)).behaviour = HostBehaviour::RejectingSink;
+        world.set_balance(addr(0x100), U256::from_u64(100));
+        world.put_account(
+            addr(2),
+            Account {
+                behaviour: HostBehaviour::RejectingSink,
+                ..Default::default()
+            },
+        );
         let mut evm = Evm::new(&mut world, BlockEnv::default());
         let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
         assert!(result.success);
@@ -1143,7 +1170,7 @@ mod tests {
         // PUSH1 0x02, SELFDESTRUCT
         let code = vec![0x60, 0x02, 0xff];
         let mut world = world_with_code(code);
-        world.account_mut(addr(0x100)).balance = U256::from_u64(77);
+        world.set_balance(addr(0x100), U256::from_u64(77));
         let mut evm = Evm::new(&mut world, BlockEnv::default());
         let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
         assert!(result.success);
@@ -1216,7 +1243,7 @@ mod tests {
         );
         assert!(result.success);
         assert_eq!(world.storage(addr(0x200), U256::ZERO), U256::from_u64(11));
-        assert_eq!(*world.code(addr(0x200)), runtime);
+        assert_eq!(**world.code(addr(0x200)), runtime);
     }
 
     #[test]
@@ -1227,11 +1254,14 @@ mod tests {
             0xff, 0xff, 0xf1, 0x50, 0x00,
         ];
         let mut world = world_with_code(code);
-        world.account_mut(addr(0x100)).balance = U256::from_u64(100);
-        world.account_mut(addr(2)).behaviour = HostBehaviour::ReentrantAttacker {
-            callback_data: vec![],
-            max_depth: 3,
-        };
+        world.set_balance(addr(0x100), U256::from_u64(100));
+        world.put_account(
+            addr(2),
+            Account {
+                behaviour: HostBehaviour::ReentrantAttacker { max_depth: 3 },
+                ..Default::default()
+            },
+        );
         let mut evm = Evm::new(&mut world, BlockEnv::default());
         let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
         assert!(result.success);
@@ -1258,7 +1288,7 @@ mod tests {
             // one instruction at a time.
             let blob = world.code(addr(0x100));
             let mut cache = ProgramCache::new();
-            cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+            cache.insert(Arc::clone(blob), Arc::new(DecodedProgram::decode(blob)));
             let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
             evm.config.block_lowering = block_lowering;
             let result = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
@@ -1319,7 +1349,7 @@ mod tests {
         let mut world = world_with_code(code);
         let blob = world.code(addr(0x100));
         let mut cache = ProgramCache::new();
-        cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+        cache.insert(Arc::clone(blob), Arc::new(DecodedProgram::decode(blob)));
         let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
         let cached = evm.execute(&Message::new(addr(1), addr(0x100), U256::ZERO, vec![]));
         assert_eq!(cached, uncached);

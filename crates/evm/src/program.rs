@@ -772,6 +772,16 @@ impl ProgramCache {
         });
     }
 
+    /// The cache's own handle on a blob it holds (the same allocation as
+    /// `code`), for running the blob without changing its reference count.
+    #[inline]
+    pub fn code(&self, code: &Arc<Vec<u8>>) -> Option<&Arc<Vec<u8>>> {
+        self.entries
+            .iter()
+            .find(|e| e.matches(code))
+            .map(|e| &e.code)
+    }
+
     /// Look up the decoded program of a code blob by pointer identity. The
     /// handful of entries (one per deployed contract under test) makes a
     /// linear scan faster than hashing.

@@ -5,46 +5,67 @@
 //! rollback have to be cheap: restoring the deployed world before every
 //! sequence execution, and undoing a failed transaction inside one.
 //!
-//! **Per-execution restore: a frozen base plus an overlay.** The state is
-//! copy-on-write: a frozen **base** map of accounts (shared behind an `Arc`
-//! by every snapshot) plus a small **overlay** of accounts created or
-//! modified since. Reads consult the overlay first; the first write to an
-//! account copies it from the base into the overlay. The harness
-//! [freezes](WorldState::freeze) the post-constructor world once, so every
-//! sequence execution starts from an O(1) [`WorldState::snapshot`] of it:
-//! one `Arc` clone and an empty overlay. The fuzzer freezes the world after
-//! each transaction of a seed the same way, so an execution that shares the
-//! seed's leading transactions starts from an O(1) snapshot of the world
-//! they left.
+//! **A frozen base under pending changes.** A world is a frozen **base** map
+//! of accounts, shared behind an `Arc` by every snapshot, under the changes
+//! made since the last [freeze](WorldState::freeze). Those come in two kinds:
+//!
+//! * **field overrides**, one table of balances by address and one of
+//!   storage entries by `(address, slot)`, where `None` marks a removed
+//!   slot. Every balance or storage write lands here, so a transaction that
+//!   moves value and writes a slot copies no account, only the values it
+//!   writes;
+//! * **whole-account copies** in an overlay: accounts created since the
+//!   freeze, and accounts whose code, nonce or destroyed flag changed or
+//!   that [`put_account`](WorldState::put_account) replaced. Those writes
+//!   come from deployment, `CREATE2`, `SELFDESTRUCT` and set-up.
+//!
+//! Every reader sees the overrides over the copies over the base:
+//! [`balance`](WorldState::balance), [`storage_entry`](WorldState::storage_entry),
+//! [`account`](WorldState::account) (an owned view only when an override
+//! shadows the account), [`accounts`](WorldState::accounts), `==`, and
+//! [`freeze`](WorldState::freeze), which folds everything into a new base.
+//! Overrides exist only for accounts that exist: a write to an absent
+//! address creates an empty account in the overlay first.
+//!
+//! **Per-execution restore, in place.** The harness freezes the
+//! post-constructor world once, and the fuzzer freezes the world after each
+//! transaction of a seed it keeps a prefix record of. An execution starts by
+//! [resetting](WorldState::reset_to) its world to one of those frozen
+//! worlds: the pending tables are cleared, keeping their capacity, and the
+//! base `Arc` is cloned only when it is not already the one the world
+//! holds. Restoring therefore allocates nothing and, when the base is
+//! unchanged, touches no reference count. [`WorldState::snapshot`] copies a
+//! world instead: one `Arc` clone plus the pending changes.
 //!
 //! **Per-transaction revert: an undo journal.** [`WorldState::checkpoint`]
-//! opens an undo point. While one is open, every write through the
-//! journaled setters ([`set_storage`](WorldState::set_storage),
+//! opens an undo point. While one is open, every write
+//! ([`set_storage`](WorldState::set_storage),
 //! [`transfer`](WorldState::transfer), [`set_balance`](WorldState::set_balance),
 //! [`mark_destroyed`](WorldState::mark_destroyed),
 //! [`set_code`](WorldState::set_code), [`set_nonce`](WorldState::set_nonce))
-//! logs the value it overwrote, and an account's arrival in the overlay is
-//! logged too. [`WorldState::revert_to`] replays the log backwards;
-//! [`WorldState::commit`] keeps the changes. A transaction's revert point
-//! therefore costs one log entry per field it writes, where a snapshot
-//! would copy every account changed so far in the sequence. Checkpoints
-//! nest and close in LIFO order. Field writes made through
-//! [`WorldState::account_mut`] are not logged, so code that runs under a
-//! checkpoint uses the setters; the set-up calls
-//! ([`put_account`](WorldState::put_account),
-//! [`freeze`](WorldState::freeze)) refuse to run under one.
+//! logs what it overwrote: the override it replaced (or that there was
+//! none), a copied account's previous field value, and an account's arrival
+//! in the overlay. [`WorldState::revert_to`] replays the log backwards;
+//! [`WorldState::commit`] keeps the changes. A transaction that moves value
+//! and writes one slot costs three override inserts and three log entries,
+//! and its revert three removals. Checkpoints nest and close in LIFO order.
+//! The set-up calls ([`put_account`](WorldState::put_account),
+//! [`freeze`](WorldState::freeze), [`reset_to`](WorldState::reset_to))
+//! refuse to run under one.
 //!
 //! Storage is one map per account from slot to `(value, taint)`, so an
-//! `SLOAD` is one lookup and an `SSTORE` gets the overwritten entry back from
-//! its insert. Every map here hashes with the crate's multiply-rotate Fx
-//! hasher instead of SipHash.
+//! `SLOAD` of a slot no transaction wrote is one lookup in the overrides and
+//! one in the account's map. Every map here hashes with the crate's
+//! multiply-rotate Fx hasher instead of SipHash.
 
 use crate::fxhash::FxHashMap;
 use crate::trace::Taint;
 use crate::types::Address;
 use crate::u256::U256;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::sync::{Arc, LazyLock};
 
 /// Host-implemented behaviour for accounts that are not plain bytecode
@@ -56,10 +77,11 @@ pub enum HostBehaviour {
     #[default]
     None,
     /// When this account receives a call carrying value, it re-enters the
-    /// caller with the given calldata, up to `max_depth` nested times.
+    /// caller with the calldata of the executing
+    /// [`ExecFrame`](crate::ExecFrame)'s
+    /// [attacker callback](crate::ExecFrame::attacker_callback_mut), up to
+    /// `max_depth` nested times.
     ReentrantAttacker {
-        /// Calldata to send back to the calling contract on re-entry.
-        callback_data: Vec<u8>,
         /// Maximum re-entrancy depth.
         max_depth: usize,
     },
@@ -74,6 +96,9 @@ pub enum HostBehaviour {
 /// metadata; it does not affect execution semantics). A slot is present
 /// while its value is non-zero or its taint non-empty.
 pub type StorageMap = FxHashMap<U256, (U256, Taint)>;
+
+/// One storage entry as the world keeps it: `None` for an absent slot.
+type SlotEntry = Option<(U256, Taint)>;
 
 /// A single account in the world state.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -114,6 +139,14 @@ impl Account {
     pub fn is_callable(&self) -> bool {
         !self.code.is_empty() || self.behaviour != HostBehaviour::None
     }
+
+    /// Write one storage entry: `None` removes the slot.
+    fn put_slot(&mut self, slot: U256, entry: SlotEntry) {
+        match entry {
+            Some(entry) => self.storage.insert(slot, entry),
+            None => self.storage.remove(&slot),
+        };
+    }
 }
 
 /// One entry of the undo journal: what a journaled write overwrote.
@@ -124,15 +157,15 @@ enum Change {
     Entered {
         address: Address,
     },
-    /// A storage entry (`None`: the slot was absent).
-    Storage {
-        address: Address,
-        slot: U256,
-        prev: Option<(U256, Taint)>,
-    },
+    /// A balance override (`None`: there was none).
     Balance {
         address: Address,
-        prev: U256,
+        prev: Option<U256>,
+    },
+    /// A storage override (`None`: there was none).
+    Storage {
+        key: (Address, U256),
+        prev: Option<SlotEntry>,
     },
     Destroyed {
         address: Address,
@@ -155,24 +188,61 @@ enum Change {
 #[must_use = "a checkpoint must be committed or reverted"]
 pub struct WorldCheckpoint(usize);
 
-/// The full world state: a copy-on-write map from address to account, with
-/// an undo journal for transaction-scoped rollback.
+/// The full world state: a frozen base map from address to account under
+/// field overrides and whole-account copies, with an undo journal for
+/// transaction-scoped rollback.
 ///
-/// See the [module documentation](self) for the base/overlay split, the
-/// journal and their cost model. The external API is a plain address →
-/// account map; all bookkeeping is internal.
-#[derive(Clone, Debug, Default)]
+/// See the [module documentation](self) for the layers, the journal and
+/// their cost model. The external API is a plain address → account map;
+/// all bookkeeping is internal.
+#[derive(Debug, Default)]
 pub struct WorldState {
     /// Accounts frozen at the last [`WorldState::freeze`], shared by every
     /// snapshot taken since.
     base: Arc<FxHashMap<Address, Account>>,
-    /// Accounts created or modified since the freeze; shadows `base`.
+    /// Whole accounts created or copied since the freeze; shadows `base`.
     overlay: FxHashMap<Address, Account>,
+    /// Balance overrides; shadow the overlay and the base.
+    balances: FxHashMap<Address, U256>,
+    /// Storage overrides; shadow the overlay and the base.
+    slots: FxHashMap<(Address, U256), SlotEntry>,
     /// Undo log of the writes made since the outermost open checkpoint.
     journal: Vec<Change>,
     /// Number of open checkpoints; writes are logged only while it is
     /// non-zero.
     open: usize,
+}
+
+/// Copy a table, without carrying over the capacity of an empty one: a
+/// world keeps its tables' capacity across resets, and a snapshot of a
+/// frozen world would otherwise allocate that many empty buckets.
+fn copy_table<K: Clone + Eq + Hash, V: Clone>(table: &FxHashMap<K, V>) -> FxHashMap<K, V> {
+    if table.is_empty() {
+        FxHashMap::default()
+    } else {
+        table.clone()
+    }
+}
+
+/// Put back a table entry a journaled write replaced (`None`: remove it).
+fn restore<K: Eq + Hash, V>(table: &mut FxHashMap<K, V>, key: K, prev: Option<V>) {
+    match prev {
+        Some(value) => table.insert(key, value),
+        None => table.remove(&key),
+    };
+}
+
+impl Clone for WorldState {
+    fn clone(&self) -> WorldState {
+        WorldState {
+            base: Arc::clone(&self.base),
+            overlay: copy_table(&self.overlay),
+            balances: copy_table(&self.balances),
+            slots: copy_table(&self.slots),
+            journal: self.journal.clone(),
+            open: self.open,
+        }
+    }
 }
 
 impl WorldState {
@@ -185,23 +255,202 @@ impl WorldState {
     /// checkpoint.
     pub fn put_account(&mut self, address: Address, account: Account) {
         self.assert_no_checkpoint("put_account");
+        self.balances.remove(&address);
+        self.slots.retain(|&(owner, _), _| owner != address);
         self.overlay.insert(address, account);
     }
 
-    /// Immutable access to an account.
-    pub fn account(&self, address: Address) -> Option<&Account> {
+    /// The stored account, before any field override.
+    #[inline]
+    fn stored(&self, address: Address) -> Option<&Account> {
         self.overlay
             .get(&address)
             .or_else(|| self.base.get(&address))
     }
 
-    /// Mutable access, creating an empty account on demand. The first write
-    /// to a frozen account copies it into the overlay (copy-on-write).
-    ///
-    /// Under an open checkpoint the account's arrival in the overlay is
-    /// journaled, but field writes through the returned reference are not:
-    /// use the journaled setters there.
-    pub fn account_mut(&mut self, address: Address) -> &mut Account {
+    /// True if an account exists at `address`.
+    pub fn exists(&self, address: Address) -> bool {
+        self.stored(address).is_some()
+    }
+
+    /// An account as every reader sees it: borrowed when no field override
+    /// shadows it, otherwise an owned copy with the overrides applied.
+    pub fn account(&self, address: Address) -> Option<Cow<'_, Account>> {
+        self.stored(address)
+            .map(|account| self.view(address, account))
+    }
+
+    /// `account` at `address` with its field overrides applied.
+    fn view<'a>(&'a self, address: Address, account: &'a Account) -> Cow<'a, Account> {
+        let balance = self.balances.get(&address);
+        let mut slots = self
+            .slots
+            .iter()
+            .filter(|((owner, _), _)| *owner == address)
+            .peekable();
+        if balance.is_none() && slots.peek().is_none() {
+            return Cow::Borrowed(account);
+        }
+        let mut view = account.clone();
+        if let Some(&balance) = balance {
+            view.balance = balance;
+        }
+        for (&(_, slot), &entry) in slots {
+            view.put_slot(slot, entry);
+        }
+        Cow::Owned(view)
+    }
+
+    /// Balance of an account (zero if absent).
+    #[inline]
+    pub fn balance(&self, address: Address) -> U256 {
+        match self.balances.get(&address) {
+            Some(&balance) => balance,
+            None => self.stored(address).map_or(U256::ZERO, |a| a.balance),
+        }
+    }
+
+    /// Code of an account (empty if absent). Every absent account shares
+    /// one empty blob, so `EXTCODESIZE`/`EXTCODECOPY` on an address with no
+    /// account allocate nothing.
+    pub fn code(&self, address: Address) -> &Arc<Vec<u8>> {
+        static NO_CODE: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
+        self.stored(address).map_or(&*NO_CODE, |a| &a.code)
+    }
+
+    /// Nonce of an account (zero if absent).
+    pub fn nonce(&self, address: Address) -> u64 {
+        self.stored(address).map_or(0, |a| a.nonce)
+    }
+
+    /// Host behaviour of an account ([`HostBehaviour::None`] if absent).
+    pub fn behaviour(&self, address: Address) -> &HostBehaviour {
+        static NONE: HostBehaviour = HostBehaviour::None;
+        self.stored(address).map_or(&NONE, |a| &a.behaviour)
+    }
+
+    /// Storage slot value of an account (zero if absent).
+    pub fn storage(&self, address: Address, slot: U256) -> U256 {
+        self.storage_entry(address, slot).0
+    }
+
+    /// Storage slot value and the taint label recorded with it (zero and
+    /// untainted if absent).
+    #[inline]
+    pub fn storage_entry(&self, address: Address, slot: U256) -> (U256, Taint) {
+        let entry = match self.slots.get(&(address, slot)) {
+            Some(&entry) => entry,
+            None => self
+                .stored(address)
+                .and_then(|a| a.storage.get(&slot).copied()),
+        };
+        entry.unwrap_or((U256::ZERO, Taint::NONE))
+    }
+
+    /// Write a storage slot with its taint label and return the value it
+    /// overwrote. A zero value with an empty taint removes the slot.
+    /// Journaled.
+    #[inline]
+    pub fn set_storage(&mut self, address: Address, slot: U256, value: U256, taint: Taint) -> U256 {
+        let entry = (!value.is_zero() || !taint.is_empty()).then_some((value, taint));
+        let key = (address, slot);
+        let prev = self.slots.insert(key, entry);
+        let overwritten = match prev {
+            Some(entry) => entry,
+            None => match self.stored(address) {
+                Some(account) => account.storage.get(&slot).copied(),
+                None => {
+                    self.create(address);
+                    None
+                }
+            },
+        };
+        self.record(Change::Storage { key, prev });
+        overwritten.map_or(U256::ZERO, |(old, _)| old)
+    }
+
+    /// Set an account's balance. Journaled.
+    #[inline]
+    pub fn set_balance(&mut self, address: Address, balance: U256) {
+        self.update_balance(address, |_| Some(balance));
+    }
+
+    /// Replace an account's balance with `update(balance)`, creating the
+    /// account if it is absent; when `update` returns `None` nothing is
+    /// written and the result is false. Looks the address up once in each
+    /// table. Journaled.
+    #[inline]
+    fn update_balance(
+        &mut self,
+        address: Address,
+        update: impl FnOnce(U256) -> Option<U256>,
+    ) -> bool {
+        let (prev, absent) = match self.balances.entry(address) {
+            Entry::Occupied(mut entry) => {
+                let Some(balance) = update(*entry.get()) else {
+                    return false;
+                };
+                (Some(std::mem::replace(entry.get_mut(), balance)), false)
+            }
+            Entry::Vacant(entry) => {
+                let stored = self
+                    .overlay
+                    .get(&address)
+                    .or_else(|| self.base.get(&address));
+                let Some(balance) = update(stored.map_or(U256::ZERO, |a| a.balance)) else {
+                    return false;
+                };
+                entry.insert(balance);
+                (None, stored.is_none())
+            }
+        };
+        if absent {
+            self.create(address);
+        }
+        self.record(Change::Balance { address, prev });
+        true
+    }
+
+    /// Flag an account as self-destructed. Journaled.
+    pub fn mark_destroyed(&mut self, address: Address) {
+        let prev = std::mem::replace(&mut self.copy_mut(address).destroyed, true);
+        self.record(Change::Destroyed { address, prev });
+    }
+
+    /// Install an account's code. Journaled.
+    pub fn set_code(&mut self, address: Address, code: Arc<Vec<u8>>) {
+        let prev = std::mem::replace(&mut self.copy_mut(address).code, code);
+        self.record(Change::Code { address, prev });
+    }
+
+    /// Set an account's nonce. Journaled.
+    pub fn set_nonce(&mut self, address: Address, nonce: u64) {
+        let prev = std::mem::replace(&mut self.copy_mut(address).nonce, nonce);
+        self.record(Change::Nonce { address, prev });
+    }
+
+    /// Transfer value between two accounts, creating the recipient if it
+    /// does not exist. Returns false (and leaves the state untouched) if
+    /// the sender balance is insufficient. Journaled.
+    pub fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
+        if value.is_zero() {
+            return true;
+        }
+        self.update_balance(from, |balance| balance.checked_sub(value))
+            && self.update_balance(to, |balance| Some(balance.wrapping_add(value)))
+    }
+
+    /// Create an empty account at an absent address. Journaled ahead of
+    /// the write that needed the account, so that write's undo runs first.
+    fn create(&mut self, address: Address) {
+        self.overlay.insert(address, Account::default());
+        self.record(Change::Entered { address });
+    }
+
+    /// The overlay copy of an account, made on first use from the base (or
+    /// created empty). Its balance and storage may be shadowed by
+    /// overrides; only its other fields are written through it.
+    fn copy_mut(&mut self, address: Address) -> &mut Account {
         match self.overlay.entry(address) {
             Entry::Occupied(entry) => entry.into_mut(),
             Entry::Vacant(entry) => {
@@ -212,94 +461,6 @@ impl WorldState {
                 entry.insert(seed)
             }
         }
-    }
-
-    /// Balance of an account (zero if absent).
-    pub fn balance(&self, address: Address) -> U256 {
-        self.account(address)
-            .map(|a| a.balance)
-            .unwrap_or(U256::ZERO)
-    }
-
-    /// Code of an account (empty if absent). Every absent account shares
-    /// one empty blob, so `EXTCODESIZE`/`EXTCODECOPY` on an address with no
-    /// account allocate nothing.
-    pub fn code(&self, address: Address) -> Arc<Vec<u8>> {
-        static NO_CODE: LazyLock<Arc<Vec<u8>>> = LazyLock::new(Arc::default);
-        Arc::clone(self.account(address).map_or(&*NO_CODE, |a| &a.code))
-    }
-
-    /// Storage slot value of an account (zero if absent).
-    pub fn storage(&self, address: Address, slot: U256) -> U256 {
-        self.storage_entry(address, slot).0
-    }
-
-    /// Storage slot value and the taint label recorded with it, in one
-    /// lookup (zero and untainted if absent).
-    #[inline]
-    pub fn storage_entry(&self, address: Address, slot: U256) -> (U256, Taint) {
-        self.account(address)
-            .and_then(|a| a.storage.get(&slot).copied())
-            .unwrap_or((U256::ZERO, Taint::NONE))
-    }
-
-    /// Write a storage slot with its taint label and return the value it
-    /// overwrote. A zero value with an empty taint removes the slot.
-    /// Journaled.
-    #[inline]
-    pub fn set_storage(&mut self, address: Address, slot: U256, value: U256, taint: Taint) -> U256 {
-        let storage = &mut self.account_mut(address).storage;
-        let prev = if value.is_zero() && taint.is_empty() {
-            storage.remove(&slot)
-        } else {
-            storage.insert(slot, (value, taint))
-        };
-        self.record(Change::Storage {
-            address,
-            slot,
-            prev,
-        });
-        prev.map_or(U256::ZERO, |(old, _)| old)
-    }
-
-    /// Set an account's balance. Journaled.
-    pub fn set_balance(&mut self, address: Address, balance: U256) {
-        let prev = std::mem::replace(&mut self.account_mut(address).balance, balance);
-        self.record(Change::Balance { address, prev });
-    }
-
-    /// Flag an account as self-destructed. Journaled.
-    pub fn mark_destroyed(&mut self, address: Address) {
-        let prev = std::mem::replace(&mut self.account_mut(address).destroyed, true);
-        self.record(Change::Destroyed { address, prev });
-    }
-
-    /// Install an account's code. Journaled.
-    pub fn set_code(&mut self, address: Address, code: Arc<Vec<u8>>) {
-        let prev = std::mem::replace(&mut self.account_mut(address).code, code);
-        self.record(Change::Code { address, prev });
-    }
-
-    /// Set an account's nonce. Journaled.
-    pub fn set_nonce(&mut self, address: Address, nonce: u64) {
-        let prev = std::mem::replace(&mut self.account_mut(address).nonce, nonce);
-        self.record(Change::Nonce { address, prev });
-    }
-
-    /// Transfer value between two accounts. Returns false (and leaves the
-    /// state untouched) if the sender balance is insufficient. Journaled.
-    pub fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
-        if value.is_zero() {
-            return true;
-        }
-        let from_balance = self.balance(from);
-        if from_balance < value {
-            return false;
-        }
-        self.set_balance(from, from_balance.wrapping_sub(value));
-        let to_balance = self.balance(to);
-        self.set_balance(to, to_balance.wrapping_add(value));
-        true
     }
 
     /// Open an undo point. Every journaled write from here on can be undone
@@ -350,30 +511,19 @@ impl WorldState {
             Change::Entered { address } => {
                 self.overlay.remove(&address);
             }
-            Change::Storage {
-                address,
-                slot,
-                prev,
-            } => {
-                let storage = &mut self.journaled_account(address).storage;
-                match prev {
-                    Some(entry) => storage.insert(slot, entry),
-                    None => storage.remove(&slot),
-                };
-            }
-            Change::Balance { address, prev } => self.journaled_account(address).balance = prev,
-            Change::Destroyed { address, prev } => {
-                self.journaled_account(address).destroyed = prev;
-            }
-            Change::Code { address, prev } => self.journaled_account(address).code = prev,
-            Change::Nonce { address, prev } => self.journaled_account(address).nonce = prev,
+            Change::Balance { address, prev } => restore(&mut self.balances, address, prev),
+            Change::Storage { key, prev } => restore(&mut self.slots, key, prev),
+            Change::Destroyed { address, prev } => self.copied(address).destroyed = prev,
+            Change::Code { address, prev } => self.copied(address).code = prev,
+            Change::Nonce { address, prev } => self.copied(address).nonce = prev,
         }
     }
 
     /// The overlay copy of an account a journal entry refers to. A
-    /// journaled write always lands in the overlay, and the account stays
-    /// there until its own `Entered` entry (older than the write) is undone.
-    fn journaled_account(&mut self, address: Address) -> &mut Account {
+    /// journaled field write always lands in the overlay, and the account
+    /// stays there until its own `Entered` entry (older than the write) is
+    /// undone.
+    fn copied(&mut self, address: Address) -> &mut Account {
         self.overlay
             .get_mut(&address)
             .expect("a journaled account stays in the overlay until its arrival is undone")
@@ -386,13 +536,17 @@ impl WorldState {
         );
     }
 
-    /// Iterate over all accounts (overlay entries shadow frozen ones).
-    pub fn accounts(&self) -> impl Iterator<Item = (&Address, &Account)> {
-        self.overlay.iter().chain(
-            self.base
-                .iter()
-                .filter(|(a, _)| !self.overlay.contains_key(a)),
-        )
+    /// Iterate over all accounts as [`WorldState::account`] reads them
+    /// (copies shadow frozen accounts, and overrides shadow both).
+    pub fn accounts(&self) -> impl Iterator<Item = (Address, Cow<'_, Account>)> {
+        self.overlay
+            .iter()
+            .chain(
+                self.base
+                    .iter()
+                    .filter(|(a, _)| !self.overlay.contains_key(a)),
+            )
+            .map(|(&address, account)| (address, self.view(address, account)))
     }
 
     /// Number of accounts in the world.
@@ -410,45 +564,80 @@ impl WorldState {
         self.len() == 0
     }
 
+    /// True if nothing changed since the last freeze: the world is its
+    /// base.
+    fn is_frozen(&self) -> bool {
+        self.overlay.is_empty() && self.balances.is_empty() && self.slots.is_empty()
+    }
+
     /// Snapshot the whole world: one `Arc` clone of the frozen base plus a
-    /// copy of the overlay, i.e. O(accounts changed since the last
-    /// [`WorldState::freeze`]). The harness restores the post-constructor
-    /// world this way once per sequence execution; transactions inside an
-    /// execution roll back through [`WorldState::checkpoint`] instead.
+    /// copy of the changes pending since the last
+    /// [`WorldState::freeze`]. A snapshot of a frozen world allocates
+    /// nothing. To restore a frozen world into a world that already exists,
+    /// [`WorldState::reset_to`] keeps that world's tables instead.
     pub fn snapshot(&self) -> WorldState {
         self.clone()
     }
 
-    /// Compact every account into a new frozen base shared by all future
-    /// snapshots, making [`WorldState::snapshot`] on the frozen state O(1).
-    /// The harness calls this once on the post-constructor world so each
-    /// sequence execution restarts from the constructor snapshot without
-    /// copying (or re-executing) anything. A world with an empty overlay
+    /// Make this world equal to `frozen`, a world with nothing changed
+    /// since its last [`WorldState::freeze`], in place: the pending tables
+    /// are cleared, keeping their capacity, and `frozen`'s base is cloned
+    /// only when it is not already this world's. The harness starts every
+    /// sequence execution this way. A set-up call: panics under an open
+    /// checkpoint, or when `frozen` has changes pending.
+    pub fn reset_to(&mut self, frozen: &WorldState) {
+        self.assert_no_checkpoint("reset_to");
+        assert!(
+            frozen.is_frozen(),
+            "WorldState::reset_to needs a frozen world"
+        );
+        if !Arc::ptr_eq(&self.base, &frozen.base) {
+            self.base = Arc::clone(&frozen.base);
+        }
+        self.overlay.clear();
+        self.balances.clear();
+        self.slots.clear();
+    }
+
+    /// Fold every pending change into a new frozen base shared by all
+    /// future snapshots, making [`WorldState::snapshot`] on the frozen
+    /// state O(1) and the world a target for [`WorldState::reset_to`]. The
+    /// pending tables keep their capacity. A world with nothing pending
     /// already is its base, so freezing it copies nothing and keeps sharing
     /// that base. A set-up call: panics under an open checkpoint.
     pub fn freeze(&mut self) {
         self.assert_no_checkpoint("freeze");
-        // Take the overlay rather than draining it: a drained map keeps its
-        // table, and every snapshot would copy that empty table again.
-        let overlay = std::mem::take(&mut self.overlay);
-        if overlay.is_empty() {
+        if self.is_frozen() {
             return;
         }
+        fn shadowed(merged: &mut FxHashMap<Address, Account>, address: Address) -> &mut Account {
+            merged
+                .get_mut(&address)
+                .expect("an override shadows an account that exists")
+        }
         let mut merged = (*self.base).clone();
-        merged.extend(overlay);
+        merged.extend(self.overlay.drain());
+        for (address, balance) in self.balances.drain() {
+            shadowed(&mut merged, address).balance = balance;
+        }
+        for ((address, slot), entry) in self.slots.drain() {
+            shadowed(&mut merged, address).put_slot(slot, entry);
+        }
         self.base = Arc::new(merged);
     }
 }
 
 /// Logical equality: two worlds are equal when they map the same addresses
 /// to equal accounts, regardless of how the accounts are split between the
-/// frozen base and the overlay, and of any open checkpoints. Used by the
-/// decoder differential suite to assert that both billing disciplines
-/// commit identical state.
+/// frozen base, the copies and the overrides, and of any open checkpoints.
+/// Used by the decoder differential suite to assert that both billing
+/// disciplines commit identical state.
 impl PartialEq for WorldState {
     fn eq(&self, other: &WorldState) -> bool {
         let view = |w: &'_ WorldState| -> BTreeMap<Address, Account> {
-            w.accounts().map(|(a, acct)| (*a, acct.clone())).collect()
+            w.accounts()
+                .map(|(address, account)| (address, account.into_owned()))
+                .collect()
         };
         view(self) == view(other)
     }
@@ -469,12 +658,14 @@ mod tests {
         assert_eq!(world.balance(addr(1)), U256::ZERO);
         assert_eq!(world.storage(addr(1), U256::ONE), U256::ZERO);
         assert!(world.code(addr(1)).is_empty());
+        assert!(!world.exists(addr(1)));
+        assert_eq!(world.behaviour(addr(1)), &HostBehaviour::None);
     }
 
     #[test]
     fn absent_accounts_share_one_empty_code_blob() {
         let world = WorldState::new();
-        assert!(Arc::ptr_eq(&world.code(addr(1)), &world.code(addr(2))));
+        assert!(Arc::ptr_eq(world.code(addr(1)), world.code(addr(2))));
     }
 
     #[test]
@@ -495,6 +686,9 @@ mod tests {
         assert!(world.transfer(addr(1), addr(2), U256::from_u64(40)));
         assert_eq!(world.balance(addr(1)), U256::from_u64(60));
         assert_eq!(world.balance(addr(2)), U256::from_u64(40));
+        // The recipient did not exist: the transfer created it.
+        assert!(world.exists(addr(2)));
+        assert_eq!(world.len(), 2);
     }
 
     #[test]
@@ -504,12 +698,14 @@ mod tests {
         assert!(!world.transfer(addr(1), addr(2), U256::from_u64(40)));
         assert_eq!(world.balance(addr(1)), U256::from_u64(10));
         assert_eq!(world.balance(addr(2)), U256::ZERO);
+        assert!(!world.exists(addr(2)));
     }
 
     #[test]
     fn zero_value_transfer_always_succeeds() {
         let mut world = WorldState::new();
         assert!(world.transfer(addr(1), addr(2), U256::ZERO));
+        assert!(world.is_empty());
     }
 
     #[test]
@@ -517,7 +713,7 @@ mod tests {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u64(5)));
         let snap = world.snapshot();
-        world.account_mut(addr(1)).balance = U256::from_u64(500);
+        world.set_balance(addr(1), U256::from_u64(500));
         assert_eq!(snap.balance(addr(1)), U256::from_u64(5));
     }
 
@@ -528,16 +724,20 @@ mod tests {
         world.set_storage(addr(1), U256::ONE, U256::from_u64(7), Taint::empty());
         world.freeze();
         let snap = world.snapshot();
-        // The frozen world keeps no overlay table for snapshots to copy.
-        assert_eq!(world.overlay.capacity(), 0);
+        // A snapshot of a frozen world copies no table.
         assert_eq!(snap.overlay.capacity(), 0);
-        // Writes after the freeze go to the overlay and leave the shared
-        // base (and therefore the snapshot) untouched.
-        world.account_mut(addr(1)).balance = U256::from_u64(500);
+        assert_eq!(snap.balances.capacity(), 0);
+        assert_eq!(snap.slots.capacity(), 0);
+        // Writes after the freeze land in the overrides and leave the
+        // shared base (and therefore the snapshot) untouched.
+        world.set_balance(addr(1), U256::from_u64(500));
         world.set_storage(addr(1), U256::ONE, U256::from_u64(8), Taint::empty());
         assert_eq!(snap.balance(addr(1)), U256::from_u64(5));
         assert_eq!(snap.storage(addr(1), U256::ONE), U256::from_u64(7));
         assert_eq!(world.balance(addr(1)), U256::from_u64(500));
+        assert_eq!(world.storage(addr(1), U256::ONE), U256::from_u64(8));
+        // Neither write copied the account.
+        assert!(world.overlay.is_empty());
     }
 
     #[test]
@@ -554,6 +754,12 @@ mod tests {
         assert_eq!(world.storage(addr(2), U256::ONE), U256::from_u64(42));
         assert!(world.transfer(addr(1), addr(2), U256::from_u64(5)));
         assert_eq!(world.balance(addr(2)), U256::from_u64(14));
+        // Freezing with overrides pending folds them into the new base.
+        let before = world.snapshot();
+        world.freeze();
+        assert!(world.is_frozen());
+        assert_eq!(world, before);
+        assert_eq!(world.base[&addr(2)].balance, U256::from_u64(14));
     }
 
     #[test]
@@ -562,15 +768,101 @@ mod tests {
         world.put_account(addr(1), Account::eoa(U256::from_u64(5)));
         world.freeze();
         let before = world.snapshot();
-        // A reverted write leaves the overlay empty, so there is nothing to
+        // A reverted write leaves nothing pending, so there is nothing to
         // merge and the frozen base stays shared.
         let cp = world.checkpoint();
         world.set_balance(addr(1), U256::from_u64(6));
+        world.set_code(addr(1), Arc::new(vec![0x00]));
         world.revert_to(cp);
         world.freeze();
         assert!(Arc::ptr_eq(&world.base, &before.base));
-        assert_eq!(world.overlay.capacity(), 0);
         assert_eq!(world, before);
+    }
+
+    #[test]
+    fn reset_restores_a_frozen_world_in_place() {
+        let mut deployed = WorldState::new();
+        deployed.put_account(addr(1), Account::eoa(U256::from_u64(100)));
+        deployed.set_storage(addr(1), U256::ONE, U256::from_u64(7), Taint::NONE);
+        deployed.freeze();
+        let mut world = deployed.snapshot();
+        for round in 0..3u64 {
+            world.reset_to(&deployed);
+            assert!(Arc::ptr_eq(&world.base, &deployed.base));
+            assert_eq!(world, deployed);
+            world.set_storage(addr(1), U256::ONE, U256::from_u64(round), Taint::NONE);
+            assert!(world.transfer(addr(1), addr(2), U256::from_u64(10)));
+            world.mark_destroyed(addr(1));
+        }
+        // The pending tables keep their capacity across resets.
+        let capacities = (
+            world.overlay.capacity(),
+            world.balances.capacity(),
+            world.slots.capacity(),
+        );
+        world.reset_to(&deployed);
+        assert_eq!(world, deployed);
+        assert_eq!(
+            (
+                world.overlay.capacity(),
+                world.balances.capacity(),
+                world.slots.capacity(),
+            ),
+            capacities
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a frozen world")]
+    fn reset_refuses_a_world_with_changes_pending() {
+        let mut pending = WorldState::new();
+        pending.set_balance(addr(1), U256::ONE);
+        WorldState::new().reset_to(&pending);
+    }
+
+    #[test]
+    fn overrides_show_through_every_reader() {
+        let mut world = WorldState::new();
+        world.put_account(addr(1), Account::contract(vec![0x00], U256::from_u64(5)));
+        world.set_storage(addr(1), U256::ONE, U256::from_u64(7), Taint::NONE);
+        world.freeze();
+        world.set_balance(addr(1), U256::from_u64(6));
+        world.set_storage(addr(1), U256::ONE, U256::ZERO, Taint::NONE);
+        world.set_storage(addr(1), U256::from_u64(2), U256::from_u64(9), Taint::CALLER);
+        let account = world.account(addr(1)).unwrap();
+        assert_eq!(account.balance, U256::from_u64(6));
+        assert!(!account.storage.contains_key(&U256::ONE));
+        assert_eq!(
+            account.storage[&U256::from_u64(2)],
+            (U256::from_u64(9), Taint::CALLER)
+        );
+        let (_, listed) = world.accounts().next().unwrap();
+        assert_eq!(listed, account);
+        // A copy made after the overrides stays shadowed by them.
+        world.mark_destroyed(addr(1));
+        assert_eq!(world.balance(addr(1)), U256::from_u64(6));
+        assert_eq!(world.storage(addr(1), U256::ONE), U256::ZERO);
+        assert!(world.account(addr(1)).unwrap().destroyed);
+        let mut flat = WorldState::new();
+        let mut expected = Account::contract(vec![0x00], U256::from_u64(6));
+        expected
+            .storage
+            .insert(U256::from_u64(2), (U256::from_u64(9), Taint::CALLER));
+        expected.destroyed = true;
+        flat.put_account(addr(1), expected);
+        assert_eq!(world, flat);
+    }
+
+    #[test]
+    fn put_account_replaces_pending_overrides() {
+        let mut world = WorldState::new();
+        world.put_account(addr(1), Account::eoa(U256::from_u64(5)));
+        world.freeze();
+        world.set_balance(addr(1), U256::from_u64(6));
+        world.set_storage(addr(1), U256::ONE, U256::ONE, Taint::NONE);
+        world.put_account(addr(1), Account::eoa(U256::from_u64(50)));
+        assert_eq!(world.balance(addr(1)), U256::from_u64(50));
+        assert_eq!(world.storage(addr(1), U256::ONE), U256::ZERO);
     }
 
     #[test]
@@ -579,14 +871,15 @@ mod tests {
         world.put_account(addr(1), Account::eoa(U256::from_u64(1)));
         world.put_account(addr(2), Account::eoa(U256::from_u64(2)));
         world.freeze();
-        world.put_account(addr(2), Account::eoa(U256::from_u64(20))); // shadowed
+        world.put_account(addr(2), Account::eoa(U256::from_u64(20))); // copied
         world.put_account(addr(3), Account::eoa(U256::from_u64(3))); // overlay-only
+        world.set_balance(addr(1), U256::from_u64(10)); // overridden
         let merged: BTreeMap<Address, U256> = world
             .accounts()
-            .map(|(a, acct)| (*a, acct.balance))
+            .map(|(a, acct)| (a, acct.balance))
             .collect();
         assert_eq!(merged.len(), 3);
-        assert_eq!(merged[&addr(1)], U256::from_u64(1));
+        assert_eq!(merged[&addr(1)], U256::from_u64(10));
         assert_eq!(merged[&addr(2)], U256::from_u64(20));
         assert_eq!(merged[&addr(3)], U256::from_u64(3));
         assert_eq!(world.len(), 3);
@@ -598,10 +891,7 @@ mod tests {
         assert!(contract.is_callable());
         assert!(!Account::eoa(U256::ZERO).is_callable());
         let attacker = Account {
-            behaviour: HostBehaviour::ReentrantAttacker {
-                callback_data: vec![],
-                max_depth: 2,
-            },
+            behaviour: HostBehaviour::ReentrantAttacker { max_depth: 2 },
             ..Default::default()
         };
         assert!(attacker.is_callable());
@@ -655,9 +945,8 @@ mod tests {
         assert_eq!(world, before);
         assert_eq!(world.len(), 1);
         assert!(world.account(addr(2)).is_none());
-        // Nothing stays in the overlay: the next write copies from the base
-        // again.
-        assert!(world.overlay.is_empty());
+        // Nothing stays pending: the world is its base again.
+        assert!(world.is_frozen());
         assert!(world.journal.is_empty());
     }
 
@@ -669,9 +958,58 @@ mod tests {
         world.put_account(addr(1), Account::eoa(U256::ONE));
     }
 
-    /// Frozen accounts (one with a tainted zero slot), an overlay-only
-    /// account (4) and absent ones (3, 5, 6).
-    fn seeded_world() -> WorldState {
+    /// Addresses 1..=6 and storage slots 0..4 cover every account the world
+    /// model test touches.
+    const ADDRESSES: u64 = 6;
+    const SLOTS: u64 = 4;
+
+    /// The reference the world model test checks against: a flat map from
+    /// address to account, written the obvious way.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Model {
+        accounts: BTreeMap<Address, Account>,
+    }
+
+    impl Model {
+        fn account(&mut self, address: Address) -> &mut Account {
+            self.accounts.entry(address).or_default()
+        }
+
+        fn balance(&self, address: Address) -> U256 {
+            self.accounts
+                .get(&address)
+                .map_or(U256::ZERO, |a| a.balance)
+        }
+
+        fn set_storage(&mut self, address: Address, slot: U256, value: U256, taint: Taint) -> U256 {
+            let storage = &mut self.account(address).storage;
+            let prev = if value.is_zero() && taint.is_empty() {
+                storage.remove(&slot)
+            } else {
+                storage.insert(slot, (value, taint))
+            };
+            prev.map_or(U256::ZERO, |(old, _)| old)
+        }
+
+        fn transfer(&mut self, from: Address, to: Address, value: U256) -> bool {
+            if value.is_zero() {
+                return true;
+            }
+            let from_balance = self.balance(from);
+            if from_balance < value {
+                return false;
+            }
+            self.account(from).balance = from_balance.wrapping_sub(value);
+            let to_balance = self.balance(to);
+            self.account(to).balance = to_balance.wrapping_add(value);
+            true
+        }
+    }
+
+    /// Frozen accounts (one with a tainted zero slot), an account pending
+    /// in the overlay (4), overrides pending on a frozen account (2) and
+    /// absent ones (3, 5, 6), with the model of the same.
+    fn seeded_world() -> (WorldState, Model) {
         let mut world = WorldState::new();
         world.put_account(addr(1), Account::eoa(U256::from_u64(100)));
         world.put_account(addr(2), Account::contract(vec![0x00], U256::from_u64(50)));
@@ -679,48 +1017,147 @@ mod tests {
         world.set_storage(addr(2), U256::from_u64(2), U256::ZERO, Taint::CALLER);
         world.freeze();
         world.put_account(addr(4), Account::eoa(U256::from_u64(20)));
-        world
+        world.set_storage(addr(2), U256::from_u64(3), U256::from_u64(9), Taint::NONE);
+        world.set_balance(addr(2), U256::from_u64(51));
+        let mut contract = Account::contract(vec![0x00], U256::from_u64(51));
+        contract
+            .storage
+            .insert(U256::ONE, (U256::from_u64(7), Taint::BLOCK));
+        contract
+            .storage
+            .insert(U256::from_u64(2), (U256::ZERO, Taint::CALLER));
+        contract
+            .storage
+            .insert(U256::from_u64(3), (U256::from_u64(9), Taint::NONE));
+        let model = Model {
+            accounts: BTreeMap::from([
+                (addr(1), Account::eoa(U256::from_u64(100))),
+                (addr(2), contract),
+                (addr(4), Account::eoa(U256::from_u64(20))),
+            ]),
+        };
+        (world, model)
     }
 
-    /// Apply the world op encoded in `word`'s low bits.
-    fn apply(world: &mut WorldState, word: u64) {
-        let a = addr(1 + word % 6);
-        let b = addr(1 + (word >> 3) % 6);
-        let n = (word >> 6) % 4;
+    /// Apply the world op encoded in `word`'s low bits to the world and the
+    /// model; `frozen` holds worlds frozen earlier in the script, with
+    /// their models. Set-up ops (`put_account`, `freeze`, `reset_to`) only
+    /// run with no checkpoint open.
+    fn apply(
+        world: &mut WorldState,
+        model: &mut Model,
+        frozen: &mut Vec<(WorldState, Model)>,
+        word: u64,
+    ) {
+        let a = addr(1 + word % ADDRESSES);
+        let b = addr(1 + (word >> 3) % ADDRESSES);
+        let n = (word >> 6) % SLOTS;
         let taint = [Taint::NONE, Taint::BLOCK, Taint::CALLER][((word >> 9) % 3) as usize];
-        match (word >> 12) % 6 {
+        let set_up = world.open == 0;
+        match (word >> 12) % 10 {
             0 => {
                 // Values 0..3, so zero values with a non-empty taint occur.
                 let value = U256::from_u64((word >> 16) % 3);
-                world.set_storage(a, U256::from_u64(n), value, taint);
+                let slot = U256::from_u64(n);
+                let old = world.set_storage(a, slot, value, taint);
+                assert_eq!(old, model.set_storage(a, slot, value, taint));
             }
             1 => {
-                world.transfer(a, b, U256::from_u64(n * 7));
+                let value = U256::from_u64(n * 7);
+                assert_eq!(world.transfer(a, b, value), model.transfer(a, b, value));
             }
-            2 => world.mark_destroyed(a),
-            3 => world.set_code(a, Arc::new(vec![n as u8])),
-            4 => world.set_nonce(a, n),
-            _ => {
-                world.account_mut(a);
+            2 => {
+                world.mark_destroyed(a);
+                model.account(a).destroyed = true;
+            }
+            3 => {
+                world.set_code(a, Arc::new(vec![n as u8]));
+                model.account(a).code = Arc::new(vec![n as u8]);
+            }
+            4 => {
+                world.set_nonce(a, n);
+                model.account(a).nonce = n;
+            }
+            5 => {
+                let balance = U256::from_u64((word >> 16) % 100);
+                world.set_balance(a, balance);
+                model.account(a).balance = balance;
+            }
+            6 if set_up => {
+                let mut account = Account::eoa(U256::from_u64(n));
+                account
+                    .storage
+                    .insert(U256::ONE, (U256::from_u64(n), taint));
+                account.behaviour = HostBehaviour::RejectingSink;
+                world.put_account(a, account.clone());
+                model.accounts.insert(a, account);
+            }
+            7 if set_up => {
+                world.freeze();
+                frozen.push((world.snapshot(), model.clone()));
+            }
+            8 | 9 if set_up && !frozen.is_empty() => {
+                let (target, target_model) = &frozen[(word >> 16) as usize % frozen.len()];
+                world.reset_to(target);
+                *model = target_model.clone();
+            }
+            _ => {}
+        }
+    }
+
+    /// Every public reader of `world` against the model.
+    fn check_readers(world: &WorldState, model: &Model) {
+        for n in 1..=ADDRESSES {
+            let a = addr(n);
+            let expected = model.accounts.get(&a);
+            prop_assert_eq!(world.exists(a), expected.is_some());
+            prop_assert_eq!(world.account(a).map(Cow::into_owned).as_ref(), expected);
+            prop_assert_eq!(world.balance(a), model.balance(a));
+            let code = expected.map_or(&[][..], |e| &e.code[..]);
+            prop_assert_eq!(&world.code(a)[..], code);
+            prop_assert_eq!(world.nonce(a), expected.map_or(0, |e| e.nonce));
+            let behaviour = expected.map_or(&HostBehaviour::None, |e| &e.behaviour);
+            prop_assert_eq!(world.behaviour(a), behaviour);
+            for slot in (0..SLOTS).map(U256::from_u64) {
+                let entry = expected
+                    .and_then(|e| e.storage.get(&slot).copied())
+                    .unwrap_or((U256::ZERO, Taint::NONE));
+                prop_assert_eq!(world.storage_entry(a, slot), entry);
             }
         }
+        let listed: BTreeMap<Address, Account> = world
+            .accounts()
+            .map(|(address, account)| (address, account.into_owned()))
+            .collect();
+        prop_assert_eq!(
+            listed.len(),
+            world.accounts().count(),
+            "no account listed twice"
+        );
+        prop_assert_eq!(&listed, &model.accounts);
+        prop_assert_eq!(world.len(), model.accounts.len());
+        prop_assert_eq!(world.is_empty(), model.accounts.is_empty());
     }
 
     proptest! {
         /// Random world ops under randomly nested checkpoints, each closed
-        /// by a commit or a revert, against a model that never checkpoints:
-        /// a revert restores the clone the model saved at the checkpoint,
-        /// and a commit leaves the model as it is. So after every step
-        /// `revert_to` must equal a clone taken at the checkpoint, and
-        /// committed work must equal running the same ops with no
-        /// checkpoint open.
+        /// by a commit or a revert, against a flat model that never
+        /// checkpoints: a revert restores the model saved at the
+        /// checkpoint, and a commit leaves the model as it is. The ops
+        /// include the set-up calls (replacing an account, freezing with
+        /// overrides pending, resetting in place to the seeded frozen world
+        /// or to one frozen during the script) and writes to absent
+        /// addresses. After every step each public reader must agree with
+        /// the model, and `==` with a world rebuilt from it.
         #[test]
         fn journal_matches_clone_and_restore(
-            script in proptest::collection::vec(any::<u64>(), 1..64)
+            script in proptest::collection::vec(any::<u64>(), 1..96)
         ) {
-            let mut world = seeded_world();
-            let mut model = seeded_world();
-            let mut open: Vec<(WorldCheckpoint, WorldState)> = Vec::new();
+            let (mut world, mut model) = seeded_world();
+            let mut base = world.snapshot();
+            base.freeze();
+            let mut frozen = vec![(base, model.clone())];
+            let mut open: Vec<(WorldCheckpoint, Model)> = Vec::new();
             for &word in &script {
                 match word >> 61 {
                     0 => open.push((world.checkpoint(), model.clone())),
@@ -734,21 +1171,25 @@ mod tests {
                             }
                         }
                     }
-                    _ => {
-                        apply(&mut world, word);
-                        apply(&mut model, word);
-                    }
+                    _ => apply(&mut world, &mut model, &mut frozen, word),
                 }
-                prop_assert_eq!(&world, &model);
+                check_readers(&world, &model);
+                let mut flat = WorldState::new();
+                for (&address, account) in &model.accounts {
+                    flat.put_account(address, account.clone());
+                }
+                prop_assert_eq!(&world, &flat);
             }
             while let Some((cp, _)) = open.pop() {
                 world.commit(cp);
             }
-            prop_assert_eq!(&world, &model);
-            // Closing the outermost checkpoint drops the journal, and
-            // writes with none open are never journaled.
+            check_readers(&world, &model);
+            // Closing the outermost checkpoint drops the journal.
             prop_assert!(world.journal.is_empty());
-            prop_assert!(model.journal.is_empty());
+            // Every frozen world kept what it held when it was frozen.
+            for (target, target_model) in &frozen {
+                check_readers(target, target_model);
+            }
         }
     }
 
@@ -760,7 +1201,9 @@ mod tests {
         let mut flat = WorldState::new();
         flat.put_account(addr(1), Account::eoa(U256::from_u64(5)));
         assert_eq!(frozen, flat);
-        flat.account_mut(addr(1)).balance = U256::from_u64(6);
+        flat.set_balance(addr(1), U256::from_u64(6));
         assert_ne!(frozen, flat);
+        frozen.set_balance(addr(1), U256::from_u64(6));
+        assert_eq!(frozen, flat);
     }
 }

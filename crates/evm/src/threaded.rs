@@ -1187,9 +1187,10 @@ fn h_extcodehash(m: &mut Machine<'_, '_>, u: &BlockUnit) -> Step {
         t_oog!(m);
     }
     m.gas_left -= surcharge;
-    let hash = match m.evm.world.account(who) {
-        None => U256::ZERO,
-        Some(account) => U256::from_be_bytes(keccak256(&account.code)),
+    let hash = if m.evm.world.exists(who) {
+        U256::from_be_bytes(keccak256(m.evm.world.code(who)))
+    } else {
+        U256::ZERO
     };
     t_push!(m, hash, Taint::empty());
     t_recharge!(m, u);

@@ -66,7 +66,7 @@ fn eval_op_with(op: u8, operands: &[U256], block_lowering: bool) -> U256 {
     // Cache the blob: an uncached one always runs one instruction at a time.
     let blob = world.code(contract);
     let mut cache = ProgramCache::new();
-    cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+    cache.insert(Arc::clone(blob), Arc::new(DecodedProgram::decode(blob)));
     let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
     evm.config.block_lowering = block_lowering;
     let result = evm.execute(&Message::new(sender, contract, U256::ZERO, vec![]));

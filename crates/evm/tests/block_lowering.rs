@@ -165,7 +165,7 @@ proptest! {
         base.put_account(contract, Account::contract(code.clone(), U256::ZERO));
         let runtime = base.code(contract);
         let mut cache = ProgramCache::new();
-        cache.insert(Arc::clone(&runtime), Arc::new(DecodedProgram::decode(&runtime)));
+        cache.insert(Arc::clone(runtime), Arc::new(DecodedProgram::decode(runtime)));
         base.freeze();
         let msg = Message::new(sender, contract, U256::ZERO, calldata);
 
@@ -196,8 +196,8 @@ fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
     let runtime = base.code(contract);
     let mut cache = ProgramCache::new();
     cache.insert(
-        Arc::clone(&runtime),
-        Arc::new(DecodedProgram::decode(&runtime)),
+        Arc::clone(runtime),
+        Arc::new(DecodedProgram::decode(runtime)),
     );
     base.freeze();
     let mut msg = Message::new(sender, contract, U256::from_u64(value), vec![]);

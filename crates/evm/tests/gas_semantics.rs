@@ -34,7 +34,7 @@ fn cache_code(world: &WorldState, addresses: &[Address]) -> ProgramCache {
     let mut cache = ProgramCache::new();
     for &address in addresses {
         let blob = world.code(address);
-        cache.insert(Arc::clone(&blob), Arc::new(DecodedProgram::decode(&blob)));
+        cache.insert(Arc::clone(blob), Arc::new(DecodedProgram::decode(blob)));
     }
     cache
 }

@@ -106,7 +106,7 @@ fn mapping_slots_equal_keccak_of_key_and_slot_on_both_tiers() {
     base.put_account(contract, Account::contract(code, U256::ZERO));
     let runtime = base.code(contract);
     let mut cache = ProgramCache::new();
-    cache.insert(Arc::clone(&runtime), program);
+    cache.insert(Arc::clone(runtime), program);
     base.freeze();
     let mut msg = Message::new(sender, contract, U256::ZERO, vec![]);
     msg.gas = 30_000_000;

@@ -30,8 +30,8 @@ fn run_both(code: &[u8], value: u64, gas: u64) -> ExecutionResult {
     let runtime = base.code(contract);
     let mut cache = ProgramCache::new();
     cache.insert(
-        Arc::clone(&runtime),
-        Arc::new(DecodedProgram::decode(&runtime)),
+        Arc::clone(runtime),
+        Arc::new(DecodedProgram::decode(runtime)),
     );
     let mut msg = Message::new(sender, contract, U256::from_u64(value), vec![]);
     msg.gas = gas;

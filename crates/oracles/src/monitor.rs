@@ -428,7 +428,9 @@ impl CampaignMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mufuzz_evm::{ether, Account, Address, BlockEnv, Evm, HostBehaviour, Message, WorldState};
+    use mufuzz_evm::{
+        ether, Account, Address, BlockEnv, Evm, ExecFrame, HostBehaviour, Message, WorldState,
+    };
     use mufuzz_lang::{compile_source, AbiValue};
 
     struct Rig {
@@ -437,6 +439,9 @@ mod tests {
         contract: Address,
         sender: Address,
         monitor: CampaignMonitor,
+        /// Interpreter scratch, and the attacker callback a re-entrant
+        /// sender calls back with.
+        frame: ExecFrame,
     }
 
     impl Rig {
@@ -462,6 +467,7 @@ mod tests {
                 contract,
                 sender,
                 monitor: CampaignMonitor::new(),
+                frame: ExecFrame::new(),
             }
         }
 
@@ -469,7 +475,8 @@ mod tests {
             let abi = self.compiled.abi.function(function).unwrap().clone();
             let data = abi.encode_call(args);
             let mut evm = Evm::new(&mut self.world, BlockEnv::default());
-            let result = evm.execute(&Message::new(self.sender, self.contract, value, data));
+            let message = Message::new(self.sender, self.contract, value, data);
+            let result = evm.execute_in(&message, &mut self.frame);
             self.monitor.observe(&self.compiled, &result.trace);
         }
 
@@ -575,10 +582,15 @@ mod tests {
         );
         // Make the sender a re-entrant attacker that calls withdraw() again.
         let withdraw_selector = rig.compiled.abi.function("withdraw").unwrap().selector;
-        rig.world.account_mut(rig.sender).behaviour = HostBehaviour::ReentrantAttacker {
-            callback_data: withdraw_selector.to_vec(),
-            max_depth: 3,
+        let attacker = Account {
+            balance: rig.world.balance(rig.sender),
+            behaviour: HostBehaviour::ReentrantAttacker { max_depth: 3 },
+            ..Default::default()
         };
+        rig.world.put_account(rig.sender, attacker);
+        rig.frame
+            .attacker_callback_mut()
+            .extend_from_slice(&withdraw_selector);
         rig.call("deposit", &[], ether(1));
         rig.call("withdraw", &[], U256::ZERO);
         assert!(rig.classes().contains(&BugClass::Reentrancy));

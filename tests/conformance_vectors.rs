@@ -251,11 +251,11 @@ fn check_vector(file: &str, vector: &Vector, print_mode: bool) {
     // Pre-decode every code blob present in the pre-state, mirroring the
     // production cache shape.
     let mut cache = ProgramCache::new();
-    let addresses: Vec<Address> = vector.world.accounts().map(|(a, _)| *a).collect();
+    let addresses: Vec<Address> = vector.world.accounts().map(|(a, _)| a).collect();
     for address in addresses {
         let code = vector.world.code(address);
         if !code.is_empty() {
-            cache.insert(Arc::clone(&code), Arc::new(DecodedProgram::decode(&code)));
+            cache.insert(Arc::clone(code), Arc::new(DecodedProgram::decode(code)));
         }
     }
 

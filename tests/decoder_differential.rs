@@ -96,8 +96,8 @@ fn runtime_cache(harness: &ContractHarness) -> ProgramCache {
     let runtime = harness.base_world().code(harness.contract_address);
     let mut cache = ProgramCache::new();
     cache.insert(
-        Arc::clone(&runtime),
-        Arc::new(DecodedProgram::decode(&runtime)),
+        Arc::clone(runtime),
+        Arc::new(DecodedProgram::decode(runtime)),
     );
     cache
 }
